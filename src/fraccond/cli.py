@@ -2,14 +2,14 @@
 
 Commands:
 
-    fraccond run      --config FILE --out DIR [--threads K] [--seed N]
+    fraccond run      --config FILE --out DIR [--seed N]
     fraccond plots    --report FILE --out DIR
     fraccond validate --config FILE
 
 Configs are INI files with [geometry], [suite], [tolerances] and [output]
 sections; unknown keys are rejected.  A run writes report.json (the
 deterministic payload, hashed) and provenance.json (version, seed, wall
-time, thread count) plus the plot sidecars.  Exit codes: 0 ok, 2 config
+time) plus the plot sidecars.  Exit codes: 0 ok, 2 config
 error, 3 solver failure, 4 suite invariant failure.
 
 The environment variable FRACCOND_CACHE overrides the DN cache directory.
@@ -184,11 +184,8 @@ def canonical_payload_bytes(document):
     return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def execute(config, threads=1, seed_override=None):
+def execute(config, seed_override=None):
     """Run the configured suite and return the report document."""
-    from .dnmap import set_default_threads
-
-    set_default_threads(threads)
     geometry = build_geometry(config)
     suite_cfg = dict(config.get("suite", {}))
     name = suite_cfg.pop("name")
@@ -225,7 +222,7 @@ def cmd_run(args):
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     try:
-        document = execute(config, threads=args.threads, seed_override=args.seed)
+        document = execute(config, seed_override=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -243,7 +240,6 @@ def cmd_run(args):
     provenance = {
         "version": __version__,
         "seed": document["seed"],
-        "threads": args.threads,
         "wall_time_s": wall,
         "numpy": np.__version__,
     }
@@ -290,7 +286,6 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run one experiment suite")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 

@@ -10,7 +10,6 @@ experiments that share a basis.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import scipy.linalg as sla
 from .conductivity import Conductivity, Potential
 from .geometry import GridField, mollifier_profile
 from .operators import FracOperator, hs_gram, hs_norm
-from .solver import ExteriorDatum, SolverError, interior_system
+from .solver import ExteriorDatum, interior_system
 
 __all__ = [
     "ExteriorBasis",
@@ -243,52 +242,32 @@ def _harmonic_fields(geometry, region, size):
 # ---------------------------------------------------------------------------
 
 
-_DEFAULT_THREADS = 1
-
-
-def set_default_threads(k):
-    """Worker count for column-parallel DN assembly (results are identical
-    to the serial run; columns are independent and merged by index)."""
-    global _DEFAULT_THREADS
-    _DEFAULT_THREADS = max(1, int(k))
-
-
-def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10, threads=None):
+def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     """DN matrix M_ij = B(u_{f_i}, f_j) for the given coefficient.
 
     Conductivity coefficients address the conductivity equation, Potential
-    coefficients the Schrodinger one.  Forward-solve failures are re-raised
-    with the offending column index.
+    coefficients the Schrodinger one.  All k basis data are solved in one
+    batch (InteriorSystem.solve_many): one stacked apply for the right-hand
+    sides, one multi-RHS solve against the cached factor, one stacked apply
+    for the fluxes Z.  Each column's Galerkin residual is checked against
+    the interior block; a failure raises SolverError naming the column.
+    M = Z F^T is passed to DnMatrix unsymmetrized, so its symmetry check
+    sees the raw solver asymmetry.
     """
-    if threads is None:
-        threads = _DEFAULT_THREADS
-    system = interior_system(coefficient, op)
     if isinstance(coefficient, Conductivity):
         equation = "conductivity"
     elif isinstance(coefficient, Potential):
         equation = "schrodinger"
     else:
         raise TypeError("coefficient must be a Conductivity or a Potential")
-
-    def column(i):
-        try:
-            sol = system.solve(basis.functions[i], tol)
-        except SolverError as exc:
-            raise SolverError(f"forward solve failed for basis column {i}: {exc}") from exc
-        return system.apply(sol.u.values)
-
+    system = interior_system(coefficient, op)
+    if basis.geometry != system.geometry:
+        raise ValueError("geometry mismatch")
     k = len(basis)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fluxes = list(pool.map(column, range(k)))
-    else:
-        fluxes = [column(i) for i in range(k)]
-    M = np.empty((k, k))
-    for i in range(k):
-        zi = fluxes[i]
-        for j in range(k):
-            M[i, j] = float(np.sum(basis.functions[j].values * zi))
-    return DnMatrix(entries=0.5 * (M + M.T), basis=basis, equation=equation)
+    F = np.stack([f.values for f in basis.functions])
+    _, Z, _ = system.solve_many(F, tol)
+    M = Z.reshape(k, -1) @ F.reshape(k, -1).T
+    return DnMatrix(entries=M, basis=basis, equation=equation)
 
 
 def _whiten(gram):

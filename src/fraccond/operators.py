@@ -58,6 +58,10 @@ def _circ_conv(weights, v):
     return np.fft.ifftn(np.fft.fftn(weights) * np.fft.fftn(v)).real
 
 
+# columns per block when interior matrices are filled blockwise
+_BLOCK = 256
+
+
 @dataclass
 class FracOperator:
     """Fractional Laplacian of order s on a fixed grid.
@@ -96,6 +100,36 @@ class FracOperator:
             n, s, N, L = self._grid_params()
             self._cache["moment"] = moment_weights_for(n, s, N, L)
         return self._cache["moment"]
+
+    def form_spectrum(self):
+        """Real FFT of the moment weights, so a convolution costs two FFTs."""
+        if "moment_spectrum" not in self._cache:
+            self._cache["moment_spectrum"] = np.fft.rfftn(self.form_weights())
+        return self._cache["moment_spectrum"]
+
+    def interior_stencil(self):
+        """Moment weights between every pair of grid points inside Omega.
+
+        Entry (i, j) is the weight at offset x_i - x_j averaged with the
+        weight at x_j - x_i, so the matrix is exactly symmetric.  It is in
+        Fortran order: interior blocks are scaled copies of it that LAPACK
+        factors in place.
+        """
+        if "stencil" not in self._cache:
+            geom = self.geometry
+            N = geom.grid_points
+            axes = tuple(range(geom.n))
+            w = self.form_weights()
+            w = 0.5 * (w + np.roll(np.flip(w, axes), 1, axes))  # w(r) <- w(-r)
+            coords = np.unravel_index(np.flatnonzero(geom.omega_mask()), geom.shape)
+            m = coords[0].size
+            stencil = np.empty((m, m), order="F")
+            # column blocks bound the index temporaries to m * _BLOCK entries
+            for c0 in range(0, m, _BLOCK):
+                cols = slice(c0, c0 + _BLOCK)
+                stencil[:, cols] = w[tuple((a[:, None] - a[None, cols]) % N for a in coords)]
+            self._cache["stencil"] = stencil
+        return self._cache["stencil"]
 
     def diagnostic_weights(self):
         """High-order product weights (n = 1); moment weights otherwise."""

@@ -9,6 +9,15 @@ diagonal h^n q, which by the exact discrete Liouville transform is the
 congruence D_g A_gamma D_g of the conductivity block; Cholesky failure for
 a potential therefore signals a genuinely non-transformed, non-coercive q
 and is reported as such.
+
+Solves are batched: a stack of k exterior data costs one stacked full-grid
+apply for the right-hand sides, one multi-RHS Cholesky solve and one
+stacked apply for the fluxes.  Each full-grid apply is one forward and one
+inverse real FFT against the operator's cached weight spectrum.  The block
+is built by scaling the operator's unit stencil and factored in place, so
+one array per system holds the factor (lower triangle) and the block
+(strict upper triangle, diagonal kept apart).  Every column's Galerkin
+residual is checked against that packed block.
 """
 
 from __future__ import annotations
@@ -18,10 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dsymm
+from scipy.linalg.lapack import dpotrf
 
 from .conductivity import Conductivity, Potential
 from .geometry import GridField
-from .operators import FracOperator, pair_matvec
+from .operators import _BLOCK, FracOperator
 
 __all__ = [
     "SolverError",
@@ -77,24 +88,26 @@ def _digest(*arrays):
 
 
 class InteriorSystem:
-    """Dense interior Galerkin block with its Cholesky factor.
+    """Interior Galerkin block, factored in place, with the full-grid operator.
 
     coefficient is a Conductivity (conductivity equation) or a Potential
-    (Schrodinger equation).  Matrix-vector products with the full-grid
-    operator go through FFT circular convolutions; only the interior block
-    is ever formed densely.
+    (Schrodinger equation) on the operator's grid.  Matrix-vector products
+    with the full-grid operator go through real FFT circular convolutions
+    against the operator's cached weight spectrum; only the interior block is
+    ever formed densely.  One n x n array holds both the block and its
+    Cholesky factor: L in the lower triangle, the block in the strict upper
+    triangle, and the block's diagonal kept apart.
     """
 
     def __init__(self, coefficient, op: FracOperator):
+        if coefficient.geometry != op.geometry:
+            raise ValueError("coefficient and operator live on different grids")
         self.op = op
-        self.geometry = coefficient.geometry
-        geom = self.geometry
+        self.geometry = geom = op.geometry
         self.mask = geom.omega_mask()
         self.idx = np.flatnonzero(self.mask.reshape(-1))
         if self.idx.size == 0:
             raise SolverError("no interior degrees of freedom")
-        w = op.form_weights()
-        h_n = geom.cell_volume
         if isinstance(coefficient, Conductivity):
             self.kind = "conductivity"
             self.g = coefficient.sqrt_values
@@ -106,92 +119,112 @@ class InteriorSystem:
         else:
             raise TypeError("coefficient must be a Conductivity or a Potential")
 
-        A = self._interior_block(w, h_n)
-        try:
-            self.chol = sla.cho_factor(A, lower=True, check_finite=False)
-        except sla.LinAlgError as exc:
+        self._scale = op.cns * geom.cell_volume
+        G = np.ones(geom.shape) if self.g is None else self.g
+        self._wg = self._convolve(G)  # w * g, the diagonal's convolution
+        diag = self._scale * (G * self._wg).reshape(-1)[self.idx]
+        if self.q is not None:
+            diag = diag + geom.cell_volume * self.q.reshape(-1)[self.idx]
+        self._diag = diag
+
+        factor, info = dpotrf(self._interior_block(), lower=1, clean=0, overwrite_a=1)
+        if info != 0:
             if self.kind == "schrodinger":
                 raise SolverError(
                     "interior Schrodinger matrix is not positive definite; "
                     "the potential does not come from an admissible "
                     "conductivity"
-                ) from exc
+                )
             raise SolverError(
                 "interior conductivity matrix is not positive definite; "
                 "this indicates an assembly bug, the form is coercive"
-            ) from exc
-        self.matrix = A
+            )
+        self._factor = factor
 
-    def _interior_block(self, w, h_n):
-        geom = self.geometry
-        N = geom.grid_points
-        cns = self.op.cns
-        idx = self.idx
-        if geom.n == 1:
-            offs = (idx[:, None] - idx[None, :]) % N
-            wblock = w[offs]
+    def _interior_block(self):
+        """Dense interior block: the operator's unit stencil, scaled."""
+        stencil = self.op.interior_stencil()
+        A = np.empty_like(stencil)
+        if self.g is None:
+            np.multiply(stencil, -self._scale, out=A)
         else:
-            i1, i2 = np.divmod(idx, N)
-            o1 = (i1[:, None] - i1[None, :]) % N
-            o2 = (i2[:, None] - i2[None, :]) % N
-            wblock = w[o1, o2]
-        if self.g is not None:
-            gflat = self.g.reshape(-1)[idx]
-            conv_g = _conv(w, self.g)
-            diag = cns * h_n * gflat * conv_g.reshape(-1)[idx]
-            A = -cns * h_n * np.outer(gflat, gflat) * wblock
-        else:
-            conv_1 = _conv(w, np.ones(geom.shape))
-            diag = cns * h_n * conv_1.reshape(-1)[idx]
-            A = -cns * h_n * wblock
-            if self.q is not None:
-                diag = diag + h_n * self.q.reshape(-1)[idx]
-        np.fill_diagonal(A, diag)
-        return 0.5 * (A + A.T)
+            # scaling by the outer product g_i g_j keeps A exactly symmetric
+            gi = self.g.reshape(-1)[self.idx]
+            for c0 in range(0, gi.size, _BLOCK):
+                cols = slice(c0, c0 + _BLOCK)
+                A[:, cols] = stencil[:, cols] * (-self._scale * np.outer(gi, gi[cols]))
+        np.fill_diagonal(A, self._diag)
+        return A
+
+    def _block_product(self, X):
+        """Interior block times X, read from the packed upper triangle."""
+        AX = dsymm(1.0, self._factor, X, lower=0)
+        AX += (self._diag - np.diagonal(self._factor))[:, None] * X
+        return AX
 
     # -- full-grid operator --------------------------------------------------
 
-    def apply(self, values):
-        """Full-grid stiffness applied to a field (FFT convolutions)."""
-        w = self.op.form_weights()
-        h_n = self.geometry.cell_volume
-        out = pair_matvec(w, self.op.cns, h_n, self.g, values)
-        if self.q is not None:
-            out = out + h_n * self.q * values
-        return out
+    def _convolve(self, values):
+        """Circular convolution of the weights with a field or a stack of them."""
+        axes = tuple(range(-self.geometry.n, 0))
+        spec = np.fft.rfftn(values, axes=axes)
+        spec *= self.op.form_spectrum()
+        return np.fft.irfftn(spec, s=self.geometry.shape, axes=axes)
 
-    def energy(self, values):
-        return float(np.sum(values * self.apply(values)))
+    def apply(self, values):
+        """Full-grid stiffness applied to a field or a (k, *grid) stack."""
+        if self.g is None:
+            return self._scale * (
+                values * self._wg - self._convolve(values)
+            ) + self.geometry.cell_volume * self.q * values
+        return self._scale * self.g * (values * self._wg - self._convolve(self.g * values))
+
+    def solve_many(self, data, tol: float = 1e-10):
+        """Solve for a (k, *grid) stack of exterior data in one batch.
+
+        One stacked apply gives the right-hand sides, one multi-RHS Cholesky
+        solve the interior values, and a second stacked apply the fluxes.
+        Each column's Galerkin residual is measured against the dense block
+        and must not exceed tol.  Returns (U, Z, residuals): the full-grid
+        solutions, their fluxes apply(U) and the residual of each column.
+        """
+        F = np.asarray(data, dtype=float)
+        k = F.shape[0]
+        B = -self.apply(F).reshape(k, -1)[:, self.idx].T
+        X = sla.cho_solve((self._factor, True), B, check_finite=False)
+        R = self._block_product(X) - B
+        scale = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
+        residuals = np.linalg.norm(R, axis=0) / scale
+        bad = np.flatnonzero(~(residuals <= tol))
+        if bad.size:
+            i = int(bad[0])
+            raise SolverError(
+                f"Galerkin residual {residuals[i]:.3e} exceeds tol {tol:.3e} "
+                f"in column {i}"
+            )
+        U = F.reshape(k, -1).copy()
+        U[:, self.idx] = X.T
+        U = U.reshape(F.shape)
+        return U, self.apply(U), residuals
 
     def solve(self, datum: ExteriorDatum, tol: float = 1e-10) -> Solution:
         if datum.geometry != self.geometry:
             raise ValueError("geometry mismatch")
-        f = datum.values
-        b = -self.apply(f).reshape(-1)[self.idx]
-        wvec = sla.cho_solve(self.chol, b, check_finite=False)
-        resid_vec = self.matrix @ wvec - b
-        scale = max(float(np.linalg.norm(b)), 1e-300)
-        residual = float(np.linalg.norm(resid_vec)) / scale
-        if not np.isfinite(residual) or residual > tol:
-            raise SolverError(f"Galerkin residual {residual:.3e} exceeds tol {tol:.3e}")
-        u = f.copy().reshape(-1)
-        u[self.idx] = wvec
-        u = u.reshape(self.geometry.shape)
+        U, Z, residuals = self.solve_many(datum.values[None], tol)
         return Solution(
-            u=GridField(self.geometry, u),
-            residual=residual,
-            energy=self.energy(u),
+            u=GridField(self.geometry, U[0]),
+            residual=float(residuals[0]),
+            energy=float(np.sum(U[0] * Z[0])),
         )
 
     def smallest_eigenvalue(self):
         vals = sla.eigh(
-            self.matrix, eigvals_only=True, subset_by_index=[0, 0], check_finite=False
+            self._interior_block(),
+            eigvals_only=True,
+            subset_by_index=[0, 0],
+            check_finite=False,
         )
         return float(vals[0])
-
-
-def _conv(w, v):
-    return np.fft.ifftn(np.fft.fftn(w) * np.fft.fftn(v)).real
 
 
 _SYSTEM_CACHE: dict = {}
@@ -209,7 +242,9 @@ def interior_system(coefficient, op: FracOperator) -> InteriorSystem:
     key = (
         tag,
         coefficient.geometry.content_hash(),
+        op.geometry.content_hash(),
         float(op.s),
+        float(op.cns),
         op.mode,
         _digest(payload),
     )

@@ -12,6 +12,7 @@ from fraccond.conductivity import (
 )
 from fraccond.dnmap import (
     DnBlock,
+    DnMatrix,
     ExteriorBasis,
     assemble_dn,
     build_exterior_basis,
@@ -19,7 +20,8 @@ from fraccond.dnmap import (
     restrict_dn,
 )
 from fraccond.geometry import default_geometry
-from fraccond.operators import FracOperator, hs_gram
+from fraccond.operators import FracOperator, hs_gram, pair_matvec
+from fraccond.solver import ExteriorDatum, SolverError, interior_system
 
 from conftest import two_region_geometry
 
@@ -144,11 +146,70 @@ class TestAssembly:
             dn_operator_norm(M1), rel=1e-10
         )
 
-    def test_threads_match_serial(self, geom, op_quad, basis):
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
+    def test_batched_matches_column_reference(self, geom, geom2d, n, equation):
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g, mode="quadrature")
+        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        gam = bump_conductivity(g, height=0.5, width=0.8)
+        coefficient = gam if equation == "conductivity" else liouville_potential(gam, op)
+        M = assemble_dn(coefficient, b, op).entries
+        ref = column_reference(coefficient, b, op)
+        assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_batched_failure_names_column(self, geom, op_quad, basis):
+        zero = ExteriorDatum(geom, np.zeros(geom.shape))
+        pair = ExteriorBasis(
+            geometry=geom,
+            functions=(zero, basis.functions[0]),
+            regions=("annulus",) * 2,
+            orders=((0, 0), (1, 0)),
+            kind="bumps",
+            gram=np.eye(2),
+        )
         gam = bump_conductivity(geom, height=0.5, width=0.8)
-        serial = assemble_dn(gam, basis, op_quad, threads=1)
-        parallel = assemble_dn(gam, basis, op_quad, threads=4)
-        assert np.array_equal(serial.entries, parallel.entries)
+        # the zero column solves exactly; the second cannot meet tol
+        with pytest.raises(SolverError, match="residual .* in column 1"):
+            assemble_dn(gam, pair, op_quad, tol=1e-300)
+
+    def test_doubled_cns_doubles_dn(self, geom, op_quad, basis):
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        M1 = assemble_dn(gam, basis, op_quad).entries
+        op2 = FracOperator(geom, mode="quadrature", cns=2.0 * op_quad.cns)
+        M2 = assemble_dn(gam, basis, op2).entries
+        assert np.max(np.abs(M2 - 2.0 * M1)) <= 1e-12 * np.max(np.abs(M2))
+
+    def test_asymmetric_entries_rejected(self, basis):
+        k = len(basis)
+        entries = np.eye(k) + 1e-6 * np.triu(np.ones((k, k)), 1)
+        with pytest.raises(ValueError, match="symmetry"):
+            DnMatrix(entries=entries, basis=basis, equation="conductivity")
+
+
+def column_reference(coefficient, basis, op):
+    """DN matrix one column at a time: dense solve, flux through pair_matvec."""
+    system = interior_system(coefficient, op)
+    A = system._interior_block()
+    geom = basis.geometry
+    h_n = geom.cell_volume
+    conductivity = isinstance(coefficient, Conductivity)
+    g = coefficient.sqrt_values if conductivity else None
+
+    def full_apply(u):
+        out = pair_matvec(op.form_weights(), op.cns, h_n, g, u)
+        return out if conductivity else out + h_n * coefficient.values * u
+
+    k = len(basis)
+    M = np.empty((k, k))
+    for i, f in enumerate(basis.functions):
+        b = -full_apply(f.values).reshape(-1)[system.idx]
+        u = f.values.copy().reshape(-1)
+        u[system.idx] = np.linalg.solve(A, b)
+        z = full_apply(u.reshape(geom.shape))
+        for j, fj in enumerate(basis.functions):
+            M[i, j] = np.sum(fj.values * z)
+    return M
 
 
 class TestOperatorNorm:

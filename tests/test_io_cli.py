@@ -310,7 +310,7 @@ class TestProvenance:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == EXIT_OK
         prov = json.loads((tmp_path / "out" / "provenance.json").read_text())
-        assert {"version", "seed", "threads", "wall_time_s"} <= set(prov)
+        assert {"version", "seed", "wall_time_s"} <= set(prov)
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, suite="residuals", seed=1)

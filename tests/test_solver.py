@@ -152,6 +152,37 @@ class TestCoercivity:
         q = liouville_potential(gam, op_quad)
         assert coercivity_check(q, op_quad) > 0
 
+    def test_rebuilt_block_matches_packed_storage(self, geom, op_quad):
+        # the in-place factor keeps the block in its strict upper triangle
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        system = interior_system(gam, op_quad)
+        upper = np.triu(system._factor, 1)
+        packed = upper + upper.T + np.diag(system._diag)
+        assert np.array_equal(packed, system._interior_block())
+        assert coercivity_check(gam, op_quad) == pytest.approx(
+            np.linalg.eigvalsh(packed)[0], rel=1e-10
+        )
+
+
+class TestPackedSystem:
+    @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
+    def test_block_product_matches_dense(self, geom, op_quad, equation):
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        coefficient = gam if equation == "conductivity" else liouville_potential(gam, op_quad)
+        system = interior_system(coefficient, op_quad)
+        X = np.random.Generator(np.random.Philox(key=3)).standard_normal((system.idx.size, 3))
+        ref = system._interior_block() @ X
+        assert np.max(np.abs(system._block_product(X) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_mismatched_box_rejected(self, geom, op_quad):
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        interior_system(gam, op_quad)  # a cached system for this coefficient
+        other = GeometryConfig(
+            n=1, s=geom.s, box_halfwidth=5.0, grid_points=geom.grid_points
+        )
+        with pytest.raises(ValueError, match="different grids"):
+            interior_system(gam, FracOperator(other, mode="quadrature"))
+
 
 class TestSchrodingerSolve:
     def test_zero_everything(self, geom, op_quad):
