@@ -13,7 +13,6 @@ from .geometry import GeometryConfig, GridField, Region, default_geometry
 from .operators import (
     FracOperator,
     bilinear_form,
-    frac_gradient_energy,
     frac_laplacian,
     hs_gram,
 )
@@ -56,6 +55,6 @@ from .experiments import (
     reduction_check,
     run_suite,
 )
-from .io import cache_dn, load_conductivity, load_dn, save_conductivity
+from .io import load_conductivity, save_conductivity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

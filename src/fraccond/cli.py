@@ -6,13 +6,11 @@ Commands:
     fraccond plots    --report FILE --out DIR
     fraccond validate --config FILE
 
-Configs are INI files with [geometry], [suite], [tolerances] and [output]
-sections; unknown keys are rejected.  A run writes report.json (the
+Configs are INI files with [geometry] and [suite] sections; unknown
+sections and keys are rejected.  A run writes report.json (the
 deterministic payload, hashed) and provenance.json (version, seed, wall
 time) plus the plot sidecars.  Exit codes: 0 ok, 2 config
 error, 3 solver failure, 4 suite invariant failure.
-
-The environment variable FRACCOND_CACHE overrides the DN cache directory.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ _SUITE_KEYS = {
     "amplitude": float,
     "factor": float,
     "amplitudes": str,
-    "basis_kind": str,
     "basis_size": int,
     "ell": float,
     "eps": float,
@@ -72,17 +69,9 @@ _SUITE_KEYS = {
     "probe_point": float,
     "recovery_height": float,
     "region": str,
-    "operator_mode": str,
 }
-_TOLERANCE_KEYS = {"solver_tol": float}
-_OUTPUT_KEYS = {"directory": str}
 
-_SECTIONS = {
-    "geometry": _GEOMETRY_KEYS,
-    "suite": _SUITE_KEYS,
-    "tolerances": _TOLERANCE_KEYS,
-    "output": _OUTPUT_KEYS,
-}
+_SECTIONS = {"geometry": _GEOMETRY_KEYS, "suite": _SUITE_KEYS}
 
 
 def parse_config(path):
@@ -192,8 +181,7 @@ def execute(config, seed_override=None):
     if seed_override is not None:
         suite_cfg["seed"] = seed_override
     suite_cfg.setdefault("seed", 0)
-    mode = suite_cfg.pop("operator_mode", "quadrature")
-    op = FracOperator(geometry, mode=mode)
+    op = FracOperator(geometry)
     payload = run_suite(name, geometry, op, suite_cfg)
     checks = _suite_invariants(name, payload)
     config_echo = {k: dict(v) for k, v in config.items()}

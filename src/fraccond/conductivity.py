@@ -14,9 +14,10 @@ by requiring the energy identity
                       + <q (g u), (g phi)>,        g = gamma^(1/2),
 
 to hold; with the opposite sign it fails at the percent level, which the
-test suite demonstrates.  In quadrature mode the potential is built from
-the same kernel moments as the Galerkin forms, making the discrete
-transform exact to rounding; in spectral mode it uses the multiplier.
+test suite demonstrates.  The potential is built from the same kernel
+moments as the Galerkin forms, making the discrete transform exact to
+rounding.  The admissibility proxies use the Fourier multipliers of the
+operators module instead, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GeometryConfig, GridField, mollifier_profile
-from .operators import FracOperator, frac_laplacian, pair_matvec
+from .operators import (
+    FracOperator,
+    apply_multiplier,
+    bessel_symbol,
+    fourier_symbol,
+    pair_matvec,
+)
 
 __all__ = [
     "Conductivity",
@@ -37,6 +44,7 @@ __all__ = [
     "background_deviation",
     "liouville_potential",
     "validate_admissibility",
+    "check_theta0",
     "mandache_family",
     "bump_conductivity",
     "c_ell_norm",
@@ -124,18 +132,11 @@ def background_deviation(gamma: Conductivity) -> GridField:
 def liouville_potential(gamma: Conductivity, op: FracOperator) -> Potential:
     """Potential of the transformed Schrodinger equation.
 
-    Quadrature mode uses the pair-weight principal-value operator that also
-    defines the Galerkin forms, so the discrete Liouville transform holds
-    exactly; spectral mode uses the Fourier multiplier.
+    It uses the pair-weight principal-value operator that also defines the
+    Galerkin forms, so the discrete Liouville transform holds exactly.
     """
-    geom = gamma.geometry
-    m = gamma.m_values
-    if op.mode == "quadrature":
-        w = op.form_weights()
-        lap_m = pair_matvec(w, op.cns, 1.0, None, m)
-    else:
-        lap_m = frac_laplacian(GridField(geom, m), op).values
-    return Potential(geom, -lap_m / gamma.sqrt_values)
+    lap_m = pair_matvec(op.form_weights(), op.cns, 1.0, None, gamma.m_values)
+    return Potential(gamma.geometry, -lap_m / gamma.sqrt_values)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +159,17 @@ class AdmissibilityReport:
 
 def bessel_norm_surrogate(geometry, values, t, p):
     """Grid surrogate of the Bessel-potential norm ||<D>^t f||_{L^p}."""
-    vh = np.fft.fftn(values)
-    weight = (1.0 + geometry.freq_magnitude() ** 2) ** (t / 2.0)
-    smoothed = np.fft.ifftn(weight * vh).real
+    smoothed = apply_multiplier(bessel_symbol(geometry, t / 2.0), values)
     return float(
         (np.sum(np.abs(smoothed) ** p) * geometry.cell_volume) ** (1.0 / p)
     )
+
+
+def check_theta0(geometry, theta0):
+    """Raise ValueError unless theta0 lies in (max(1/2, 2s/n), 1)."""
+    lo = max(0.5, 2.0 * geometry.s / geometry.n)
+    if not (lo < theta0 < 1.0):
+        raise ValueError(f"theta0 must lie in ({lo}, 1), got {theta0}")
 
 
 def validate_admissibility(
@@ -176,7 +182,6 @@ def validate_admissibility(
     c2: float = 50.0,
     dn_gap: float | None = None,
     delta: float | None = None,
-    op: FracOperator | None = None,
 ) -> AdmissibilityReport:
     """Check the hypotheses of the log-stability estimate on the grid.
 
@@ -186,29 +191,27 @@ def validate_admissibility(
     user-configured; they stand in for a priori constants, with no claim of
     matching any particular theoretical value.  When a DN-difference norm
     is supplied, the smallness gate ||dLambda|| <= 3^(-1/delta) with
-    0 < delta < (1-theta0)/2 is evaluated too.
+    0 < delta < (1-theta0)/2 is evaluated too.  (-Delta)^s m is the Fourier
+    multiplier |k|^(2s), independent of the quadrature operator.
     """
     if g1.geometry != g2.geometry:
         raise ValueError("geometry mismatch")
     geom = g1.geometry
     n, s = geom.n, geom.s
-    lo = max(0.5, 2.0 * s / n)
-    if not (lo < theta0 < 1.0):
-        raise ValueError(f"theta0 must lie in ({lo}, 1), got {theta0}")
+    check_theta0(geom, theta0)
 
     gmin = float(min(g1.values.min(), g2.values.min()))
     gmax = float(max(g1.values.max(), g2.values.max()))
     g0 = min(g1.gamma0, g2.gamma0)
     ellipticity_ok = (gmin >= g0 - 1e-12) and (gmax <= 1.0 / g0 + 1e-12)
 
-    if op is None:
-        op = FracOperator(geom, mode="spectral")
+    symbol = fourier_symbol(geom, s)
     proxies = []
     ext = geom.exterior_mask()
     for g in (g1, g2):
         m = g.m_values
         bessel = bessel_norm_surrogate(geom, m, 4.0 * s + 2.0 * eps, n / (2.0 * s))
-        lap_m = frac_laplacian(GridField(geom, m), op).values
+        lap_m = apply_multiplier(symbol, m)
         l1_ext = float(np.sum(np.abs(lap_m[ext])) * geom.cell_volume)
         proxies.append((bessel, l1_ext))
     smoothness_ok = all(b <= c1 and l1 <= c2 for b, l1 in proxies)

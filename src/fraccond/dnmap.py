@@ -45,9 +45,6 @@ class ExteriorBasis:
     def __len__(self):
         return len(self.functions)
 
-    def gram_smallest_eigenvalue(self):
-        return float(sla.eigvalsh(self.gram)[0])
-
     def order_of(self, i):
         h, k = self.orders[i]
         return h + k

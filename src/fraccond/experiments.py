@@ -32,10 +32,10 @@ from .conductivity import (
     MandacheParams,
     Potential,
     bump_conductivity,
+    check_theta0,
     liouville_potential,
     mandache_family,
     pairwise_sup_gaps,
-    validate_admissibility,
 )
 from .dnmap import (
     DnMatrix,
@@ -50,7 +50,15 @@ from .geometry import (
     mollifier_profile,
     plateau_profile,
 )
-from .operators import FracOperator, hs_gram, hs_norm, pair_form
+from .operators import (
+    FracOperator,
+    apply_multiplier,
+    fourier_symbol,
+    hs_gram,
+    hs_norm,
+    pair_form,
+    parseval_pairing,
+)
 from .solver import ExteriorDatum
 
 __all__ = [
@@ -116,6 +124,7 @@ class InstabilityRecord:
     packing_bound: float
     spearman_envelope: float
     decay_table: dict
+    min_pairwise_gap: float
 
 
 # ---------------------------------------------------------------------------
@@ -123,32 +132,33 @@ class InstabilityRecord:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_pairing(geometry, a, b, s):
-    sym = geometry.freq_magnitude() ** (2.0 * s)
-    ah = np.fft.fftn(a)
-    bh = np.fft.fftn(b)
-    return float(np.sum(sym * (ah * np.conj(bh)).real)) * geometry.cell_volume / a.size
+def _multiplier_potential(gamma: Conductivity, s: float) -> np.ndarray:
+    """Liouville potential -(-Delta)^s m / gamma^(1/2) with (-Delta)^s the
+    Fourier multiplier |k|^(2s); the diagnostics' oracle for the quadrature
+    potential."""
+    lap_m = apply_multiplier(fourier_symbol(gamma.geometry, s), gamma.m_values)
+    return -lap_m / gamma.sqrt_values
 
 
 def liouville_identity_residual(gamma: Conductivity, u: GridField, phi: GridField, op: FracOperator) -> float:
     """Relative defect of the Liouville energy identity.
 
     The left side is the conductivity pairing evaluated by high-order pair
-    quadrature; the right side is the spectral Schrodinger pairing of the
-    transformed fields with the spectral-mode potential.  The two routes
-    share no discretization, so the defect measures discretization error
-    and must shrink under grid refinement.
+    quadrature; the right side is the Parseval pairing with the multiplier
+    |k|^(2s) of the transformed fields, plus the potential built from that
+    multiplier.  The two routes share no discretization, so the defect
+    measures discretization error and must shrink under grid refinement.
     """
     geom = gamma.geometry
     g = gamma.sqrt_values
     h_n = geom.cell_volume
     lhs = pair_form(op.diagnostic_weights(), op.cns, h_n, g, u.values, phi.values)
-    q_spec = liouville_potential(gamma, FracOperator(geom, s=op.s, mode="spectral"))
+    q = _multiplier_potential(gamma, op.s)
     gu = g * u.values
     gphi = g * phi.values
-    rhs = _spectral_pairing(geom, gu, gphi, op.s) + h_n * float(
-        np.sum(q_spec.values * gu * gphi)
-    )
+    rhs = parseval_pairing(
+        fourier_symbol(geom, op.s), np.fft.fftn(gu), np.fft.fftn(gphi), h_n
+    ) + h_n * float(np.sum(q * gu * gphi))
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + EPS_GUARD)
 
 
@@ -166,9 +176,8 @@ def mtilde_equation_residual(g1: Conductivity, g2: Conductivity, op: FracOperato
     sqrt1 = g1.sqrt_values
     sqrt2 = g2.sqrt_values
     mtilde = (g1.m_values - g2.m_values) / sqrt1
-    spec_op = FracOperator(geom, s=op.s, mode="spectral")
-    q1 = liouville_potential(g1, spec_op).values
-    q2 = liouville_potential(g2, spec_op).values
+    q1 = _multiplier_potential(g1, op.s)
+    q2 = _multiplier_potential(g2, op.s)
     rhs_density = sqrt1 * sqrt2 * (q2 - q1)
     worst = 0.0
     for seed in range(n_tests):
@@ -263,9 +272,7 @@ def exterior_stability_scan(pairs, basis, op: FracOperator):
 
 def reduction_check(g1, g2, theta0, basis, op: FracOperator) -> ReductionCheck:
     """Both DN differences of a pair in one basis and the shape-fitted constant."""
-    report = validate_admissibility(g1, g2, theta0)
-    if not report.ellipticity_ok:
-        raise ValueError("pair violates ellipticity")
+    check_theta0(g1.geometry, theta0)
     Mg1 = assemble_dn(g1, basis, op)
     Mg2 = assemble_dn(g2, basis, op)
     x = dn_operator_norm(Mg1 - Mg2)
@@ -300,6 +307,7 @@ def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, del
     q_max = 2.0 * n / (n - 2.0 * s)
     if not (1.0 <= q_index <= q_max):
         raise ValueError(f"q index must lie in [1, {q_max}], got {q_index}")
+    check_theta0(geom, theta0)
     if delta is None:
         delta = 0.95 * (1.0 - theta0) / 2.0
     gate = 3.0 ** (-1.0 / delta)
@@ -309,7 +317,6 @@ def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, del
     retained = []
     flagged = []
     for ga, gb in family:
-        validate_admissibility(ga, gb, theta0)
         Ma = assemble_dn(ga, basis, op)
         Mb = assemble_dn(gb, basis, op)
         x = dn_operator_norm(Ma - Mb)
@@ -418,6 +425,8 @@ def instability_search(
             f"{math.exp((params.beta / params.eps) ** (params.n / params.ell)):.3e})"
         )
 
+    iu = np.triu_indices(count, k=1)
+    min_gap = float(np.min(gaps[iu])) if count > 1 else 0.0
     orders = [basis.order_of(i) for i in range(len(basis))]
     decay = coefficient_decay(mats[0].entries - M0.entries, orders)
     n, ell, eps = params.n, params.ell, params.eps
@@ -435,6 +444,7 @@ def instability_search(
         packing_bound=packing,
         spearman_envelope=decay["spearman_envelope"],
         decay_table=decay,
+        min_pairwise_gap=min_gap,
     )
 
 
@@ -464,7 +474,7 @@ def suite_residuals(geometry, op, config):
         from dataclasses import replace
 
         coarse = replace(geometry, grid_points=geometry.grid_points // 2)
-        op_c = FracOperator(coarse, s=op.s, mode=op.mode)
+        op_c = FracOperator(coarse, s=op.s)
         uc = bandlimited_field(coarse, seed=config.get("seed", 0) + 11)
         pc = bandlimited_field(coarse, seed=config.get("seed", 0) + 23)
         for k, (gamma_f, gamma_c) in enumerate(
@@ -626,11 +636,6 @@ def suite_instability(geometry, op, config):
     )
     count = config.get("count", 32)
     rec = instability_search(params, basis, op, count=count)
-    members = mandache_family(params, count, geometry)
-    omega = geometry.omega_mask()
-    gaps = pairwise_sup_gaps(members, omega)
-    iu = np.triu_indices(count, k=1)
-    min_gap = float(np.min(gaps[iu])) if count > 1 else 0.0
     return {
         "count": count,
         "ell": params.ell,
@@ -650,8 +655,8 @@ def suite_instability(geometry, op, config):
         "decay_orders": rec.decay_table["orders"],
         "decay_envelope": rec.decay_table["envelope"],
         "spearman_envelope": rec.spearman_envelope,
-        "min_pairwise_gap": min_gap,
-        "eps_discrete": bool(min_gap >= params.eps / 2.0),
+        "min_pairwise_gap": rec.min_pairwise_gap,
+        "eps_discrete": bool(rec.min_pairwise_gap >= params.eps / 2.0),
     }
 
 

@@ -1,45 +1,34 @@
-"""Versioned on-disk formats: conductivity grids and DN-matrix cache.
+"""Versioned on-disk format for conductivity grids.
 
 Files carry a plain-text header (key = value lines, terminated by a line
 of three dashes) followed by raw little-endian float64 payload bytes.  The
-header records a sha256 of the payload; loads verify it and refuse version
-or geometry mismatches outright.
+header records a sha256 of the payload; loads verify it and its length
+and refuse version mismatches outright.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
 from .conductivity import Conductivity
-from .dnmap import DnMatrix
 from .geometry import GeometryConfig, Region
 
 __all__ = [
     "FormatError",
     "save_conductivity",
     "load_conductivity",
-    "cache_dn",
-    "load_dn",
-    "cache_dir",
 ]
 
 CONDUCTIVITY_MAGIC = "fraccond-conductivity"
-DN_MAGIC = "fraccond-dnmatrix"
 FORMAT_VERSION = 1
 
 
 class FormatError(RuntimeError):
     """Corrupt, tampered or incompatible file."""
-
-
-def cache_dir(default="."):
-    """DN cache directory; the FRACCOND_CACHE variable overrides it."""
-    return Path(os.environ.get("FRACCOND_CACHE", default))
 
 
 def _payload_sha(arrays, fields):
@@ -132,45 +121,13 @@ def load_conductivity(path) -> Conductivity:
     fields, payload = _read(path, CONDUCTIVITY_MAGIC)
     geom = _geometry_from_fields(fields)
     count = geom.grid_points**geom.n
-    values = np.frombuffer(payload[: 8 * count], dtype="<f8").reshape(geom.shape)
+    if len(payload) != 8 * count:
+        raise FormatError(
+            f"{path}: payload holds {len(payload)} bytes, expected {8 * count}"
+        )
+    values = np.frombuffer(payload, dtype="<f8").reshape(geom.shape)
     expected = fields.pop("payload_sha", None)
     if _payload_sha([values], fields) != expected:
         raise FormatError(f"{path}: payload hash mismatch (file corrupt or tampered)")
     return Conductivity(geom, values, gamma0=float(fields["gamma0"]))
 
-
-def cache_dn(path, matrix: DnMatrix):
-    basis = matrix.basis
-    fields = _geometry_fields(basis.geometry)
-    fields["equation"] = matrix.equation
-    fields["basis_kind"] = basis.kind
-    fields["basis_size"] = len(basis)
-    fields["basis_regions"] = json.dumps(list(basis.regions))
-    fields["basis_orders"] = json.dumps([list(o) for o in basis.orders])
-    _write(path, DN_MAGIC, fields, [matrix.entries, basis.gram])
-
-
-def load_dn(path, basis) -> DnMatrix:
-    """Reload a cached DN matrix onto an equal basis.
-
-    The geometry hash and the basis descriptor must match the supplied
-    basis exactly; anything else is refused.
-    """
-    fields, payload = _read(path, DN_MAGIC)
-    if fields.get("geometry_hash") != basis.geometry.content_hash():
-        raise FormatError(f"{path}: geometry hash mismatch")
-    if (
-        fields.get("basis_kind") != basis.kind
-        or int(fields.get("basis_size", -1)) != len(basis)
-        or json.loads(fields.get("basis_regions", "[]")) != list(basis.regions)
-    ):
-        raise FormatError(f"{path}: basis descriptor mismatch")
-    k = len(basis)
-    entries = np.frombuffer(payload[: 8 * k * k], dtype="<f8").reshape(k, k)
-    gram = np.frombuffer(payload[8 * k * k : 16 * k * k], dtype="<f8").reshape(k, k)
-    expected = fields.pop("payload_sha", None)
-    if _payload_sha([entries, gram], fields) != expected:
-        raise FormatError(f"{path}: payload hash mismatch (file corrupt or tampered)")
-    if not np.array_equal(gram, basis.gram):
-        raise FormatError(f"{path}: cached Gram differs from the supplied basis")
-    return DnMatrix(entries=entries.copy(), basis=basis, equation=fields["equation"])

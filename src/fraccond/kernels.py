@@ -39,7 +39,6 @@ __all__ = [
     "product_weights",
     "product_weights_for",
     "symbol_from_weights",
-    "central_cell_second_moment",
     "central_second_moment_for",
 ]
 
@@ -310,7 +309,3 @@ def central_second_moment_for(n, s, h):
     if n == 1:
         return 2.0 * (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     return _central_second_moment_2d(float(s), float(h))
-
-
-def central_cell_second_moment(geometry):
-    return central_second_moment_for(geometry.n, geometry.s, geometry.h)

@@ -1,12 +1,15 @@
 """Fractional Laplacian, H^s inner products and nonlocal bilinear forms.
 
-Everything acts on grid fields over the periodic box.  Spectral mode applies
-the multiplier |k|^(2s) directly.  Quadrature mode evaluates the singular
-integral through kernel-moment weights built in real space (kernels module);
-since those weights are translation invariant, applying the operator is a
-circular convolution carried out with an FFT, but the weights themselves
-never reference the multiplier, which is what the cross-validation tests
-rely on.
+Everything acts on grid fields over the periodic box.  The operator
+evaluates the singular integral through kernel-moment weights built in real
+space (kernels module); since those weights are translation invariant,
+applying the operator is a circular convolution carried out with an FFT,
+but the weights themselves never reference the multiplier |k|^(2s).  That
+multiplier (`fourier_symbol`) is kept only as an independent oracle, which
+is what the cross-validation tests and the residual diagnostics rely on.
+
+Every Fourier multiplier goes through `apply_multiplier` and every weighted
+Parseval sum through `parseval_pairing`.
 
 The conductivity form
 
@@ -38,7 +41,10 @@ __all__ = [
     "FracOperator",
     "frac_laplacian",
     "bilinear_form",
-    "frac_gradient_energy",
+    "fourier_symbol",
+    "bessel_symbol",
+    "apply_multiplier",
+    "parseval_pairing",
     "hs_inner",
     "hs_gram",
     "pair_form",
@@ -46,16 +52,35 @@ __all__ = [
 ]
 
 
-def _fft(v):
-    return np.fft.fftn(v)
+def fourier_symbol(geometry, s):
+    """Multiplier |k|^(2s) of (-Delta)^s on the grid's DFT frequencies."""
+    return geometry.freq_magnitude() ** (2.0 * s)
 
 
-def _ifft(v):
-    return np.fft.ifftn(v).real
+def bessel_symbol(geometry, power):
+    """Bessel-potential weight (1 + |k|^2)^power on the grid's DFT frequencies."""
+    return (1.0 + geometry.freq_magnitude() ** 2) ** power
+
+
+def apply_multiplier(symbol, values):
+    """Fourier multiplier applied to a grid field: ifft(symbol * fft(values)).
+
+    The product is taken in place with the operand order symbol * fft(values)
+    fixed: a complex product rounds differently with the operands swapped,
+    which the `*` operator may do when it reuses a temporary.
+    """
+    spec = np.fft.fftn(values)
+    np.multiply(symbol, spec, out=spec)
+    return np.fft.ifftn(spec).real
+
+
+def parseval_pairing(weight, a_hat, b_hat, cell_volume):
+    """Weighted Parseval sum  sum w Re(a_hat conj(b_hat)) h^n / N^n  of two FFTs."""
+    return float(np.sum(weight * (a_hat * np.conj(b_hat)).real)) * cell_volume / a_hat.size
 
 
 def _circ_conv(weights, v):
-    return np.fft.ifftn(np.fft.fftn(weights) * np.fft.fftn(v)).real
+    return apply_multiplier(np.fft.fftn(weights), v)
 
 
 # columns per block when interior matrices are filled blockwise
@@ -66,15 +91,13 @@ _BLOCK = 256
 class FracOperator:
     """Fractional Laplacian of order s on a fixed grid.
 
-    mode "spectral" uses the Fourier multiplier |k|^(2s); mode "quadrature"
-    uses the principal-value singular integral with per-cell kernel moments
-    (high-order product weights for n = 1, cell masses plus a second-
-    difference correction on the singular cell for n = 2).
+    It is the principal-value singular integral with per-cell kernel
+    moments (high-order product weights for n = 1, cell masses plus a
+    second-difference correction on the singular cell for n = 2).
     """
 
     geometry: object
     s: float = None
-    mode: str = "spectral"
     cns: float = None
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -83,8 +106,6 @@ class FracOperator:
             self.s = self.geometry.s
         if not (0.0 < self.s < 1.0):
             raise ValueError("fractional order must lie in (0, 1)")
-        if self.mode not in ("spectral", "quadrature"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.cns is None:
             self.cns = normalization_constant(self.geometry.n, self.s)
 
@@ -141,13 +162,6 @@ class FracOperator:
                 self._cache["product"] = self.form_weights()
         return self._cache["product"]
 
-    def spectral_symbol(self):
-        if "spectral_symbol" not in self._cache:
-            self._cache["spectral_symbol"] = self.geometry.freq_magnitude() ** (
-                2.0 * self.s
-            )
-        return self._cache["spectral_symbol"]
-
     def quadrature_symbol(self):
         """Multiplier realized by the real-space quadrature weights."""
         if "quad_symbol" not in self._cache:
@@ -164,24 +178,12 @@ class FracOperator:
             self._cache["quad_symbol"] = sym
         return self._cache["quad_symbol"]
 
-    def form_symbol(self):
-        """Multiplier of the moment-weight pair form (gamma = 1)."""
-        if "form_symbol" not in self._cache:
-            self._cache["form_symbol"] = symbol_from_weights(
-                self.form_weights(), self.cns
-            )
-        return self._cache["form_symbol"]
-
-    def apply_symbol(self, values, symbol):
-        return _ifft(symbol * _fft(values))
-
 
 def frac_laplacian(u: GridField, op: FracOperator) -> GridField:
-    """Fractional Laplacian of a grid field in the operator's mode."""
+    """Fractional Laplacian of a grid field through the quadrature symbol."""
     if not np.all(np.isfinite(u.values)):
         raise ValueError("non-finite input field")
-    symbol = op.spectral_symbol() if op.mode == "spectral" else op.quadrature_symbol()
-    return GridField(u.geometry, op.apply_symbol(u.values, symbol))
+    return GridField(u.geometry, apply_multiplier(op.quadrature_symbol(), u.values))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +233,8 @@ def _gamma_sqrt(gamma):
 
 
 def bilinear_form(u: GridField, v: GridField, gamma, op: FracOperator) -> float:
-    """Conductivity energy pairing B_gamma(u, v).
-
-    Spectral mode evaluates the unit-conductivity part by Parseval and adds
-    a pair-quadrature correction carrying gamma - 1; for constant gamma the
-    result is exactly the scaled Parseval pairing.  Quadrature mode is the
-    full moment-weight pair sum (the Galerkin discretization).
-    """
+    """Conductivity energy pairing B_gamma(u, v): the full moment-weight
+    pair sum, which is the Galerkin discretization."""
     if not u.same_grid(v):
         raise ValueError("geometry mismatch")
     geom = u.geometry
@@ -246,42 +243,10 @@ def bilinear_form(u: GridField, v: GridField, gamma, op: FracOperator) -> float:
         if gamma.geometry != geom:
             raise ValueError("geometry mismatch")
     h_n = geom.cell_volume
-
-    if op.mode == "spectral":
-        base = _parseval_pairing(u.values, v.values, op)
-        if g is None:
-            return base
-        if np.isscalar(g):
-            return g * g * base
-        w = op.form_weights()
-        gg_minus_one = _pair_correction(w, op.cns, h_n, g, u.values, v.values)
-        return base + gg_minus_one
-
     w = op.form_weights()
     if np.isscalar(g):
         return g * g * pair_form(w, op.cns, h_n, None, u.values, v.values)
     return pair_form(w, op.cns, h_n, g, u.values, v.values)
-
-
-def _parseval_pairing(u, v, op):
-    sym = op.spectral_symbol()
-    uh = _fft(u)
-    vh = _fft(v)
-    n_total = u.size
-    h_n = op.geometry.cell_volume
-    return float(np.sum(sym * (uh * np.conj(vh)).real)) * h_n / n_total
-
-
-def _pair_correction(weights, cns, h_n, g, u, v):
-    """Pair form with kernel weight (g_i g_j - 1), the gamma - 1 correction."""
-    full = pair_form(weights, cns, h_n, g, u, v)
-    unit = pair_form(weights, cns, h_n, None, u, v)
-    return full - unit
-
-
-def frac_gradient_energy(u: GridField, gamma, op: FracOperator) -> float:
-    """Energy <Theta_gamma grad_s u, grad_s u>; equals bilinear_form(u, u)."""
-    return bilinear_form(u, u, gamma, op)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +259,9 @@ def hs_inner(u: GridField, v: GridField, s: float) -> float:
     if not u.same_grid(v):
         raise ValueError("geometry mismatch")
     geom = u.geometry
-    weight = (1.0 + geom.freq_magnitude() ** 2) ** s
-    uh = _fft(u.values)
-    vh = _fft(v.values)
-    return float(np.sum(weight * (uh * np.conj(vh)).real)) * geom.cell_volume / u.values.size
+    return parseval_pairing(
+        bessel_symbol(geom, s), np.fft.fftn(u.values), np.fft.fftn(v.values), geom.cell_volume
+    )
 
 
 def hs_norm(u: GridField, s: float) -> float:
@@ -305,18 +269,18 @@ def hs_norm(u: GridField, s: float) -> float:
 
 
 def hs_gram(basis, s: float) -> np.ndarray:
-    """Gram matrix of a list of grid fields in the discrete H^s product."""
+    """Gram matrix of a list of grid fields in the discrete H^s product.
+
+    Each field is transformed once; every pair sum is a `parseval_pairing`.
+    """
     if len(basis) == 0:
         raise ValueError("empty basis")
     geom = basis[0].geometry
-    weight = (1.0 + geom.freq_magnitude() ** 2) ** s
-    hats = [_fft(b.values) for b in basis]
+    weight = bessel_symbol(geom, s)
+    hats = [np.fft.fftn(b.values) for b in basis]
     k = len(basis)
     G = np.empty((k, k))
-    scale = geom.cell_volume / basis[0].values.size
     for i in range(k):
         for j in range(i, k):
-            G[i, j] = G[j, i] = float(
-                np.sum(weight * (hats[i] * np.conj(hats[j])).real) * scale
-            )
+            G[i, j] = G[j, i] = parseval_pairing(weight, hats[i], hats[j], geom.cell_volume)
     return 0.5 * (G + G.T)

@@ -245,7 +245,6 @@ def interior_system(coefficient, op: FracOperator) -> InteriorSystem:
         op.geometry.content_hash(),
         float(op.s),
         float(op.cns),
-        op.mode,
         _digest(payload),
     )
     if key not in _SYSTEM_CACHE:

@@ -23,12 +23,7 @@ def geom2d():
 
 @pytest.fixture(scope="session")
 def op_quad(geom):
-    return FracOperator(geom, mode="quadrature")
-
-
-@pytest.fixture(scope="session")
-def op_spec(geom):
-    return FracOperator(geom, mode="spectral")
+    return FracOperator(geom)
 
 
 @pytest.fixture(scope="session")

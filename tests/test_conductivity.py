@@ -17,8 +17,9 @@ from fraccond.conductivity import (
     surrogate_growth_flag,
     validate_admissibility,
 )
-from fraccond.geometry import GeometryConfig, GridField, mollifier_profile
-from fraccond.operators import FracOperator, frac_laplacian
+from fraccond.experiments import _multiplier_potential
+from fraccond.geometry import GeometryConfig, mollifier_profile
+from fraccond.operators import apply_multiplier, fourier_symbol, parseval_pairing
 
 
 class TestConductivityType:
@@ -73,26 +74,26 @@ class TestBackgroundDeviation:
 
 
 class TestLiouvillePotential:
-    def test_unit_gamma_zero_potential(self, geom, op_quad, op_spec, ones_gamma):
-        for op in (op_quad, op_spec):
-            q = liouville_potential(ones_gamma, op)
-            assert np.max(np.abs(q.values)) <= 1e-12
+    # the quadrature potential and the residual diagnostics' multiplier one
+    def test_unit_gamma_zero_potential(self, geom, op_quad, ones_gamma):
+        for q in (liouville_potential(ones_gamma, op_quad).values,
+                  _multiplier_potential(ones_gamma, geom.s)):
+            assert np.max(np.abs(q)) <= 1e-12
 
-    def test_constant_gamma_zero_potential(self, geom, op_quad, op_spec):
+    def test_constant_gamma_zero_potential(self, geom, op_quad):
         g = Conductivity(geom, np.full(geom.shape, 2.0), gamma0=0.5)
-        for op in (op_quad, op_spec):
-            q = liouville_potential(g, op)
-            assert np.max(np.abs(q.values)) <= 1e-10
+        for q in (liouville_potential(g, op_quad).values, _multiplier_potential(g, geom.s)):
+            assert np.max(np.abs(q)) <= 1e-10
 
-    def test_first_order_consistency(self, geom, op_spec):
+    def test_first_order_consistency(self, geom):
         # q(1 + t f) approaches its linearization -(t/2) (-Delta)^s f
         f = mollifier_profile(geom.axis() / 0.8)
-        lin = -0.5 * frac_laplacian(GridField(geom, f), op_spec).values
+        lin = -0.5 * apply_multiplier(fourier_symbol(geom, geom.s), f)
         errs = []
         for t in (1e-2, 1e-3):
             g = Conductivity(geom, 1.0 + t * f, gamma0=0.5)
-            q = liouville_potential(g, op_spec)
-            errs.append(np.max(np.abs(q.values - t * lin)) / t)
+            q = _multiplier_potential(g, geom.s)
+            errs.append(np.max(np.abs(q - t * lin)) / t)
         assert errs[1] < errs[0]
         assert errs[1] <= 1e-2 * np.max(np.abs(lin))
 
@@ -110,14 +111,12 @@ class TestLiouvillePotential:
         assert good <= 1e-6
 
         g = gam.sqrt_values
-        q_flipped = -liouville_potential(
-            gam, FracOperator(geom, s=op_quad.s, mode="spectral")
-        ).values
+        q_flipped = -_multiplier_potential(gam, op_quad.s)
         h_n = geom.cell_volume
         lhs = pair_form(op_quad.diagnostic_weights(), op_quad.cns, h_n, g, u.values, phi.values)
-        sym = geom.freq_magnitude() ** (2 * geom.s)
         gu, gphi = g * u.values, g * phi.values
-        sp = float(np.sum(sym * (np.fft.fft(gu) * np.conj(np.fft.fft(gphi))).real)) * h_n / geom.grid_points
+        sym = fourier_symbol(geom, geom.s)
+        sp = parseval_pairing(sym, np.fft.fftn(gu), np.fft.fftn(gphi), h_n)
         bad = abs(lhs - sp - h_n * np.sum(q_flipped * gu * gphi)) / (abs(lhs) + 1e-300)
         assert bad > 1e3 * good
 

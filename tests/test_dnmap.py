@@ -127,7 +127,7 @@ class TestAssembly:
     def test_liouville_equivalence_refined(self):
         for N in (512, 1024):
             g = default_geometry(n=1, grid_points=N)
-            op = FracOperator(g, mode="quadrature")
+            op = FracOperator(g)
             b = build_exterior_basis(g, "annulus", 8, kind="bumps")
             gam = bump_conductivity(g, height=0.5, width=0.8)
             q = liouville_potential(gam, op)
@@ -150,7 +150,7 @@ class TestAssembly:
     @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
     def test_batched_matches_column_reference(self, geom, geom2d, n, equation):
         g = geom if n == 1 else geom2d
-        op = FracOperator(g, mode="quadrature")
+        op = FracOperator(g)
         b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
         gam = bump_conductivity(g, height=0.5, width=0.8)
         coefficient = gam if equation == "conductivity" else liouville_potential(gam, op)
@@ -176,7 +176,7 @@ class TestAssembly:
     def test_doubled_cns_doubles_dn(self, geom, op_quad, basis):
         gam = bump_conductivity(geom, height=0.5, width=0.8)
         M1 = assemble_dn(gam, basis, op_quad).entries
-        op2 = FracOperator(geom, mode="quadrature", cns=2.0 * op_quad.cns)
+        op2 = FracOperator(geom, cns=2.0 * op_quad.cns)
         M2 = assemble_dn(gam, basis, op2).entries
         assert np.max(np.abs(M2 - 2.0 * M1)) <= 1e-12 * np.max(np.abs(M2))
 
@@ -283,7 +283,7 @@ class TestRestriction:
 
     def test_two_region_blocks(self, op_quad):
         geo = two_region_geometry()
-        op = FracOperator(geo, mode="quadrature")
+        op = FracOperator(geo)
         inner = build_exterior_basis(geo, "inner", 6, kind="bumps")
         outer = build_exterior_basis(geo, "outer", 6, kind="bumps")
         both = merge_bases(inner, outer)

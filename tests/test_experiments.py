@@ -44,7 +44,7 @@ class TestLiouvilleResidual:
         resids = {}
         for N in (512, 1024):
             g = default_geometry(n=1, grid_points=N)
-            op = FracOperator(g, mode="quadrature")
+            op = FracOperator(g)
             gam = bump_conductivity(g, height=0.5, width=0.8)
             u = bandlimited_field(g, seed=3)
             phi = bandlimited_field(g, seed=7)
@@ -72,7 +72,7 @@ class TestMtildeResidual:
         resids = {}
         for N in (512, 1024):
             g = default_geometry(n=1, grid_points=N)
-            op = FracOperator(g, mode="quadrature")
+            op = FracOperator(g)
             gam = bump_conductivity(g, height=0.5, width=0.8)
             one = Conductivity(g, np.ones(g.shape), gamma0=0.5)
             resids[N] = mtilde_equation_residual(gam, one, op)

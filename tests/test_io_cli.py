@@ -1,10 +1,9 @@
-"""Serialization formats, DN cache, config ingestion, CLI exit codes."""
+"""Serialization formats, config ingestion, CLI exit codes."""
 
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,15 +19,7 @@ from fraccond.cli import (
     parse_config,
 )
 from fraccond.conductivity import Potential, bump_conductivity, liouville_potential
-from fraccond.dnmap import assemble_dn, build_exterior_basis
-from fraccond.io import (
-    FormatError,
-    cache_dn,
-    cache_dir,
-    load_conductivity,
-    load_dn,
-    save_conductivity,
-)
+from fraccond.io import FormatError, load_conductivity, save_conductivity
 from fraccond.plots import emit_plots
 
 
@@ -45,12 +36,6 @@ region = annulus 2.0 3.0
 name = {suite}
 seed = {seed}
 basis_size = 8
-
-[tolerances]
-solver_tol = 1e-10
-
-[output]
-directory = out
 """
 
 
@@ -89,61 +74,29 @@ class TestConductivityRoundTrip:
         with pytest.raises(FormatError, match="v9"):
             load_conductivity(path)
 
+    def test_tampered_header(self, geom, tmp_path):
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        path = tmp_path / "gamma.fcc"
+        save_conductivity(path, gam, seed=11)
+        path.write_bytes(path.read_bytes().replace(b"seed = 11", b"seed = 12"))
+        with pytest.raises(FormatError, match="hash mismatch"):
+            load_conductivity(path)
 
-@pytest.fixture(scope="module")
-def matrix(geom, op_quad):
-    basis = build_exterior_basis(geom, "annulus", 6, kind="bumps")
-    gam = bump_conductivity(geom, height=0.4, width=0.7)
-    return assemble_dn(gam, basis, op_quad), basis
+    def test_truncated_payload_rejected(self, geom, tmp_path):
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        path = tmp_path / "gamma.fcc"
+        save_conductivity(path, gam)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FormatError, match="bytes"):
+            load_conductivity(path)
 
-
-class TestDnCache:
-    def test_round_trip_bitwise(self, matrix, tmp_path):
-        M, basis = matrix
-        path = tmp_path / "dn.fcd"
-        cache_dn(path, M)
-        back = load_dn(path, basis)
-        assert np.array_equal(back.entries, M.entries)
-        assert back.equation == M.equation
-
-    def test_tampered_header(self, matrix, tmp_path):
-        M, basis = matrix
-        path = tmp_path / "dn.fcd"
-        cache_dn(path, M)
-        raw = path.read_bytes().replace(b"equation = conductivity", b"equation = schrodinger")
-        path.write_bytes(raw)
-        with pytest.raises(FormatError):
-            load_dn(path, basis)
-
-    def test_geometry_mismatch(self, matrix, tmp_path, geom_small, op_quad):
-        M, _ = matrix
-        path = tmp_path / "dn.fcd"
-        cache_dn(path, M)
-        other = build_exterior_basis(geom_small, "annulus", 6, kind="bumps")
-        with pytest.raises(FormatError, match="geometry"):
-            load_dn(path, other)
-
-    def test_basis_mismatch(self, matrix, tmp_path, geom):
-        M, _ = matrix
-        path = tmp_path / "dn.fcd"
-        cache_dn(path, M)
-        other = build_exterior_basis(geom, "annulus", 6, kind="harmonic")
-        with pytest.raises(FormatError, match="basis"):
-            load_dn(path, other)
-
-    def test_version_refusal(self, matrix, tmp_path):
-        M, basis = matrix
-        path = tmp_path / "dn.fcd"
-        cache_dn(path, M)
-        path.write_bytes(path.read_bytes().replace(b"v1", b"v2", 1))
-        with pytest.raises(FormatError, match="unsupported"):
-            load_dn(path, basis)
-
-    def test_cache_dir_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("FRACCOND_CACHE", str(tmp_path / "boxes"))
-        assert cache_dir() == tmp_path / "boxes"
-        monkeypatch.delenv("FRACCOND_CACHE")
-        assert cache_dir("fallback") == Path("fallback")
+    def test_trailing_bytes_rejected(self, geom, tmp_path):
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        path = tmp_path / "gamma.fcc"
+        save_conductivity(path, gam)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(FormatError, match="bytes"):
+            load_conductivity(path)
 
 
 class TestConfigParsing:
@@ -154,10 +107,13 @@ class TestConfigParsing:
         assert geom.grid_points == 1024
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = write_config(tmp_path)
-        path.write_text(path.read_text().replace("seed = 7", "seed = 7\nwibble = 3"))
-        with pytest.raises(ConfigError, match="wibble"):
-            parse_config(path)
+        base = write_config(tmp_path).read_text()
+        for key in ("wibble", "operator_mode", "basis_kind", "solver_tol"):
+            path = tmp_path / f"{key}.ini"
+            path.write_text(base.replace("seed = 7", f"seed = 7\n{key} = 3"))
+            with pytest.raises(ConfigError, match=key):
+                parse_config(path)
+            assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
     def test_duplicate_section_rejected(self, tmp_path):
         path = write_config(tmp_path)
@@ -166,10 +122,13 @@ class TestConfigParsing:
             parse_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
-        path = write_config(tmp_path)
-        path.write_text(path.read_text() + "\n[mystery]\nx = 1\n")
-        with pytest.raises(ConfigError, match="mystery"):
-            parse_config(path)
+        base = write_config(tmp_path).read_text()
+        for section, body in (("mystery", "x = 1"), ("tolerances", "solver_tol = 1e-10")):
+            path = tmp_path / f"{section}.ini"
+            path.write_text(base + f"\n[{section}]\n{body}\n")
+            with pytest.raises(ConfigError, match=section):
+                parse_config(path)
+            assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -221,6 +180,13 @@ class TestCliExitCodes:
         cfg = write_config(tmp_path, suite="residuals", N=64)
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "c")])
         assert rc == EXIT_INVARIANT
+
+    def test_bad_theta0_is_config_error(self, tmp_path):
+        # s = 0.4, n = 1: the admissible window is (0.8, 1)
+        for suite in ("reduction", "logmodulus"):
+            cfg = write_config(tmp_path, suite=suite, extra="theta0 = 0.7\n")
+            rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / suite)])
+            assert rc == EXIT_CONFIG
 
     def test_instability_integer_gap_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, suite="instability", extra="ell = 2.8\ncount = 4\n")

@@ -96,7 +96,7 @@ class TestSolveConductivity:
         sols = {}
         for N in (256, 512, 1024):
             g = GeometryConfig(n=1, s=0.4, box_halfwidth=6.0, grid_points=N)
-            op = FracOperator(g, mode="quadrature")
+            op = FracOperator(g)
             gam = bump_conductivity(g, height=0.5, width=0.8)
             sol = solve_conductivity(gam, annulus_bump_datum(g), op)
             sols[N] = sol.u.values
@@ -121,7 +121,7 @@ class TestLiouvilleCorrespondence:
         rel = np.max(np.abs(v.u.values - transformed)) / np.max(np.abs(v.u.values))
         assert rel <= 1e-5
 
-    def test_energy_from_unit_gamma(self, geom, op_spec, op_quad, ones_gamma, datum):
+    def test_energy_from_unit_gamma(self, geom, op_quad, ones_gamma, datum):
         sol = solve_conductivity(ones_gamma, datum, op_quad)
         energy_direct = bilinear_form(sol.u, sol.u, None, op_quad)
         assert sol.energy == pytest.approx(energy_direct, rel=1e-10)
@@ -181,7 +181,7 @@ class TestPackedSystem:
             n=1, s=geom.s, box_halfwidth=5.0, grid_points=geom.grid_points
         )
         with pytest.raises(ValueError, match="different grids"):
-            interior_system(gam, FracOperator(other, mode="quadrature"))
+            interior_system(gam, FracOperator(other))
 
 
 class TestSchrodingerSolve:
@@ -190,7 +190,7 @@ class TestSchrodingerSolve:
         sol = solve_schrodinger(Potential(geom, np.zeros(geom.shape)), z, op_quad)
         assert np.max(np.abs(sol.u.values)) == 0.0
 
-    def test_far_field_energy(self, geom, op_quad, op_spec, datum):
+    def test_far_field_energy(self, geom, op_quad, datum):
         sol = solve_schrodinger(Potential(geom, np.zeros(geom.shape)), datum, op_quad)
         direct = bilinear_form(sol.u, sol.u, None, op_quad)
         assert sol.energy == pytest.approx(direct, rel=1e-10)
