@@ -135,7 +135,7 @@ def liouville_potential(gamma: Conductivity, op: FracOperator) -> Potential:
     It uses the pair-weight principal-value operator that also defines the
     Galerkin forms, so the discrete Liouville transform holds exactly.
     """
-    lap_m = pair_matvec(op.form_weights(), op.cns, 1.0, None, gamma.m_values)
+    lap_m = pair_matvec(op.form_spectrum, op.cns, 1.0, None, gamma.m_values)
     return Potential(gamma.geometry, -lap_m / gamma.sqrt_values)
 
 
@@ -146,7 +146,6 @@ def liouville_potential(gamma: Conductivity, op: FracOperator) -> Potential:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    ellipticity_ok: bool
     gamma_min: float
     gamma_max: float
     smoothness_proxies: tuple  # per conductivity: (bessel surrogate, exterior L1)
@@ -192,7 +191,8 @@ def validate_admissibility(
     matching any particular theoretical value.  When a DN-difference norm
     is supplied, the smallness gate ||dLambda|| <= 3^(-1/delta) with
     0 < delta < (1-theta0)/2 is evaluated too.  (-Delta)^s m is the Fourier
-    multiplier |k|^(2s), independent of the quadrature operator.
+    multiplier |k|^(2s), independent of the quadrature operator.  Ellipticity
+    is not rechecked: each Conductivity enforces its band when it is built.
     """
     if g1.geometry != g2.geometry:
         raise ValueError("geometry mismatch")
@@ -202,8 +202,6 @@ def validate_admissibility(
 
     gmin = float(min(g1.values.min(), g2.values.min()))
     gmax = float(max(g1.values.max(), g2.values.max()))
-    g0 = min(g1.gamma0, g2.gamma0)
-    ellipticity_ok = (gmin >= g0 - 1e-12) and (gmax <= 1.0 / g0 + 1e-12)
 
     symbol = fourier_symbol(geom, s)
     proxies = []
@@ -226,9 +224,8 @@ def validate_admissibility(
         gate = 3.0 ** (-1.0 / delta)
         small_ok = bool(dn_gap <= gate)
 
-    all_ok = ellipticity_ok and smoothness_ok and (small_ok is not False)
+    all_ok = smoothness_ok and (small_ok is not False)
     return AdmissibilityReport(
-        ellipticity_ok=ellipticity_ok,
         gamma_min=gmin,
         gamma_max=gmax,
         smoothness_proxies=tuple(proxies),

@@ -152,7 +152,7 @@ def liouville_identity_residual(gamma: Conductivity, u: GridField, phi: GridFiel
     geom = gamma.geometry
     g = gamma.sqrt_values
     h_n = geom.cell_volume
-    lhs = pair_form(op.diagnostic_weights(), op.cns, h_n, g, u.values, phi.values)
+    lhs = pair_form(op.diagnostic_spectrum, op.cns, h_n, g, u.values, phi.values)
     q = _multiplier_potential(gamma, op.s)
     gu = g * u.values
     gphi = g * phi.values
@@ -183,7 +183,7 @@ def mtilde_equation_residual(g1: Conductivity, g2: Conductivity, op: FracOperato
     for seed in range(n_tests):
         phi = bandlimited_field(geom, seed=1000 + seed)
         lhs = pair_form(
-            op.diagnostic_weights(), op.cns, h_n, sqrt1, mtilde, phi.values
+            op.diagnostic_spectrum, op.cns, h_n, sqrt1, mtilde, phi.values
         )
         rhs = h_n * float(np.sum(rhs_density * phi.values))
         worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + EPS_GUARD))
@@ -474,7 +474,7 @@ def suite_residuals(geometry, op, config):
         from dataclasses import replace
 
         coarse = replace(geometry, grid_points=geometry.grid_points // 2)
-        op_c = FracOperator(coarse, s=op.s)
+        op_c = FracOperator(coarse)
         uc = bandlimited_field(coarse, seed=config.get("seed", 0) + 11)
         pc = bandlimited_field(coarse, seed=config.get("seed", 0) + 23)
         for k, (gamma_f, gamma_c) in enumerate(

@@ -17,6 +17,9 @@ Two weight families are built:
   first (it vanishes to second order there) so the interpolation stays
   smooth.  These drive the high-accuracy diagnostic forms.
 
+The builders keep nothing: `operators.FracOperator` builds each family once
+and owns it.
+
 The normalization constant c_{n,s} = 4^s Gamma(n/2+s) / (pi^(n/2) |Gamma(-s)|)
 is validated against the Fourier multiplier |k|^(2s) by the test suite, not
 assumed.
@@ -24,7 +27,6 @@ assumed.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -34,9 +36,7 @@ from scipy.integrate import dblquad, quad
 
 __all__ = [
     "normalization_constant",
-    "moment_weights",
     "moment_weights_for",
-    "product_weights",
     "product_weights_for",
     "symbol_from_weights",
     "central_second_moment_for",
@@ -111,23 +111,11 @@ def _folded_cell_masses_1d(N, s, h, images=48):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _moment_weights_cached(n, s, N, L):
-    h = 2.0 * L / N
-    if n == 1:
-        return _folded_cell_masses_1d(N, s, h)
-    return _moment_weights_2d(s, N, L)
-
-
 def moment_weights_for(n, s, N, L):
     """Nonnegative periodized cell-moment weights, indexed by grid offset."""
-    return _moment_weights_cached(n, float(s), int(N), float(L))
-
-
-def moment_weights(geometry):
-    return moment_weights_for(
-        geometry.n, geometry.s, geometry.grid_points, geometry.box_halfwidth
-    )
+    if n == 1:
+        return _folded_cell_masses_1d(N, s, 2.0 * L / N)
+    return _moment_weights_2d(s, N, L)
 
 
 def _moment_weights_2d(s, N, L, near=4, images=6, gl_order=24):
@@ -182,8 +170,13 @@ def _lagrange_coeffs(nodes):
     return out
 
 
-@lru_cache(maxsize=32)
-def _product_weights_cached(s, N, L, near, stencil):
+def product_weights_for(s, N, L):
+    """High-order product-integration weights (one-dimensional grids only).
+
+    Near zone of 4 cells either side of the singularity, 5-point stencils
+    in the far cells.
+    """
+    near, stencil = 4, 5
     h = 2.0 * L / N
     half = stencil // 2
     V = np.zeros(N)
@@ -233,7 +226,6 @@ def _product_weights_cached(s, N, L, near, stencil):
     return V
 
 
-@lru_cache(maxsize=32)
 def _image_weights_1d(s, N, L):
     Y = L + L / N  # (N/2 + 1/2) h with h = 2L/N
     T = np.zeros(N // 2 + 1)
@@ -259,19 +251,6 @@ def _image_weights_1d(s, N, L):
     return w
 
 
-def product_weights_for(s, N, L, near=4, stencil=5):
-    """High-order product-integration weights (one-dimensional grids only)."""
-    return _product_weights_cached(float(s), int(N), float(L), near, stencil)
-
-
-def product_weights(geometry, near=4, stencil=5):
-    if geometry.n != 1:
-        raise ValueError("product weights are implemented for n = 1 only")
-    return product_weights_for(
-        geometry.s, geometry.grid_points, geometry.box_halfwidth, near, stencil
-    )
-
-
 # ---------------------------------------------------------------------------
 # symbols and central-cell data
 # ---------------------------------------------------------------------------
@@ -290,8 +269,10 @@ def symbol_from_weights(weights, cns):
     return sym
 
 
-@lru_cache(maxsize=32)
-def _central_second_moment_2d(s, h):
+def central_second_moment_for(n, s, h):
+    """Integral of |y|^2 K(y) over the singular cell."""
+    if n == 1:
+        return 2.0 * (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     c = dblquad(
         lambda y, x: (x * x + y * y) ** (-s),
         0.0,
@@ -302,10 +283,3 @@ def _central_second_moment_2d(s, h):
         epsrel=1e-12,
     )[0]
     return 4.0 * c
-
-
-def central_second_moment_for(n, s, h):
-    """Integral of |y|^2 K(y) over the singular cell."""
-    if n == 1:
-        return 2.0 * (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    return _central_second_moment_2d(float(s), float(h))

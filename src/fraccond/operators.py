@@ -24,7 +24,8 @@ w and g = gamma^(1/2) it reduces to two circular convolutions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from functools import cached_property
 
 import numpy as np
 
@@ -79,55 +80,72 @@ def parseval_pairing(weight, a_hat, b_hat, cell_volume):
     return float(np.sum(weight * (a_hat * np.conj(b_hat)).real)) * cell_volume / a_hat.size
 
 
-def _circ_conv(weights, v):
-    return apply_multiplier(np.fft.fftn(weights), v)
-
-
 # columns per block when interior matrices are filled blockwise
 _BLOCK = 256
 
 
-@dataclass
 class FracOperator:
     """Fractional Laplacian of order s on a fixed grid.
 
     It is the principal-value singular integral with per-cell kernel
     moments (high-order product weights for n = 1, cell masses plus a
     second-difference correction on the singular cell for n = 2).
+
+    The geometry fixes everything: the order s, the constant c_{n,s} and
+    every weight array.  The operator owns what it derives from them, each
+    built on first use and kept for its lifetime: both weight families,
+    their FFTs, the quadrature symbol, the interior stencil, and the
+    factored interior systems (`systems`, a least-recently-used store that
+    `solver.interior_system` fills and bounds).  Nothing is cached outside
+    an operator, so two operators share no state.
     """
 
-    geometry: object
-    s: float = None
-    cns: float = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, geometry):
+        self.geometry = geometry
+        self.systems = OrderedDict()  # least recently used first
 
-    def __post_init__(self):
-        if self.s is None:
-            self.s = self.geometry.s
-        if not (0.0 < self.s < 1.0):
-            raise ValueError("fractional order must lie in (0, 1)")
-        if self.cns is None:
-            self.cns = normalization_constant(self.geometry.n, self.s)
+    @property
+    def s(self):
+        return self.geometry.s
 
-    # -- weights and symbols -------------------------------------------------
+    @cached_property
+    def cns(self):
+        return normalization_constant(self.geometry.n, self.geometry.s)
 
-    def _grid_params(self):
-        g = self.geometry
-        return g.n, float(self.s), g.grid_points, float(g.box_halfwidth)
+    # -- weights and spectra -------------------------------------------------
 
+    @cached_property
     def form_weights(self):
         """Nonnegative moment weights; every Galerkin form uses these."""
-        if "moment" not in self._cache:
-            n, s, N, L = self._grid_params()
-            self._cache["moment"] = moment_weights_for(n, s, N, L)
-        return self._cache["moment"]
+        g = self.geometry
+        return moment_weights_for(g.n, g.s, g.grid_points, g.box_halfwidth)
 
+    @cached_property
     def form_spectrum(self):
-        """Real FFT of the moment weights, so a convolution costs two FFTs."""
-        if "moment_spectrum" not in self._cache:
-            self._cache["moment_spectrum"] = np.fft.rfftn(self.form_weights())
-        return self._cache["moment_spectrum"]
+        """FFT of the moment weights: the multiplier of their convolution."""
+        return np.fft.fftn(self.form_weights)
 
+    @cached_property
+    def form_half_spectrum(self):
+        """Real FFT of the moment weights, for the solver's stacked real FFTs."""
+        return np.fft.rfftn(self.form_weights)
+
+    @cached_property
+    def diagnostic_weights(self):
+        """High-order product weights (n = 1); moment weights otherwise."""
+        g = self.geometry
+        if g.n == 1:
+            return product_weights_for(g.s, g.grid_points, g.box_halfwidth)
+        return self.form_weights
+
+    @cached_property
+    def diagnostic_spectrum(self):
+        """FFT of the diagnostic weights."""
+        if self.geometry.n == 1:
+            return np.fft.fftn(self.diagnostic_weights)
+        return self.form_spectrum
+
+    @cached_property
     def interior_stencil(self):
         """Moment weights between every pair of grid points inside Omega.
 
@@ -136,54 +154,40 @@ class FracOperator:
         Fortran order: interior blocks are scaled copies of it that LAPACK
         factors in place.
         """
-        if "stencil" not in self._cache:
-            geom = self.geometry
-            N = geom.grid_points
-            axes = tuple(range(geom.n))
-            w = self.form_weights()
-            w = 0.5 * (w + np.roll(np.flip(w, axes), 1, axes))  # w(r) <- w(-r)
-            coords = np.unravel_index(np.flatnonzero(geom.omega_mask()), geom.shape)
-            m = coords[0].size
-            stencil = np.empty((m, m), order="F")
-            # column blocks bound the index temporaries to m * _BLOCK entries
-            for c0 in range(0, m, _BLOCK):
-                cols = slice(c0, c0 + _BLOCK)
-                stencil[:, cols] = w[tuple((a[:, None] - a[None, cols]) % N for a in coords)]
-            self._cache["stencil"] = stencil
-        return self._cache["stencil"]
+        geom = self.geometry
+        N = geom.grid_points
+        axes = tuple(range(geom.n))
+        w = self.form_weights
+        w = 0.5 * (w + np.roll(np.flip(w, axes), 1, axes))  # w(r) <- w(-r)
+        coords = np.unravel_index(np.flatnonzero(geom.omega_mask()), geom.shape)
+        m = coords[0].size
+        stencil = np.empty((m, m), order="F")
+        # column blocks bound the index temporaries to m * _BLOCK entries
+        for c0 in range(0, m, _BLOCK):
+            cols = slice(c0, c0 + _BLOCK)
+            stencil[:, cols] = w[tuple((a[:, None] - a[None, cols]) % N for a in coords)]
+        return stencil
 
-    def diagnostic_weights(self):
-        """High-order product weights (n = 1); moment weights otherwise."""
-        if "product" not in self._cache:
-            n, s, N, L = self._grid_params()
-            if n == 1:
-                self._cache["product"] = product_weights_for(s, N, L)
-            else:
-                self._cache["product"] = self.form_weights()
-        return self._cache["product"]
-
+    @cached_property
     def quadrature_symbol(self):
         """Multiplier realized by the real-space quadrature weights."""
-        if "quad_symbol" not in self._cache:
-            if self.geometry.n == 1:
-                sym = symbol_from_weights(self.diagnostic_weights(), self.cns)
-            else:
-                sym = symbol_from_weights(self.form_weights(), self.cns)
-                # second-difference handling of the singular cell
-                h = self.geometry.h
-                i2 = central_second_moment_for(self.geometry.n, self.s, h)
-                k1, k2 = self.geometry.freqs()
-                lap = (2.0 - 2.0 * np.cos(k1 * h) + 2.0 - 2.0 * np.cos(k2 * h)) / h**2
-                sym = sym + (self.cns * i2 / 8.0) * lap
-            self._cache["quad_symbol"] = sym
-        return self._cache["quad_symbol"]
+        geom = self.geometry
+        if geom.n == 1:
+            return symbol_from_weights(self.diagnostic_weights, self.cns)
+        sym = symbol_from_weights(self.form_weights, self.cns)
+        # second-difference handling of the singular cell
+        h = geom.h
+        i2 = central_second_moment_for(geom.n, geom.s, h)
+        k1, k2 = geom.freqs()
+        lap = (2.0 - 2.0 * np.cos(k1 * h) + 2.0 - 2.0 * np.cos(k2 * h)) / h**2
+        return sym + (self.cns * i2 / 8.0) * lap
 
 
 def frac_laplacian(u: GridField, op: FracOperator) -> GridField:
     """Fractional Laplacian of a grid field through the quadrature symbol."""
     if not np.all(np.isfinite(u.values)):
         raise ValueError("non-finite input field")
-    return GridField(u.geometry, apply_multiplier(op.quadrature_symbol(), u.values))
+    return GridField(u.geometry, apply_multiplier(op.quadrature_symbol, u.values))
 
 
 # ---------------------------------------------------------------------------
@@ -191,32 +195,32 @@ def frac_laplacian(u: GridField, op: FracOperator) -> GridField:
 # ---------------------------------------------------------------------------
 
 
-def pair_form(weights, cns, h_n, g, u, v):
-    """Weighted pair-difference form with kernel weights `weights`.
+def pair_form(spectrum, cns, h_n, g, u, v):
+    """Weighted pair-difference form of the weights w with FFT `spectrum`.
 
     Computes c h^n sum_{i,r} w_r g_i g_{i+r} (u_i - u_{i+r}) (v_i - v_{i+r}) / 2
     via circular convolutions; g may be None for a unit conductivity.
     """
     if g is None:
-        conv_1 = _circ_conv(weights, np.ones_like(u))
-        conv_v = _circ_conv(weights, v)
+        conv_1 = apply_multiplier(spectrum, np.ones_like(u))
+        conv_v = apply_multiplier(spectrum, v)
         direct = float(np.sum(u * v * conv_1))
         cross = float(np.sum(u * conv_v))
     else:
-        conv_g = _circ_conv(weights, g)
-        conv_gv = _circ_conv(weights, g * v)
+        conv_g = apply_multiplier(spectrum, g)
+        conv_gv = apply_multiplier(spectrum, g * v)
         direct = float(np.sum(g * u * v * conv_g))
         cross = float(np.sum(g * u * conv_gv))
     return cns * h_n * (direct - cross)
 
 
-def pair_matvec(weights, cns, h_n, g, u):
+def pair_matvec(spectrum, cns, h_n, g, u):
     """Matrix-vector product of the pair form: row i of B against u."""
     if g is None:
-        conv_1 = _circ_conv(weights, np.ones_like(u))
-        return cns * h_n * (u * conv_1 - _circ_conv(weights, u))
-    conv_g = _circ_conv(weights, g)
-    return cns * h_n * g * (u * conv_g - _circ_conv(weights, g * u))
+        conv_1 = apply_multiplier(spectrum, np.ones_like(u))
+        return cns * h_n * (u * conv_1 - apply_multiplier(spectrum, u))
+    conv_g = apply_multiplier(spectrum, g)
+    return cns * h_n * g * (u * conv_g - apply_multiplier(spectrum, g * u))
 
 
 def _gamma_sqrt(gamma):
@@ -243,10 +247,10 @@ def bilinear_form(u: GridField, v: GridField, gamma, op: FracOperator) -> float:
         if gamma.geometry != geom:
             raise ValueError("geometry mismatch")
     h_n = geom.cell_volume
-    w = op.form_weights()
+    w_hat = op.form_spectrum
     if np.isscalar(g):
-        return g * g * pair_form(w, op.cns, h_n, None, u.values, v.values)
-    return pair_form(w, op.cns, h_n, g, u.values, v.values)
+        return g * g * pair_form(w_hat, op.cns, h_n, None, u.values, v.values)
+    return pair_form(w_hat, op.cns, h_n, g, u.values, v.values)
 
 
 # ---------------------------------------------------------------------------

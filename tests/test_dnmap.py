@@ -173,13 +173,6 @@ class TestAssembly:
         with pytest.raises(SolverError, match="residual .* in column 1"):
             assemble_dn(gam, pair, op_quad, tol=1e-300)
 
-    def test_doubled_cns_doubles_dn(self, geom, op_quad, basis):
-        gam = bump_conductivity(geom, height=0.5, width=0.8)
-        M1 = assemble_dn(gam, basis, op_quad).entries
-        op2 = FracOperator(geom, cns=2.0 * op_quad.cns)
-        M2 = assemble_dn(gam, basis, op2).entries
-        assert np.max(np.abs(M2 - 2.0 * M1)) <= 1e-12 * np.max(np.abs(M2))
-
     def test_asymmetric_entries_rejected(self, basis):
         k = len(basis)
         entries = np.eye(k) + 1e-6 * np.triu(np.ones((k, k)), 1)
@@ -197,7 +190,7 @@ def column_reference(coefficient, basis, op):
     g = coefficient.sqrt_values if conductivity else None
 
     def full_apply(u):
-        out = pair_matvec(op.form_weights(), op.cns, h_n, g, u)
+        out = pair_matvec(op.form_spectrum, op.cns, h_n, g, u)
         return out if conductivity else out + h_n * coefficient.values * u
 
     k = len(basis)

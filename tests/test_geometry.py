@@ -20,14 +20,16 @@ from fraccond.geometry import (
 
 class TestGeometryValidation:
     def test_s_range_1d(self):
-        with pytest.raises(ValueError):
-            GeometryConfig(n=1, s=0.5, box_halfwidth=6.0, grid_points=128)
+        for s in (0.0, 0.5, 1.2):
+            with pytest.raises(ValueError):
+                GeometryConfig(n=1, s=s, box_halfwidth=6.0, grid_points=128)
         GeometryConfig(n=1, s=0.49, box_halfwidth=6.0, grid_points=128)
 
     def test_s_range_2d(self):
         GeometryConfig(n=2, s=0.9, box_halfwidth=6.0, grid_points=64)
-        with pytest.raises(ValueError):
-            GeometryConfig(n=2, s=1.0, box_halfwidth=6.0, grid_points=64)
+        for s in (0.0, 1.0, 1.2):
+            with pytest.raises(ValueError):
+                GeometryConfig(n=2, s=s, box_halfwidth=6.0, grid_points=64)
 
     def test_grid_points_power_of_two(self):
         with pytest.raises(ValueError):

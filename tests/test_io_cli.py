@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import fraccond
 from fraccond.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -195,10 +196,14 @@ class TestCliExitCodes:
 
     def test_console_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)
+        # the child imports the package under test, wherever pytest found it
+        src = os.path.dirname(os.path.dirname(fraccond.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "fraccond.cli", "validate", "--config", str(cfg)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "config ok" in proc.stdout

@@ -1,5 +1,7 @@
 """Operator-level oracles: closed forms, adaptive quadrature, brute force."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,7 +14,7 @@ from fraccond.geometry import (
     mollifier_profile,
     smooth_random_field,
 )
-from fraccond.kernels import moment_weights, normalization_constant, product_weights
+from fraccond.kernels import normalization_constant
 from fraccond.operators import (
     FracOperator,
     apply_multiplier,
@@ -81,13 +83,13 @@ class TestGetoorIdentity:
             assert adaptive_singular_oracle(x, 0.5) == pytest.approx(closed, rel=1e-6)
 
     def test_grid_quadrature_matches_closed_form(self):
-        closed = getoor_value(1, 0.5)
         errs = {}
         for N in (512, 1024):
             g = GeometryConfig(n=1, s=0.4, box_halfwidth=16.0, grid_points=N)
-            op = FracOperator(g, s=0.5)
+            closed = getoor_value(1, g.s)
+            op = FracOperator(g)
             x = g.axis()
-            u = GridField(g, np.where(np.abs(x) < 1, np.sqrt(np.maximum(1 - x * x, 0)), 0.0))
+            u = GridField(g, np.maximum(1 - x * x, 0) ** g.s)
             lu = frac_laplacian(u, op)
             sel = np.abs(x) <= 0.5
             errs[N] = float(np.max(np.abs(lu.values[sel] - closed)) / closed)
@@ -147,10 +149,11 @@ class TestFracLaplacian:
         assert errs[1024] < errs[512]
 
     def test_rejects_bad_order(self, geom):
-        with pytest.raises(ValueError):
-            FracOperator(geom, s=1.2)
-        with pytest.raises(ValueError):
-            FracOperator(geom, s=0.0)
+        # The order comes from the geometry, so an operator of order
+        # outside (0, 1) cannot be built: its geometry is refused first.
+        for s in (1.2, 0.0):
+            with pytest.raises(ValueError):
+                FracOperator(dataclasses.replace(geom, s=s))
 
     def test_2d_cosine(self, geom2d):
         X, Y = geom2d.coords()
@@ -328,17 +331,17 @@ class TestHsGram:
 
 
 class TestWeights:
-    def test_moment_weights_nonnegative(self, geom):
-        w = moment_weights(geom)
+    def test_moment_weights_nonnegative(self, op_quad):
+        w = op_quad.form_weights
         assert w.min() >= 0.0
         assert w.reshape(-1)[0] == 0.0
 
-    def test_product_weights_symmetric(self, geom):
-        v = product_weights(geom)
+    def test_product_weights_symmetric(self, op_quad):
+        v = op_quad.diagnostic_weights
         assert np.allclose(v[1:], v[1:][::-1], rtol=1e-12, atol=1e-15)
 
     def test_quadrature_symbol_tracks_multiplier(self, geom, op_quad):
-        sym_q = op_quad.quadrature_symbol()
+        sym_q = op_quad.quadrature_symbol
         sym_s = fourier_symbol(geom, geom.s)
         k = geom.freq_magnitude()
         sel = (k > 0) & (k < 20)
@@ -346,7 +349,7 @@ class TestWeights:
 
     def test_2d_moment_symbol_accuracy(self, geom2d):
         op = FracOperator(geom2d)
-        sym_q = op.quadrature_symbol()
+        sym_q = op.quadrature_symbol
         sym_s = fourier_symbol(geom2d, geom2d.s)
         k = geom2d.freq_magnitude()
         sel = (k > 0) & (k < 5)

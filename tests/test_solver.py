@@ -177,11 +177,64 @@ class TestPackedSystem:
     def test_mismatched_box_rejected(self, geom, op_quad):
         gam = bump_conductivity(geom, height=0.5, width=0.8)
         interior_system(gam, op_quad)  # a cached system for this coefficient
+        assert interior_system(gam, op_quad) is interior_system(gam, op_quad)
         other = GeometryConfig(
             n=1, s=geom.s, box_halfwidth=5.0, grid_points=geom.grid_points
         )
         with pytest.raises(ValueError, match="different grids"):
             interior_system(gam, FracOperator(other))
+        # equal values on another grid share the key; the grid check refuses them
+        moved = Conductivity(other, gam.values, gamma0=gam.gamma0)
+        with pytest.raises(ValueError, match="different grids"):
+            interior_system(moved, op_quad)
+
+
+class TestSystemStore:
+    """Each operator keeps its four most recently used factored systems."""
+
+    @pytest.fixture
+    def op(self, geom_small):
+        return FracOperator(geom_small)
+
+    @staticmethod
+    def bumps(geom, count):
+        return [bump_conductivity(geom, height=0.1 * (k + 1), width=0.8) for k in range(count)]
+
+    def test_reduction_order_reuses_repeats(self, op, geom_small):
+        g1, g2 = self.bumps(geom_small, 2)
+        one = Conductivity(geom_small, np.ones(geom_small.shape), gamma0=0.5)
+        q1, q2, q_one = (liouville_potential(g, op) for g in (g1, g2, one))
+        first = [interior_system(c, op) for c in (g1, one, q1, q_one)]
+        second = [interior_system(c, op) for c in (g2, one, q2, q_one)]
+        assert second[1] is first[1]
+        assert second[3] is first[3]
+        assert len({id(s) for s in first + second}) == 6
+        assert len(op.systems) == 4
+
+    def test_least_recently_used_is_evicted(self, op, geom_small):
+        a, b, c, d, e = self.bumps(geom_small, 5)
+        systems = {id(g): interior_system(g, op) for g in (a, b, c, d)}
+        assert interior_system(a, op) is systems[id(a)]  # a is now the most recent
+        interior_system(e, op)  # evicts b, the least recently used
+        assert len(op.systems) == 4
+        assert interior_system(a, op) is systems[id(a)]
+        rebuilt = interior_system(b, op)
+        assert rebuilt is not systems[id(b)]
+        assert len(op.systems) == 4
+
+    def test_kind_is_part_of_the_key(self, op, geom_small):
+        ones = np.ones(geom_small.shape)
+        gam = Conductivity(geom_small, ones, gamma0=0.5)
+        q = Potential(geom_small, ones)
+        s_gam, s_q = interior_system(gam, op), interior_system(q, op)
+        assert s_gam is not s_q
+        assert (s_gam.kind, s_q.kind) == ("conductivity", "schrodinger")
+
+    def test_operators_share_no_systems(self, op, geom_small):
+        (gam,) = self.bumps(geom_small, 1)
+        other = FracOperator(geom_small)
+        assert interior_system(gam, op) is not interior_system(gam, other)
+        assert len(op.systems) == len(other.systems) == 1
 
 
 class TestSchrodingerSolve:
