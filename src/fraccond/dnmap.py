@@ -18,13 +18,14 @@ import scipy.linalg as sla
 from .conductivity import Conductivity, Potential
 from .geometry import GridField, mollifier_profile
 from .operators import FracOperator, hs_gram, hs_norm
-from .solver import ExteriorDatum, interior_system
+from .solver import ExteriorDatum, SolverError, interior_system
 
 __all__ = [
     "ExteriorBasis",
     "DnMatrix",
     "DnBlock",
     "build_exterior_basis",
+    "basis_from_fields",
     "assemble_dn",
     "dn_operator_norm",
     "restrict_dn",
@@ -62,7 +63,7 @@ class DnMatrix:
         M = np.asarray(self.entries, dtype=float)
         scale = np.max(np.abs(M))
         if scale > 0 and np.max(np.abs(M - M.T)) > 1e-10 * scale:
-            raise ValueError("DN matrix lost symmetry beyond roundoff")
+            raise SolverError("DN matrix lost symmetry beyond roundoff")
         M = 0.5 * (M + M.T)
         M.setflags(write=False)
         object.__setattr__(self, "entries", M)
@@ -123,7 +124,13 @@ def build_exterior_basis(geometry, region_name, size, kind="bumps"):
         fields, orders = _harmonic_fields(geometry, region, size)
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
+    return basis_from_fields(geometry, region_name, fields, orders, kind)
 
+
+def basis_from_fields(geometry, region_name, fields, orders, kind):
+    """Exterior basis of the given fields in one region, each normalized to
+    unit H^s norm.  A vanishing field or a Gram matrix with smallest
+    eigenvalue below 1e-10 raises ValueError."""
     s = geometry.s
     normalized = []
     for vals in fields:
@@ -136,14 +143,14 @@ def build_exterior_basis(geometry, region_name, size, kind="bumps"):
     lam_min = float(sla.eigvalsh(gram)[0])
     if lam_min < 1e-10:
         raise ValueError(
-            f"requested {size} functions exceed the region's resolution "
+            f"requested {len(fields)} functions exceed the region's resolution "
             f"(Gram smallest eigenvalue {lam_min:.3e})"
         )
     data = tuple(ExteriorDatum(geometry, f.values) for f in normalized)
     return ExteriorBasis(
         geometry=geometry,
         functions=data,
-        regions=(region_name,) * size,
+        regions=(region_name,) * len(fields),
         orders=orders,
         kind=kind,
         gram=gram,

@@ -40,6 +40,7 @@ from .conductivity import (
 from .dnmap import (
     DnMatrix,
     assemble_dn,
+    basis_from_fields,
     build_exterior_basis,
     dn_operator_norm,
     restrict_dn,
@@ -54,12 +55,9 @@ from .operators import (
     FracOperator,
     apply_multiplier,
     fourier_symbol,
-    hs_gram,
-    hs_norm,
     pair_form,
     parseval_pairing,
 )
-from .solver import ExteriorDatum
 
 __all__ = [
     "ModulusFit",
@@ -495,9 +493,8 @@ def _scan_pair(geometry, amplitude, center=2.5, halfwidth=0.5):
 
 
 def suite_exterior(geometry, op, config):
-    basis = build_exterior_basis(
-        geometry, config.get("region", "annulus"), config.get("basis_size", 16), "bumps"
-    )
+    region = config.get("region", "annulus")
+    basis = build_exterior_basis(geometry, region, config.get("basis_size", 16), "bumps")
     one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
     amplitudes = config.get("amplitudes", (0.05, 0.1, 0.2))
     pairs = [(_scan_pair(geometry, a), one) for a in amplitudes]
@@ -506,7 +503,7 @@ def suite_exterior(geometry, op, config):
     # recovery probes on a dedicated probe basis
     point = config.get("probe_point", 2.5)
     widths = tuple(config.get("probe_widths", (0.32, 0.226, 0.16, 0.113)))
-    mask = geometry.region_mask(config.get("region", "annulus"))
+    mask = geometry.region_mask(region)
     fields = []
     if geometry.n == 1:
         x = geometry.axis()
@@ -518,20 +515,8 @@ def suite_exterior(geometry, op, config):
             fields.append(
                 np.where(mask, mollifier_profile(np.hypot(X - point, Y) / w), 0.0)
             )
-    normed = []
-    for v in fields:
-        f = GridField(geometry, v)
-        normed.append(GridField(geometry, v / hs_norm(f, geometry.s)))
-    from .dnmap import ExteriorBasis
-
-    probe_basis = ExteriorBasis(
-        geometry=geometry,
-        functions=tuple(ExteriorDatum(geometry, f.values) for f in normed),
-        regions=(config.get("region", "annulus"),) * len(widths),
-        orders=tuple((i, 0) for i in range(len(widths))),
-        kind="bumps",
-        gram=hs_gram(normed, geometry.s),
-    )
+    orders = tuple((i, 0) for i in range(len(widths)))
+    probe_basis = basis_from_fields(geometry, region, fields, orders, "bumps")
     gam = _scan_pair(geometry, config.get("recovery_height", 0.5))
     Mg = assemble_dn(gam, probe_basis, op)
     M0 = assemble_dn(one, probe_basis, op)

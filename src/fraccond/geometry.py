@@ -206,7 +206,7 @@ class GeometryConfig:
         raise KeyError(f"no measurement region named {name!r}")
 
     def content_hash(self):
-        """Stable hash of the geometry, used by on-disk caches."""
+        """Stable hash of the geometry, recorded in conductivity file headers."""
         parts = [
             f"n={self.n}",
             f"s={self.s!r}",

@@ -8,8 +8,10 @@ but the weights themselves never reference the multiplier |k|^(2s).  That
 multiplier (`fourier_symbol`) is kept only as an independent oracle, which
 is what the cross-validation tests and the residual diagnostics rely on.
 
-Every Fourier multiplier goes through `apply_multiplier` and every weighted
-Parseval sum through `parseval_pairing`.
+Every Fourier multiplier and every weight convolution goes through
+`apply_multiplier`, one forward and one inverse real FFT: the oracle
+multipliers in the full DFT layout, the weights as their cached real-FFT
+half spectrum.  Every weighted Parseval sum goes through `parseval_pairing`.
 
 The conductivity form
 
@@ -19,7 +21,7 @@ The conductivity form
 is discretized as a weighted sum over grid-point pairs.  With weight family
 w and g = gamma^(1/2) it reduces to two circular convolutions:
 
-    B(u, v) = c h^n [ sum_i g_i u_i v_i (w*g)_i - sum_i g_i u_i (w*(g v))_i ].
+    B(u, v) = c h^n [ sum_i g_i u_i v_i (w*g)_i - sum_i g_i v_i (w*(g u))_i ].
 """
 
 from __future__ import annotations
@@ -64,15 +66,22 @@ def bessel_symbol(geometry, power):
 
 
 def apply_multiplier(symbol, values):
-    """Fourier multiplier applied to a grid field: ifft(symbol * fft(values)).
+    """Fourier multiplier applied to a grid field or a (k, *grid) stack.
 
-    The product is taken in place with the operand order symbol * fft(values)
-    fixed: a complex product rounds differently with the operands swapped,
-    which the `*` operator may do when it reuses a temporary.
+    symbol is a real even multiplier in the full DFT layout (`fourier_symbol`,
+    `bessel_symbol`, `FracOperator.quadrature_symbol`) or the real-FFT half
+    spectrum of a weight array (`FracOperator.form_spectrum`), which makes
+    the call the circular convolution with those weights.  The grid has
+    symbol.ndim axes, the last ones of values; a symbol of another grid is
+    refused, since slicing it would silently apply a different multiplier.
     """
-    spec = np.fft.fftn(values)
-    np.multiply(symbol, spec, out=spec)
-    return np.fft.ifftn(spec).real
+    grid = values.shape[-symbol.ndim :]
+    if symbol.shape[:-1] != grid[:-1] or symbol.shape[-1] not in (grid[-1], grid[-1] // 2 + 1):
+        raise ValueError(f"multiplier of shape {symbol.shape} does not fit grid {grid}")
+    axes = tuple(range(-symbol.ndim, 0))
+    spec = np.fft.rfftn(values, axes=axes)
+    spec *= symbol[..., : spec.shape[-1]]
+    return np.fft.irfftn(spec, s=grid, axes=axes)
 
 
 def parseval_pairing(weight, a_hat, b_hat, cell_volume):
@@ -94,7 +103,7 @@ class FracOperator:
     The geometry fixes everything: the order s, the constant c_{n,s} and
     every weight array.  The operator owns what it derives from them, each
     built on first use and kept for its lifetime: both weight families,
-    their FFTs, the quadrature symbol, the interior stencil, and the
+    their real-FFT half spectra, the quadrature symbol, the interior stencil, and the
     factored interior systems (`systems`, a least-recently-used store that
     `solver.interior_system` fills and bounds).  Nothing is cached outside
     an operator, so two operators share no state.
@@ -122,12 +131,8 @@ class FracOperator:
 
     @cached_property
     def form_spectrum(self):
-        """FFT of the moment weights: the multiplier of their convolution."""
-        return np.fft.fftn(self.form_weights)
-
-    @cached_property
-    def form_half_spectrum(self):
-        """Real FFT of the moment weights, for the solver's stacked real FFTs."""
+        """Real-FFT half spectrum of the moment weights: `apply_multiplier`
+        with it is their circular convolution."""
         return np.fft.rfftn(self.form_weights)
 
     @cached_property
@@ -140,9 +145,9 @@ class FracOperator:
 
     @cached_property
     def diagnostic_spectrum(self):
-        """FFT of the diagnostic weights."""
+        """Real-FFT half spectrum of the diagnostic weights."""
         if self.geometry.n == 1:
-            return np.fft.fftn(self.diagnostic_weights)
+            return np.fft.rfftn(self.diagnostic_weights)
         return self.form_spectrum
 
     @cached_property
@@ -196,22 +201,12 @@ def frac_laplacian(u: GridField, op: FracOperator) -> GridField:
 
 
 def pair_form(spectrum, cns, h_n, g, u, v):
-    """Weighted pair-difference form of the weights w with FFT `spectrum`.
+    """Weighted pair-difference form of the weights with half spectrum `spectrum`.
 
     Computes c h^n sum_{i,r} w_r g_i g_{i+r} (u_i - u_{i+r}) (v_i - v_{i+r}) / 2
-    via circular convolutions; g may be None for a unit conductivity.
+    as <v, pair_matvec(u)>; g may be None for a unit conductivity.
     """
-    if g is None:
-        conv_1 = apply_multiplier(spectrum, np.ones_like(u))
-        conv_v = apply_multiplier(spectrum, v)
-        direct = float(np.sum(u * v * conv_1))
-        cross = float(np.sum(u * conv_v))
-    else:
-        conv_g = apply_multiplier(spectrum, g)
-        conv_gv = apply_multiplier(spectrum, g * v)
-        direct = float(np.sum(g * u * v * conv_g))
-        cross = float(np.sum(g * u * conv_gv))
-    return cns * h_n * (direct - cross)
+    return float(np.sum(v * pair_matvec(spectrum, cns, h_n, g, u)))
 
 
 def pair_matvec(spectrum, cns, h_n, g, u):
@@ -228,17 +223,16 @@ def _gamma_sqrt(gamma):
         return None
     if hasattr(gamma, "sqrt_values"):
         return gamma.sqrt_values
-    if isinstance(gamma, GridField):
-        return np.sqrt(gamma.values)
-    arr = np.asarray(gamma, dtype=float)
-    if arr.ndim == 0:
-        return float(np.sqrt(arr))
-    return np.sqrt(arr)
+    return np.sqrt(np.asarray(gamma, dtype=float))
 
 
 def bilinear_form(u: GridField, v: GridField, gamma, op: FracOperator) -> float:
     """Conductivity energy pairing B_gamma(u, v): the full moment-weight
-    pair sum, which is the Galerkin discretization."""
+    pair sum, which is the Galerkin discretization.
+
+    gamma is a Conductivity, an array of conductivity values on the grid, or
+    None for the unit conductivity.
+    """
     if not u.same_grid(v):
         raise ValueError("geometry mismatch")
     geom = u.geometry
@@ -246,11 +240,7 @@ def bilinear_form(u: GridField, v: GridField, gamma, op: FracOperator) -> float:
     if gamma is not None and hasattr(gamma, "geometry"):
         if gamma.geometry != geom:
             raise ValueError("geometry mismatch")
-    h_n = geom.cell_volume
-    w_hat = op.form_spectrum
-    if np.isscalar(g):
-        return g * g * pair_form(w_hat, op.cns, h_n, None, u.values, v.values)
-    return pair_form(w_hat, op.cns, h_n, g, u.values, v.values)
+    return pair_form(op.form_spectrum, op.cns, geom.cell_volume, g, u.values, v.values)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ and is reported as such.
 
 Solves are batched: a stack of k exterior data costs one stacked full-grid
 apply for the right-hand sides, one multi-RHS Cholesky solve and one
-stacked apply for the fluxes.  Each full-grid apply is one forward and one
-inverse real FFT against the operator's weight spectrum.  The block is
-built by scaling the operator's unit stencil and factored in place, so one
-array per system holds the factor (lower triangle) and the block (strict
-upper triangle, diagonal kept apart).  Every column's Galerkin residual is
-checked against that packed block.
+stacked apply for the fluxes.  Each full-grid apply convolves with the
+operator's weight spectrum through `operators.apply_multiplier`, one
+forward and one inverse real FFT, the path every pair form takes too.  The
+block is built by scaling the operator's unit stencil and factored in
+place, so one array per system holds the factor (lower triangle) and the
+block (strict upper triangle, diagonal kept apart).  Every column's
+Galerkin residual is checked against that packed block.
 
 The operator owns the factored systems: `interior_system` keeps them in
 `FracOperator.systems`, keyed by the coefficient's kind and values, and
@@ -39,7 +40,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .conductivity import Conductivity, Potential
 from .geometry import GridField
-from .operators import _BLOCK, FracOperator
+from .operators import _BLOCK, FracOperator, apply_multiplier
 
 __all__ = [
     "SolverError",
@@ -99,9 +100,9 @@ class InteriorSystem:
 
     coefficient is a Conductivity (conductivity equation) or a Potential
     (Schrodinger equation) on the operator's grid.  Matrix-vector products
-    with the full-grid operator go through real FFT circular convolutions
-    against the operator's cached weight spectrum; only the interior block is
-    ever formed densely.  One n x n array holds both the block and its
+    with the full-grid operator are `apply_multiplier` convolutions with the
+    operator's cached weight spectrum; only the interior block is ever
+    formed densely.  One n x n array holds both the block and its
     Cholesky factor: L in the lower triangle, the block in the strict upper
     triangle, and the block's diagonal kept apart.
     """
@@ -128,10 +129,11 @@ class InteriorSystem:
         # the operator's arrays, shared, not copied; holding the operator
         # itself would make it and its stored systems a reference cycle
         self._stencil = op.interior_stencil
-        self._spectrum = op.form_half_spectrum
+        self._spectrum = op.form_spectrum
         self._scale = op.cns * geom.cell_volume
         G = np.ones(geom.shape) if self.g is None else self.g
-        self._wg = self._convolve(G)  # w * g, the diagonal's convolution
+        # w * g, the diagonal's convolution; apply reuses it
+        self._wg = apply_multiplier(self._spectrum, G)
         diag = self._scale * (G * self._wg).reshape(-1)[self.idx]
         if self.q is not None:
             diag = diag + geom.cell_volume * self.q.reshape(-1)[self.idx]
@@ -174,20 +176,15 @@ class InteriorSystem:
 
     # -- full-grid operator --------------------------------------------------
 
-    def _convolve(self, values):
-        """Circular convolution of the weights with a field or a stack of them."""
-        axes = tuple(range(-self.geometry.n, 0))
-        spec = np.fft.rfftn(values, axes=axes)
-        spec *= self._spectrum
-        return np.fft.irfftn(spec, s=self.geometry.shape, axes=axes)
-
     def apply(self, values):
         """Full-grid stiffness applied to a field or a (k, *grid) stack."""
         if self.g is None:
             return self._scale * (
-                values * self._wg - self._convolve(values)
+                values * self._wg - apply_multiplier(self._spectrum, values)
             ) + self.geometry.cell_volume * self.q * values
-        return self._scale * self.g * (values * self._wg - self._convolve(self.g * values))
+        return self._scale * self.g * (
+            values * self._wg - apply_multiplier(self._spectrum, self.g * values)
+        )
 
     def solve_many(self, data, tol: float = 1e-10):
         """Solve for a (k, *grid) stack of exterior data in one batch.

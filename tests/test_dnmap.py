@@ -20,7 +20,7 @@ from fraccond.dnmap import (
     restrict_dn,
 )
 from fraccond.geometry import default_geometry
-from fraccond.operators import FracOperator, hs_gram, pair_matvec
+from fraccond.operators import FracOperator, hs_gram
 from fraccond.solver import ExteriorDatum, SolverError, interior_system
 
 from conftest import two_region_geometry
@@ -176,21 +176,26 @@ class TestAssembly:
     def test_asymmetric_entries_rejected(self, basis):
         k = len(basis)
         entries = np.eye(k) + 1e-6 * np.triu(np.ones((k, k)), 1)
-        with pytest.raises(ValueError, match="symmetry"):
+        with pytest.raises(SolverError, match="symmetry"):
             DnMatrix(entries=entries, basis=basis, equation="conductivity")
 
 
 def column_reference(coefficient, basis, op):
-    """DN matrix one column at a time: dense solve, flux through pair_matvec."""
+    """DN matrix one column at a time: dense solve, flux through a complex-FFT
+    convolution of the weights that shares no code with the solver's apply."""
     system = interior_system(coefficient, op)
     A = system._interior_block()
     geom = basis.geometry
     h_n = geom.cell_volume
     conductivity = isinstance(coefficient, Conductivity)
-    g = coefficient.sqrt_values if conductivity else None
+    g = coefficient.sqrt_values if conductivity else np.ones(geom.shape)
+    w_hat = np.fft.fftn(op.form_weights)
+
+    def conv(x):
+        return np.fft.ifftn(w_hat * np.fft.fftn(x)).real
 
     def full_apply(u):
-        out = pair_matvec(op.form_spectrum, op.cns, h_n, g, u)
+        out = op.cns * h_n * g * (u * conv(g) - conv(g * u))
         return out if conductivity else out + h_n * coefficient.values * u
 
     k = len(basis)

@@ -13,6 +13,7 @@ from fraccond.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
+    EXIT_SOLVER,
     ConfigError,
     build_geometry,
     execute,
@@ -20,6 +21,7 @@ from fraccond.cli import (
     parse_config,
 )
 from fraccond.conductivity import Potential, bump_conductivity, liouville_potential
+from fraccond.dnmap import DnMatrix
 from fraccond.io import FormatError, load_conductivity, save_conductivity
 from fraccond.plots import emit_plots
 
@@ -181,6 +183,18 @@ class TestCliExitCodes:
         cfg = write_config(tmp_path, suite="residuals", N=64)
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "c")])
         assert rc == EXIT_INVARIANT
+
+    def test_solver_failure_exit_code(self, tmp_path, monkeypatch):
+        # a DN matrix that lost symmetry is a solver failure, not a config error
+        def asymmetric_suite(name, geometry, op, config):
+            entries = np.array([[1.0, 1e-3], [0.0, 1.0]])
+            return DnMatrix(entries=entries, basis=None, equation="conductivity")
+
+        monkeypatch.setattr("fraccond.cli.run_suite", asymmetric_suite)
+        out = tmp_path / "e"
+        rc = main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert rc == EXIT_SOLVER
+        assert (out / "FAILED").read_text().startswith("solver failure")
 
     def test_bad_theta0_is_config_error(self, tmp_path):
         # s = 0.4, n = 1: the admissible window is (0.8, 1)

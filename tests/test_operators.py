@@ -18,6 +18,7 @@ from fraccond.kernels import normalization_constant
 from fraccond.operators import (
     FracOperator,
     apply_multiplier,
+    bessel_symbol,
     bilinear_form,
     fourier_symbol,
     frac_laplacian,
@@ -164,6 +165,47 @@ class TestFracLaplacian:
         assert np.max(np.abs(oracle - lam * u.values)) / lam <= 1e-10
         quadv = frac_laplacian(u, FracOperator(geom2d))
         assert np.max(np.abs(quadv.values - lam * u.values)) / lam <= 3e-2
+
+
+class TestApplyMultiplier:
+    """The real-FFT multiplier path against its complex-FFT definition."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_full_layout_symbol_matches_complex_definition(self, geom, geom2d, n):
+        g = geom if n == 1 else geom2d
+        v = bandlimited_field(g, seed=4).values
+        for sym in (fourier_symbol(g, g.s), bessel_symbol(g, -0.7)):
+            ref = np.fft.ifftn(sym * np.fft.fftn(v)).real
+            out = apply_multiplier(sym, v)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stack_equals_fieldwise(self, geom, geom2d, op_quad, n):
+        g = geom if n == 1 else geom2d
+        sym = op_quad.form_spectrum if n == 1 else fourier_symbol(g, g.s)
+        stack = np.stack([bandlimited_field(g, seed=k).values for k in range(3)])
+        out = apply_multiplier(sym, stack)
+        for k in range(3):
+            assert np.array_equal(out[k], apply_multiplier(sym, stack[k]))
+
+    def test_half_spectrum_is_circular_convolution(self):
+        rng = np.random.default_rng(11)
+        N = 64
+        w = rng.standard_normal(N)
+        v = rng.standard_normal(N)
+        i = np.arange(N)
+        brute = np.sum(w[None, :] * v[(i[:, None] - i[None, :]) % N], axis=1)
+        out = apply_multiplier(np.fft.rfftn(w), v)
+        assert np.max(np.abs(out - brute)) <= 1e-12 * np.max(np.abs(brute))
+
+    def test_symbol_of_another_grid_rejected(self, geom, geom_small, op_quad):
+        v = bandlimited_field(geom_small, seed=1).values
+        for sym in (op_quad.form_spectrum, fourier_symbol(geom, geom.s)):
+            with pytest.raises(ValueError, match="does not fit"):
+                apply_multiplier(sym, v)
+        u = smooth_random_field(geom_small, seed=1)
+        with pytest.raises(ValueError):
+            bilinear_form(u, u, None, op_quad)
 
 
 class TestBilinearForm:
