@@ -277,63 +277,60 @@ class GridField:
             raise ValueError("geometry mismatch")
 
 
+def _random_trig_sum(geometry, seed, kmax):
+    """Seeded trigonometric sum over the modes pi k / L, synthesized by one inverse FFT.
+
+    The modes are k = (k_1, ..., k_n) with 0 <= k_i <= kmax and |k| = sum k_i
+    >= 1.  Mode k has coefficients (a, b) ~ N(0, 1) / |k|, drawn from a Philox
+    stream keyed by `seed` in row-major mode order, and contributes
+    a cos(pi k.x / L) + b sin(pi k.x / L).  Because x_j = -L + j h with
+    h = 2L/N, pi k.x_j / L = 2 pi k.j / N - pi |k|: every mode is a DFT mode
+    of the grid, and the sum is the real part of the unnormalized inverse DFT
+    of (-1)^|k| (a - i b).  Modes at or above N/2
+    would alias, so kmax must satisfy 1 <= kmax < N/2.
+
+    Returns the grid values and the coefficient energy sum(a^2 + b^2).
+    """
+    N = geometry.grid_points
+    if not 1 <= kmax < N // 2:
+        raise ValueError(f"mode cutoff must satisfy 1 <= k < N/2 = {N // 2}, got {kmax}")
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    idx = np.unravel_index(np.arange(1, (kmax + 1) ** geometry.n), (kmax + 1,) * geometry.n)
+    kabs = sum(idx)
+    a, b = (rng.standard_normal((kabs.size, 2)) / kabs[:, None]).T
+    # cumsum adds strictly in mode order, like a per-mode loop; np.sum's
+    # pairwise order would move the normalization at roundoff
+    total = float(np.cumsum(a * a + b * b)[-1])
+    spec = np.zeros(geometry.shape, dtype=complex)
+    spec[idx] = np.where(kabs % 2, -1.0, 1.0) * (a - 1j * b)
+    return np.fft.ifftn(spec, norm="forward").real, total
+
+
 def bandlimited_field(geometry, seed, kmodes=20):
     """Seeded random trigonometric field with a fixed mode cutoff.
 
+    The modes pi k / L with 0 <= k_i <= kmodes, 1 <= kmodes < N/2, are DFT
+    modes of the grid, and the field is synthesized by one inverse FFT.
     Band-limited fields are the right probes for refinement studies: the
     function (including its normalization, which uses the coefficients, not
     the samples) does not change as the grid is refined.
     """
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    L = geometry.box_halfwidth
-    vals = np.zeros(geometry.shape)
-    total = 0.0
-    if geometry.n == 1:
-        x = geometry.axis()
-        for k in range(1, kmodes + 1):
-            a, b = rng.standard_normal(2) / k
-            total += a * a + b * b
-            vals += a * np.cos(np.pi * k * x / L) + b * np.sin(np.pi * k * x / L)
-    else:
-        X, Y = geometry.coords()
-        for kx in range(0, kmodes + 1):
-            for ky in range(0, kmodes + 1):
-                if kx == 0 and ky == 0:
-                    continue
-                a, b = rng.standard_normal(2) / (kx + ky)
-                total += a * a + b * b
-                phase = np.pi * (kx * X + ky * Y) / L
-                vals += a * np.cos(phase) + b * np.sin(phase)
+    vals, total = _random_trig_sum(geometry, seed, kmodes)
     return GridField(geometry, vals / np.sqrt(total))
 
 
 def smooth_random_field(geometry, seed, kmax=8, support_radius=None):
     """Seeded smooth compactly supported field with unit sup norm.
 
-    A band-limited random Fourier sum (counter-based Philox stream) is
-    multiplied by a mollifier window so the result is C_c^infinity inside
-    |x| < support_radius.
+    A band-limited random Fourier sum (counter-based Philox stream) over the
+    DFT modes pi k / L with 0 <= k_i <= kmax, 1 <= kmax < N/2, synthesized by
+    one inverse FFT, is multiplied by a mollifier window so the result is
+    C_c^infinity inside |x| < support_radius.
     """
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
     if support_radius is None:
         support_radius = 0.85 * geometry.box_halfwidth
-    x = geometry.coords()
-    L = geometry.box_halfwidth
-    vals = np.zeros(geometry.shape)
-    if geometry.n == 1:
-        for k in range(1, kmax + 1):
-            a, b = rng.standard_normal(2) / k
-            vals += a * np.cos(np.pi * k * x[0] / L) + b * np.sin(np.pi * k * x[0] / L)
-    else:
-        for kx in range(0, kmax + 1):
-            for ky in range(0, kmax + 1):
-                if kx == 0 and ky == 0:
-                    continue
-                a, b = rng.standard_normal(2) / (kx + ky)
-                phase = np.pi * (kx * x[0] + ky * x[1]) / L
-                vals += a * np.cos(phase) + b * np.sin(phase)
-    window = mollifier_profile(geometry.radius() / support_radius)
-    vals = vals * window
+    vals, _ = _random_trig_sum(geometry, seed, kmax)
+    vals = vals * mollifier_profile(geometry.radius() / support_radius)
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals = vals / peak

@@ -236,10 +236,12 @@ def bilinear_form(u: GridField, v: GridField, gamma, op: FracOperator) -> float:
     if not u.same_grid(v):
         raise ValueError("geometry mismatch")
     geom = u.geometry
-    g = _gamma_sqrt(gamma)
-    if gamma is not None and hasattr(gamma, "geometry"):
+    if hasattr(gamma, "geometry"):
         if gamma.geometry != geom:
             raise ValueError("geometry mismatch")
+    elif gamma is not None and np.shape(gamma) != geom.shape:
+        raise ValueError(f"conductivity of shape {np.shape(gamma)} does not fit the grid {geom.shape}")
+    g = _gamma_sqrt(gamma)
     return pair_form(op.form_spectrum, op.cns, geom.cell_volume, g, u.values, v.values)
 
 

@@ -12,7 +12,9 @@ from fraccond.conductivity import (
 )
 from fraccond.dnmap import assemble_dn, build_exterior_basis, dn_operator_norm
 from fraccond.experiments import (
+    EPS_GUARD,
     ModulusFit,
+    _multiplier_potential,
     exterior_stability_scan,
     instability_search,
     liouville_identity_residual,
@@ -22,7 +24,7 @@ from fraccond.experiments import (
     run_suite,
 )
 from fraccond.geometry import bandlimited_field, default_geometry
-from fraccond.operators import FracOperator
+from fraccond.operators import FracOperator, pair_form
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,24 @@ class TestMtildeResidual:
         a = mtilde_equation_residual(gam, ones_gamma, op_quad)
         b = mtilde_equation_residual(ones_gamma, gam, op_quad)
         assert a <= 1e-5 and b <= 1e-5
+
+    def test_matches_per_field_pair_form(self, geom, op_quad, ones_gamma):
+        # one pair_matvec paired with each test field is bitwise the
+        # per-field pair_form
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        h_n = geom.cell_volume
+        mtilde = (gam.m_values - ones_gamma.m_values) / gam.sqrt_values
+        q_gap = _multiplier_potential(ones_gamma, geom.s) - _multiplier_potential(gam, geom.s)
+        rhs_density = gam.sqrt_values * ones_gamma.sqrt_values * q_gap
+        worst = 0.0
+        for seed in range(10):
+            phi = bandlimited_field(geom, seed=1000 + seed).values
+            lhs = pair_form(
+                op_quad.diagnostic_spectrum, op_quad.cns, h_n, gam.sqrt_values, mtilde, phi
+            )
+            rhs = h_n * float(np.sum(rhs_density * phi))
+            worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + EPS_GUARD))
+        assert mtilde_equation_residual(gam, ones_gamma, op_quad) == worst
 
     def test_refinement(self, op_quad):
         resids = {}

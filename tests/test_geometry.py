@@ -15,6 +15,7 @@ from fraccond.geometry import (
     plateau_profile,
     smooth_random_field,
     smoothstep,
+    _random_trig_sum,
 )
 
 
@@ -153,6 +154,77 @@ class TestGridField:
         b = smooth_random_field(geom_small, seed=1)
         with pytest.raises(ValueError):
             a + b
+
+
+def loop_trig_sum(geometry, seed, kmax):
+    """Direct per-mode cos/sin sum over the full grid, one Philox draw of two
+    coefficients per mode: the reference for the FFT synthesis.  Returns the
+    values and the coefficient energy."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    L = geometry.box_halfwidth
+    vals = np.zeros(geometry.shape)
+    total = 0.0
+    if geometry.n == 1:
+        x = geometry.axis()
+        for k in range(1, kmax + 1):
+            a, b = rng.standard_normal(2) / k
+            total += a * a + b * b
+            vals += a * np.cos(np.pi * k * x / L) + b * np.sin(np.pi * k * x / L)
+    else:
+        X, Y = geometry.coords()
+        for kx in range(0, kmax + 1):
+            for ky in range(0, kmax + 1):
+                if kx == 0 and ky == 0:
+                    continue
+                a, b = rng.standard_normal(2) / (kx + ky)
+                total += a * a + b * b
+                phase = np.pi * (kx * X + ky * Y) / L
+                vals += a * np.cos(phase) + b * np.sin(phase)
+    return vals, total
+
+
+def sup_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+SYNTHESIS_GRIDS = [(1, 64), (1, 1024), (2, 64), (2, 128)]
+
+
+class TestFftSynthesis:
+    @pytest.mark.parametrize("n,N", SYNTHESIS_GRIDS)
+    @pytest.mark.parametrize("kmax", [20, 5])
+    def test_bandlimited_matches_loop(self, n, N, kmax):
+        g = default_geometry(n=n, grid_points=N)
+        for seed in (0, 5, 23):
+            ref, total = loop_trig_sum(g, seed, kmax)
+            vals, fft_total = _random_trig_sum(g, seed, kmax)
+            # the same Philox draws in the same order give the same energy
+            assert fft_total == pytest.approx(total, rel=1e-15, abs=0)
+            assert sup_rel(vals, ref) <= 1e-13
+            f = bandlimited_field(g, seed=seed, kmodes=kmax)
+            assert sup_rel(f.values, ref / np.sqrt(total)) <= 1e-13
+
+    @pytest.mark.parametrize("n,N", SYNTHESIS_GRIDS)
+    @pytest.mark.parametrize("kmax", [8, 5])
+    def test_smooth_matches_loop(self, n, N, kmax):
+        g = default_geometry(n=n, grid_points=N)
+        for seed in (0, 5, 23):
+            ref, _ = loop_trig_sum(g, seed, kmax)
+            ref = ref * mollifier_profile(g.radius() / (0.85 * g.box_halfwidth))
+            ref = ref / np.max(np.abs(ref))
+            f = smooth_random_field(g, seed=seed, kmax=kmax)
+            assert sup_rel(f.values, ref) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mode_cutoff_guard(self, n):
+        g = default_geometry(n=n, grid_points=64)
+        for k in (0, -1, 32, 40):
+            with pytest.raises(ValueError, match="mode cutoff"):
+                bandlimited_field(g, seed=1, kmodes=k)
+            with pytest.raises(ValueError, match="mode cutoff"):
+                smooth_random_field(g, seed=1, kmax=k)
+        bandlimited_field(g, seed=1, kmodes=31)
+        smooth_random_field(g, seed=1, kmax=1)
 
 
 class TestRandomFields:

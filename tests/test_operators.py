@@ -287,6 +287,16 @@ class TestBilinearForm:
         with pytest.raises(ValueError):
             bilinear_form(u, v, None, op_quad)
 
+    def test_gamma_array_of_another_shape_rejected(self, geom_small):
+        # a (256, 256) array on a 1D N=256 grid would broadcast as 256
+        # stacked conductivities and return the sum of their forms
+        op = FracOperator(geom_small)
+        u = smooth_random_field(geom_small, seed=1)
+        for gamma in (np.full((256, 256), 2.0), np.full(128, 2.0), 2.0):
+            with pytest.raises(ValueError, match="does not fit"):
+                bilinear_form(u, u, gamma, op)
+        assert bilinear_form(u, u, np.full(256, 2.0), op) > 0.0
+
 
 class TestGradientEnergy:
     """The energy <Theta_gamma grad_s u, grad_s u> is bilinear_form(u, u)."""
