@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from .conductivity import Conductivity, Potential
 from .geometry import GridField, mollifier_profile
-from .operators import FracOperator, hs_gram, hs_norm
+from .operators import FracOperator, hs_gram
 from .solver import ExteriorDatum, SolverError, interior_system
 
 __all__ = [
@@ -129,24 +129,23 @@ def build_exterior_basis(geometry, region_name, size, kind="bumps"):
 
 def basis_from_fields(geometry, region_name, fields, orders, kind):
     """Exterior basis of the given fields in one region, each normalized to
-    unit H^s norm.  A vanishing field or a Gram matrix with smallest
-    eigenvalue below 1e-10 raises ValueError."""
-    s = geometry.s
-    normalized = []
-    for vals in fields:
-        f = GridField(geometry, vals)
-        nrm = hs_norm(f, s)
-        if nrm <= 0:
-            raise ValueError("degenerate basis function (region too coarse)")
-        normalized.append(GridField(geometry, vals / nrm))
-    gram = hs_gram(normalized, s)
+    unit H^s norm.  The norms are the square roots of the diagonal of the
+    raw fields' Gram matrix, which then scales to the basis Gram matrix.  A
+    vanishing field or a Gram matrix with smallest eigenvalue below 1e-10
+    raises ValueError."""
+    raw = [GridField(geometry, vals) for vals in fields]
+    gram = hs_gram(raw, geometry.s)
+    norms = np.sqrt(np.maximum(np.diagonal(gram), 0.0))
+    if np.any(norms <= 0):
+        raise ValueError("degenerate basis function (region too coarse)")
+    gram = gram / np.outer(norms, norms)
     lam_min = float(sla.eigvalsh(gram)[0])
     if lam_min < 1e-10:
         raise ValueError(
             f"requested {len(fields)} functions exceed the region's resolution "
             f"(Gram smallest eigenvalue {lam_min:.3e})"
         )
-    data = tuple(ExteriorDatum(geometry, f.values) for f in normalized)
+    data = tuple(ExteriorDatum(geometry, f.values / n) for f, n in zip(raw, norms))
     return ExteriorBasis(
         geometry=geometry,
         functions=data,
@@ -250,13 +249,16 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     """DN matrix M_ij = B(u_{f_i}, f_j) for the given coefficient.
 
     Conductivity coefficients address the conductivity equation, Potential
-    coefficients the Schrodinger one.  All k basis data are solved in one
-    batch (InteriorSystem.solve_many): one stacked apply for the right-hand
-    sides, one multi-RHS solve against the cached factor, one stacked apply
-    for the fluxes Z.  Each column's Galerkin residual is checked against
-    the interior block; a failure raises SolverError naming the column.
-    M = Z F^T is passed to DnMatrix unsymmetrized, so its symmetry check
-    sees the raw solver asymmetry.
+    coefficients the Schrodinger one.  All k basis data F are solved in one
+    batch (InteriorSystem.solve_many): one stacked apply gives AF and the
+    right-hand sides B = -(AF)_Omega, one multi-RHS solve against the cached
+    factor the interior values X.  Each column's Galerkin residual is
+    checked against the interior block; a failure raises SolverError naming
+    the column.  By Alessandrini's identity M = F (AF)^T - X^T B, so no flux
+    apply is made, and the apply's convolution is shared through the
+    operator's store by every coefficient with g F = F.  M is passed to
+    DnMatrix unsymmetrized, so its symmetry check sees the raw solver
+    asymmetry.
     """
     if isinstance(coefficient, Conductivity):
         equation = "conductivity"
@@ -267,10 +269,8 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     system = interior_system(coefficient, op)
     if basis.geometry != system.geometry:
         raise ValueError("geometry mismatch")
-    k = len(basis)
     F = np.stack([f.values for f in basis.functions])
-    _, Z, _ = system.solve_many(F, tol)
-    M = Z.reshape(k, -1) @ F.reshape(k, -1).T
+    _, M, _ = system.solve_many(F, tol)
     return DnMatrix(entries=M, basis=basis, equation=equation)
 
 

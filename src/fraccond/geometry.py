@@ -325,10 +325,13 @@ def smooth_random_field(geometry, seed, kmax=8, support_radius=None):
     A band-limited random Fourier sum (counter-based Philox stream) over the
     DFT modes pi k / L with 0 <= k_i <= kmax, 1 <= kmax < N/2, synthesized by
     one inverse FFT, is multiplied by a mollifier window so the result is
-    C_c^infinity inside |x| < support_radius.
+    C_c^infinity inside |x| < support_radius.  support_radius must be finite
+    and positive.
     """
     if support_radius is None:
         support_radius = 0.85 * geometry.box_halfwidth
+    elif not (np.isfinite(support_radius) and support_radius > 0):
+        raise ValueError(f"support radius must be finite and positive, got {support_radius}")
     vals, _ = _random_trig_sum(geometry, seed, kmax)
     vals = vals * mollifier_profile(geometry.radius() / support_radius)
     peak = np.max(np.abs(vals))

@@ -85,8 +85,17 @@ def apply_multiplier(symbol, values):
 
 
 def parseval_pairing(weight, a_hat, b_hat, cell_volume):
-    """Weighted Parseval sum  sum w Re(a_hat conj(b_hat)) h^n / N^n  of two FFTs."""
-    return float(np.sum(weight * (a_hat * np.conj(b_hat)).real)) * cell_volume / a_hat.size
+    """Weighted Parseval sum  sum w Re(a_hat conj(b_hat)) h^n / N^n  of two FFTs.
+
+    a_hat and b_hat are FFTs of grid fields, giving a float, or of (k, *grid)
+    and (l, *grid) stacks, giving the (k, l) matrix of every pair's sum as one
+    weighted matrix product.
+    """
+    if a_hat.ndim == weight.ndim:
+        return float(np.sum(weight * (a_hat * np.conj(b_hat)).real)) * cell_volume / a_hat.size
+    a = a_hat.reshape(a_hat.shape[0], -1)
+    b = b_hat.reshape(b_hat.shape[0], -1)
+    return ((a * weight.reshape(-1)) @ b.conj().T).real * (cell_volume / weight.size)
 
 
 # columns per block when interior matrices are filled blockwise
@@ -103,15 +112,19 @@ class FracOperator:
     The geometry fixes everything: the order s, the constant c_{n,s} and
     every weight array.  The operator owns what it derives from them, each
     built on first use and kept for its lifetime: both weight families,
-    their real-FFT half spectra, the quadrature symbol, the interior stencil, and the
-    factored interior systems (`systems`, a least-recently-used store that
-    `solver.interior_system` fills and bounds).  Nothing is cached outside
-    an operator, so two operators share no state.
+    their real-FFT half spectra, the quadrature symbol, the interior
+    stencil, and two least-recently-used stores that the solver fills and
+    bounds: the factored interior systems (`systems`, filled by
+    `solver.interior_system`) and the full-grid weight convolutions of the
+    stacked exterior data (`convolutions`, filled by
+    `solver.InteriorSystem.apply`).  Nothing is cached outside an operator,
+    so two operators share no state.
     """
 
     def __init__(self, geometry):
         self.geometry = geometry
         self.systems = OrderedDict()  # least recently used first
+        self.convolutions = OrderedDict()  # least recently used first
 
     @property
     def s(self):
@@ -230,8 +243,8 @@ def bilinear_form(u: GridField, v: GridField, gamma, op: FracOperator) -> float:
     """Conductivity energy pairing B_gamma(u, v): the full moment-weight
     pair sum, which is the Galerkin discretization.
 
-    gamma is a Conductivity, an array of conductivity values on the grid, or
-    None for the unit conductivity.
+    gamma is a Conductivity, an array of finite positive conductivity values
+    on the grid, or None for the unit conductivity.
     """
     if not u.same_grid(v):
         raise ValueError("geometry mismatch")
@@ -239,8 +252,12 @@ def bilinear_form(u: GridField, v: GridField, gamma, op: FracOperator) -> float:
     if hasattr(gamma, "geometry"):
         if gamma.geometry != geom:
             raise ValueError("geometry mismatch")
-    elif gamma is not None and np.shape(gamma) != geom.shape:
-        raise ValueError(f"conductivity of shape {np.shape(gamma)} does not fit the grid {geom.shape}")
+    elif gamma is not None:
+        if np.shape(gamma) != geom.shape:
+            raise ValueError(f"conductivity of shape {np.shape(gamma)} does not fit the grid {geom.shape}")
+        vals = np.asarray(gamma, dtype=float)
+        if not np.all(np.isfinite(vals) & (vals > 0)):
+            raise ValueError("conductivity values must be finite and positive")
     g = _gamma_sqrt(gamma)
     return pair_form(op.form_spectrum, op.cns, geom.cell_volume, g, u.values, v.values)
 
@@ -265,18 +282,12 @@ def hs_norm(u: GridField, s: float) -> float:
 
 
 def hs_gram(basis, s: float) -> np.ndarray:
-    """Gram matrix of a list of grid fields in the discrete H^s product.
-
-    Each field is transformed once; every pair sum is a `parseval_pairing`.
-    """
+    """Gram matrix of a list of grid fields in the discrete H^s product:
+    one FFT of the stacked fields and one stacked `parseval_pairing`."""
     if len(basis) == 0:
         raise ValueError("empty basis")
     geom = basis[0].geometry
-    weight = bessel_symbol(geom, s)
-    hats = [np.fft.fftn(b.values) for b in basis]
-    k = len(basis)
-    G = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            G[i, j] = G[j, i] = parseval_pairing(weight, hats[i], hats[j], geom.cell_volume)
+    axes = tuple(range(1, geom.n + 1))
+    hats = np.fft.fftn(np.stack([b.values for b in basis]), axes=axes)
+    G = parseval_pairing(bessel_symbol(geom, s), hats, hats, geom.cell_volume)
     return 0.5 * (G + G.T)

@@ -10,15 +10,20 @@ congruence D_g A_gamma D_g of the conductivity block; Cholesky failure for
 a potential therefore signals a genuinely non-transformed, non-coercive q
 and is reported as such.
 
-Solves are batched: a stack of k exterior data costs one stacked full-grid
-apply for the right-hand sides, one multi-RHS Cholesky solve and one
-stacked apply for the fluxes.  Each full-grid apply convolves with the
-operator's weight spectrum through `operators.apply_multiplier`, one
-forward and one inverse real FFT, the path every pair form takes too.  The
-block is built by scaling the operator's unit stencil and factored in
-place, so one array per system holds the factor (lower triangle) and the
-block (strict upper triangle, diagonal kept apart).  Every column's
-Galerkin residual is checked against that packed block.
+Solves are batched and use the discrete Alessandrini identity.  For a
+(k, *grid) stack F of exterior data, one stacked full-grid apply gives AF;
+its interior rows are the right-hand sides B = -(AF)_Omega, one multi-RHS
+Cholesky solve gives the interior values X, and the energy pairings of the
+solutions are M = F (AF)^T - X^T B, with no second apply for the fluxes.
+The one FFT pair of an apply is the convolution of the weights with g F
+(with F for a potential), through `operators.apply_multiplier`; the
+operator keeps the last two in `FracOperator.convolutions`, keyed by a
+digest of g F.  Where g = 1 on the support of F, g F is bitwise F, so every
+potential and every conductivity equal to 1 there share one convolution
+per basis.  The block is built by scaling the operator's unit stencil and
+factored in place, so one array per system holds the factor (lower
+triangle) and the block (strict upper triangle, diagonal kept apart).
+Every column's Galerkin residual is checked against that packed block.
 
 The operator owns the factored systems: `interior_system` keeps them in
 `FracOperator.systems`, keyed by the coefficient's kind and values, and
@@ -91,8 +96,26 @@ class Solution:
 def _digest(*arrays):
     hsh = hashlib.sha256()
     for a in arrays:
-        hsh.update(np.ascontiguousarray(a).tobytes())
+        hsh.update(np.ascontiguousarray(a))
     return hsh.hexdigest()[:24]
+
+
+def _kept(store, key, limit, build):
+    """store[key], built on a miss, in a least-recently-used store of at most
+    limit entries; the oldest entry is freed before the new one is built."""
+    if key in store:
+        store.move_to_end(key)
+    else:
+        if len(store) >= limit:
+            store.popitem(last=False)
+        store[key] = build()
+    return store[key]
+
+
+# full-grid convolutions an operator keeps: a basis convolved with 1 (shared
+# by every potential) and with the last conductivity that differs there;
+# each is k * N^n floats, 33 MB for 16 fields at 2D N=512
+_CONVOLUTIONS_KEPT = 2
 
 
 class InteriorSystem:
@@ -101,10 +124,10 @@ class InteriorSystem:
     coefficient is a Conductivity (conductivity equation) or a Potential
     (Schrodinger equation) on the operator's grid.  Matrix-vector products
     with the full-grid operator are `apply_multiplier` convolutions with the
-    operator's cached weight spectrum; only the interior block is ever
-    formed densely.  One n x n array holds both the block and its
-    Cholesky factor: L in the lower triangle, the block in the strict upper
-    triangle, and the block's diagonal kept apart.
+    operator's cached weight spectrum, kept in its convolution store; only
+    the interior block is ever formed densely.  One n x n array holds both
+    the block and its Cholesky factor: L in the lower triangle, the block in
+    the strict upper triangle, and the block's diagonal kept apart.
     """
 
     def __init__(self, coefficient, op: FracOperator):
@@ -130,13 +153,17 @@ class InteriorSystem:
         # itself would make it and its stored systems a reference cycle
         self._stencil = op.interior_stencil
         self._spectrum = op.form_spectrum
+        self._convolutions = op.convolutions
         self._scale = op.cns * geom.cell_volume
         G = np.ones(geom.shape) if self.g is None else self.g
-        # w * g, the diagonal's convolution; apply reuses it
-        self._wg = apply_multiplier(self._spectrum, G)
-        diag = self._scale * (G * self._wg).reshape(-1)[self.idx]
-        if self.q is not None:
+        wg = apply_multiplier(self._spectrum, G)  # w * g, the diagonal's convolution
+        diag = self._scale * (G * wg).reshape(-1)[self.idx]
+        # the factors of apply: A u = s (e u - w * (g u))
+        if self.q is None:
+            self._e, self._s = wg, self._scale * self.g
+        else:
             diag = diag + geom.cell_volume * self.q.reshape(-1)[self.idx]
+            self._e, self._s = wg + self.q / op.cns, self._scale
         self._diag = diag
 
         factor, info = dpotrf(self._interior_block(), lower=1, clean=0, overwrite_a=1)
@@ -177,27 +204,40 @@ class InteriorSystem:
     # -- full-grid operator --------------------------------------------------
 
     def apply(self, values):
-        """Full-grid stiffness applied to a field or a (k, *grid) stack."""
-        if self.g is None:
-            return self._scale * (
-                values * self._wg - apply_multiplier(self._spectrum, values)
-            ) + self.geometry.cell_volume * self.q * values
-        return self._scale * self.g * (
-            values * self._wg - apply_multiplier(self._spectrum, self.g * values)
+        """Full-grid stiffness applied to a field or a (k, *grid) stack.
+
+        A u = s (e u - w * (g u)) with s = c h^n g and e = w * g, or, for a
+        potential, g = 1, s = c h^n and e = w * 1 + q / c.  The one FFT
+        pair, the convolution w * (g u), is kept in the operator's
+        convolution store under a digest of g u and its shape.
+        """
+        gv = values if self.g is None else self.g * values
+        conv = _kept(
+            self._convolutions,
+            (gv.shape, _digest(gv)),
+            _CONVOLUTIONS_KEPT,
+            lambda: apply_multiplier(self._spectrum, gv),
         )
+        out = values * self._e
+        out -= conv
+        out *= self._s
+        return out
 
     def solve_many(self, data, tol: float = 1e-10):
-        """Solve for a (k, *grid) stack of exterior data in one batch.
+        """Solve for a (k, *grid) stack F of exterior data in one batch.
 
-        One stacked apply gives the right-hand sides, one multi-RHS Cholesky
-        solve the interior values, and a second stacked apply the fluxes.
-        Each column's Galerkin residual is measured against the dense block
-        and must not exceed tol.  Returns (U, Z, residuals): the full-grid
-        solutions, their fluxes apply(U) and the residual of each column.
+        One stacked apply gives AF and the right-hand sides B = -(AF)_Omega,
+        one multi-RHS Cholesky solve the interior values X.  Each column's
+        Galerkin residual is measured against the dense block and must not
+        exceed tol.  Returns (U, M, residuals): the full-grid solutions, the
+        energy pairings M_ij = B(u_i, f_j) = B(u_i, u_j) and the residual of
+        each column.  M = F (AF)^T - X^T B by Alessandrini's identity, which
+        needs no flux apply; it is returned unsymmetrized.
         """
         F = np.asarray(data, dtype=float)
         k = F.shape[0]
-        B = -self.apply(F).reshape(k, -1)[:, self.idx].T
+        AF = self.apply(F).reshape(k, -1)
+        B = -AF[:, self.idx].T
         X = sla.cho_solve((self._factor, True), B, check_finite=False)
         R = self._block_product(X) - B
         scale = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
@@ -209,19 +249,20 @@ class InteriorSystem:
                 f"Galerkin residual {residuals[i]:.3e} exceeds tol {tol:.3e} "
                 f"in column {i}"
             )
-        U = F.reshape(k, -1).copy()
+        flat = F.reshape(k, -1)
+        M = flat @ AF.T - X.T @ B
+        U = flat.copy()
         U[:, self.idx] = X.T
-        U = U.reshape(F.shape)
-        return U, self.apply(U), residuals
+        return U.reshape(F.shape), M, residuals
 
     def solve(self, datum: ExteriorDatum, tol: float = 1e-10) -> Solution:
         if datum.geometry != self.geometry:
             raise ValueError("geometry mismatch")
-        U, Z, residuals = self.solve_many(datum.values[None], tol)
+        U, M, residuals = self.solve_many(datum.values[None], tol)
         return Solution(
             u=GridField(self.geometry, U[0]),
             residual=float(residuals[0]),
-            energy=float(np.sum(U[0] * Z[0])),
+            energy=float(M[0, 0]),
         )
 
     def smallest_eigenvalue(self):
@@ -249,14 +290,7 @@ def interior_system(coefficient, op: FracOperator) -> InteriorSystem:
         raise ValueError("coefficient and operator live on different grids")
     tag = "c" if isinstance(coefficient, Conductivity) else "q"
     key = (tag, _digest(coefficient.values))
-    systems = op.systems
-    if key in systems:
-        systems.move_to_end(key)
-    else:
-        if len(systems) >= _SYSTEMS_KEPT:
-            systems.popitem(last=False)  # freed before the new block is built
-        systems[key] = InteriorSystem(coefficient, op)
-    return systems[key]
+    return _kept(op.systems, key, _SYSTEMS_KEPT, lambda: InteriorSystem(coefficient, op))
 
 
 def solve_conductivity(

@@ -19,7 +19,8 @@ from fraccond.dnmap import (
     dn_operator_norm,
     restrict_dn,
 )
-from fraccond.geometry import default_geometry
+from fraccond.experiments import suite_reduction
+from fraccond.geometry import default_geometry, mollifier_profile
 from fraccond.operators import FracOperator, hs_gram
 from fraccond.solver import ExteriorDatum, SolverError, interior_system
 
@@ -180,24 +181,33 @@ class TestAssembly:
             DnMatrix(entries=entries, basis=basis, equation="conductivity")
 
 
-def column_reference(coefficient, basis, op):
-    """DN matrix one column at a time: dense solve, flux through a complex-FFT
-    convolution of the weights that shares no code with the solver's apply."""
-    system = interior_system(coefficient, op)
-    A = system._interior_block()
-    geom = basis.geometry
+def reference_apply(coefficient, op):
+    """Full-grid stiffness through a complex-FFT convolution of the weights
+    that shares no code with the solver's apply."""
+    geom = op.geometry
     h_n = geom.cell_volume
     conductivity = isinstance(coefficient, Conductivity)
     g = coefficient.sqrt_values if conductivity else np.ones(geom.shape)
     w_hat = np.fft.fftn(op.form_weights)
+    axes = tuple(range(-geom.n, 0))
 
     def conv(x):
-        return np.fft.ifftn(w_hat * np.fft.fftn(x)).real
+        return np.fft.ifftn(w_hat * np.fft.fftn(x, axes=axes), axes=axes).real
 
     def full_apply(u):
         out = op.cns * h_n * g * (u * conv(g) - conv(g * u))
         return out if conductivity else out + h_n * coefficient.values * u
 
+    return full_apply
+
+
+def column_reference(coefficient, basis, op):
+    """DN matrix one column at a time: dense solve, flux through
+    `reference_apply`."""
+    system = interior_system(coefficient, op)
+    A = system._interior_block()
+    geom = basis.geometry
+    full_apply = reference_apply(coefficient, op)
     k = len(basis)
     M = np.empty((k, k))
     for i, f in enumerate(basis.functions):
@@ -208,6 +218,83 @@ def column_reference(coefficient, basis, op):
         for j, fj in enumerate(basis.functions):
             M[i, j] = np.sum(fj.values * z)
     return M
+
+
+def two_apply_reference(coefficient, basis, op):
+    """DN matrix as the flux pairing Z F^T: one stacked apply for the
+    right-hand sides, a dense solve, a second stacked apply Z = A U."""
+    system = interior_system(coefficient, op)
+    full_apply = reference_apply(coefficient, op)
+    F = np.stack([f.values for f in basis.functions])
+    k = len(basis)
+    B = -full_apply(F).reshape(k, -1)[:, system.idx].T
+    U = F.reshape(k, -1).copy()
+    U[:, system.idx] = np.linalg.solve(system._interior_block(), B).T
+    Z = full_apply(U.reshape(F.shape))
+    return Z.reshape(k, -1) @ F.reshape(k, -1).T
+
+
+def ring_conductivity(geom, height=0.3):
+    """A conductivity that differs from 1 on the annulus (2, 3) only."""
+    bump = mollifier_profile((geom.radius() - 2.5) / 0.45)
+    return Conductivity(geom, 1.0 + height * bump, gamma0=0.5)
+
+
+class TestAlessandriniAssembly:
+    """One stacked apply per DN matrix, its convolution kept by the operator."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("case", ["potential", "unit", "ring"])
+    def test_matches_two_apply_reference(self, geom, geom2d, n, case):
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        coefficient = {
+            "potential": lambda: liouville_potential(bump_conductivity(g, 0.5, 0.8), op),
+            "unit": lambda: Conductivity(g, np.ones(g.shape), gamma0=0.5),
+            "ring": lambda: ring_conductivity(g),
+        }[case]()
+        M = assemble_dn(coefficient, b, op).entries
+        ref = two_apply_reference(coefficient, b, op)
+        assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_support_change_is_not_a_stale_hit(self, geom, geom2d, n):
+        g = geom if n == 1 else geom2d
+        b = build_exterior_basis(g, "annulus", 8, kind="bumps")
+        ring = ring_conductivity(g)
+        op = FracOperator(g)
+        assemble_dn(Conductivity(g, np.ones(g.shape), gamma0=0.5), b, op)
+        cached = assemble_dn(ring, b, op).entries
+        fresh = assemble_dn(ring, b, FracOperator(g)).entries
+        assert len(op.convolutions) == 2
+        assert np.array_equal(cached, fresh)
+
+    def test_unit_on_support_shares_one_convolution(self, geom):
+        op = FracOperator(geom)
+        b = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        bump = bump_conductivity(geom, height=0.5, width=0.8)  # 1 outside Omega
+        for c in (bump, liouville_potential(bump, op), Potential(geom, np.zeros(geom.shape))):
+            assemble_dn(c, b, op)
+        assert len(op.convolutions) == 1
+
+    def test_reduction_suite_convolves_each_basis_once(self, geom_small, monkeypatch):
+        # a per-matrix FFT coming back would show as one stacked call per
+        # assembly (24 here) instead of one per basis
+        import fraccond.solver as solver
+
+        stacked = []
+        plain = solver.apply_multiplier
+
+        def counting(symbol, values):
+            if values.ndim > geom_small.n:
+                stacked.append(values.shape)
+            return plain(symbol, values)
+
+        monkeypatch.setattr(solver, "apply_multiplier", counting)
+        out = suite_reduction(geom_small, FracOperator(geom_small), {"basis_size": 8})
+        assert len(out["checks"]) == 6
+        assert stacked == [(8, geom_small.grid_points)]
 
 
 class TestOperatorNorm:

@@ -240,6 +240,18 @@ class TestRandomFields:
         assert np.all(f.values[geom.radius() >= 4.0] == 0.0)
         assert np.max(np.abs(f.values)) == pytest.approx(1.0)
 
+    def test_support_radius_must_be_finite_and_positive(self, geom):
+        # a zero radius gives a 0/0 window and an all-zero field, and the
+        # window's |t| would silently fold a negative radius to its absolute value
+        for radius in (0.0, -1.0, -4.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="support radius"):
+                smooth_random_field(geom, seed=5, support_radius=radius)
+
+    def test_default_radius_is_the_explicit_one(self, geom):
+        default = smooth_random_field(geom, seed=5)
+        explicit = smooth_random_field(geom, seed=5, support_radius=0.85 * geom.box_halfwidth)
+        assert np.array_equal(default.values, explicit.values)
+
     def test_bandlimited_grid_independent(self):
         coarse = default_geometry(n=1, grid_points=512)
         fine = default_geometry(n=1, grid_points=1024)

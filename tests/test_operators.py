@@ -11,6 +11,7 @@ from fraccond.geometry import (
     GeometryConfig,
     GridField,
     bandlimited_field,
+    default_geometry,
     mollifier_profile,
     smooth_random_field,
 )
@@ -297,6 +298,16 @@ class TestBilinearForm:
                 bilinear_form(u, u, gamma, op)
         assert bilinear_form(u, u, np.full(256, 2.0), op) > 0.0
 
+    def test_gamma_array_not_positive_and_finite_rejected(self, geom_small):
+        # a square root of these would give nan (negative) or a zero form
+        op = FracOperator(geom_small)
+        u = smooth_random_field(geom_small, seed=1)
+        one_bad = np.ones(256)
+        one_bad[7] = np.inf
+        for gamma in (np.full(256, -1.0), np.zeros(256), one_bad, np.full(256, np.nan)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                bilinear_form(u, u, gamma, op)
+
 
 class TestGradientEnergy:
     """The energy <Theta_gamma grad_s u, grad_s u> is bilinear_form(u, u)."""
@@ -375,6 +386,26 @@ class TestHsGram:
     def test_empty_basis_rejected(self, geom):
         with pytest.raises(ValueError):
             hs_gram([], geom.s)
+
+    @pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
+    def test_stacked_gram_matches_pairwise_inner_products(self, n, N):
+        g = default_geometry(n=n, grid_points=N)
+        fs = [smooth_random_field(g, seed=s, kmax=5) for s in range(5)]
+        G = hs_gram(fs, g.s)
+        ref = np.array([[hs_inner(a, b, g.s) for b in fs] for a in fs])
+        assert np.array_equal(G, G.T)
+        assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_stacked_pairing_is_rectangular(self, geom):
+        w = bessel_symbol(geom, geom.s)
+        a = np.fft.fftn([smooth_random_field(geom, seed=s).values for s in range(3)], axes=(1,))
+        b = np.fft.fftn([smooth_random_field(geom, seed=s).values for s in (7, 8)], axes=(1,))
+        P = parseval_pairing(w, a, b, geom.cell_volume)
+        assert P.shape == (3, 2)
+        for i in range(3):
+            for j in range(2):
+                one = parseval_pairing(w, a[i], b[j], geom.cell_volume)
+                assert P[i, j] == pytest.approx(one, rel=1e-13)
 
     def test_inner_product_symmetric(self, geom):
         a = smooth_random_field(geom, seed=21)

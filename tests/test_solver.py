@@ -237,6 +237,34 @@ class TestSystemStore:
         assert len(op.systems) == len(other.systems) == 1
 
 
+class TestConvolutionStore:
+    """Each operator keeps the full-grid convolutions of its two most recently
+    applied stacks."""
+
+    def test_least_recently_used_is_evicted(self, geom_small):
+        op = FracOperator(geom_small)
+        system = interior_system(Potential(geom_small, np.zeros(geom_small.shape)), op)
+        a, b, c = (
+            annulus_bump_datum(geom_small, center=x).values[None] for x in (2.2, 2.5, 2.8)
+        )
+        system.apply(a)
+        conv_a = next(reversed(op.convolutions.values()))
+        system.apply(b)
+        system.apply(a)  # a hit: a is now the most recent
+        assert next(reversed(op.convolutions.values())) is conv_a
+        system.apply(c)  # evicts b
+        assert len(op.convolutions) == 2
+        assert next(iter(op.convolutions.values())) is conv_a
+
+    def test_conductivity_and_potential_share_a_unit_entry(self, geom_small):
+        op = FracOperator(geom_small)
+        one = Conductivity(geom_small, np.ones(geom_small.shape), gamma0=0.5)
+        zero = Potential(geom_small, np.zeros(geom_small.shape))
+        F = annulus_bump_datum(geom_small).values[None]
+        assert np.array_equal(interior_system(one, op).apply(F), interior_system(zero, op).apply(F))
+        assert len(op.convolutions) == 1
+
+
 class TestSchrodingerSolve:
     def test_zero_everything(self, geom, op_quad):
         z = ExteriorDatum(geom, np.zeros(geom.shape))
