@@ -171,6 +171,11 @@ class FracOperator:
         weight at x_j - x_i, so the matrix is exactly symmetric.  It is in
         Fortran order: interior blocks are scaled copies of it that LAPACK
         factors in place.
+
+        Every offset lies in [-D, D]^n, D the largest coordinate difference
+        inside Omega, so the entries are read from that window of the
+        weights (taken mod N, the wraparound of the periodic box) at the
+        offset's key in base 2D + 1: the difference of two point keys.
         """
         geom = self.geometry
         N = geom.grid_points
@@ -179,11 +184,21 @@ class FracOperator:
         w = 0.5 * (w + np.roll(np.flip(w, axes), 1, axes))  # w(r) <- w(-r)
         coords = np.unravel_index(np.flatnonzero(geom.omega_mask()), geom.shape)
         m = coords[0].size
+        D = max(int(a.max() - a.min()) for a in coords)
+        span = np.arange(-D, D + 1) % N
+        window = w[np.ix_(*[span] * geom.n)].reshape(-1)
+        key = np.zeros(m, dtype=np.intp)
+        center = 0  # the key of offset 0
+        for a in coords:
+            key = key * (2 * D + 1) + (a - a.min())
+            center = center * (2 * D + 1) + D
+        row = key + center
         stencil = np.empty((m, m), order="F")
-        # column blocks bound the index temporaries to m * _BLOCK entries
+        # column blocks bound the index temporaries to m * _BLOCK entries;
+        # each block is gathered transposed, so it is written contiguously
         for c0 in range(0, m, _BLOCK):
             cols = slice(c0, c0 + _BLOCK)
-            stencil[:, cols] = w[tuple((a[:, None] - a[None, cols]) % N for a in coords)]
+            stencil[:, cols] = window.take(row[None, :] - key[cols, None]).T
         return stencil
 
     @cached_property

@@ -5,10 +5,11 @@ fixed and couples in through the right-hand side b_i = -B(f_ext, e_i).
 The interior stiffness block is dense (the kernel couples every pair of
 cells) but small, so a Cholesky factorization is the solver.  For the
 Schrodinger equation the stiffness is the unit-conductivity block plus the
-diagonal h^n q, which by the exact discrete Liouville transform is the
-congruence D_g A_gamma D_g of the conductivity block; Cholesky failure for
-a potential therefore signals a genuinely non-transformed, non-coercive q
-and is reported as such.
+diagonal h^n q; by the exact discrete Liouville transform the conductivity
+block is congruent to it, A_gamma = D_g (A_1 + h^n Q) D_g with D_g the
+diagonal of g = gamma^(1/2) on Omega.  Cholesky failure for a potential
+therefore signals a genuinely non-transformed, non-coercive q and is
+reported as such.
 
 Solves are batched and use the discrete Alessandrini identity.  For a
 (k, *grid) stack F of exterior data, one stacked full-grid apply gives AF;
@@ -20,10 +21,14 @@ The one FFT pair of an apply is the convolution of the weights with g F
 operator keeps the last two in `FracOperator.convolutions`, keyed by a
 digest of g F.  Where g = 1 on the support of F, g F is bitwise F, so every
 potential and every conductivity equal to 1 there share one convolution
-per basis.  The block is built by scaling the operator's unit stencil and
-factored in place, so one array per system holds the factor (lower
-triangle) and the block (strict upper triangle, diagonal kept apart).
-Every column's Galerkin residual is checked against that packed block.
+per basis.  Every block is built in that congruence form, A_gamma =
+D_g A' D_g: A' is one scaled copy of the operator's unit stencil with the
+diagonal of A_gamma divided by g^2 (for a potential g = 1 and A' is the
+block itself).  A' is factored in place, so one array per system holds its
+factor (lower triangle) and A' (strict upper triangle, diagonal kept
+apart); the solve is X = D_g^-1 A'^-1 D_g^-1 B.  Every column's Galerkin
+residual is checked against A_gamma itself, D_g A' D_g applied from that
+packed block.  A_gamma is positive definite exactly when A' is, as g > 0.
 
 The operator owns the factored systems: `interior_system` keeps them in
 `FracOperator.systems`, keyed by the coefficient's kind and values, and
@@ -45,7 +50,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .conductivity import Conductivity, Potential
 from .geometry import GridField
-from .operators import _BLOCK, FracOperator, apply_multiplier
+from .operators import FracOperator, apply_multiplier
 
 __all__ = [
     "SolverError",
@@ -125,9 +130,11 @@ class InteriorSystem:
     (Schrodinger equation) on the operator's grid.  Matrix-vector products
     with the full-grid operator are `apply_multiplier` convolutions with the
     operator's cached weight spectrum, kept in its convolution store; only
-    the interior block is ever formed densely.  One n x n array holds both
-    the block and its Cholesky factor: L in the lower triangle, the block in
-    the strict upper triangle, and the block's diagonal kept apart.
+    the interior block is ever formed densely, in the congruence form
+    A_gamma = D_g A' D_g (g = 1 for a potential).  One n x n array holds
+    both A' and its Cholesky factor: L in the lower triangle, A' in the
+    strict upper triangle, and its diagonal `_diag` kept apart; `_gi` is g
+    on Omega.
     """
 
     def __init__(self, coefficient, op: FracOperator):
@@ -164,7 +171,9 @@ class InteriorSystem:
         else:
             diag = diag + geom.cell_volume * self.q.reshape(-1)[self.idx]
             self._e, self._s = wg + self.q / op.cns, self._scale
-        self._diag = diag
+        # A_gamma = D_g A' D_g; A' has A_gamma's diagonal divided by g^2
+        self._gi = G.reshape(-1)[self.idx]
+        self._diag = diag / self._gi**2
 
         factor, info = dpotrf(self._interior_block(), lower=1, clean=0, overwrite_a=1)
         if info != 0:
@@ -181,25 +190,19 @@ class InteriorSystem:
         self._factor = factor
 
     def _interior_block(self):
-        """Dense interior block: the operator's unit stencil, scaled."""
-        stencil = self._stencil
-        A = np.empty_like(stencil)
-        if self.g is None:
-            np.multiply(stencil, -self._scale, out=A)
-        else:
-            # scaling by the outer product g_i g_j keeps A exactly symmetric
-            gi = self.g.reshape(-1)[self.idx]
-            for c0 in range(0, gi.size, _BLOCK):
-                cols = slice(c0, c0 + _BLOCK)
-                A[:, cols] = stencil[:, cols] * (-self._scale * np.outer(gi, gi[cols]))
+        """A', the dense interior block of the unit stencil: its off-diagonal
+        entries scaled by -c h^n, its diagonal that of A_gamma over g^2."""
+        A = np.multiply(self._stencil, -self._scale)  # Fortran order, as the stencil
         np.fill_diagonal(A, self._diag)
         return A
 
     def _block_product(self, X):
-        """Interior block times X, read from the packed upper triangle."""
-        AX = dsymm(1.0, self._factor, X, lower=0)
-        AX += (self._diag - np.diagonal(self._factor))[:, None] * X
-        return AX
+        """A_gamma X = D_g A' D_g X, A' read from the packed upper triangle."""
+        Y = self._gi[:, None] * X
+        AY = dsymm(1.0, self._factor, Y, lower=0)
+        AY += (self._diag - np.diagonal(self._factor))[:, None] * Y
+        AY *= self._gi[:, None]
+        return AY
 
     # -- full-grid operator --------------------------------------------------
 
@@ -227,18 +230,21 @@ class InteriorSystem:
         """Solve for a (k, *grid) stack F of exterior data in one batch.
 
         One stacked apply gives AF and the right-hand sides B = -(AF)_Omega,
-        one multi-RHS Cholesky solve the interior values X.  Each column's
-        Galerkin residual is measured against the dense block and must not
-        exceed tol.  Returns (U, M, residuals): the full-grid solutions, the
-        energy pairings M_ij = B(u_i, f_j) = B(u_i, u_j) and the residual of
-        each column.  M = F (AF)^T - X^T B by Alessandrini's identity, which
-        needs no flux apply; it is returned unsymmetrized.
+        one multi-RHS Cholesky solve the interior values X = D_g^-1 A'^-1
+        D_g^-1 B.  Each column's Galerkin residual is measured against the
+        dense block A_gamma = D_g A' D_g and must not exceed tol.  Returns
+        (U, M, residuals): the full-grid solutions, the energy pairings
+        M_ij = B(u_i, f_j) = B(u_i, u_j) and the residual of each column.
+        M = F (AF)^T - X^T B by Alessandrini's identity, which needs no flux
+        apply; it is returned unsymmetrized.
         """
         F = np.asarray(data, dtype=float)
         k = F.shape[0]
         AF = self.apply(F).reshape(k, -1)
         B = -AF[:, self.idx].T
-        X = sla.cho_solve((self._factor, True), B, check_finite=False)
+        gi = self._gi[:, None]
+        X = sla.cho_solve((self._factor, True), B / gi, check_finite=False)
+        X /= gi
         R = self._block_product(X) - B
         scale = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
         residuals = np.linalg.norm(R, axis=0) / scale
@@ -266,8 +272,12 @@ class InteriorSystem:
         )
 
     def smallest_eigenvalue(self):
+        """Smallest eigenvalue of A_gamma = D_g A' D_g."""
+        A = self._interior_block()
+        A *= self._gi[:, None]
+        A *= self._gi
         vals = sla.eigh(
-            self._interior_block(),
+            A,
             eigvals_only=True,
             subset_by_index=[0, 0],
             check_finite=False,

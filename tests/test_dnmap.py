@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf
 
 from fraccond.conductivity import (
     Conductivity,
@@ -24,7 +25,7 @@ from fraccond.geometry import default_geometry, mollifier_profile
 from fraccond.operators import FracOperator, hs_gram
 from fraccond.solver import ExteriorDatum, SolverError, interior_system
 
-from conftest import two_region_geometry
+from conftest import reference_block, two_region_geometry
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +206,7 @@ def column_reference(coefficient, basis, op):
     """DN matrix one column at a time: dense solve, flux through
     `reference_apply`."""
     system = interior_system(coefficient, op)
-    A = system._interior_block()
+    A = reference_block(coefficient, op)
     geom = basis.geometry
     full_apply = reference_apply(coefficient, op)
     k = len(basis)
@@ -229,7 +230,7 @@ def two_apply_reference(coefficient, basis, op):
     k = len(basis)
     B = -full_apply(F).reshape(k, -1)[:, system.idx].T
     U = F.reshape(k, -1).copy()
-    U[:, system.idx] = np.linalg.solve(system._interior_block(), B).T
+    U[:, system.idx] = np.linalg.solve(reference_block(coefficient, op), B).T
     Z = full_apply(U.reshape(F.shape))
     return Z.reshape(k, -1) @ F.reshape(k, -1).T
 
@@ -238,6 +239,51 @@ def ring_conductivity(geom, height=0.3):
     """A conductivity that differs from 1 on the annulus (2, 3) only."""
     bump = mollifier_profile((geom.radius() - 2.5) / 0.45)
     return Conductivity(geom, 1.0 + height * bump, gamma0=0.5)
+
+
+def outer_product_path(coefficient, basis, op):
+    """DN matrix with the entrywise block A_gamma factored by dpotrf:
+    X = A_gamma^-1 B and M = F (AF)^T - X^T B, with no congruence."""
+    system = interior_system(coefficient, op)
+    F = np.stack([f.values for f in basis.functions])
+    k = len(basis)
+    AF = system.apply(F).reshape(k, -1)
+    B = -AF[:, system.idx].T
+    block = np.asfortranarray(reference_block(coefficient, op))
+    factor, info = dpotrf(block, lower=1, clean=0, overwrite_a=1)
+    assert info == 0
+    X = sla.cho_solve((factor, True), B, check_finite=False)
+    M = F.reshape(k, -1) @ AF.T - X.T @ B
+    return 0.5 * (M + M.T)  # symmetrized as DnMatrix stores it
+
+
+class TestCongruenceAssembly:
+    """DN matrices through A_gamma = D_g A' D_g against the entrywise block."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_conductivity_matches_outer_product_path(self, geom, geom2d, n):
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        gam = bump_conductivity(g, height=0.5, width=0.8)
+        assert np.any(gam.sqrt_values[g.omega_mask()] != 1.0)
+        M = assemble_dn(gam, b, op).entries
+        ref = outer_product_path(gam, b, op)
+        assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("case", ["unit-on-omega", "potential"])
+    def test_bitwise_where_g_is_one(self, geom, geom2d, n, case):
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        if case == "potential":
+            coefficient = liouville_potential(bump_conductivity(g, 0.5, 0.8), op)
+        else:
+            coefficient = ring_conductivity(g)
+            assert np.all(coefficient.sqrt_values[g.omega_mask()] == 1.0)
+        M = assemble_dn(coefficient, b, op).entries
+        assert np.array_equal(M, outer_product_path(coefficient, b, op))
 
 
 class TestAlessandriniAssembly:

@@ -437,3 +437,36 @@ class TestWeights:
         k = geom2d.freq_magnitude()
         sel = (k > 0) & (k < 5)
         assert np.max(np.abs(sym_q[sel] - sym_s[sel]) / sym_s[sel]) <= 3e-2
+
+
+def fancy_index_stencil(op):
+    """Interior stencil gathered with one modulo-N index array per axis."""
+    geom = op.geometry
+    N = geom.grid_points
+    axes = tuple(range(geom.n))
+    w = op.form_weights
+    w = 0.5 * (w + np.roll(np.flip(w, axes), 1, axes))
+    coords = np.unravel_index(np.flatnonzero(geom.omega_mask()), geom.shape)
+    return w[tuple((a[:, None] - a[None, :]) % N for a in coords)]
+
+
+class TestInteriorStencil:
+    @pytest.mark.parametrize(
+        "n, grid_points, omega_radius",
+        [(1, 1024, 1.0), (2, 128, 1.0), (1, 256, 4.0), (2, 64, 4.0)],
+    )
+    def test_matches_fancy_index_gather(self, n, grid_points, omega_radius):
+        geom = GeometryConfig(
+            n=n,
+            s=0.4 if n == 1 else 0.5,
+            box_halfwidth=6.0,
+            grid_points=grid_points,
+            omega_radius=omega_radius,
+        )
+        op = FracOperator(geom)
+        # an Omega wider than the box half-width has offsets that wrap around
+        coords = np.unravel_index(np.flatnonzero(geom.omega_mask()), geom.shape)
+        spread = max(int(a.max() - a.min()) for a in coords)
+        assert (spread > grid_points // 2) == (omega_radius > geom.box_halfwidth / 2)
+        assert op.interior_stencil.flags.f_contiguous
+        assert np.array_equal(op.interior_stencil, fancy_index_stencil(op))

@@ -13,12 +13,15 @@ from fraccond.geometry import GeometryConfig, mollifier_profile
 from fraccond.operators import FracOperator, bilinear_form
 from fraccond.solver import (
     ExteriorDatum,
+    InteriorSystem,
     SolverError,
     coercivity_check,
     interior_system,
     solve_conductivity,
     solve_schrodinger,
 )
+
+from conftest import reference_block
 
 
 def annulus_bump_datum(geom, center=2.5, width=0.4, height=1.0):
@@ -153,14 +156,18 @@ class TestCoercivity:
         assert coercivity_check(q, op_quad) > 0
 
     def test_rebuilt_block_matches_packed_storage(self, geom, op_quad):
-        # the in-place factor keeps the block in its strict upper triangle
+        # the in-place factor keeps A' in its strict upper triangle, and
+        # A_gamma = D_g A' D_g is the entrywise block
         gam = bump_conductivity(geom, height=0.5, width=0.8)
         system = interior_system(gam, op_quad)
         upper = np.triu(system._factor, 1)
         packed = upper + upper.T + np.diag(system._diag)
         assert np.array_equal(packed, system._interior_block())
+        congruent = system._gi[:, None] * packed * system._gi
+        ref = reference_block(gam, op_quad)
+        assert np.max(np.abs(congruent - ref)) <= 1e-15 * np.max(np.abs(ref))
         assert coercivity_check(gam, op_quad) == pytest.approx(
-            np.linalg.eigvalsh(packed)[0], rel=1e-10
+            np.linalg.eigvalsh(congruent)[0], rel=1e-10
         )
 
 
@@ -171,7 +178,7 @@ class TestPackedSystem:
         coefficient = gam if equation == "conductivity" else liouville_potential(gam, op_quad)
         system = interior_system(coefficient, op_quad)
         X = np.random.Generator(np.random.Philox(key=3)).standard_normal((system.idx.size, 3))
-        ref = system._interior_block() @ X
+        ref = reference_block(coefficient, op_quad) @ X
         assert np.max(np.abs(system._block_product(X) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_mismatched_box_rejected(self, geom, op_quad):
@@ -187,6 +194,17 @@ class TestPackedSystem:
         moved = Conductivity(other, gam.values, gamma0=gam.gamma0)
         with pytest.raises(ValueError, match="different grids"):
             interior_system(moved, op_quad)
+
+    @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
+    def test_corrupted_diagonal_fails_the_residual_check(self, geom, datum, equation):
+        op = FracOperator(geom)
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        coefficient = gam if equation == "conductivity" else liouville_potential(gam, op)
+        system = InteriorSystem(coefficient, op)  # kept out of the operator's store
+        assert system.solve(datum).residual <= 1e-10
+        system._diag = system._diag * (1.0 + 1e-6)
+        with pytest.raises(SolverError, match="residual"):
+            system.solve(datum)
 
 
 class TestSystemStore:
