@@ -9,7 +9,8 @@ Commands:
 Configs are INI files with [geometry] and [suite] sections; unknown
 sections and keys are rejected.  A run writes report.json (the
 deterministic payload, hashed) and provenance.json (version, seed, wall
-time) plus the plot sidecars.  Exit codes: 0 ok, 2 config
+time and the solver's counts: factorizations, PCG solves and iterations,
+worst Galerkin residual) plus the plot sidecars.  Exit codes: 0 ok, 2 config
 error, 3 solver failure, 4 suite invariant failure.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import sys
@@ -174,7 +176,8 @@ def canonical_payload_bytes(document):
 
 
 def execute(config, seed_override=None):
-    """Run the configured suite and return the report document."""
+    """Run the configured suite; return the report document and the
+    operator's `SolverCounts`."""
     geometry = build_geometry(config)
     suite_cfg = dict(config.get("suite", {}))
     name = suite_cfg.pop("name")
@@ -197,7 +200,7 @@ def execute(config, seed_override=None):
     document["content_hash"] = hashlib.sha256(
         canonical_payload_bytes({k: v for k, v in document.items() if k != "content_hash"})
     ).hexdigest()
-    return document
+    return document, op.counts
 
 
 def cmd_run(args):
@@ -210,7 +213,7 @@ def cmd_run(args):
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     try:
-        document = execute(config, seed_override=args.seed)
+        document, counts = execute(config, seed_override=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -230,6 +233,7 @@ def cmd_run(args):
         "seed": document["seed"],
         "wall_time_s": wall,
         "numpy": np.__version__,
+        "solver": dataclasses.asdict(counts),
     }
     (out / "provenance.json").write_text(
         json.dumps(provenance, sort_keys=True, indent=2) + "\n"

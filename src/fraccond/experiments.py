@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .conductivity import (
     Conductivity,
@@ -357,6 +356,28 @@ def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, del
 # ---------------------------------------------------------------------------
 
 
+def _average_ranks(a):
+    """Ranks 1..n of the entries of a, ties sharing the mean of their ranks."""
+    a = np.asarray(a, dtype=float)
+    order = np.argsort(a, kind="mergesort")
+    s = a[order]
+    first = np.r_[True, s[1:] != s[:-1]]  # where each run of equal values starts
+    bounds = np.flatnonzero(np.r_[first, True])
+    mean_rank = 0.5 * (bounds[:-1] + bounds[1:] + 1)
+    ranks = np.empty(a.size)
+    ranks[order] = mean_rank[np.cumsum(first) - 1]
+    return ranks
+
+
+def _rank_correlation(a, b):
+    """Spearman's rank correlation: the Pearson correlation of the average
+    ranks of a and of b; nan when either is constant."""
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    if np.ptp(ra) == 0 or np.ptp(rb) == 0:
+        return math.nan
+    return float(np.corrcoef(ra, rb)[0, 1])
+
+
 def coefficient_decay(entries, orders):
     """Envelope fit |a| <= A exp(-c maxorder) plus rank statistics."""
     buckets = {}
@@ -373,7 +394,7 @@ def coefficient_decay(entries, orders):
     logs = np.log(env[good])
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 - float(np.sum((logs - pred) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    sp = float(spearmanr(xs[good], logs).statistic) if good.sum() > 2 else 0.0
+    sp = _rank_correlation(xs[good], logs) if good.sum() > 2 else 0.0
     return {
         "amplitude": float(np.exp(coef[0])),
         "rate": float(-coef[1]),

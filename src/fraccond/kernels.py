@@ -32,7 +32,6 @@ from math import comb
 import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy.special import gamma as gamma_fn
-from scipy.integrate import dblquad, quad
 
 __all__ = [
     "normalization_constant",
@@ -227,6 +226,8 @@ def product_weights_for(s, N, L):
 
 
 def _image_weights_1d(s, N, L):
+    from scipy.integrate import quad  # deferred: it takes ~0.3 s to import
+
     Y = L + L / N  # (N/2 + 1/2) h with h = 2L/N
     T = np.zeros(N // 2 + 1)
     tail_mass = Y ** (-2.0 * s) / (2.0 * s)
@@ -273,6 +274,8 @@ def central_second_moment_for(n, s, h):
     """Integral of |y|^2 K(y) over the singular cell."""
     if n == 1:
         return 2.0 * (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    from scipy.integrate import dblquad  # deferred: it takes ~0.3 s to import
+
     c = dblquad(
         lambda y, x: (x * x + y * y) ** (-s),
         0.0,

@@ -27,9 +27,11 @@ w and g = gamma^(1/2) it reduces to two circular convolutions:
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .geometry import GridField
 from .kernels import (
@@ -42,6 +44,7 @@ from .kernels import (
 
 __all__ = [
     "FracOperator",
+    "SolverCounts",
     "frac_laplacian",
     "bilinear_form",
     "fourier_symbol",
@@ -102,6 +105,72 @@ def parseval_pairing(weight, a_hat, b_hat, cell_volume):
 _BLOCK = 256
 
 
+def _fast_length(n):
+    """The smallest 2^a 3^b 5^c >= n."""
+    while True:
+        r = n
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
+
+
+class WindowConvolution:
+    """The interior stencil times a stack of vectors, without the dense stencil.
+
+    The stencil is Toeplitz in the grid offsets: (S y)_i = sum_j w(x_i - x_j)
+    y_j over the points of Omega, every offset in [-D, D]^n.  Scattered into
+    a zero box of side P >= 2D + 1, that sum is the circular convolution with
+    the window laid out at its offsets mod P: Omega's bounding box, of side
+    at most D + 1, fits in the box, and P keeps the 2D + 1 offsets of each
+    axis apart.  P is the smallest such 2^a 3^b 5^c, a length the FFT takes
+    at full speed (180 against a power of two's 256 at 2D N = 512, where a
+    product of 16 columns takes 9 ms against 24 ms).  One `apply_multiplier`
+    call per product; `center` is the weight at offset 0, the stencil's
+    diagonal.
+    """
+
+    def __init__(self, window, coords, D):
+        n = window.ndim
+        P = _fast_length(2 * D + 1)
+        span = np.arange(-D, D + 1) % P
+        padded = np.zeros((P,) * n)
+        padded[np.ix_(*[span] * n)] = window
+        self.shape = padded.shape
+        self.spectrum = np.fft.rfftn(padded)
+        self.index = np.ravel_multi_index(coords, self.shape)
+        self.center = float(window[(D,) * n])
+
+    def __call__(self, Y):
+        """S Y for an (m, k) array Y of interior columns."""
+        k = Y.shape[1]
+        box = np.zeros((k,) + self.shape)
+        box.reshape(k, -1)[:, self.index] = Y.T
+        conv = apply_multiplier(self.spectrum, box)
+        return conv.reshape(k, -1)[:, self.index].T
+
+
+@dataclass
+class SolverCounts:
+    """What the solver did on one operator, for the run's provenance.
+
+    factorizations counts dense Cholesky factorizations (one per directly
+    solved system, one for the shared unit factor); pcg_solves counts
+    preconditioned CG runs (one per batched solve on the shared factor and
+    one per positive-definiteness certificate), with their total and largest
+    iteration counts; worst_residual is the largest relative Galerkin
+    residual of any solved column.
+    """
+
+    factorizations: int = 0
+    pcg_solves: int = 0
+    pcg_iterations: int = 0
+    pcg_max_iterations: int = 0
+    worst_residual: float = 0.0
+
+
 class FracOperator:
     """Fractional Laplacian of order s on a fixed grid.
 
@@ -113,18 +182,21 @@ class FracOperator:
     every weight array.  The operator owns what it derives from them, each
     built on first use and kept for its lifetime: both weight families,
     their real-FFT half spectra, the quadrature symbol, the interior
-    stencil, and two least-recently-used stores that the solver fills and
-    bounds: the factored interior systems (`systems`, filled by
-    `solver.interior_system`) and the full-grid weight convolutions of the
-    stacked exterior data (`convolutions`, filled by
-    `solver.InteriorSystem.apply`).  Nothing is cached outside an operator,
-    so two operators share no state.
+    stencil, the factored unit block and the windowed interior convolution
+    that large systems are solved with, and two least-recently-used stores
+    that the solver fills and bounds: the factored interior systems
+    (`systems`, filled by `solver.interior_system`) and the full-grid
+    weight convolutions of the stacked exterior data (`convolutions`,
+    filled by `solver.InteriorSystem.apply`).  The solver also records what
+    it did in `counts`.  Nothing is cached outside an operator, so two
+    operators share no state.
     """
 
     def __init__(self, geometry):
         self.geometry = geometry
         self.systems = OrderedDict()  # least recently used first
         self.convolutions = OrderedDict()  # least recently used first
+        self.counts = SolverCounts()
 
     @property
     def s(self):
@@ -164,18 +236,15 @@ class FracOperator:
         return self.form_spectrum
 
     @cached_property
-    def interior_stencil(self):
-        """Moment weights between every pair of grid points inside Omega.
+    def interior_offsets(self):
+        """The weights on every offset between two points of Omega.
 
-        Entry (i, j) is the weight at offset x_i - x_j averaged with the
-        weight at x_j - x_i, so the matrix is exactly symmetric.  It is in
-        Fortran order: interior blocks are scaled copies of it that LAPACK
-        factors in place.
-
-        Every offset lies in [-D, D]^n, D the largest coordinate difference
-        inside Omega, so the entries are read from that window of the
-        weights (taken mod N, the wraparound of the periodic box) at the
-        offset's key in base 2D + 1: the difference of two point keys.
+        Returns (window, coords, D): the moment weights symmetrized,
+        w(r) <- (w(r) + w(-r)) / 2, on the offsets [-D, D]^n (taken mod N,
+        the wraparound of the periodic box) as an array of side 2D + 1
+        centred on offset 0, D the largest coordinate difference inside
+        Omega; and each point's coordinates relative to Omega's bounding
+        box, in the flat order of the grid.
         """
         geom = self.geometry
         N = geom.grid_points
@@ -183,14 +252,21 @@ class FracOperator:
         w = self.form_weights
         w = 0.5 * (w + np.roll(np.flip(w, axes), 1, axes))  # w(r) <- w(-r)
         coords = np.unravel_index(np.flatnonzero(geom.omega_mask()), geom.shape)
-        m = coords[0].size
         D = max(int(a.max() - a.min()) for a in coords)
         span = np.arange(-D, D + 1) % N
-        window = w[np.ix_(*[span] * geom.n)].reshape(-1)
+        window = w[np.ix_(*[span] * geom.n)]
+        return window, tuple(a - a.min() for a in coords), D
+
+    def _gather_stencil(self):
+        """A new Fortran-order array of the symmetrized weights between every
+        pair of interior points (see `interior_stencil`)."""
+        window, coords, D = self.interior_offsets
+        window = window.reshape(-1)
+        m = coords[0].size
         key = np.zeros(m, dtype=np.intp)
         center = 0  # the key of offset 0
         for a in coords:
-            key = key * (2 * D + 1) + (a - a.min())
+            key = key * (2 * D + 1) + a
             center = center * (2 * D + 1) + D
         row = key + center
         stencil = np.empty((m, m), order="F")
@@ -200,6 +276,60 @@ class FracOperator:
             cols = slice(c0, c0 + _BLOCK)
             stencil[:, cols] = window.take(row[None, :] - key[cols, None]).T
         return stencil
+
+    @cached_property
+    def interior_stencil(self):
+        """Moment weights between every pair of grid points inside Omega.
+
+        Entry (i, j) is the weight at offset x_i - x_j averaged with the
+        weight at x_j - x_i, so the matrix is exactly symmetric.  It is in
+        Fortran order: interior blocks are scaled copies of it that LAPACK
+        factors in place.  The entries are read from `interior_offsets` at
+        the offset's key in base 2D + 1: the difference of two point keys.
+        """
+        return self._gather_stencil()
+
+    @cached_property
+    def unit_factor(self):
+        """A'_0, the interior block of gamma = 1 and q = 0, factored in place.
+
+        Returns (factor, diagonal).  The block is -c h^n times the stencil
+        with diagonal c h^n (w * 1) on Omega, built and factored exactly as
+        `solver.InteriorSystem` builds and factors the unit coefficient's
+        block, so both factors agree bitwise: dpotrf leaves L in the lower
+        triangle and A'_0 in the strict upper one.  The stencil is gathered
+        into the factor's own array and is not kept.
+        """
+        geom = self.geometry
+        ones = np.ones(geom.shape)
+        idx = np.flatnonzero(geom.omega_mask().reshape(-1))
+        conv = apply_multiplier(self.form_spectrum, ones)
+        diag = self.cns * geom.cell_volume * (ones * conv).reshape(-1)[idx]
+        factor, info = self.factor_block(self._gather_stencil(), diag)
+        if info != 0:
+            raise RuntimeError("unit-conductivity interior block is not positive definite")
+        return factor, diag
+
+    def factor_block(self, stencil, diag):
+        """(factor, info) of dpotrf on the interior block -c h^n stencil with
+        the given diagonal, formed and factored in the array `stencil`,
+        which it overwrites: L in the lower triangle, the block in the
+        strict upper one.  Counted in `counts.factorizations`."""
+        np.multiply(stencil, -self.cns * self.geometry.cell_volume, out=stencil)
+        np.fill_diagonal(stencil, diag)
+        self.counts.factorizations += 1
+        return dpotrf(stencil, lower=1, clean=0, overwrite_a=1)
+
+    @cached_property
+    def interior_convolution(self):
+        """Convolution of interior vectors with the symmetrized weights,
+        through an FFT over Omega's bounding box (`WindowConvolution`)."""
+        window, coords, D = self.interior_offsets
+        # the stencil's off-diagonal entries are -c h^n times these weights,
+        # so the solver's M-matrix certificate needs them nonnegative
+        if window.min() < 0:
+            raise RuntimeError("negative moment weights: interior blocks are not Z-matrices")
+        return WindowConvolution(window, coords, D)
 
     @cached_property
     def quadrature_symbol(self):

@@ -3,39 +3,59 @@
 Unknowns are the nodal values inside Omega; the exterior datum is held
 fixed and couples in through the right-hand side b_i = -B(f_ext, e_i).
 The interior stiffness block is dense (the kernel couples every pair of
-cells) but small, so a Cholesky factorization is the solver.  For the
-Schrodinger equation the stiffness is the unit-conductivity block plus the
-diagonal h^n q; by the exact discrete Liouville transform the conductivity
-block is congruent to it, A_gamma = D_g (A_1 + h^n Q) D_g with D_g the
-diagonal of g = gamma^(1/2) on Omega.  Cholesky failure for a potential
-therefore signals a genuinely non-transformed, non-coercive q and is
-reported as such.
+cells).  For the Schrodinger equation it is the unit-conductivity block
+plus the diagonal h^n q; by the exact discrete Liouville transform the
+conductivity block is congruent to it, A_gamma = D_g (A_1 + h^n Q) D_g
+with D_g the diagonal of g = gamma^(1/2) on Omega.  So every block is
+built in that congruence form, A_gamma = D_g A' D_g, where A' is -c h^n
+times the operator's unit stencil with the diagonal of A_gamma divided by
+g^2 (for a potential g = 1 and A' is the block itself): every A' of one
+operator differs from the unit block A'_0 (gamma = 1, q = 0) only on its
+diagonal.  A_gamma is positive definite exactly when A' is, as g > 0;
+failure for a potential signals a genuinely non-transformed, non-coercive
+q and is reported as such.
 
 Solves are batched and use the discrete Alessandrini identity.  For a
 (k, *grid) stack F of exterior data, one stacked full-grid apply gives AF;
-its interior rows are the right-hand sides B = -(AF)_Omega, one multi-RHS
-Cholesky solve gives the interior values X, and the energy pairings of the
-solutions are M = F (AF)^T - X^T B, with no second apply for the fluxes.
-The one FFT pair of an apply is the convolution of the weights with g F
-(with F for a potential), through `operators.apply_multiplier`; the
-operator keeps the last two in `FracOperator.convolutions`, keyed by a
-digest of g F.  Where g = 1 on the support of F, g F is bitwise F, so every
-potential and every conductivity equal to 1 there share one convolution
-per basis.  Every block is built in that congruence form, A_gamma =
-D_g A' D_g: A' is one scaled copy of the operator's unit stencil with the
-diagonal of A_gamma divided by g^2 (for a potential g = 1 and A' is the
-block itself).  A' is factored in place, so one array per system holds its
-factor (lower triangle) and A' (strict upper triangle, diagonal kept
-apart); the solve is X = D_g^-1 A'^-1 D_g^-1 B.  Every column's Galerkin
-residual is checked against A_gamma itself, D_g A' D_g applied from that
-packed block.  A_gamma is positive definite exactly when A' is, as g > 0.
+its interior rows are the right-hand sides B = -(AF)_Omega, one batched
+solve gives the interior values X = D_g^-1 A'^-1 D_g^-1 B, and the energy
+pairings of the solutions are M = F (AF)^T - X^T B, with no second apply
+for the fluxes.  The one FFT pair of an apply is the convolution of the
+weights with g F (with F for a potential), through
+`operators.apply_multiplier`; the operator keeps the last two in
+`FracOperator.convolutions`, keyed by a digest of g F.  Where g = 1 on the
+support of F, g F is bitwise F, so every potential and every conductivity
+equal to 1 there share one convolution per basis.
 
-The operator owns the factored systems: `interior_system` keeps them in
+How A' is solved depends on its size m, the number of unknowns:
+
+* m <= `_FACTORED_UNKNOWNS_MAX`: A' is factored in place, so one array per
+  system holds its Cholesky factor (lower triangle) and A' (strict upper
+  triangle, diagonal kept apart).
+* m > `_FACTORED_UNKNOWNS_MAX`: no system is factored.  Each is solved by
+  block PCG, preconditioned by the one factor of A'_0 that the operator
+  keeps (`FracOperator.unit_factor`), with A' applied through the
+  operator's windowed convolution (`FracOperator.interior_convolution`):
+  A'Y = (diag(A') + c h^n w_0) Y - c h^n (S Y), S the stencil, one FFT over
+  Omega's bounding box.  The unit coefficient's A' is A'_0 itself and is
+  solved by its factor directly, bitwise as below the constant.  Because
+  A' has off-diagonal entries <= 0 it is positive definite exactly when
+  A' v > 0 for some v > 0 (a nonsingular M-matrix), so building a system
+  runs one PCG solve of A' v = 1 as the certificate.  A system then holds
+  only vectors: at 2D N = 512 the unit factor is 262 MB, and so would be
+  each factored system.
+
+Either way every column's Galerkin residual is checked against A_gamma
+itself, D_g A' D_g applied through the windowed convolution with the
+diagonal the system states, and the operator's `counts` record the
+factorizations, PCG solves and iterations and the worst residual.
+
+The operator keeps the systems: `interior_system` keeps them in
 `FracOperator.systems`, keyed by the coefficient's kind and values, and
 holds at most four, evicting the least recently used.  Four is what the
 suites reuse: each reduction check looks up g, 1 and their two Liouville
 potentials, and the next check looks up 1 and its potential again.  A
-larger store only keeps more dense blocks alive (262 MB each at 2D N=512).
+larger store only keeps more dense blocks alive below the constant.
 """
 
 from __future__ import annotations
@@ -45,8 +65,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.blas import dsymm
-from scipy.linalg.lapack import dpotrf
 
 from .conductivity import Conductivity, Potential
 from .geometry import GridField
@@ -123,18 +141,34 @@ def _kept(store, key, limit, build):
 _CONVOLUTIONS_KEPT = 2
 
 
+# Above this many unknowns a system is solved by PCG on the operator's shared
+# unit factor instead of a factorization of its own (see the module
+# docstring).  It is where PCG starts to win per system, one BLAS thread,
+# after the one-time unit factor: 0.13 s against 0.09 s factored for a bump
+# and its potential at 1433 unknowns (2D N = 256), 0.12 s against 0.13 s
+# for Mandache potentials at 2047, 0.18 s against 0.26 s at 2731 (1D
+# N = 16384).
+_FACTORED_UNKNOWNS_MAX = 2000
+
+# PCG stops when every column's residual is below this fraction of its
+# right-hand side; the Galerkin residual is then checked against tol apart
+_PCG_RTOL = 1e-14
+_PCG_MAXITER = 100
+
+
 class InteriorSystem:
-    """Interior Galerkin block, factored in place, with the full-grid operator.
+    """Interior Galerkin system of a coefficient, with the full-grid operator.
 
     coefficient is a Conductivity (conductivity equation) or a Potential
     (Schrodinger equation) on the operator's grid.  Matrix-vector products
     with the full-grid operator are `apply_multiplier` convolutions with the
-    operator's cached weight spectrum, kept in its convolution store; only
-    the interior block is ever formed densely, in the congruence form
-    A_gamma = D_g A' D_g (g = 1 for a potential).  One n x n array holds
-    both A' and its Cholesky factor: L in the lower triangle, A' in the
-    strict upper triangle, and its diagonal `_diag` kept apart; `_gi` is g
-    on Omega.
+    operator's cached weight spectrum, kept in its convolution store.  The
+    interior block is A_gamma = D_g A' D_g (g = 1 for a potential); `_gi`
+    is g on Omega and `_diag` the diagonal of A'.  One n x n array
+    `_factor` holds A' off the diagonal (strict upper triangle) and a
+    Cholesky factor (lower triangle): A''s own for a system of at most
+    `_FACTORED_UNKNOWNS_MAX` unknowns, the operator's shared factor of the
+    unit block A'_0 above that, which only preconditions.
     """
 
     def __init__(self, coefficient, op: FracOperator):
@@ -158,9 +192,9 @@ class InteriorSystem:
 
         # the operator's arrays, shared, not copied; holding the operator
         # itself would make it and its stored systems a reference cycle
-        self._stencil = op.interior_stencil
         self._spectrum = op.form_spectrum
         self._convolutions = op.convolutions
+        self._counts = op.counts
         self._scale = op.cns * geom.cell_volume
         G = np.ones(geom.shape) if self.g is None else self.g
         wg = apply_multiplier(self._spectrum, G)  # w * g, the diagonal's convolution
@@ -175,33 +209,114 @@ class InteriorSystem:
         self._gi = G.reshape(-1)[self.idx]
         self._diag = diag / self._gi**2
 
-        factor, info = dpotrf(self._interior_block(), lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            if self.kind == "schrodinger":
-                raise SolverError(
-                    "interior Schrodinger matrix is not positive definite; "
-                    "the potential does not come from an admissible "
-                    "conductivity"
-                )
+        self._convolve = op.interior_convolution
+        if self.idx.size <= _FACTORED_UNKNOWNS_MAX:
+            factor, info = op.factor_block(op.interior_stencil.copy(order="F"), self._diag)
+            if info != 0:
+                self._not_positive_definite()
+            self._factor, self._iterate = factor, False
+            return
+
+        self._factor, unit_diag = op.unit_factor
+        # PCG applies A' Y = shift Y - c h^n (S Y), S the stencil with its
+        # diagonal w_0; the unit coefficient's A' is A'_0 itself, solved by
+        # its factor with no iteration
+        self._shift = self._diag + self._scale * self._convolve.center
+        self._iterate = not np.array_equal(self._diag, unit_diag)
+        if self._iterate:
+            # A' has off-diagonal entries <= 0, so it is positive definite
+            # exactly when some v > 0 has A' v > 0 (a nonsingular M-matrix).
+            # v solves A' v = 1 up to a residual of 2-norm at most 1/2, so
+            # every entry of A' v is at least 1/2
+            m = self.idx.size
+            v, converged = self._pcg(np.ones((m, 1)), 0.5 / np.sqrt(m))
+            if not (converged and v.min() > 0 and self._matvec(v, self._shift).min() > 0):
+                self._not_positive_definite()
+
+    def _not_positive_definite(self):
+        if self.kind == "schrodinger":
             raise SolverError(
-                "interior conductivity matrix is not positive definite; "
-                "this indicates an assembly bug, the form is coercive"
+                "interior Schrodinger matrix is not positive definite; "
+                "the potential does not come from an admissible "
+                "conductivity"
             )
-        self._factor = factor
+        raise SolverError(
+            "interior conductivity matrix is not positive definite; "
+            "this indicates an assembly bug, the form is coercive"
+        )
+
+    def _precondition(self, R):
+        return sla.cho_solve((self._factor, True), R, check_finite=False)
+
+    def _matvec(self, Y, shift):
+        """A' Y = shift Y - c h^n (S Y) through the operator's windowed
+        convolution, A''s diagonal being shift - c h^n w_0."""
+        AY = self._convolve(Y)
+        AY *= -self._scale
+        AY += shift[:, None] * Y
+        return AY
+
+    def _pcg(self, B, rtol=_PCG_RTOL):
+        """(Y, converged): A' Y = B column by column by conjugate gradients
+        from Y = 0, preconditioned by the shared unit factor.  A column stops
+        when its residual is below rtol of its right-hand side; a curvature
+        p^T A' p <= 0 (A' is not positive definite) stops the run
+        unconverged."""
+        Y = np.zeros_like(B)
+        R = B.copy()
+        target = rtol * np.linalg.norm(B, axis=0)
+        active = np.linalg.norm(R, axis=0) > target
+        Z = self._precondition(R)
+        P = Z
+        rz = np.einsum("ij,ij->j", R, Z)
+        it = 0
+        converged = True
+        while active.any():
+            if it == _PCG_MAXITER:
+                converged = False
+                break
+            it += 1
+            cols = np.flatnonzero(active)
+            Pa = P[:, cols]
+            Q = self._matvec(Pa, self._shift)
+            curvature = np.einsum("ij,ij->j", Pa, Q)
+            if not np.all(curvature > 0):
+                converged = False
+                break
+            alpha = rz[cols] / curvature
+            Y[:, cols] += alpha * Pa
+            R[:, cols] -= alpha * Q
+            active[cols] = np.linalg.norm(R[:, cols], axis=0) > target[cols]
+            cols = np.flatnonzero(active)
+            if cols.size == 0:
+                break
+            Z = self._precondition(R[:, cols])
+            rz_new = np.einsum("ij,ij->j", R[:, cols], Z)
+            P[:, cols] = Z + (rz_new / rz[cols]) * P[:, cols]
+            rz[cols] = rz_new
+        counts = self._counts
+        counts.pcg_solves += 1
+        counts.pcg_iterations += it
+        counts.pcg_max_iterations = max(counts.pcg_max_iterations, it)
+        return Y, converged
 
     def _interior_block(self):
-        """A', the dense interior block of the unit stencil: its off-diagonal
-        entries scaled by -c h^n, its diagonal that of A_gamma over g^2."""
-        A = np.multiply(self._stencil, -self._scale)  # Fortran order, as the stencil
+        """A', the dense interior block, rebuilt from the packed storage."""
+        A = np.triu(self._factor, 1)
+        A += A.T
         np.fill_diagonal(A, self._diag)
         return A
 
     def _block_product(self, X):
-        """A_gamma X = D_g A' D_g X, A' read from the packed upper triangle."""
-        Y = self._gi[:, None] * X
-        AY = dsymm(1.0, self._factor, Y, lower=0)
-        AY += (self._diag - np.diagonal(self._factor))[:, None] * Y
-        AY *= self._gi[:, None]
+        """A_gamma X = D_g A' D_g X, A''s diagonal read from `_diag`.
+
+        The solves fix A''s diagonal when the system is built (in its factor,
+        or in the PCG product's shift), so a `_diag` that no longer matches
+        them fails the Galerkin residual check.
+        """
+        gi = self._gi[:, None]
+        AY = self._matvec(gi * X, self._diag + self._scale * self._convolve.center)
+        AY *= gi
         return AY
 
     # -- full-grid operator --------------------------------------------------
@@ -229,11 +344,13 @@ class InteriorSystem:
     def solve_many(self, data, tol: float = 1e-10):
         """Solve for a (k, *grid) stack F of exterior data in one batch.
 
-        One stacked apply gives AF and the right-hand sides B = -(AF)_Omega,
-        one multi-RHS Cholesky solve the interior values X = D_g^-1 A'^-1
-        D_g^-1 B.  Each column's Galerkin residual is measured against the
-        dense block A_gamma = D_g A' D_g and must not exceed tol.  Returns
-        (U, M, residuals): the full-grid solutions, the energy pairings
+        One stacked apply gives AF and the right-hand sides B = -(AF)_Omega;
+        the interior values are X = D_g^-1 Y with A' Y = D_g^-1 B, Y from one
+        multi-RHS Cholesky solve against the system's own factor or, above
+        `_FACTORED_UNKNOWNS_MAX` unknowns, from PCG on the shared one.  Each
+        column's Galerkin residual is measured against A_gamma = D_g A' D_g
+        (`_block_product`) and must not exceed tol.  Returns (X, M,
+        residuals): the (k, interior) solution values, the energy pairings
         M_ij = B(u_i, f_j) = B(u_i, u_j) and the residual of each column.
         M = F (AF)^T - X^T B by Alessandrini's identity, which needs no flux
         apply; it is returned unsymmetrized.
@@ -243,11 +360,15 @@ class InteriorSystem:
         AF = self.apply(F).reshape(k, -1)
         B = -AF[:, self.idx].T
         gi = self._gi[:, None]
-        X = sla.cho_solve((self._factor, True), B / gi, check_finite=False)
+        if self._iterate:
+            X, _ = self._pcg(B / gi)
+        else:
+            X = self._precondition(B / gi)
         X /= gi
         R = self._block_product(X) - B
         scale = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
         residuals = np.linalg.norm(R, axis=0) / scale
+        self._counts.worst_residual = max(self._counts.worst_residual, float(residuals.max()))
         bad = np.flatnonzero(~(residuals <= tol))
         if bad.size:
             i = int(bad[0])
@@ -255,18 +376,17 @@ class InteriorSystem:
                 f"Galerkin residual {residuals[i]:.3e} exceeds tol {tol:.3e} "
                 f"in column {i}"
             )
-        flat = F.reshape(k, -1)
-        M = flat @ AF.T - X.T @ B
-        U = flat.copy()
-        U[:, self.idx] = X.T
-        return U.reshape(F.shape), M, residuals
+        M = F.reshape(k, -1) @ AF.T - X.T @ B
+        return X.T, M, residuals
 
     def solve(self, datum: ExteriorDatum, tol: float = 1e-10) -> Solution:
         if datum.geometry != self.geometry:
             raise ValueError("geometry mismatch")
-        U, M, residuals = self.solve_many(datum.values[None], tol)
+        X, M, residuals = self.solve_many(datum.values[None], tol)
+        u = datum.values.copy()
+        u.reshape(-1)[self.idx] = X[0]
         return Solution(
-            u=GridField(self.geometry, U[0]),
+            u=GridField(self.geometry, u),
             residual=float(residuals[0]),
             energy=float(M[0, 0]),
         )
@@ -285,12 +405,12 @@ class InteriorSystem:
         return float(vals[0])
 
 
-# factored systems an operator keeps (see the module docstring)
+# interior systems an operator keeps (see the module docstring)
 _SYSTEMS_KEPT = 4
 
 
 def interior_system(coefficient, op: FracOperator) -> InteriorSystem:
-    """Factored interior system of a coefficient, kept in the operator's store.
+    """Interior system of a coefficient, kept in the operator's store.
 
     A coefficient on another grid than the operator is refused before the
     lookup: the key holds only the coefficient's kind and a digest of its

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg.lapack import dpotrf
 
+import fraccond.solver as solver
 from fraccond.conductivity import (
     Conductivity,
     Potential,
@@ -284,6 +285,42 @@ class TestCongruenceAssembly:
             assert np.all(coefficient.sqrt_values[g.omega_mask()] == 1.0)
         M = assemble_dn(coefficient, b, op).entries
         assert np.array_equal(M, outer_product_path(coefficient, b, op))
+
+
+class TestSharedFactorAssembly:
+    """DN matrices by PCG on the operator's unit factor, every system taking
+    that path, against the dpotrf-factored entrywise block."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("case", ["bump", "ring", "potential"])
+    def test_matches_outer_product_path(self, geom, geom2d, n, case, monkeypatch):
+        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        coefficient = {
+            "bump": lambda: bump_conductivity(g, 0.5, 0.8),
+            "ring": lambda: ring_conductivity(g),
+            "potential": lambda: liouville_potential(bump_conductivity(g, 0.5, 0.8), op),
+        }[case]()
+        M = assemble_dn(coefficient, b, op).entries
+        assert op.counts.pcg_solves == 2 and op.counts.factorizations == 1
+        assert "interior_stencil" not in vars(op)  # only the unit factor is dense
+        ref = outer_product_path(coefficient, b, op)
+        assert np.max(np.abs(M - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unit_and_zero_potential_are_bitwise(self, geom, geom2d, n, monkeypatch):
+        g = geom if n == 1 else geom2d
+        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        one = Conductivity(g, np.ones(g.shape), gamma0=0.5)
+        zero = Potential(g, np.zeros(g.shape))
+        own = [assemble_dn(c, b, FracOperator(g)).entries for c in (one, zero)]
+        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        op = FracOperator(g)
+        shared = [assemble_dn(c, b, op).entries for c in (one, zero)]
+        assert all(np.array_equal(a, c) for a, c in zip(own, shared))
+        assert op.counts.pcg_solves == 0
 
 
 class TestAlessandriniAssembly:

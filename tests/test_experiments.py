@@ -15,6 +15,7 @@ from fraccond.experiments import (
     EPS_GUARD,
     ModulusFit,
     _multiplier_potential,
+    _rank_correlation,
     exterior_stability_scan,
     instability_search,
     liouville_identity_residual,
@@ -304,3 +305,31 @@ class TestResidualSuite:
         for ref in out["refinement"]:
             assert ref["ratio"] <= 0.7
         assert out["mtilde_residual"] <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [-0.5, -1.5, -1.0, -3.0, -4.0]),
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 1.0, 1.0, 1.0, 0.5, 0.5]),  # ties
+        ([3.0, 1.0, 3.0, 2.0, 1.0, 3.0], [1.0, 2.0, 2.0, 5.0, 2.0, 1.0]),  # ties in both
+    ],
+)
+def test_rank_correlation_matches_scipy(a, b):
+    from scipy.stats import spearmanr
+
+    assert _rank_correlation(a, b) == pytest.approx(spearmanr(a, b).statistic, abs=1e-15)
+
+
+def test_rank_correlation_of_random_ties_matches_scipy():
+    from scipy.stats import spearmanr
+
+    rng = np.random.Generator(np.random.Philox(key=11))
+    for _ in range(20):
+        a, b = rng.integers(0, 6, size=(2, 17)).astype(float)
+        assert _rank_correlation(a, b) == pytest.approx(spearmanr(a, b).statistic, abs=1e-15)
+
+
+def test_rank_correlation_of_constant_input_is_nan():
+    assert math.isnan(_rank_correlation([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]))
+

@@ -280,7 +280,7 @@ class TestReportsAndPlots:
             "geometry": {"grid_points": 1024},
             "suite": {"name": "instability", "seed": 7, "count": 8, "basis_size": 12},
         }
-        doc = execute(cfg)
+        doc, _ = execute(cfg)
         files = emit_plots(doc, tmp_path)
         dat = next(f for f in files if f.name == "decay.dat")
         rows = np.loadtxt(dat)
@@ -296,6 +296,23 @@ class TestProvenance:
         assert rc == EXIT_OK
         prov = json.loads((tmp_path / "out" / "provenance.json").read_text())
         assert {"version", "seed", "wall_time_s"} <= set(prov)
+
+    def test_provenance_records_solver_counts(self, tmp_path):
+        cfg = write_config(tmp_path, suite="reduction", N=256)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc in (EXIT_OK, EXIT_INVARIANT)
+        counts = json.loads((tmp_path / "out" / "provenance.json").read_text())["solver"]
+        assert set(counts) == {
+            "factorizations",
+            "pcg_solves",
+            "pcg_iterations",
+            "pcg_max_iterations",
+            "worst_residual",
+        }
+        assert counts["factorizations"] > 0
+        assert 0 < counts["worst_residual"] <= 1e-10
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "solver" not in report
 
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, suite="residuals", seed=1)

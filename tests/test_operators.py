@@ -470,3 +470,25 @@ class TestInteriorStencil:
         assert (spread > grid_points // 2) == (omega_radius > geom.box_halfwidth / 2)
         assert op.interior_stencil.flags.f_contiguous
         assert np.array_equal(op.interior_stencil, fancy_index_stencil(op))
+
+    @pytest.mark.parametrize(
+        "n, grid_points, omega_radius",
+        [(1, 1024, 1.0), (2, 128, 1.0), (1, 256, 4.0), (2, 64, 4.0)],
+    )
+    def test_window_convolution_matches_stencil(self, n, grid_points, omega_radius):
+        geom = GeometryConfig(
+            n=n,
+            s=0.4 if n == 1 else 0.5,
+            box_halfwidth=6.0,
+            grid_points=grid_points,
+            omega_radius=omega_radius,
+        )
+        op = FracOperator(geom)
+        stencil = fancy_index_stencil(op)
+        Y = np.random.Generator(np.random.Philox(key=5)).standard_normal((stencil.shape[0], 3))
+        ref = stencil @ Y
+        conv = op.interior_convolution
+        assert conv.center == stencil[0, 0]
+        assert np.max(np.abs(conv(Y) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert "interior_stencil" not in vars(op)  # the product never forms it
+

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fraccond.solver as solver
 from fraccond.conductivity import (
     Conductivity,
     Potential,
@@ -160,8 +161,8 @@ class TestCoercivity:
         # A_gamma = D_g A' D_g is the entrywise block
         gam = bump_conductivity(geom, height=0.5, width=0.8)
         system = interior_system(gam, op_quad)
-        upper = np.triu(system._factor, 1)
-        packed = upper + upper.T + np.diag(system._diag)
+        packed = np.multiply(op_quad.interior_stencil, -system._scale)
+        np.fill_diagonal(packed, system._diag)
         assert np.array_equal(packed, system._interior_block())
         congruent = system._gi[:, None] * packed * system._gi
         ref = reference_block(gam, op_quad)
@@ -293,3 +294,119 @@ class TestSchrodingerSolve:
         sol = solve_schrodinger(Potential(geom, np.zeros(geom.shape)), datum, op_quad)
         direct = bilinear_form(sol.u, sol.u, None, op_quad)
         assert sol.energy == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.fixture
+def shared_factor(monkeypatch):
+    """Solve every interior system by PCG on the operator's unit factor."""
+    monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+
+
+class TestSharedFactor:
+    """Systems above the size constant: PCG preconditioned by A'_0's factor."""
+
+    def test_unit_factor_is_the_unit_systems_own(self, geom):
+        op = FracOperator(geom)
+        one = Conductivity(geom, np.ones(geom.shape), gamma0=0.5)
+        own = InteriorSystem(one, op)
+        factor, diag = op.unit_factor
+        assert np.array_equal(factor, own._factor)
+        assert np.array_equal(diag, own._diag)
+
+    @pytest.mark.parametrize("coefficient", ["unit", "zero"])
+    def test_unit_coefficient_is_bitwise_and_takes_no_iterations(
+        self, geom, datum, coefficient, monkeypatch
+    ):
+        make = {
+            "unit": lambda: Conductivity(geom, np.ones(geom.shape), gamma0=0.5),
+            "zero": lambda: Potential(geom, np.zeros(geom.shape)),
+        }[coefficient]
+        own = solve_conductivity if coefficient == "unit" else solve_schrodinger
+        direct = own(make(), datum, FracOperator(geom))
+        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        op = FracOperator(geom)
+        shared = own(make(), datum, op)
+        assert np.array_equal(shared.u.values, direct.u.values)
+        assert shared.energy == direct.energy
+        assert (op.counts.pcg_solves, op.counts.factorizations) == (0, 1)
+
+    def test_matches_own_factor_and_counts(self, geom, datum, monkeypatch):
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        direct = solve_conductivity(gam, datum, FracOperator(geom)).u.values
+        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        op = FracOperator(geom)
+        sol = solve_conductivity(gam, datum, op)
+        assert np.max(np.abs(sol.u.values - direct)) <= 1e-12 * np.max(np.abs(direct))
+        counts = op.counts
+        assert counts.factorizations == 1  # the unit factor, no other
+        assert counts.pcg_solves == 2  # the certificate and the solve
+        assert 0 < counts.pcg_max_iterations < counts.pcg_iterations
+        assert 0 < counts.worst_residual == sol.residual <= 1e-10
+
+    def test_non_coercive_potential_reported(self, geom, shared_factor):
+        bad = Potential(geom, -50.0 * np.ones(geom.shape))
+        op = FracOperator(geom)
+        with pytest.raises(SolverError, match="positive definite"):
+            interior_system(bad, op)
+        assert op.counts.pcg_iterations == 1  # p^T A' p <= 0 at the first step
+
+    @pytest.mark.parametrize("margin", [0.05, -0.05])
+    def test_certificate_at_the_coercivity_edge(self, geom, shared_factor, margin):
+        # q = const shifts the spectrum of A' = A'_0 + h^n q I by h^n q:
+        # a margin of +-5% of A'_0's smallest eigenvalue either side of 0
+        op = FracOperator(geom)
+        zero = Potential(geom, np.zeros(geom.shape))
+        lam0 = np.linalg.eigvalsh(reference_block(zero, op))[0]
+        q = Potential(geom, np.full(geom.shape, -(1.0 - margin) * lam0 / geom.cell_volume))
+        lam = np.linalg.eigvalsh(reference_block(q, op))[0]
+        assert np.sign(lam) == np.sign(margin)
+        if margin > 0:
+            system = interior_system(q, op)
+            assert system.solve(annulus_bump_datum(geom)).residual <= 1e-10
+        else:
+            with pytest.raises(SolverError, match="positive definite"):
+                interior_system(q, op)
+
+    @pytest.mark.parametrize("case", ["negative-entry", "negative-product", "unconverged"])
+    def test_every_certificate_condition_can_fire(self, geom, shared_factor, monkeypatch, case):
+        # each certificate is one the guard must refuse.  For q = -50: the
+        # exact solution of A' v = 1, which has negative entries as A' is
+        # not an M-matrix, and v = 1 > 0, where A' 1 has negative entries.
+        # For a bump conductivity, its exact v > 0 from a run that did not
+        # converge.
+        op = FracOperator(geom)
+        ones = np.ones(op.unit_factor[1].size)
+        bad = Potential(geom, -50.0 * np.ones(geom.shape))
+        bump = bump_conductivity(geom, height=0.5, width=0.8)
+        gi = bump.sqrt_values[geom.omega_mask()]
+        exact_bad = np.linalg.solve(reference_block(bad, op), ones)
+        exact_bump = np.linalg.solve(reference_block(bump, op) / np.outer(gi, gi), ones)
+        assert exact_bad.min() < 0 < exact_bump.min()
+        coefficient, v, converged = {
+            "negative-entry": (bad, exact_bad, True),
+            "negative-product": (bad, ones, True),
+            "unconverged": (bump, exact_bump, False),
+        }[case]
+        monkeypatch.setattr(InteriorSystem, "_pcg", lambda self, B, rtol: (v[:, None], converged))
+        with pytest.raises(SolverError, match="positive definite"):
+            InteriorSystem(coefficient, op)
+
+    @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
+    def test_corrupted_diagonal_fails_the_residual_check(
+        self, geom, datum, equation, shared_factor
+    ):
+        op = FracOperator(geom)
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        coefficient = gam if equation == "conductivity" else liouville_potential(gam, op)
+        system = InteriorSystem(coefficient, op)
+        assert system.solve(datum).residual <= 1e-10
+        system._diag = system._diag * (1.0 + 1e-6)
+        with pytest.raises(SolverError, match="residual"):
+            system.solve(datum)
+
+    def test_smallest_eigenvalue_from_shared_storage(self, geom, shared_factor):
+        op = FracOperator(geom)
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        lam = np.linalg.eigvalsh(reference_block(gam, op))[0]
+        assert coercivity_check(gam, op) == pytest.approx(lam, rel=1e-10)
+
