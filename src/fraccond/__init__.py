@@ -21,7 +21,6 @@ from .conductivity import (
     Conductivity,
     MandacheParams,
     Potential,
-    background_deviation,
     liouville_potential,
     mandache_family,
     validate_admissibility,
@@ -30,9 +29,6 @@ from .solver import (
     ExteriorDatum,
     Solution,
     SolverError,
-    coercivity_check,
-    solve_conductivity,
-    solve_schrodinger,
 )
 from .dnmap import (
     DnMatrix,
@@ -55,6 +51,5 @@ from .experiments import (
     reduction_check,
     run_suite,
 )
-from .io import load_conductivity, save_conductivity
 
 __all__ = [name for name in dir() if not name.startswith("_")]

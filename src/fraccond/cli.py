@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import SUITES, run_suite
-from .geometry import GeometryConfig, annulus_region
+from .geometry import default_geometry
 from .operators import FracOperator
 from .plots import emit_plots
 from .solver import SolverError
@@ -72,6 +72,30 @@ _SUITE_KEYS = {
     "recovery_height": float,
     "region": str,
 }
+# the suites that build an exterior basis in a named measurement region
+_BASIS_SUITES = ("exterior", "reduction", "logmodulus", "instability")
+# the suites that read each [suite] key; a key the named suite does not read
+# is refused rather than echoed into a report it had no effect on
+_KEY_SUITES = {
+    "name": tuple(SUITES),
+    "seed": tuple(SUITES),
+    "theta0": ("reduction", "logmodulus"),
+    "q_index": ("logmodulus",),
+    "base_amplitude": ("logmodulus",),
+    "pairs": ("logmodulus",),
+    "amplitude": ("reduction",),
+    "factor": ("reduction",),
+    "amplitudes": ("exterior",),
+    "basis_size": _BASIS_SUITES,
+    "ell": ("instability",),
+    "eps": ("instability",),
+    "beta": ("instability",),
+    "lattice_spacing": ("instability",),
+    "count": ("instability",),
+    "probe_point": ("exterior",),
+    "recovery_height": ("exterior",),
+    "region": _BASIS_SUITES,
+}
 
 _SECTIONS = {"geometry": _GEOMETRY_KEYS, "suite": _SUITE_KEYS}
 
@@ -101,10 +125,12 @@ def parse_config(path):
                 raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
     if "suite" not in config or "name" not in config["suite"]:
         raise ConfigError("config must declare [suite] name")
-    if config["suite"]["name"] not in SUITES:
-        raise ConfigError(
-            f"unknown suite {config['suite']['name']!r}; choose from {sorted(SUITES)}"
-        )
+    name = config["suite"]["name"]
+    if name not in SUITES:
+        raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    unread = [key for key in config["suite"] if name not in _KEY_SUITES[key]]
+    if unread:
+        raise ConfigError(f"suite {name!r} does not read {', '.join(unread)}")
     if "amplitudes" in config.get("suite", {}):
         try:
             config["suite"]["amplitudes"] = tuple(
@@ -116,26 +142,17 @@ def parse_config(path):
 
 
 def build_geometry(config):
-    geo = config.get("geometry", {})
-    n = geo.get("n", 1)
-    s = geo.get("s", 0.4 if n == 1 else 0.5)
-    L = geo.get("box_halfwidth", 6.0)
-    N = geo.get("grid_points", 1024 if n == 1 else 128)
-    omega = geo.get("omega_radius", 1.0)
-    region_spec = geo.get("region", "annulus 2.0 3.0")
-    parts = region_spec.split()
-    if len(parts) != 3:
-        raise ConfigError("geometry.region must be '<name> <r_in> <r_out>'")
-    name, r_in, r_out = parts[0], float(parts[1]), float(parts[2])
+    """The [geometry] section's layout; `default_geometry` supplies the keys
+    it leaves out."""
+    geo = dict(config.get("geometry", {}))
+    if "region" in geo:
+        try:
+            name, r_in, r_out = geo["region"].split()
+            geo["region"] = (name, float(r_in), float(r_out))
+        except ValueError as exc:
+            raise ConfigError("geometry.region must be '<name> <r_in> <r_out>'") from exc
     try:
-        return GeometryConfig(
-            n=n,
-            s=s,
-            box_halfwidth=L,
-            grid_points=N,
-            omega_radius=omega,
-            measurement_sets=(annulus_region(name, r_in, r_out, n),),
-        )
+        return default_geometry(**geo)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -214,10 +231,7 @@ def cmd_run(args):
     t0 = time.time()
     try:
         document, counts = execute(config, seed_override=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # a ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

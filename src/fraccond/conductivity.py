@@ -23,11 +23,11 @@ operators module instead, as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryConfig, GridField, mollifier_profile
+from .geometry import GeometryConfig, mollifier_profile
 from .operators import (
     FracOperator,
     apply_multiplier,
@@ -41,7 +41,6 @@ __all__ = [
     "Potential",
     "AdmissibilityReport",
     "MandacheParams",
-    "background_deviation",
     "liouville_potential",
     "validate_admissibility",
     "check_theta0",
@@ -49,7 +48,6 @@ __all__ = [
     "bump_conductivity",
     "c_ell_norm",
     "bessel_norm_surrogate",
-    "surrogate_growth_flag",
 ]
 
 
@@ -92,9 +90,6 @@ class Conductivity:
     def m_values(self):
         return self.sqrt_values - 1.0
 
-    def field(self):
-        return GridField(self.geometry, self.values)
-
 
 def _edge_mask(geometry, margin):
     N = geometry.grid_points
@@ -119,14 +114,6 @@ class Potential:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def field(self):
-        return GridField(self.geometry, self.values)
-
-
-def background_deviation(gamma: Conductivity) -> GridField:
-    """m = gamma^(1/2) - 1."""
-    return GridField(gamma.geometry, gamma.m_values)
 
 
 def liouville_potential(gamma: Conductivity, op: FracOperator) -> Potential:
@@ -235,15 +222,6 @@ def validate_admissibility(
         smallness_ok=small_ok,
         all_ok=all_ok,
     )
-
-
-def surrogate_growth_flag(coarse: Conductivity, fine: Conductivity, *, eps=0.05, factor=2.0):
-    """Flag non-smooth conductivities: surrogate norm growing under refinement."""
-    n, s = coarse.geometry.n, coarse.geometry.s
-    t, p = 4.0 * s + 2.0 * eps, n / (2.0 * s)
-    a = bessel_norm_surrogate(coarse.geometry, coarse.m_values, t, p)
-    b = bessel_norm_surrogate(fine.geometry, fine.m_values, t, p)
-    return bool(b > factor * a), a, b
 
 
 # ---------------------------------------------------------------------------

@@ -281,20 +281,15 @@ def _whiten(gram):
     return vecs @ np.diag(vals**-0.5) @ vecs.T
 
 
-def dn_operator_norm(delta, basis: ExteriorBasis | None = None) -> float:
-    """Dual-pairing operator norm of a DN difference over the basis span.
-
-    Accepts a DnBlock (difference of DN matrices, possibly restricted) or a
-    raw square matrix together with the basis that supplies the Gram.
-    """
+def dn_operator_norm(delta) -> float:
+    """Dual-pairing operator norm of a DnMatrix, or of a DnBlock (a
+    difference of DN matrices, possibly restricted), over the basis span."""
     if isinstance(delta, DnMatrix):
         entries, g_rows, g_cols = delta.entries, delta.basis.gram, delta.basis.gram
     elif isinstance(delta, DnBlock):
         entries, g_rows, g_cols = delta.entries, delta.gram_rows, delta.gram_cols
     else:
-        if basis is None:
-            raise ValueError("a basis is required with a raw matrix")
-        entries, g_rows, g_cols = np.asarray(delta, float), basis.gram, basis.gram
+        raise TypeError("dn_operator_norm expects a DnMatrix or DnBlock")
     wr = _whiten(g_rows)
     wc = _whiten(g_cols)
     core = wr @ entries @ wc

@@ -479,7 +479,6 @@ def _residual_battery(geometry):
 
 
 def suite_residuals(geometry, op, config):
-    refine = config.get("refine", True)
     out = {"cases": [], "refinement": []}
     u = bandlimited_field(geometry, seed=config.get("seed", 0) + 11)
     phi = bandlimited_field(geometry, seed=config.get("seed", 0) + 23)
@@ -489,7 +488,7 @@ def suite_residuals(geometry, op, config):
     g1 = bump_conductivity(geometry, height=0.5, width=0.8)
     g2 = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
     out["mtilde_residual"] = float(mtilde_equation_residual(g1, g2, op))
-    if refine and geometry.grid_points >= 128:
+    if geometry.grid_points >= 128:
         from dataclasses import replace
 
         coarse = replace(geometry, grid_points=geometry.grid_points // 2)
@@ -521,7 +520,7 @@ def suite_exterior(geometry, op, config):
 
     # recovery probes on a dedicated probe basis
     point = config.get("probe_point", 2.5)
-    widths = tuple(config.get("probe_widths", (0.32, 0.226, 0.16, 0.113)))
+    widths = (0.32, 0.226, 0.16, 0.113)
     mask = geometry.region_mask(region)
     fields = []
     if geometry.n == 1:
@@ -554,11 +553,8 @@ def suite_exterior(geometry, op, config):
 def suite_reduction(geometry, op, config):
     theta0 = config.get("theta0", 0.9)
     amplitude = config.get("amplitude", 0.3)
-    widths = config.get("widths")
-    if widths is None:
-        base = 0.4
-        factor = config.get("factor", 1.3)
-        widths = [base / factor**k for k in range(6)]
+    factor = config.get("factor", 1.3)
+    widths = [0.4 / factor**k for k in range(6)]
     basis = build_exterior_basis(
         geometry, config.get("region", "annulus"), config.get("basis_size", 16), "bumps"
     )

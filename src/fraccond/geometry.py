@@ -8,7 +8,6 @@ where measurement regions live.  All fields are real samples on the grid.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,8 @@ __all__ = [
     "Region",
     "GeometryConfig",
     "GridField",
+    "annulus_region",
+    "default_geometry",
     "mollifier_profile",
     "smoothstep",
     "plateau_profile",
@@ -205,34 +206,32 @@ class GeometryConfig:
                 return reg
         raise KeyError(f"no measurement region named {name!r}")
 
-    def content_hash(self):
-        """Stable hash of the geometry, recorded in conductivity file headers."""
-        parts = [
-            f"n={self.n}",
-            f"s={self.s!r}",
-            f"L={self.box_halfwidth!r}",
-            f"N={self.grid_points}",
-            f"omega={self.omega_radius!r}",
-        ]
-        for reg in self.measurement_sets:
-            parts.append(f"{reg.name}:{reg.kind}:{reg.data!r}")
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
+def default_geometry(
+    n=1,
+    s=None,
+    box_halfwidth=6.0,
+    grid_points=None,
+    omega_radius=1.0,
+    region=("annulus", 2.0, 3.0),
+):
+    """Standard layout: Omega = B_1, measurement annulus between radii 2 and 3.
 
-def default_geometry(n=1, s=None, box_halfwidth=6.0, grid_points=None):
-    """Standard layout: Omega = B_1, measurement annulus between radii 2 and 3."""
+    region is (name, r_in, r_out), built by `annulus_region`; s defaults to
+    0.4 in 1D and 0.5 in 2D, grid_points to 1024 in 1D and 128 in 2D.
+    """
     if s is None:
         s = 0.4 if n == 1 else 0.5
     if grid_points is None:
         grid_points = 1024 if n == 1 else 128
-    annulus = annulus_region("annulus", 2.0, 3.0, n)
+    name, r_in, r_out = region
     return GeometryConfig(
         n=n,
         s=s,
         box_halfwidth=box_halfwidth,
         grid_points=grid_points,
-        omega_radius=1.0,
-        measurement_sets=(annulus,),
+        omega_radius=omega_radius,
+        measurement_sets=(annulus_region(name, r_in, r_out, n),),
     )
 
 

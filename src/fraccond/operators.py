@@ -296,9 +296,8 @@ class FracOperator:
         Returns (factor, diagonal).  The block is -c h^n times the stencil
         with diagonal c h^n (w * 1) on Omega, built and factored exactly as
         `solver.InteriorSystem` builds and factors the unit coefficient's
-        block, so both factors agree bitwise: dpotrf leaves L in the lower
-        triangle and A'_0 in the strict upper one.  The stencil is gathered
-        into the factor's own array and is not kept.
+        block, so both factors agree bitwise.  The stencil is gathered into
+        the factor's own array and is not kept.
         """
         geom = self.geometry
         ones = np.ones(geom.shape)
@@ -313,8 +312,8 @@ class FracOperator:
     def factor_block(self, stencil, diag):
         """(factor, info) of dpotrf on the interior block -c h^n stencil with
         the given diagonal, formed and factored in the array `stencil`,
-        which it overwrites: L in the lower triangle, the block in the
-        strict upper one.  Counted in `counts.factorizations`."""
+        which it overwrites with L in the lower triangle.  Counted in
+        `counts.factorizations`."""
         np.multiply(stencil, -self.cns * self.geometry.cell_volume, out=stencil)
         np.fill_diagonal(stencil, diag)
         self.counts.factorizations += 1
@@ -376,34 +375,26 @@ def pair_matvec(spectrum, cns, h_n, g, u):
     return cns * h_n * g * (u * conv_g - apply_multiplier(spectrum, g * u))
 
 
-def _gamma_sqrt(gamma):
-    if gamma is None:
-        return None
-    if hasattr(gamma, "sqrt_values"):
-        return gamma.sqrt_values
-    return np.sqrt(np.asarray(gamma, dtype=float))
-
-
 def bilinear_form(u: GridField, v: GridField, gamma, op: FracOperator) -> float:
     """Conductivity energy pairing B_gamma(u, v): the full moment-weight
     pair sum, which is the Galerkin discretization.
 
-    gamma is a Conductivity, an array of finite positive conductivity values
-    on the grid, or None for the unit conductivity.
+    gamma is a Conductivity, or None for the unit conductivity; anything
+    else is refused.
     """
+    from .conductivity import Conductivity  # it imports this module
+
     if not u.same_grid(v):
         raise ValueError("geometry mismatch")
     geom = u.geometry
-    if hasattr(gamma, "geometry"):
+    if gamma is None:
+        g = None
+    elif isinstance(gamma, Conductivity):
         if gamma.geometry != geom:
             raise ValueError("geometry mismatch")
-    elif gamma is not None:
-        if np.shape(gamma) != geom.shape:
-            raise ValueError(f"conductivity of shape {np.shape(gamma)} does not fit the grid {geom.shape}")
-        vals = np.asarray(gamma, dtype=float)
-        if not np.all(np.isfinite(vals) & (vals > 0)):
-            raise ValueError("conductivity values must be finite and positive")
-    g = _gamma_sqrt(gamma)
+        g = gamma.sqrt_values
+    else:
+        raise TypeError(f"gamma must be a Conductivity or None, got {type(gamma).__name__}")
     return pair_form(op.form_spectrum, op.cns, geom.cell_volume, g, u.values, v.values)
 
 

@@ -30,8 +30,7 @@ equal to 1 there share one convolution per basis.
 How A' is solved depends on its size m, the number of unknowns:
 
 * m <= `_FACTORED_UNKNOWNS_MAX`: A' is factored in place, so one array per
-  system holds its Cholesky factor (lower triangle) and A' (strict upper
-  triangle, diagonal kept apart).
+  system holds its Cholesky factor (lower triangle).
 * m > `_FACTORED_UNKNOWNS_MAX`: no system is factored.  Each is solved by
   block PCG, preconditioned by the one factor of A'_0 that the operator
   keeps (`FracOperator.unit_factor`), with A' applied through the
@@ -75,9 +74,7 @@ __all__ = [
     "ExteriorDatum",
     "Solution",
     "InteriorSystem",
-    "solve_conductivity",
-    "solve_schrodinger",
-    "coercivity_check",
+    "interior_system",
 ]
 
 
@@ -164,9 +161,8 @@ class InteriorSystem:
     with the full-grid operator are `apply_multiplier` convolutions with the
     operator's cached weight spectrum, kept in its convolution store.  The
     interior block is A_gamma = D_g A' D_g (g = 1 for a potential); `_gi`
-    is g on Omega and `_diag` the diagonal of A'.  One n x n array
-    `_factor` holds A' off the diagonal (strict upper triangle) and a
-    Cholesky factor (lower triangle): A''s own for a system of at most
+    is g on Omega and `_diag` the diagonal of A'.  `_factor` is a Cholesky
+    factor (lower triangle): A''s own for a system of at most
     `_FACTORED_UNKNOWNS_MAX` unknowns, the operator's shared factor of the
     unit block A'_0 above that, which only preconditions.
     """
@@ -300,13 +296,6 @@ class InteriorSystem:
         counts.pcg_max_iterations = max(counts.pcg_max_iterations, it)
         return Y, converged
 
-    def _interior_block(self):
-        """A', the dense interior block, rebuilt from the packed storage."""
-        A = np.triu(self._factor, 1)
-        A += A.T
-        np.fill_diagonal(A, self._diag)
-        return A
-
     def _block_product(self, X):
         """A_gamma X = D_g A' D_g X, A''s diagonal read from `_diag`.
 
@@ -391,19 +380,6 @@ class InteriorSystem:
             energy=float(M[0, 0]),
         )
 
-    def smallest_eigenvalue(self):
-        """Smallest eigenvalue of A_gamma = D_g A' D_g."""
-        A = self._interior_block()
-        A *= self._gi[:, None]
-        A *= self._gi
-        vals = sla.eigh(
-            A,
-            eigvals_only=True,
-            subset_by_index=[0, 0],
-            check_finite=False,
-        )
-        return float(vals[0])
-
 
 # interior systems an operator keeps (see the module docstring)
 _SYSTEMS_KEPT = 4
@@ -421,22 +397,3 @@ def interior_system(coefficient, op: FracOperator) -> InteriorSystem:
     tag = "c" if isinstance(coefficient, Conductivity) else "q"
     key = (tag, _digest(coefficient.values))
     return _kept(op.systems, key, _SYSTEMS_KEPT, lambda: InteriorSystem(coefficient, op))
-
-
-def solve_conductivity(
-    gamma: Conductivity, f: ExteriorDatum, op: FracOperator, tol: float = 1e-10
-) -> Solution:
-    """Weak solution of the fractional conductivity problem with datum f."""
-    return interior_system(gamma, op).solve(f, tol)
-
-
-def solve_schrodinger(
-    q: Potential, f: ExteriorDatum, op: FracOperator, tol: float = 1e-10
-) -> Solution:
-    """Weak solution of the fractional Schrodinger problem with datum f."""
-    return interior_system(q, op).solve(f, tol)
-
-
-def coercivity_check(coefficient, op: FracOperator) -> float:
-    """Smallest eigenvalue of the interior Galerkin matrix (diagnostic)."""
-    return interior_system(coefficient, op).smallest_eigenvalue()

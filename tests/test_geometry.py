@@ -66,11 +66,6 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             GeometryConfig(n=3, s=0.4, box_halfwidth=6.0, grid_points=128)
 
-    def test_content_hash_sensitivity(self, geom):
-        other = default_geometry(n=1, grid_points=512)
-        assert geom.content_hash() != other.content_hash()
-        assert geom.content_hash() == default_geometry(n=1).content_hash()
-
 
 class TestMasksAndGrids:
     def test_axis_spacing(self, geom):

@@ -1,4 +1,4 @@
-"""Serialization formats, config ingestion, CLI exit codes."""
+"""Config ingestion, CLI exit codes, reports and plots."""
 
 import json
 import os
@@ -10,6 +10,8 @@ import pytest
 
 import fraccond
 from fraccond.cli import (
+    _KEY_SUITES,
+    _SUITE_KEYS,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
@@ -20,9 +22,10 @@ from fraccond.cli import (
     main,
     parse_config,
 )
-from fraccond.conductivity import Potential, bump_conductivity, liouville_potential
+from fraccond.experiments import SUITES, run_suite
+from fraccond.geometry import default_geometry
+from fraccond.operators import FracOperator
 from fraccond.dnmap import DnMatrix
-from fraccond.io import FormatError, load_conductivity, save_conductivity
 from fraccond.plots import emit_plots
 
 
@@ -38,68 +41,15 @@ region = annulus 2.0 3.0
 [suite]
 name = {suite}
 seed = {seed}
-basis_size = 8
 """
 
 
 def write_config(tmp_path, suite="logmodulus", seed=7, N=1024, extra=""):
+    # basis_size only where the suite reads it: residuals builds no basis
+    basis = "" if suite == "residuals" else "basis_size = 8\n"
     path = tmp_path / "exp.ini"
-    path.write_text(BASE_CONFIG.format(suite=suite, seed=seed, N=N) + extra)
+    path.write_text(BASE_CONFIG.format(suite=suite, seed=seed, N=N) + basis + extra)
     return path
-
-
-class TestConductivityRoundTrip:
-    def test_bitwise_round_trip(self, geom, tmp_path):
-        gam = bump_conductivity(geom, height=0.5, width=0.8)
-        path = tmp_path / "gamma.fcc"
-        save_conductivity(path, gam, seed=11)
-        back = load_conductivity(path)
-        assert np.array_equal(back.values, gam.values)
-        assert back.geometry == gam.geometry
-        assert back.gamma0 == gam.gamma0
-
-    def test_tampered_payload_detected(self, geom, tmp_path):
-        gam = bump_conductivity(geom, height=0.5, width=0.8)
-        path = tmp_path / "gamma.fcc"
-        save_conductivity(path, gam)
-        raw = bytearray(path.read_bytes())
-        raw[-5] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="hash mismatch"):
-            load_conductivity(path)
-
-    def test_version_refusal(self, geom, tmp_path):
-        gam = bump_conductivity(geom, height=0.5, width=0.8)
-        path = tmp_path / "gamma.fcc"
-        save_conductivity(path, gam)
-        text = path.read_bytes()
-        path.write_bytes(text.replace(b"v1", b"v9", 1))
-        with pytest.raises(FormatError, match="v9"):
-            load_conductivity(path)
-
-    def test_tampered_header(self, geom, tmp_path):
-        gam = bump_conductivity(geom, height=0.5, width=0.8)
-        path = tmp_path / "gamma.fcc"
-        save_conductivity(path, gam, seed=11)
-        path.write_bytes(path.read_bytes().replace(b"seed = 11", b"seed = 12"))
-        with pytest.raises(FormatError, match="hash mismatch"):
-            load_conductivity(path)
-
-    def test_truncated_payload_rejected(self, geom, tmp_path):
-        gam = bump_conductivity(geom, height=0.5, width=0.8)
-        path = tmp_path / "gamma.fcc"
-        save_conductivity(path, gam)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FormatError, match="bytes"):
-            load_conductivity(path)
-
-    def test_trailing_bytes_rejected(self, geom, tmp_path):
-        gam = bump_conductivity(geom, height=0.5, width=0.8)
-        path = tmp_path / "gamma.fcc"
-        save_conductivity(path, gam)
-        path.write_bytes(path.read_bytes() + bytes(8))
-        with pytest.raises(FormatError, match="bytes"):
-            load_conductivity(path)
 
 
 class TestConfigParsing:
@@ -148,6 +98,50 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
+
+    def test_key_the_suite_does_not_read_rejected(self, tmp_path):
+        for extra in ("theta0 = 0.9\n", "basis_size = 8\n", "amplitudes = 0.1\n"):
+            path = write_config(tmp_path, suite="residuals", extra=extra)
+            key = extra.split()[0]
+            with pytest.raises(ConfigError, match=f"'residuals' does not read {key}"):
+                parse_config(path)
+            assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / key)]) == EXIT_CONFIG
+            assert not (tmp_path / key / "report.json").exists()
+
+    def test_key_table_matches_what_each_suite_reads(self, geom_small):
+        # seed serves every suite through the report's seed, whether or not
+        # the suite draws from it
+        assert set(_KEY_SUITES) == set(_SUITE_KEYS)
+
+        class Reads(dict):
+            def get(self, key, default=None):
+                self.keys_read.add(key)
+                return super().get(key, default)
+
+        op = FracOperator(geom_small)
+        for name in SUITES:
+            config = Reads(seed=0, basis_size=8, count=4)
+            config.keys_read = set()
+            run_suite(name, geom_small, op, config)
+            served = {key for key, suites in _KEY_SUITES.items() if name in suites}
+            assert config.keys_read - {"seed"} == served - {"name", "seed"}, name
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_geometry_is_default_geometry(self, tmp_path, n):
+        path = tmp_path / "exp.ini"
+        section = "" if n == 1 else f"n = {n}\n"
+        path.write_text(f"[geometry]\n{section}[suite]\nname = residuals\n")
+        assert build_geometry(parse_config(path)) == default_geometry(n)
+
+    def test_malformed_region_rejected(self, tmp_path):
+        base = write_config(tmp_path).read_text()
+        for region in ("annulus 2.0", "annulus two 3.0", "annulus 2.0 3.0 4.0"):
+            path = tmp_path / "region.ini"
+            path.write_text(base.replace("annulus 2.0 3.0", region))
+            with pytest.raises(ConfigError, match="region"):
+                build_geometry(parse_config(path))
+            assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
 
     def test_amplitudes_parsing(self, tmp_path):
         path = tmp_path / "exp.ini"

@@ -288,38 +288,18 @@ class TestBilinearForm:
         with pytest.raises(ValueError):
             bilinear_form(u, v, None, op_quad)
 
-    def test_gamma_array_of_another_shape_rejected(self, geom_small):
-        # a (256, 256) array on a 1D N=256 grid would broadcast as 256
-        # stacked conductivities and return the sum of their forms
+    def test_array_gamma_refused(self, geom_small):
+        # only a Conductivity carries the positivity, shape and grid checks,
+        # so raw conductivity values of any shape are refused
         op = FracOperator(geom_small)
         u = smooth_random_field(geom_small, seed=1)
-        for gamma in (np.full((256, 256), 2.0), np.full(128, 2.0), 2.0):
-            with pytest.raises(ValueError, match="does not fit"):
-                bilinear_form(u, u, gamma, op)
-        assert bilinear_form(u, u, np.full(256, 2.0), op) > 0.0
-
-    def test_gamma_array_not_positive_and_finite_rejected(self, geom_small):
-        # a square root of these would give nan (negative) or a zero form
-        op = FracOperator(geom_small)
-        u = smooth_random_field(geom_small, seed=1)
-        one_bad = np.ones(256)
-        one_bad[7] = np.inf
-        for gamma in (np.full(256, -1.0), np.zeros(256), one_bad, np.full(256, np.nan)):
-            with pytest.raises(ValueError, match="finite and positive"):
+        for gamma in (np.full(256, 2.0), np.full((256, 256), 2.0), np.full(256, -1.0), 2.0):
+            with pytest.raises(TypeError, match="Conductivity or None"):
                 bilinear_form(u, u, gamma, op)
 
 
 class TestGradientEnergy:
     """The energy <Theta_gamma grad_s u, grad_s u> is bilinear_form(u, u)."""
-
-    def test_matches_bilinear_form(self, geom, op_quad):
-        from fraccond.conductivity import bump_conductivity
-
-        gam = bump_conductivity(geom, height=0.3, width=0.7)
-        u = smooth_random_field(geom, seed=6)
-        assert bilinear_form(u, u, gam, op_quad) == pytest.approx(
-            bilinear_form(u, u, gam.values, op_quad), rel=1e-14
-        )
 
     def test_zero_field(self, geom, op_quad, ones_gamma):
         z = GridField(geom, np.zeros(geom.shape))

@@ -12,15 +12,7 @@ from fraccond.conductivity import (
 )
 from fraccond.geometry import GeometryConfig, mollifier_profile
 from fraccond.operators import FracOperator, bilinear_form
-from fraccond.solver import (
-    ExteriorDatum,
-    InteriorSystem,
-    SolverError,
-    coercivity_check,
-    interior_system,
-    solve_conductivity,
-    solve_schrodinger,
-)
+from fraccond.solver import ExteriorDatum, InteriorSystem, SolverError, interior_system
 
 from conftest import reference_block
 
@@ -51,25 +43,25 @@ class TestExteriorDatum:
 class TestSolveConductivity:
     def test_zero_datum_zero_solution(self, geom, op_quad, ones_gamma):
         z = ExteriorDatum(geom, np.zeros(geom.shape))
-        sol = solve_conductivity(ones_gamma, z, op_quad)
+        sol = interior_system(ones_gamma, op_quad).solve(z)
         assert np.max(np.abs(sol.u.values)) == 0.0
         assert sol.energy == 0.0
 
     def test_exterior_values_preserved(self, geom, op_quad, ones_gamma, datum):
-        sol = solve_conductivity(ones_gamma, datum, op_quad)
+        sol = interior_system(ones_gamma, op_quad).solve(datum)
         outside = ~geom.omega_mask()
         assert np.array_equal(sol.u.values[outside], datum.values[outside])
         assert sol.residual <= 1e-10
 
     def test_unit_gamma_equals_zero_potential(self, geom, op_quad, ones_gamma, datum):
-        a = solve_conductivity(ones_gamma, datum, op_quad)
-        b = solve_schrodinger(Potential(geom, np.zeros(geom.shape)), datum, op_quad)
+        a = interior_system(ones_gamma, op_quad).solve(datum)
+        b = interior_system(Potential(geom, np.zeros(geom.shape)), op_quad).solve(datum)
         assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-14
 
     def test_constant_gamma_same_solution(self, geom, op_quad, ones_gamma, datum):
         g2 = Conductivity(geom, np.full(geom.shape, 2.0), gamma0=0.5)
-        a = solve_conductivity(ones_gamma, datum, op_quad)
-        b = solve_conductivity(g2, datum, op_quad)
+        a = interior_system(ones_gamma, op_quad).solve(datum)
+        b = interior_system(g2, op_quad).solve(datum)
         assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-12
         assert b.energy == pytest.approx(2.0 * a.energy, rel=1e-12)
 
@@ -77,15 +69,15 @@ class TestSolveConductivity:
         f = annulus_bump_datum(geom, center=2.4, width=0.3)
         g = annulus_bump_datum(geom, center=2.7, width=0.35)
         combo = ExteriorDatum(geom, 2.0 * f.values - 0.5 * g.values)
-        uf = solve_conductivity(ones_gamma, f, op_quad).u.values
-        ug = solve_conductivity(ones_gamma, g, op_quad).u.values
-        uc = solve_conductivity(ones_gamma, combo, op_quad).u.values
+        uf = interior_system(ones_gamma, op_quad).solve(f).u.values
+        ug = interior_system(ones_gamma, op_quad).solve(g).u.values
+        uc = interior_system(ones_gamma, op_quad).solve(combo).u.values
         err = np.max(np.abs(uc - (2.0 * uf - 0.5 * ug)))
         assert err <= 1e-10 * max(np.max(np.abs(uc)), 1e-30)
 
     def test_galerkin_orthogonality(self, geom, op_quad, datum):
         gam = bump_conductivity(geom, height=0.5, width=0.8)
-        sol = solve_conductivity(gam, datum, op_quad)
+        sol = interior_system(gam, op_quad).solve(datum)
         from fraccond.geometry import GridField
 
         w = GridField(geom, sol.u.values - datum.values)
@@ -93,7 +85,7 @@ class TestSolveConductivity:
         assert abs(pairing) <= 1e-8 * abs(sol.energy)
 
     def test_maximum_principle_smoke(self, geom, op_quad, ones_gamma, datum):
-        sol = solve_conductivity(ones_gamma, datum, op_quad)
+        sol = interior_system(ones_gamma, op_quad).solve(datum)
         assert sol.u.values.min() >= -1e-8 * datum.values.max()
 
     def test_self_convergence(self):
@@ -102,7 +94,7 @@ class TestSolveConductivity:
             g = GeometryConfig(n=1, s=0.4, box_halfwidth=6.0, grid_points=N)
             op = FracOperator(g)
             gam = bump_conductivity(g, height=0.5, width=0.8)
-            sol = solve_conductivity(gam, annulus_bump_datum(g), op)
+            sol = interior_system(gam, op).solve(annulus_bump_datum(g))
             sols[N] = sol.u.values
         # compare on the shared coarse grid points
         e_coarse = np.max(np.abs(sols[256] - sols[512][::2]))
@@ -111,7 +103,7 @@ class TestSolveConductivity:
 
     def test_residual_tolerance_enforced(self, geom, op_quad, ones_gamma, datum):
         with pytest.raises(SolverError, match="residual"):
-            solve_conductivity(ones_gamma, datum, op_quad, tol=1e-300)
+            interior_system(ones_gamma, op_quad).solve(datum, tol=1e-300)
 
 
 class TestLiouvilleCorrespondence:
@@ -119,31 +111,35 @@ class TestLiouvilleCorrespondence:
         # gamma = 1 on the exterior: datum passes through the transform
         gam = bump_conductivity(geom, height=0.5, width=0.8)
         q = liouville_potential(gam, op_quad)
-        u = solve_conductivity(gam, datum, op_quad)
-        v = solve_schrodinger(q, datum, op_quad)
+        u = interior_system(gam, op_quad).solve(datum)
+        v = interior_system(q, op_quad).solve(datum)
         transformed = gam.sqrt_values * u.u.values
         rel = np.max(np.abs(v.u.values - transformed)) / np.max(np.abs(v.u.values))
         assert rel <= 1e-5
 
     def test_energy_from_unit_gamma(self, geom, op_quad, ones_gamma, datum):
-        sol = solve_conductivity(ones_gamma, datum, op_quad)
+        sol = interior_system(ones_gamma, op_quad).solve(datum)
         energy_direct = bilinear_form(sol.u, sol.u, None, op_quad)
         assert sol.energy == pytest.approx(energy_direct, rel=1e-10)
 
 
+def smallest_eigenvalue(coefficient, op):
+    return np.linalg.eigvalsh(reference_block(coefficient, op))[0]
+
+
 class TestCoercivity:
     def test_positive_for_unit(self, geom, op_quad, ones_gamma):
-        lam = coercivity_check(ones_gamma, op_quad)
+        lam = smallest_eigenvalue(ones_gamma, op_quad)
         assert lam > 0
 
     def test_monotone_in_gamma(self, geom, op_quad, ones_gamma):
         gam = bump_conductivity(geom, height=0.5, width=0.8)  # gamma >= 1
-        assert coercivity_check(gam, op_quad) >= coercivity_check(ones_gamma, op_quad)
+        assert smallest_eigenvalue(gam, op_quad) >= smallest_eigenvalue(ones_gamma, op_quad)
 
     def test_constant_scaling_doubles_spectrum(self, geom, op_quad, ones_gamma):
         g2 = Conductivity(geom, np.full(geom.shape, 2.0), gamma0=0.5)
-        lam1 = coercivity_check(ones_gamma, op_quad)
-        lam2 = coercivity_check(g2, op_quad)
+        lam1 = smallest_eigenvalue(ones_gamma, op_quad)
+        lam2 = smallest_eigenvalue(g2, op_quad)
         assert lam2 == pytest.approx(2.0 * lam1, rel=1e-10)
 
     def test_non_coercive_potential_reported(self, geom, op_quad):
@@ -154,22 +150,18 @@ class TestCoercivity:
     def test_transformed_potential_coercive(self, geom, op_quad):
         gam = bump_conductivity(geom, height=0.9, width=0.9)
         q = liouville_potential(gam, op_quad)
-        assert coercivity_check(q, op_quad) > 0
+        assert smallest_eigenvalue(q, op_quad) > 0
 
-    def test_rebuilt_block_matches_packed_storage(self, geom, op_quad):
-        # the in-place factor keeps A' in its strict upper triangle, and
+    def test_congruence_form_matches_reference_block(self, geom, op_quad):
+        # A' is -c h^n times the stencil with the system's diagonal, and
         # A_gamma = D_g A' D_g is the entrywise block
         gam = bump_conductivity(geom, height=0.5, width=0.8)
         system = interior_system(gam, op_quad)
-        packed = np.multiply(op_quad.interior_stencil, -system._scale)
-        np.fill_diagonal(packed, system._diag)
-        assert np.array_equal(packed, system._interior_block())
-        congruent = system._gi[:, None] * packed * system._gi
+        a_prime = np.multiply(op_quad.interior_stencil, -system._scale)
+        np.fill_diagonal(a_prime, system._diag)
+        congruent = system._gi[:, None] * a_prime * system._gi
         ref = reference_block(gam, op_quad)
         assert np.max(np.abs(congruent - ref)) <= 1e-15 * np.max(np.abs(ref))
-        assert coercivity_check(gam, op_quad) == pytest.approx(
-            np.linalg.eigvalsh(congruent)[0], rel=1e-10
-        )
 
 
 class TestPackedSystem:
@@ -287,11 +279,11 @@ class TestConvolutionStore:
 class TestSchrodingerSolve:
     def test_zero_everything(self, geom, op_quad):
         z = ExteriorDatum(geom, np.zeros(geom.shape))
-        sol = solve_schrodinger(Potential(geom, np.zeros(geom.shape)), z, op_quad)
+        sol = interior_system(Potential(geom, np.zeros(geom.shape)), op_quad).solve(z)
         assert np.max(np.abs(sol.u.values)) == 0.0
 
     def test_far_field_energy(self, geom, op_quad, datum):
-        sol = solve_schrodinger(Potential(geom, np.zeros(geom.shape)), datum, op_quad)
+        sol = interior_system(Potential(geom, np.zeros(geom.shape)), op_quad).solve(datum)
         direct = bilinear_form(sol.u, sol.u, None, op_quad)
         assert sol.energy == pytest.approx(direct, rel=1e-10)
 
@@ -321,21 +313,20 @@ class TestSharedFactor:
             "unit": lambda: Conductivity(geom, np.ones(geom.shape), gamma0=0.5),
             "zero": lambda: Potential(geom, np.zeros(geom.shape)),
         }[coefficient]
-        own = solve_conductivity if coefficient == "unit" else solve_schrodinger
-        direct = own(make(), datum, FracOperator(geom))
+        direct = interior_system(make(), FracOperator(geom)).solve(datum)
         monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
         op = FracOperator(geom)
-        shared = own(make(), datum, op)
+        shared = interior_system(make(), op).solve(datum)
         assert np.array_equal(shared.u.values, direct.u.values)
         assert shared.energy == direct.energy
         assert (op.counts.pcg_solves, op.counts.factorizations) == (0, 1)
 
     def test_matches_own_factor_and_counts(self, geom, datum, monkeypatch):
         gam = bump_conductivity(geom, height=0.5, width=0.8)
-        direct = solve_conductivity(gam, datum, FracOperator(geom)).u.values
+        direct = interior_system(gam, FracOperator(geom)).solve(datum).u.values
         monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
         op = FracOperator(geom)
-        sol = solve_conductivity(gam, datum, op)
+        sol = interior_system(gam, op).solve(datum)
         assert np.max(np.abs(sol.u.values - direct)) <= 1e-12 * np.max(np.abs(direct))
         counts = op.counts
         assert counts.factorizations == 1  # the unit factor, no other
@@ -403,10 +394,3 @@ class TestSharedFactor:
         system._diag = system._diag * (1.0 + 1e-6)
         with pytest.raises(SolverError, match="residual"):
             system.solve(datum)
-
-    def test_smallest_eigenvalue_from_shared_storage(self, geom, shared_factor):
-        op = FracOperator(geom)
-        gam = bump_conductivity(geom, height=0.5, width=0.8)
-        lam = np.linalg.eigvalsh(reference_block(gam, op))[0]
-        assert coercivity_check(gam, op) == pytest.approx(lam, rel=1e-10)
-
