@@ -39,9 +39,6 @@ from .dnmap import (
     restrict_dn,
 )
 from .experiments import (
-    InstabilityRecord,
-    ModulusFit,
-    ReductionCheck,
     exterior_recovery,
     exterior_stability_scan,
     instability_search,

@@ -7,11 +7,17 @@ Commands:
     fraccond validate --config FILE
 
 Configs are INI files with [geometry] and [suite] sections; unknown
-sections and keys are rejected.  A run writes report.json (the
-deterministic payload, hashed) and provenance.json (version, seed, wall
-time and the solver's counts: factorizations, PCG solves and iterations,
-worst Galerkin residual) plus the plot sidecars.  Exit codes: 0 ok, 2 config
-error, 3 solver failure, 4 suite invariant failure.
+sections and keys are rejected.  A suite's [suite] keys are its keyword
+parameters: each is cast to the type of its default (a tuple default reads
+space-separated numbers) and falls back to that default.  `name` and `seed`
+are run keys, accepted for every suite; the seed is recorded in every
+report and passed only to the suites that declare it.
+
+A run writes report.json (the deterministic payload, hashed) and
+provenance.json (version, seed, wall time and the solver's counts:
+factorizations, PCG solves and iterations, worst Galerkin residual) plus
+the plot sidecars.  Exit codes: 0 ok, 2 config error, 3 solver failure, 4
+suite invariant failure.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -52,52 +59,20 @@ _GEOMETRY_KEYS = {
     "omega_radius": float,
     "region": str,
 }
-_SUITE_KEYS = {
-    "name": str,
-    "seed": int,
-    "theta0": float,
-    "q_index": float,
-    "base_amplitude": float,
-    "pairs": int,
-    "amplitude": float,
-    "factor": float,
-    "amplitudes": str,
-    "basis_size": int,
-    "ell": float,
-    "eps": float,
-    "beta": float,
-    "lattice_spacing": float,
-    "count": int,
-    "probe_point": float,
-    "recovery_height": float,
-    "region": str,
-}
-# the suites that build an exterior basis in a named measurement region
-_BASIS_SUITES = ("exterior", "reduction", "logmodulus", "instability")
-# the suites that read each [suite] key; a key the named suite does not read
-# is refused rather than echoed into a report it had no effect on
-_KEY_SUITES = {
-    "name": tuple(SUITES),
-    "seed": tuple(SUITES),
-    "theta0": ("reduction", "logmodulus"),
-    "q_index": ("logmodulus",),
-    "base_amplitude": ("logmodulus",),
-    "pairs": ("logmodulus",),
-    "amplitude": ("reduction",),
-    "factor": ("reduction",),
-    "amplitudes": ("exterior",),
-    "basis_size": _BASIS_SUITES,
-    "ell": ("instability",),
-    "eps": ("instability",),
-    "beta": ("instability",),
-    "lattice_spacing": ("instability",),
-    "count": ("instability",),
-    "probe_point": ("exterior",),
-    "recovery_height": ("exterior",),
-    "region": _BASIS_SUITES,
-}
+_RUN_KEYS = {"name": str, "seed": int}
 
-_SECTIONS = {"geometry": _GEOMETRY_KEYS, "suite": _SUITE_KEYS}
+
+def suite_keys(name):
+    """The named suite's own [suite] keys with their defaults: the keyword
+    parameters after (geometry, op)."""
+    params = list(inspect.signature(SUITES[name]).parameters.values())[2:]
+    return {p.name: p.default for p in params}
+
+
+def _caster(default):
+    if isinstance(default, tuple):
+        return lambda text: tuple(float(v) for v in text.split())
+    return type(default)
 
 
 def parse_config(path):
@@ -109,35 +84,30 @@ def parse_config(path):
         raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
-    config = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in ("geometry", "suite"):
             raise ConfigError(f"unknown section [{section}]")
-        allowed = _SECTIONS[section]
-        config[section] = {}
-        for key, value in parser.items(section):
-            if key not in allowed:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            caster = allowed[key]
-            try:
-                config[section][key] = caster(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
-    if "suite" not in config or "name" not in config["suite"]:
+    if not parser.has_option("suite", "name"):
         raise ConfigError("config must declare [suite] name")
-    name = config["suite"]["name"]
+    name = parser.get("suite", "name")
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    unread = [key for key in config["suite"] if name not in _KEY_SUITES[key]]
-    if unread:
-        raise ConfigError(f"suite {name!r} does not read {', '.join(unread)}")
-    if "amplitudes" in config.get("suite", {}):
-        try:
-            config["suite"]["amplitudes"] = tuple(
-                float(v) for v in config["suite"]["amplitudes"].split()
-            )
-        except ValueError as exc:
-            raise ConfigError("suite.amplitudes must be a list of numbers") from exc
+    casts = {
+        "geometry": _GEOMETRY_KEYS,
+        "suite": {**_RUN_KEYS, **{k: _caster(d) for k, d in suite_keys(name).items()}},
+    }
+    config = {}
+    for section in parser.sections():
+        config[section] = {}
+        for key, value in parser.items(section):
+            if key not in casts[section]:
+                if section == "suite":
+                    raise ConfigError(f"suite {name!r} does not read {key}")
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            try:
+                config[section][key] = casts[section][key](value)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
     return config
 
 
@@ -196,21 +166,20 @@ def execute(config, seed_override=None):
     """Run the configured suite; return the report document and the
     operator's `SolverCounts`."""
     geometry = build_geometry(config)
-    suite_cfg = dict(config.get("suite", {}))
+    suite_cfg = dict(config["suite"])
     name = suite_cfg.pop("name")
+    seed = suite_cfg.pop("seed", 0)
     if seed_override is not None:
-        suite_cfg["seed"] = seed_override
-    suite_cfg.setdefault("seed", 0)
+        seed = seed_override
+    if "seed" in suite_keys(name):
+        suite_cfg["seed"] = seed
     op = FracOperator(geometry)
     payload = run_suite(name, geometry, op, suite_cfg)
     checks = _suite_invariants(name, payload)
-    config_echo = {k: dict(v) for k, v in config.items()}
-    if "suite" in config_echo and "amplitudes" in config_echo["suite"]:
-        config_echo["suite"]["amplitudes"] = list(config_echo["suite"]["amplitudes"])
     document = {
-        "config": {**config_echo, "suite": {**config_echo.get("suite", {}), "name": name}},
+        "config": {k: dict(v) for k, v in config.items()},
         "suite": name,
-        "seed": suite_cfg["seed"],
+        "seed": seed,
         "payload": payload,
         "checks": checks,
     }

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .conductivity import Conductivity, Potential
 from .geometry import GridField, mollifier_profile
 from .operators import FracOperator, hs_gram
 from .solver import ExteriorDatum, SolverError, interior_system
@@ -57,7 +56,6 @@ class DnMatrix:
 
     entries: np.ndarray
     basis: ExteriorBasis
-    equation: str  # "conductivity" or "schrodinger"
 
     def __post_init__(self):
         M = np.asarray(self.entries, dtype=float)
@@ -258,20 +256,14 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     apply is made, and the apply's convolution is shared through the
     operator's store by every coefficient with g F = F.  M is passed to
     DnMatrix unsymmetrized, so its symmetry check sees the raw solver
-    asymmetry.
+    asymmetry.  Any other coefficient raises TypeError.
     """
-    if isinstance(coefficient, Conductivity):
-        equation = "conductivity"
-    elif isinstance(coefficient, Potential):
-        equation = "schrodinger"
-    else:
-        raise TypeError("coefficient must be a Conductivity or a Potential")
     system = interior_system(coefficient, op)
     if basis.geometry != system.geometry:
         raise ValueError("geometry mismatch")
     F = np.stack([f.values for f in basis.functions])
     _, M, _ = system.solve_many(F, tol)
-    return DnMatrix(entries=M, basis=basis, equation=equation)
+    return DnMatrix(entries=M, basis=basis)
 
 
 def _whiten(gram):

@@ -1,7 +1,9 @@
 """Stability and instability experiment suites.
 
-Each suite probes one estimate at desk scale and returns a plain dict
-payload (JSON-ready) so the command-line harness can persist and plot it:
+Each suite probes one estimate at desk scale.  It is a function of the
+geometry, the operator and its keyword parameters, whose defaults are the
+suite's settings, and returns a plain dict payload (JSON-ready) so the
+command-line harness can persist and plot it:
 
 * residuals    - Liouville identity and transformed-equation residuals with
                  a grid-refinement study.
@@ -22,7 +24,7 @@ here claims to reproduce a theoretical constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,9 +62,6 @@ from .operators import (
 )
 
 __all__ = [
-    "ModulusFit",
-    "ReductionCheck",
-    "InstabilityRecord",
     "liouville_identity_residual",
     "mtilde_equation_residual",
     "exterior_recovery",
@@ -75,54 +74,6 @@ __all__ = [
 ]
 
 EPS_GUARD = 1e-300
-
-
-# ---------------------------------------------------------------------------
-# result records
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModulusFit:
-    C: float
-    sigma: float
-    q_norm_index: float
-    r_squared: float
-    data_points: tuple  # (x, y) per retained pair
-    flagged_points: tuple  # (x, y) of pairs failing the smallness gate
-    gate: float
-    floor: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.sigma):
-            raise ValueError("fit produced a non-finite exponent")
-        for x, _ in self.data_points:
-            if x > 1.0:
-                raise ValueError("modulus fits are restricted to x <= 1")
-
-
-@dataclass(frozen=True)
-class ReductionCheck:
-    theta0: float
-    lhs: float
-    x: float
-    rhs_shape: float
-    fitted_constant: float
-
-
-@dataclass(frozen=True)
-class InstabilityRecord:
-    params: MandacheParams
-    pair: tuple
-    gamma_gap: float
-    dn_gap: float
-    delta_target: float
-    decay_fit: tuple  # (amplitude, rate, r_squared)
-    net_size_bound: float
-    packing_bound: float
-    spearman_envelope: float
-    decay_table: dict
-    min_pairwise_gap: float
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +218,10 @@ def exterior_stability_scan(pairs, basis, op: FracOperator):
 # ---------------------------------------------------------------------------
 
 
-def reduction_check(g1, g2, theta0, basis, op: FracOperator) -> ReductionCheck:
-    """Both DN differences of a pair in one basis and the shape-fitted constant."""
+def reduction_check(g1, g2, theta0, basis, op: FracOperator) -> dict:
+    """Both DN differences of a pair in one basis, x for the conductivities'
+    and lhs for their Liouville potentials', and the constant fitted to the
+    shape x + x^(1/2) + x^((1-theta0)/2); ratios are nan when x = 0."""
     check_theta0(g1.geometry, theta0)
     Mg1 = assemble_dn(g1, basis, op)
     Mg2 = assemble_dn(g2, basis, op)
@@ -279,8 +232,15 @@ def reduction_check(g1, g2, theta0, basis, op: FracOperator) -> ReductionCheck:
     Mq2 = assemble_dn(q2, basis, op)
     lhs = dn_operator_norm(Mq1 - Mq2)
     shape = x + x**0.5 + x ** ((1.0 - theta0) / 2.0) if x > 0 else 0.0
-    fitted = lhs / shape if shape > 0 else float("nan")
-    return ReductionCheck(theta0=theta0, lhs=lhs, x=x, rhs_shape=shape, fitted_constant=fitted)
+    nan = float("nan")
+    return {
+        "x": x,
+        "lhs": lhs,
+        "rhs_shape": shape,
+        "fitted_constant": lhs / shape if shape > 0 else nan,
+        "lhs_over_x": lhs / x if x > 0 else nan,
+        "lhs_over_x_pow": lhs / x ** ((1 - theta0) / 2) if x > 0 else nan,
+    }
 
 
 def dn_floor_estimate(basis, op: FracOperator) -> float:
@@ -292,12 +252,13 @@ def dn_floor_estimate(basis, op: FracOperator) -> float:
     return 100.0 * float(np.finfo(float).eps) * base
 
 
-def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, delta=None) -> ModulusFit:
+def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, delta=None) -> dict:
     """Least-squares log-modulus fit over an admissible family of pairs.
 
     Fits log y = log C - sigma log|log x| over pairs passing the smallness
     gate, where x is the DN-difference norm and y the L^q(Omega) distance of
-    the square roots.  Pairs failing the gate are reported but excluded.
+    the square roots.  Pairs failing the gate are reported but excluded;
+    monotone says whether y grows with x over the retained pairs.
     """
     geom = basis.geometry
     n, s = geom.n, geom.s
@@ -322,9 +283,9 @@ def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, del
         diff = np.abs(ga.sqrt_values - gb.sqrt_values)[omega]
         y = float((np.sum(diff**q_index) * geom.cell_volume) ** (1.0 / q_index))
         if x <= gate and x > floor:
-            retained.append((float(x), y))
+            retained.append([float(x), y])
         else:
-            flagged.append((float(x), y))
+            flagged.append([float(x), y])
     if len(retained) < 4:
         raise ValueError(
             f"only {len(retained)} usable pairs below the gate {gate:.3e}; "
@@ -339,16 +300,24 @@ def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, del
     ss_res = float(np.sum((np.log(ys) - pred) ** 2))
     ss_tot = float(np.sum((np.log(ys) - np.mean(np.log(ys))) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return ModulusFit(
-        C=float(np.exp(coef[0])),
-        sigma=float(-coef[1]),
-        q_norm_index=float(q_index),
-        r_squared=r2,
-        data_points=tuple(retained),
-        flagged_points=tuple(flagged),
-        gate=float(gate),
-        floor=float(floor),
+    sigma = float(-coef[1])
+    if not np.isfinite(sigma):
+        raise ValueError("fit produced a non-finite exponent")
+    monotone = all(
+        (xs[i] - xs[j]) * (ys[i] - ys[j]) > 0 for i in range(len(xs)) for j in range(i)
     )
+    return {
+        "theta0": theta0,
+        "q_index": q_index,
+        "C": float(np.exp(coef[0])),
+        "sigma": sigma,
+        "r_squared": r2,
+        "gate": float(gate),
+        "floor": float(floor),
+        "data_points": retained,
+        "flagged_points": flagged,
+        "monotone": bool(monotone),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +374,7 @@ def coefficient_decay(entries, orders):
     }
 
 
-def instability_search(
-    params: MandacheParams, basis, op: FracOperator, count=32
-) -> InstabilityRecord:
+def instability_search(params: MandacheParams, basis, op: FracOperator, count=32) -> dict:
     """Search a lattice family for an eps-separated pair with a tiny
     partial-data DN gap on the annulus basis.
 
@@ -449,26 +416,34 @@ def instability_search(
     orders = [basis.order_of(i) for i in range(len(basis))]
     decay = coefficient_decay(mats[0].entries - M0.entries, orders)
     n, ell, eps = params.n, params.ell, params.eps
-    delta_target = math.exp(-(eps ** (-n / ((2 * n + 3) * ell))))
-    packing = math.exp((params.beta / eps) ** (n / ell))
-    net_bound = params.beta * math.exp(eps ** (-n / ell))
-    return InstabilityRecord(
-        params=params,
-        pair=best[2],
-        gamma_gap=best[1],
-        dn_gap=float(best[0]),
-        delta_target=delta_target,
-        decay_fit=(decay["amplitude"], decay["rate"], decay["r_squared"]),
-        net_size_bound=net_bound,
-        packing_bound=packing,
-        spearman_envelope=decay["spearman_envelope"],
-        decay_table=decay,
-        min_pairwise_gap=min_gap,
-    )
+    dn_gap, gamma_gap, pair = float(best[0]), best[1], best[2]
+    return {
+        "count": count,
+        "ell": ell,
+        "eps": eps,
+        "beta": params.beta,
+        "seed": params.seed,
+        "pair": list(pair),
+        "gamma_gap": gamma_gap,
+        "dn_gap": dn_gap,
+        "dn_over_gamma": dn_gap / gamma_gap,
+        "delta_target": math.exp(-(eps ** (-n / ((2 * n + 3) * ell)))),
+        "net_size_bound": params.beta * math.exp(eps ** (-n / ell)),
+        "packing_bound": math.exp((params.beta / eps) ** (n / ell)),
+        "decay_amplitude": decay["amplitude"],
+        "decay_rate": decay["rate"],
+        "decay_r_squared": decay["r_squared"],
+        "decay_orders": decay["orders"],
+        "decay_envelope": decay["envelope"],
+        "spearman_envelope": decay["spearman_envelope"],
+        "min_pairwise_gap": min_gap,
+        "eps_discrete": bool(min_gap >= eps / 2.0),
+    }
 
 
 # ---------------------------------------------------------------------------
-# bundled suites (named presets, reproducible from config + seed)
+# bundled suites: a suite's keyword parameters are its [suite] config keys,
+# their defaults its settings
 # ---------------------------------------------------------------------------
 
 
@@ -478,10 +453,10 @@ def _residual_battery(geometry):
     return [bump_conductivity(geometry, height=a, width=w) for a, w in specs]
 
 
-def suite_residuals(geometry, op, config):
+def suite_residuals(geometry, op, seed=0):
     out = {"cases": [], "refinement": []}
-    u = bandlimited_field(geometry, seed=config.get("seed", 0) + 11)
-    phi = bandlimited_field(geometry, seed=config.get("seed", 0) + 23)
+    u = bandlimited_field(geometry, seed=seed + 11)
+    phi = bandlimited_field(geometry, seed=seed + 23)
     for k, gamma in enumerate(_residual_battery(geometry)):
         res = liouville_identity_residual(gamma, u, phi, op)
         out["cases"].append({"case": k, "liouville_residual": float(res)})
@@ -489,12 +464,10 @@ def suite_residuals(geometry, op, config):
     g2 = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
     out["mtilde_residual"] = float(mtilde_equation_residual(g1, g2, op))
     if geometry.grid_points >= 128:
-        from dataclasses import replace
-
         coarse = replace(geometry, grid_points=geometry.grid_points // 2)
         op_c = FracOperator(coarse)
-        uc = bandlimited_field(coarse, seed=config.get("seed", 0) + 11)
-        pc = bandlimited_field(coarse, seed=config.get("seed", 0) + 23)
+        uc = bandlimited_field(coarse, seed=seed + 11)
+        pc = bandlimited_field(coarse, seed=seed + 23)
         for case, gamma_c in zip(out["cases"], _residual_battery(coarse)):
             k, fine = case["case"], case["liouville_residual"]
             crs = liouville_identity_residual(gamma_c, uc, pc, op_c)
@@ -510,37 +483,42 @@ def _scan_pair(geometry, amplitude, center=2.5, halfwidth=0.5):
     return Conductivity(geometry, vals, gamma0=0.5)
 
 
-def suite_exterior(geometry, op, config):
-    region = config.get("region", "annulus")
-    basis = build_exterior_basis(geometry, region, config.get("basis_size", 16), "bumps")
+def suite_exterior(
+    geometry,
+    op,
+    region="annulus",
+    basis_size=16,
+    amplitudes=(0.05, 0.1, 0.2),
+    probe_point=2.5,
+    recovery_height=0.5,
+):
+    basis = build_exterior_basis(geometry, region, basis_size, "bumps")
     one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
-    amplitudes = config.get("amplitudes", (0.05, 0.1, 0.2))
     pairs = [(_scan_pair(geometry, a), one) for a in amplitudes]
     scan = exterior_stability_scan(pairs, basis, op)
 
     # recovery probes on a dedicated probe basis
-    point = config.get("probe_point", 2.5)
     widths = (0.32, 0.226, 0.16, 0.113)
     mask = geometry.region_mask(region)
     fields = []
     if geometry.n == 1:
         x = geometry.axis()
         for w in widths:
-            fields.append(np.where(mask, mollifier_profile((x - point) / w), 0.0))
+            fields.append(np.where(mask, mollifier_profile((x - probe_point) / w), 0.0))
     else:
         X, Y = geometry.coords()
         for w in widths:
             fields.append(
-                np.where(mask, mollifier_profile(np.hypot(X - point, Y) / w), 0.0)
+                np.where(mask, mollifier_profile(np.hypot(X - probe_point, Y) / w), 0.0)
             )
     orders = tuple((i, 0) for i in range(len(widths)))
     probe_basis = basis_from_fields(geometry, region, fields, orders, "bumps")
-    gam = _scan_pair(geometry, config.get("recovery_height", 0.5))
+    gam = _scan_pair(geometry, recovery_height)
     Mg = assemble_dn(gam, probe_basis, op)
     M0 = assemble_dn(one, probe_basis, op)
-    probes = [ProbeSpec(point=point, widths=widths, indices=tuple(range(len(widths))))]
+    probes = [ProbeSpec(point=probe_point, widths=widths, indices=tuple(range(len(widths))))]
     recov = exterior_recovery(Mg, M0, probe_basis, probes)
-    idx = np.argmin(np.abs(geometry.radius().reshape(-1) - point))
+    idx = np.argmin(np.abs(geometry.radius().reshape(-1) - probe_point))
     true_val = float(gam.values.reshape(-1)[idx])
     return {
         "scan": scan,
@@ -550,32 +528,15 @@ def suite_exterior(geometry, op, config):
     }
 
 
-def suite_reduction(geometry, op, config):
-    theta0 = config.get("theta0", 0.9)
-    amplitude = config.get("amplitude", 0.3)
-    factor = config.get("factor", 1.3)
-    widths = [0.4 / factor**k for k in range(6)]
-    basis = build_exterior_basis(
-        geometry, config.get("region", "annulus"), config.get("basis_size", 16), "bumps"
-    )
+def suite_reduction(
+    geometry, op, theta0=0.9, amplitude=0.3, factor=1.3, region="annulus", basis_size=16
+):
+    basis = build_exterior_basis(geometry, region, basis_size, "bumps")
     one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
     checks = []
-    for w in widths:
+    for w in [0.4 / factor**k for k in range(6)]:
         g = bump_conductivity(geometry, height=amplitude, width=w)
-        chk = reduction_check(g, one, theta0, basis, op)
-        checks.append(
-            {
-                "width": float(w),
-                "x": chk.x,
-                "lhs": chk.lhs,
-                "rhs_shape": chk.rhs_shape,
-                "fitted_constant": chk.fitted_constant,
-                "lhs_over_x": chk.lhs / chk.x if chk.x > 0 else float("nan"),
-                "lhs_over_x_pow": chk.lhs / chk.x ** ((1 - theta0) / 2)
-                if chk.x > 0
-                else float("nan"),
-            }
-        )
+        checks.append({"width": float(w), **reduction_check(g, one, theta0, basis, op)})
     fitted = [c["fitted_constant"] for c in checks]
     return {
         "theta0": theta0,
@@ -588,76 +549,48 @@ def suite_reduction(geometry, op, config):
     }
 
 
-def suite_logmodulus(geometry, op, config):
-    theta0 = config.get("theta0", 0.81)
-    q_index = config.get("q_index", 2.0)
-    base = config.get("base_amplitude", 8e-4)
-    count = config.get("pairs", 8)
-    basis = build_exterior_basis(
-        geometry, config.get("region", "annulus"), config.get("basis_size", 16), "bumps"
-    )
+def suite_logmodulus(
+    geometry,
+    op,
+    theta0=0.81,
+    q_index=2.0,
+    base_amplitude=8e-4,
+    pairs=8,
+    region="annulus",
+    basis_size=16,
+):
+    basis = build_exterior_basis(geometry, region, basis_size, "bumps")
     one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
     family = [
-        (bump_conductivity(geometry, height=base * 2.0**-k, width=0.6), one)
-        for k in range(1, count + 1)
+        (bump_conductivity(geometry, height=base_amplitude * 2.0**-k, width=0.6), one)
+        for k in range(1, pairs + 1)
     ]
-    fit = log_stability_fit(family, q_index, basis, op, theta0=theta0)
-    xs = [p[0] for p in fit.data_points]
-    ys = [p[1] for p in fit.data_points]
-    monotone = all(
-        (xs[i] - xs[j]) * (ys[i] - ys[j]) > 0 for i in range(len(xs)) for j in range(i)
-    )
-    return {
-        "theta0": theta0,
-        "q_index": q_index,
-        "C": fit.C,
-        "sigma": fit.sigma,
-        "r_squared": fit.r_squared,
-        "gate": fit.gate,
-        "floor": fit.floor,
-        "data_points": [list(p) for p in fit.data_points],
-        "flagged_points": [list(p) for p in fit.flagged_points],
-        "monotone": bool(monotone),
-    }
+    return log_stability_fit(family, q_index, basis, op, theta0=theta0)
 
 
-def suite_instability(geometry, op, config):
+def suite_instability(
+    geometry,
+    op,
+    seed=0,
+    ell=2.5,
+    eps=0.1,
+    beta=1e4,
+    lattice_spacing=0.2,
+    count=32,
+    region="annulus",
+    basis_size=16,
+):
     params = MandacheParams(
-        ell=config.get("ell", 2.5),
-        eps=config.get("eps", 0.1),
-        beta=config.get("beta", 1e4),
-        lattice_spacing=config.get("lattice_spacing", 0.2),
-        seed=config.get("seed", 0),
+        ell=ell,
+        eps=eps,
+        beta=beta,
+        lattice_spacing=lattice_spacing,
+        seed=seed,
         s=geometry.s,
         n=geometry.n,
     )
-    basis = build_exterior_basis(
-        geometry, config.get("region", "annulus"), config.get("basis_size", 16), "harmonic"
-    )
-    count = config.get("count", 32)
-    rec = instability_search(params, basis, op, count=count)
-    return {
-        "count": count,
-        "ell": params.ell,
-        "eps": params.eps,
-        "beta": params.beta,
-        "seed": params.seed,
-        "pair": list(rec.pair),
-        "gamma_gap": rec.gamma_gap,
-        "dn_gap": rec.dn_gap,
-        "dn_over_gamma": rec.dn_gap / rec.gamma_gap,
-        "delta_target": rec.delta_target,
-        "net_size_bound": rec.net_size_bound,
-        "packing_bound": rec.packing_bound,
-        "decay_amplitude": rec.decay_fit[0],
-        "decay_rate": rec.decay_fit[1],
-        "decay_r_squared": rec.decay_fit[2],
-        "decay_orders": rec.decay_table["orders"],
-        "decay_envelope": rec.decay_table["envelope"],
-        "spearman_envelope": rec.spearman_envelope,
-        "min_pairwise_gap": rec.min_pairwise_gap,
-        "eps_discrete": bool(rec.min_pairwise_gap >= params.eps / 2.0),
-    }
+    basis = build_exterior_basis(geometry, region, basis_size, "harmonic")
+    return instability_search(params, basis, op, count=count)
 
 
 SUITES = {
@@ -670,6 +603,7 @@ SUITES = {
 
 
 def run_suite(name, geometry, op, config=None):
+    """The named suite's payload, with config its keyword arguments."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](geometry, op, config or {})
+    return SUITES[name](geometry, op, **(config or {}))

@@ -100,9 +100,6 @@ class ExteriorDatum:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def field(self):
-        return GridField(self.geometry, self.values)
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -390,8 +387,11 @@ def interior_system(coefficient, op: FracOperator) -> InteriorSystem:
 
     A coefficient on another grid than the operator is refused before the
     lookup: the key holds only the coefficient's kind and a digest of its
-    values, which equal values on another grid would share.
+    values, which equal values on another grid would share.  Anything but a
+    Conductivity or a Potential is refused with TypeError before it is hashed.
     """
+    if not isinstance(coefficient, (Conductivity, Potential)):
+        raise TypeError("coefficient must be a Conductivity or a Potential")
     if coefficient.geometry != op.geometry:
         raise ValueError("coefficient and operator live on different grids")
     tag = "c" if isinstance(coefficient, Conductivity) else "q"

@@ -22,7 +22,7 @@ from fraccond.dnmap import (
     restrict_dn,
 )
 from fraccond.experiments import suite_reduction
-from fraccond.geometry import default_geometry, mollifier_profile
+from fraccond.geometry import GridField, default_geometry, mollifier_profile
 from fraccond.operators import FracOperator, hs_gram
 from fraccond.solver import ExteriorDatum, SolverError, interior_system
 
@@ -41,7 +41,7 @@ def harmonic(geom):
 
 def merge_bases(a, b):
     functions = a.functions + b.functions
-    fields = [f.field() for f in functions]
+    fields = [GridField(f.geometry, f.values) for f in functions]
     return ExteriorBasis(
         geometry=a.geometry,
         functions=functions,
@@ -180,7 +180,15 @@ class TestAssembly:
         k = len(basis)
         entries = np.eye(k) + 1e-6 * np.triu(np.ones((k, k)), 1)
         with pytest.raises(SolverError, match="symmetry"):
-            DnMatrix(entries=entries, basis=basis, equation="conductivity")
+            DnMatrix(entries=entries, basis=basis)
+
+    @pytest.mark.parametrize("kind", ["ndarray", "GridField"])
+    def test_non_coefficient_rejected_before_hashing(self, geom, basis, kind, monkeypatch):
+        values = np.ones(geom.shape)
+        coefficient = values if kind == "ndarray" else GridField(geom, values)
+        monkeypatch.setattr(solver, "_digest", lambda *a: pytest.fail("hashed a non-coefficient"))
+        with pytest.raises(TypeError, match="Conductivity or a Potential"):
+            assemble_dn(coefficient, basis, FracOperator(geom))
 
 
 def reference_apply(coefficient, op):
@@ -375,7 +383,7 @@ class TestAlessandriniAssembly:
             return plain(symbol, values)
 
         monkeypatch.setattr(solver, "apply_multiplier", counting)
-        out = suite_reduction(geom_small, FracOperator(geom_small), {"basis_size": 8})
+        out = suite_reduction(geom_small, FracOperator(geom_small), basis_size=8)
         assert len(out["checks"]) == 6
         assert stacked == [(8, geom_small.grid_points)]
 

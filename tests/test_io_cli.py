@@ -10,8 +10,6 @@ import pytest
 
 import fraccond
 from fraccond.cli import (
-    _KEY_SUITES,
-    _SUITE_KEYS,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
@@ -21,10 +19,10 @@ from fraccond.cli import (
     execute,
     main,
     parse_config,
+    suite_keys,
 )
-from fraccond.experiments import SUITES, run_suite
+from fraccond.experiments import SUITES
 from fraccond.geometry import default_geometry
-from fraccond.operators import FracOperator
 from fraccond.dnmap import DnMatrix
 from fraccond.plots import emit_plots
 
@@ -42,6 +40,35 @@ region = annulus 2.0 3.0
 name = {suite}
 seed = {seed}
 """
+
+
+# the suites that accept each [suite] key
+_ALL = ("residuals", "exterior", "reduction", "logmodulus", "instability")
+_BASIS = ("exterior", "reduction", "logmodulus", "instability")
+KEY_READERS = {
+    "name": _ALL,
+    "seed": _ALL,
+    "theta0": ("reduction", "logmodulus"),
+    "q_index": ("logmodulus",),
+    "base_amplitude": ("logmodulus",),
+    "pairs": ("logmodulus",),
+    "amplitude": ("reduction",),
+    "factor": ("reduction",),
+    "amplitudes": ("exterior",),
+    "basis_size": _BASIS,
+    "ell": ("instability",),
+    "eps": ("instability",),
+    "beta": ("instability",),
+    "lattice_spacing": ("instability",),
+    "count": ("instability",),
+    "probe_point": ("exterior",),
+    "recovery_height": ("exterior",),
+    "region": _BASIS,
+}
+
+
+def ini_text(value):
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def write_config(tmp_path, suite="logmodulus", seed=7, N=1024, extra=""):
@@ -109,23 +136,45 @@ class TestConfigParsing:
             assert main(["run", "--config", str(path), "--out", str(tmp_path / key)]) == EXIT_CONFIG
             assert not (tmp_path / key / "report.json").exists()
 
-    def test_key_table_matches_what_each_suite_reads(self, geom_small):
-        # seed serves every suite through the report's seed, whether or not
-        # the suite draws from it
-        assert set(_KEY_SUITES) == set(_SUITE_KEYS)
-
-        class Reads(dict):
-            def get(self, key, default=None):
-                self.keys_read.add(key)
-                return super().get(key, default)
-
-        op = FracOperator(geom_small)
+    def test_suite_defaults_have_castable_types(self):
         for name in SUITES:
-            config = Reads(seed=0, basis_size=8, count=4)
-            config.keys_read = set()
-            run_suite(name, geom_small, op, config)
-            served = {key for key, suites in _KEY_SUITES.items() if name in suites}
-            assert config.keys_read - {"seed"} == served - {"name", "seed"}, name
+            for key, default in suite_keys(name).items():
+                castable = type(default) in (int, float, str) or (
+                    type(default) is tuple and all(type(v) is float for v in default)
+                )
+                assert castable, (name, key, default)
+
+    def test_suite_defaults_round_trip(self, tmp_path):
+        for name in SUITES:
+            keys = {"seed": 0, **suite_keys(name)}
+            body = "".join(f"{k} = {ini_text(v)}\n" for k, v in keys.items())
+            path = tmp_path / f"{name}.ini"
+            path.write_text(f"[suite]\nname = {name}\n{body}")
+            assert parse_config(path)["suite"] == {"name": name, **keys}
+
+    def test_accepted_keys_are_the_suites_parameters(self, tmp_path):
+        accepted = {(n, k) for n in SUITES for k in ("name", "seed", *suite_keys(n))}
+        assert accepted == {(n, k) for k, readers in KEY_READERS.items() for n in readers}
+        values = {k: v for n in SUITES for k, v in suite_keys(n).items()}
+        values["seed"] = 0
+        path = tmp_path / "pair.ini"
+        for name in SUITES:
+            for key in set(KEY_READERS) - {"name"}:
+                path.write_text(f"[suite]\nname = {name}\n{key} = {ini_text(values[key])}\n")
+                if name in KEY_READERS[key]:
+                    assert parse_config(path)["suite"][key] == values[key]
+                else:
+                    with pytest.raises(ConfigError, match=f"'{name}' does not read {key}"):
+                        parse_config(path)
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_benchmark_config_shape_validates(self, tmp_path, suite):
+        # perfbench/run.py writes only these four keys, seed for every suite
+        path = tmp_path / "bench.ini"
+        path.write_text(
+            f"[geometry]\nn = 2\ngrid_points = 256\n[suite]\nname = {suite}\nseed = 3\n"
+        )
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_geometry_is_default_geometry(self, tmp_path, n):
@@ -182,7 +231,7 @@ class TestCliExitCodes:
         # a DN matrix that lost symmetry is a solver failure, not a config error
         def asymmetric_suite(name, geometry, op, config):
             entries = np.array([[1.0, 1e-3], [0.0, 1.0]])
-            return DnMatrix(entries=entries, basis=None, equation="conductivity")
+            return DnMatrix(entries=entries, basis=None)
 
         monkeypatch.setattr("fraccond.cli.run_suite", asymmetric_suite)
         out = tmp_path / "e"
