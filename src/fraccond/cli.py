@@ -164,20 +164,22 @@ def canonical_payload_bytes(document):
 
 def execute(config, seed_override=None):
     """Run the configured suite; return the report document and the
-    operator's `SolverCounts`."""
+    operator's `SolverCounts`.  The document echoes the config with the
+    seed the suite ran with: a seed_override replaces the file's."""
     geometry = build_geometry(config)
     suite_cfg = dict(config["suite"])
     name = suite_cfg.pop("name")
     seed = suite_cfg.pop("seed", 0)
+    echoed = {k: dict(v) for k, v in config.items()}
     if seed_override is not None:
-        seed = seed_override
+        seed = echoed["suite"]["seed"] = seed_override
     if "seed" in suite_keys(name):
         suite_cfg["seed"] = seed
     op = FracOperator(geometry)
     payload = run_suite(name, geometry, op, suite_cfg)
     checks = _suite_invariants(name, payload)
     document = {
-        "config": {k: dict(v) for k, v in config.items()},
+        "config": echoed,
         "suite": name,
         "seed": seed,
         "payload": payload,

@@ -249,8 +249,9 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     Conductivity coefficients address the conductivity equation, Potential
     coefficients the Schrodinger one.  All k basis data F are solved in one
     batch (InteriorSystem.solve_many): one stacked apply gives AF and the
-    right-hand sides B = -(AF)_Omega, one multi-RHS solve against the cached
-    factor the interior values X.  Each column's Galerkin residual is
+    right-hand sides B = -(AF)_Omega, one multi-RHS solve the interior
+    values X, against the stored system's own factor or, for a large
+    system, by box-preconditioned PCG.  Each column's Galerkin residual is
     checked against the interior block; a failure raises SolverError naming
     the column.  By Alessandrini's identity M = F (AF)^T - X^T B, so no flux
     apply is made, and the apply's convolution is shared through the

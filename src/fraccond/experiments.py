@@ -188,16 +188,22 @@ def exterior_recovery(M: DnMatrix, M0: DnMatrix, basis, probes) -> list:
 
 def exterior_stability_scan(pairs, basis, op: FracOperator):
     """(sup-norm exterior gap, DN-difference norm) per pair plus the fitted
-    Lipschitz constant; identical pairs are excluded with a note."""
+    Lipschitz constant; identical pairs are excluded with a note.  A
+    coefficient object that several pairs share is assembled once."""
     geom = basis.geometry
     ext = geom.exterior_mask()
     data = []
     excluded = 0
+    assembled = {}  # id(coefficient) -> DnMatrix; pairs keeps the objects alive
+
+    def dn(coefficient):
+        if id(coefficient) not in assembled:
+            assembled[id(coefficient)] = assemble_dn(coefficient, basis, op)
+        return assembled[id(coefficient)]
+
     for ga, gb in pairs:
         y = float(np.max(np.abs(ga.values - gb.values)[ext]))
-        Ma = assemble_dn(ga, basis, op)
-        Mb = assemble_dn(gb, basis, op)
-        x = dn_operator_norm(Ma - Mb)
+        x = dn_operator_norm(dn(ga) - dn(gb))
         if x == 0.0:
             excluded += 1
             continue

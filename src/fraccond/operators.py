@@ -129,7 +129,9 @@ class WindowConvolution:
     at full speed (180 against a power of two's 256 at 2D N = 512, where a
     product of 16 columns takes 9 ms against 24 ms).  One `apply_multiplier`
     call per product; `center` is the weight at offset 0, the stencil's
-    diagonal.
+    diagonal.  A product may apply another half spectrum on the same box:
+    the solver's preconditioner applies the inverse symbol of the box
+    operator (`FracOperator.box_inverse_symbol`) this way.
     """
 
     def __init__(self, window, coords, D):
@@ -143,12 +145,14 @@ class WindowConvolution:
         self.index = np.ravel_multi_index(coords, self.shape)
         self.center = float(window[(D,) * n])
 
-    def __call__(self, Y):
-        """S Y for an (m, k) array Y of interior columns."""
+    def __call__(self, Y, spectrum=None):
+        """S Y for an (m, k) array Y of interior columns: Y scattered into
+        the box, convolved with the window (or multiplied by the half
+        spectrum given) and restricted to Omega."""
         k = Y.shape[1]
         box = np.zeros((k,) + self.shape)
         box.reshape(k, -1)[:, self.index] = Y.T
-        conv = apply_multiplier(self.spectrum, box)
+        conv = apply_multiplier(self.spectrum if spectrum is None else spectrum, box)
         return conv.reshape(k, -1)[:, self.index].T
 
 
@@ -156,9 +160,9 @@ class WindowConvolution:
 class SolverCounts:
     """What the solver did on one operator, for the run's provenance.
 
-    factorizations counts dense Cholesky factorizations (one per directly
-    solved system, one for the shared unit factor); pcg_solves counts
-    preconditioned CG runs (one per batched solve on the shared factor and
+    factorizations counts dense Cholesky factorizations, one per system of
+    at most `solver._FACTORED_UNKNOWNS_MAX` unknowns; pcg_solves counts
+    the larger systems' preconditioned CG runs (one per batched solve and
     one per positive-definiteness certificate), with their total and largest
     iteration counts; worst_residual is the largest relative Galerkin
     residual of any solved column.
@@ -182,9 +186,10 @@ class FracOperator:
     every weight array.  The operator owns what it derives from them, each
     built on first use and kept for its lifetime: both weight families,
     their real-FFT half spectra, the quadrature symbol, the interior
-    stencil, the factored unit block and the windowed interior convolution
-    that large systems are solved with, and two least-recently-used stores
-    that the solver fills and bounds: the factored interior systems
+    stencil that small systems are factored from, and the windowed interior
+    convolution and box inverse symbol that large systems are solved with
+    (no m x m array), and two least-recently-used stores
+    that the solver fills and bounds: the interior systems
     (`systems`, filled by `solver.interior_system`) and the full-grid
     weight convolutions of the stacked exterior data (`convolutions`,
     filled by `solver.InteriorSystem.apply`).  The solver also records what
@@ -257,9 +262,16 @@ class FracOperator:
         window = w[np.ix_(*[span] * geom.n)]
         return window, tuple(a - a.min() for a in coords), D
 
-    def _gather_stencil(self):
-        """A new Fortran-order array of the symmetrized weights between every
-        pair of interior points (see `interior_stencil`)."""
+    @cached_property
+    def interior_stencil(self):
+        """Moment weights between every pair of grid points inside Omega.
+
+        Entry (i, j) is the weight at offset x_i - x_j averaged with the
+        weight at x_j - x_i, so the matrix is exactly symmetric.  It is in
+        Fortran order: the blocks of factored systems are scaled copies of
+        it that LAPACK factors in place; larger systems never form it.  The entries are read from `interior_offsets` at
+        the offset's key in base 2D + 1: the difference of two point keys.
+        """
         window, coords, D = self.interior_offsets
         window = window.reshape(-1)
         m = coords[0].size
@@ -276,38 +288,6 @@ class FracOperator:
             cols = slice(c0, c0 + _BLOCK)
             stencil[:, cols] = window.take(row[None, :] - key[cols, None]).T
         return stencil
-
-    @cached_property
-    def interior_stencil(self):
-        """Moment weights between every pair of grid points inside Omega.
-
-        Entry (i, j) is the weight at offset x_i - x_j averaged with the
-        weight at x_j - x_i, so the matrix is exactly symmetric.  It is in
-        Fortran order: interior blocks are scaled copies of it that LAPACK
-        factors in place.  The entries are read from `interior_offsets` at
-        the offset's key in base 2D + 1: the difference of two point keys.
-        """
-        return self._gather_stencil()
-
-    @cached_property
-    def unit_factor(self):
-        """A'_0, the interior block of gamma = 1 and q = 0, factored in place.
-
-        Returns (factor, diagonal).  The block is -c h^n times the stencil
-        with diagonal c h^n (w * 1) on Omega, built and factored exactly as
-        `solver.InteriorSystem` builds and factors the unit coefficient's
-        block, so both factors agree bitwise.  The stencil is gathered into
-        the factor's own array and is not kept.
-        """
-        geom = self.geometry
-        ones = np.ones(geom.shape)
-        idx = np.flatnonzero(geom.omega_mask().reshape(-1))
-        conv = apply_multiplier(self.form_spectrum, ones)
-        diag = self.cns * geom.cell_volume * (ones * conv).reshape(-1)[idx]
-        factor, info = self.factor_block(self._gather_stencil(), diag)
-        if info != 0:
-            raise RuntimeError("unit-conductivity interior block is not positive definite")
-        return factor, diag
 
     def factor_block(self, stencil, diag):
         """(factor, info) of dpotrf on the interior block -c h^n stencil with
@@ -329,6 +309,34 @@ class FracOperator:
         if window.min() < 0:
             raise RuntimeError("negative moment weights: interior blocks are not Z-matrices")
         return WindowConvolution(window, coords, D)
+
+    @cached_property
+    def box_inverse_symbol(self):
+        """Inverse symbol of the unit block's extension to the periodic box
+        of `interior_convolution`, the solver's preconditioner.
+
+        On the box of side P let L_P = c h^n ((sum w + w_0) I - W_P), W_P the
+        circular convolution with the window and sum w the full grid's
+        weight sum, A'_0's diagonal over c h^n.  Restricted to Omega, L_P is
+        A'_0, the interior block of gamma = 1 and q = 0, exactly.  Its
+        symbol c h^n (sum w + w_0 - w_P(k)), w_P the window's real half
+        spectrum, is at least c h^n (w_0 + the weights the window leaves
+        out), so positive.  When Omega spans more than half the grid the
+        window repeats offsets, the bound fails and the symbol is refused
+        if it is not positive.  R L_P^-1 E r, E scattering into the box and
+        R restricting to Omega, is one `interior_convolution` product with
+        this spectrum: the circulant-embedding preconditioner for Toeplitz
+        systems (Strang 1986; Chan and Ng, SIAM Review 38, 1996).
+        """
+        conv = self.interior_convolution
+        scale = self.cns * self.geometry.cell_volume
+        symbol = scale * (self.form_weights.sum() + conv.center - conv.spectrum.real)
+        if not symbol.min() > 0:
+            raise ValueError(
+                f"box symbol {symbol.min():.3e} is not positive: Omega spans more "
+                "than half the grid, so the window repeats offsets"
+            )
+        return 1.0 / symbol
 
     @cached_property
     def quadrature_symbol(self):

@@ -31,18 +31,20 @@ How A' is solved depends on its size m, the number of unknowns:
 
 * m <= `_FACTORED_UNKNOWNS_MAX`: A' is factored in place, so one array per
   system holds its Cholesky factor (lower triangle).
-* m > `_FACTORED_UNKNOWNS_MAX`: no system is factored.  Each is solved by
-  block PCG, preconditioned by the one factor of A'_0 that the operator
-  keeps (`FracOperator.unit_factor`), with A' applied through the
-  operator's windowed convolution (`FracOperator.interior_convolution`):
+* m > `_FACTORED_UNKNOWNS_MAX`: nothing is factored and nothing m x m is
+  formed.  Every system, the unit coefficient's too, is solved by block
+  PCG with A' applied through the operator's windowed convolution
+  (`FracOperator.interior_convolution`):
   A'Y = (diag(A') + c h^n w_0) Y - c h^n (S Y), S the stencil, one FFT over
-  Omega's bounding box.  The unit coefficient's A' is A'_0 itself and is
-  solved by its factor directly, bitwise as below the constant.  Because
-  A' has off-diagonal entries <= 0 it is positive definite exactly when
-  A' v > 0 for some v > 0 (a nonsingular M-matrix), so building a system
-  runs one PCG solve of A' v = 1 as the certificate.  A system then holds
-  only vectors: at 2D N = 512 the unit factor is 262 MB, and so would be
-  each factored system.
+  a periodic box holding Omega's bounding box.  The preconditioner is the
+  unit block extended to that box: L_P, whose restriction to Omega is
+  A'_0, is a circulant, so R L_P^-1 E r is one more FFT pair on the same
+  box with the inverse symbol the operator keeps
+  (`FracOperator.box_inverse_symbol`).  Because A' has off-diagonal
+  entries <= 0 it is positive definite exactly when A' v > 0 for some
+  v > 0 (a nonsingular M-matrix), so building a system runs one PCG solve
+  of A' v = 1 as the certificate.  A system holds only vectors: at 2D
+  N = 512 a factored block would be 262 MB.
 
 Either way every column's Galerkin residual is checked against A_gamma
 itself, D_g A' D_g applied through the windowed convolution with the
@@ -54,7 +56,7 @@ The operator keeps the systems: `interior_system` keeps them in
 holds at most four, evicting the least recently used.  Four is what the
 suites reuse: each reduction check looks up g, 1 and their two Liouville
 potentials, and the next check looks up 1 and its potential again.  A
-larger store only keeps more dense blocks alive below the constant.
+larger store only keeps more dense factors alive below the constant.
 """
 
 from __future__ import annotations
@@ -135,13 +137,15 @@ def _kept(store, key, limit, build):
 _CONVOLUTIONS_KEPT = 2
 
 
-# Above this many unknowns a system is solved by PCG on the operator's shared
-# unit factor instead of a factorization of its own (see the module
-# docstring).  It is where PCG starts to win per system, one BLAS thread,
-# after the one-time unit factor: 0.13 s against 0.09 s factored for a bump
-# and its potential at 1433 unknowns (2D N = 256), 0.12 s against 0.13 s
-# for Mandache potentials at 2047, 0.18 s against 0.26 s at 2731 (1D
-# N = 16384).
+# Above this many unknowns a system is solved by box-preconditioned PCG
+# instead of a factorization of its own (see the module docstring).
+# It is where box PCG overtakes a factorization in 2D.  Per system (build,
+# certificate and a 16-column solve for a bump's Liouville potential, the
+# operator's one-time arrays built; 2-core x86_64, one BLAS thread),
+# factored against PCG: 0.10 s against 0.14 s at 1741 unknowns and 0.14 s
+# against 0.12 s at 2061 (2D N = 256).  In 1D PCG wins earlier: 0.042 s
+# against 0.034 s at 1365 unknowns (N = 8192), 0.108 s against 0.044 s at
+# 2047 (N = 16384).
 _FACTORED_UNKNOWNS_MAX = 2000
 
 # PCG stops when every column's residual is below this fraction of its
@@ -158,10 +162,11 @@ class InteriorSystem:
     with the full-grid operator are `apply_multiplier` convolutions with the
     operator's cached weight spectrum, kept in its convolution store.  The
     interior block is A_gamma = D_g A' D_g (g = 1 for a potential); `_gi`
-    is g on Omega and `_diag` the diagonal of A'.  `_factor` is a Cholesky
-    factor (lower triangle): A''s own for a system of at most
-    `_FACTORED_UNKNOWNS_MAX` unknowns, the operator's shared factor of the
-    unit block A'_0 above that, which only preconditions.
+    is g on Omega and `_diag` the diagonal of A'.  A system of at most
+    `_FACTORED_UNKNOWNS_MAX` unknowns holds A''s Cholesky factor (lower
+    triangle) in `_factor`; a larger one has `_factor` None and holds the
+    PCG product's diagonal shift `_shift` and the operator's box inverse
+    symbol `_inverse`, which preconditions.
     """
 
     def __init__(self, coefficient, op: FracOperator):
@@ -207,24 +212,22 @@ class InteriorSystem:
             factor, info = op.factor_block(op.interior_stencil.copy(order="F"), self._diag)
             if info != 0:
                 self._not_positive_definite()
-            self._factor, self._iterate = factor, False
+            self._factor = factor
             return
 
-        self._factor, unit_diag = op.unit_factor
+        self._factor = None
+        self._inverse = op.box_inverse_symbol
         # PCG applies A' Y = shift Y - c h^n (S Y), S the stencil with its
-        # diagonal w_0; the unit coefficient's A' is A'_0 itself, solved by
-        # its factor with no iteration
+        # diagonal w_0
         self._shift = self._diag + self._scale * self._convolve.center
-        self._iterate = not np.array_equal(self._diag, unit_diag)
-        if self._iterate:
-            # A' has off-diagonal entries <= 0, so it is positive definite
-            # exactly when some v > 0 has A' v > 0 (a nonsingular M-matrix).
-            # v solves A' v = 1 up to a residual of 2-norm at most 1/2, so
-            # every entry of A' v is at least 1/2
-            m = self.idx.size
-            v, converged = self._pcg(np.ones((m, 1)), 0.5 / np.sqrt(m))
-            if not (converged and v.min() > 0 and self._matvec(v, self._shift).min() > 0):
-                self._not_positive_definite()
+        # A' has off-diagonal entries <= 0, so it is positive definite
+        # exactly when some v > 0 has A' v > 0 (a nonsingular M-matrix).
+        # v solves A' v = 1 up to a residual of 2-norm at most 1/2, so
+        # every entry of A' v is at least 1/2
+        m = self.idx.size
+        v, converged = self._pcg(np.ones((m, 1)), 0.5 / np.sqrt(m))
+        if not (converged and v.min() > 0 and self._matvec(v, self._shift).min() > 0):
+            self._not_positive_definite()
 
     def _not_positive_definite(self):
         if self.kind == "schrodinger":
@@ -238,8 +241,10 @@ class InteriorSystem:
             "this indicates an assembly bug, the form is coercive"
         )
 
-    def _precondition(self, R):
-        return sla.cho_solve((self._factor, True), R, check_finite=False)
+    def _precondition(self, V):
+        """R L_P^-1 E V: V's columns scattered into the box, multiplied by the
+        inverse box symbol and restricted to Omega, one FFT pair."""
+        return self._convolve(V, self._inverse)
 
     def _matvec(self, Y, shift):
         """A' Y = shift Y - c h^n (S Y) through the operator's windowed
@@ -251,7 +256,7 @@ class InteriorSystem:
 
     def _pcg(self, B, rtol=_PCG_RTOL):
         """(Y, converged): A' Y = B column by column by conjugate gradients
-        from Y = 0, preconditioned by the shared unit factor.  A column stops
+        from Y = 0, preconditioned by the box inverse.  A column stops
         when its residual is below rtol of its right-hand side; a curvature
         p^T A' p <= 0 (A' is not positive definite) stops the run
         unconverged."""
@@ -333,7 +338,7 @@ class InteriorSystem:
         One stacked apply gives AF and the right-hand sides B = -(AF)_Omega;
         the interior values are X = D_g^-1 Y with A' Y = D_g^-1 B, Y from one
         multi-RHS Cholesky solve against the system's own factor or, above
-        `_FACTORED_UNKNOWNS_MAX` unknowns, from PCG on the shared one.  Each
+        `_FACTORED_UNKNOWNS_MAX` unknowns, from box-preconditioned PCG.  Each
         column's Galerkin residual is measured against A_gamma = D_g A' D_g
         (`_block_product`) and must not exceed tol.  Returns (X, M,
         residuals): the (k, interior) solution values, the energy pairings
@@ -346,10 +351,10 @@ class InteriorSystem:
         AF = self.apply(F).reshape(k, -1)
         B = -AF[:, self.idx].T
         gi = self._gi[:, None]
-        if self._iterate:
+        if self._factor is None:
             X, _ = self._pcg(B / gi)
         else:
-            X = self._precondition(B / gi)
+            X = sla.cho_solve((self._factor, True), B / gi, check_finite=False)
         X /= gi
         R = self._block_product(X) - B
         scale = np.maximum(np.linalg.norm(B, axis=0), 1e-300)

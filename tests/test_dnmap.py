@@ -296,8 +296,8 @@ class TestCongruenceAssembly:
 
 
 class TestSharedFactorAssembly:
-    """DN matrices by PCG on the operator's unit factor, every system taking
-    that path, against the dpotrf-factored entrywise block."""
+    """DN matrices by PCG preconditioned by the operator's box inverse, every
+    system taking that path, against the dpotrf-factored entrywise block."""
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("case", ["bump", "ring", "potential"])
@@ -312,23 +312,40 @@ class TestSharedFactorAssembly:
             "potential": lambda: liouville_potential(bump_conductivity(g, 0.5, 0.8), op),
         }[case]()
         M = assemble_dn(coefficient, b, op).entries
-        assert op.counts.pcg_solves == 2 and op.counts.factorizations == 1
-        assert "interior_stencil" not in vars(op)  # only the unit factor is dense
+        assert op.counts.pcg_solves == 2 and op.counts.factorizations == 0
+        assert "interior_stencil" not in vars(op)  # nothing m x m is formed
         ref = outer_product_path(coefficient, b, op)
         assert np.max(np.abs(M - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_unit_and_zero_potential_are_bitwise(self, geom, geom2d, n, monkeypatch):
+        # gamma = 1 and q = 0 state the same system bit for bit, so their
+        # PCG runs agree bitwise; both match the factored path
         g = geom if n == 1 else geom2d
         b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
         one = Conductivity(g, np.ones(g.shape), gamma0=0.5)
         zero = Potential(g, np.zeros(g.shape))
-        own = [assemble_dn(c, b, FracOperator(g)).entries for c in (one, zero)]
+        own = assemble_dn(one, b, FracOperator(g)).entries
         monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
         op = FracOperator(g)
-        shared = [assemble_dn(c, b, op).entries for c in (one, zero)]
-        assert all(np.array_equal(a, c) for a, c in zip(own, shared))
-        assert op.counts.pcg_solves == 0
+        unit, pot = (assemble_dn(c, b, op).entries for c in (one, zero))
+        assert np.array_equal(unit, pot)
+        assert np.max(np.abs(unit - own)) <= 1e-10 * np.max(np.abs(own))
+        assert (op.counts.pcg_solves, op.counts.factorizations) == (4, 0)
+
+    @pytest.mark.parametrize("n, grid_points", [(1, 4096), (1, 16384), (2, 128), (2, 256)])
+    def test_iterations_stay_bounded_under_refinement(self, n, grid_points, monkeypatch):
+        # the box symbol preconditions uniformly: a bump conductivity and its
+        # Liouville potential take at most 30 iterations on every grid
+        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        g = default_geometry(n=n, grid_points=grid_points)
+        op = FracOperator(g)
+        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        gam = bump_conductivity(g, 0.5, 0.8)
+        for coefficient in (gam, liouville_potential(gam, op)):
+            assemble_dn(coefficient, b, op)
+        assert op.counts.pcg_solves == 4 and op.counts.factorizations == 0
+        assert 0 < op.counts.pcg_max_iterations <= 30
 
 
 class TestAlessandriniAssembly:

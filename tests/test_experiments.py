@@ -113,6 +113,32 @@ class TestExteriorSuite:
         assert 0.3 <= x2 / x1 <= 0.7  # halved amplitude roughly halves the gap
         assert out["band"] <= 2.0
 
+    def test_shared_coefficient_assembled_once(self, geom, ones_gamma, monkeypatch):
+        import fraccond.experiments as experiments
+        from fraccond.experiments import _scan_pair
+
+        basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        pairs = [(_scan_pair(geom, a), ones_gamma) for a in (0.05, 0.1, 0.2)]
+        op = FracOperator(geom)
+        ext = geom.exterior_mask()
+        data = [
+            (
+                float(np.max(np.abs(ga.values - gb.values)[ext])),
+                dn_operator_norm(assemble_dn(ga, basis, op) - assemble_dn(gb, basis, op)),
+            )
+            for ga, gb in pairs
+        ]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return assemble_dn(*args)
+
+        monkeypatch.setattr(experiments, "assemble_dn", counted)
+        out = exterior_stability_scan(pairs, basis, op)
+        assert len(calls) == 4  # three scan conductivities and the shared unit one
+        assert out["data"] == data  # bitwise the per-pair assembly
+
     def test_identical_pair_excluded(self, geom, op_quad, ones_gamma):
         basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
         out = exterior_stability_scan([(ones_gamma, ones_gamma)], basis, op_quad)

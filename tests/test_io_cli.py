@@ -364,3 +364,23 @@ class TestProvenance:
         d1 = json.loads((tmp_path / "s1" / "report.json").read_text())
         d9 = json.loads((tmp_path / "s9" / "report.json").read_text())
         assert d1["seed"] == 1 and d9["seed"] == 9
+
+    def test_seed_override_is_echoed_in_the_config(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, suite="residuals", N=256, seed=1))
+        doc, _ = execute(cfg, seed_override=9)
+        assert doc["seed"] == doc["config"]["suite"]["seed"] == 9
+        assert cfg["suite"]["seed"] == 1  # the parsed config is not mutated
+        doc, _ = execute(cfg)
+        assert doc["seed"] == doc["config"]["suite"]["seed"] == 1
+
+    def test_large_instability_run_takes_the_pcg_path(self, tmp_path):
+        # 2731 unknowns at 1D N = 16384: above the factored constant, every
+        # system is solved by box-preconditioned PCG
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(BASE_CONFIG.format(suite="instability", seed=7, N=16384) + "count = 8\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        counts = json.loads((tmp_path / "out" / "provenance.json").read_text())["solver"]
+        assert counts["factorizations"] == 0
+        assert counts["pcg_solves"] == 18  # a certificate and a solve per system
+        assert 0 < counts["worst_residual"] <= 1e-10

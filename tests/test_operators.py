@@ -472,3 +472,25 @@ class TestInteriorStencil:
         assert np.max(np.abs(conv(Y) - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert "interior_stencil" not in vars(op)  # the product never forms it
 
+    @pytest.mark.parametrize(
+        "n, grid_points, omega_radius",
+        [(1, 1024, 1.0), (2, 128, 1.0), (1, 256, 4.0), (2, 64, 4.0)],
+    )
+    def test_box_symbol_guard(self, n, grid_points, omega_radius):
+        # the symbol is bounded below by the weights the window leaves out;
+        # an Omega wider than half the grid repeats offsets in the window,
+        # which drives the symbol below 0, and the guard refuses it
+        geom = GeometryConfig(
+            n=n,
+            s=0.4 if n == 1 else 0.5,
+            box_halfwidth=6.0,
+            grid_points=grid_points,
+            omega_radius=omega_radius,
+        )
+        op = FracOperator(geom)
+        _, _, D = op.interior_offsets
+        if 2 * D + 1 <= grid_points:
+            assert op.box_inverse_symbol.min() > 0
+        else:
+            with pytest.raises(ValueError, match="box symbol"):
+                op.box_inverse_symbol
