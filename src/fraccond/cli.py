@@ -15,7 +15,7 @@ report and passed only to the suites that declare it.
 
 A run writes report.json (the deterministic payload, hashed) and
 provenance.json (version, seed, wall time and the solver's counts:
-factorizations, PCG solves and iterations, worst Galerkin residual) plus
+factorizations, PCG solves and block steps, worst Galerkin residual) plus
 the plot sidecars.  Exit codes: 0 ok, 2 config error, 3 solver failure, 4
 suite invariant failure.
 """

@@ -207,7 +207,7 @@ def _harmonic_orders(size, n):
 
 def _harmonic_fields(geometry, region, size):
     lo, hi = region.bounds()
-    r = geometry.radius()
+    r = geometry.radius
     t = (r - lo) / (hi - lo)
     window = np.where((t > 0) & (t < 1), _radial_window(np.clip(t, 0.0, 1.0)), 0.0)
     mask = geometry.region_mask(region.name)
@@ -251,9 +251,9 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     batch (InteriorSystem.solve_many): one stacked apply gives AF and the
     right-hand sides B = -(AF)_Omega, one multi-RHS solve the interior
     values X, against the stored system's own factor or, for a large
-    system, by box-preconditioned PCG.  Each column's Galerkin residual is
-    checked against the interior block; a failure raises SolverError naming
-    the column.  By Alessandrini's identity M = F (AF)^T - X^T B, so no flux
+    system, by box-preconditioned block PCG.  Each column's Galerkin
+    residual is checked against the interior block; a failure raises
+    SolverError naming the column.  By Alessandrini's identity M = F (AF)^T - X^T B, so no flux
     apply is made, and the apply's convolution is shared through the
     operator's store by every coefficient with g F = F.  M is passed to
     DnMatrix unsymmetrized, so its symmetry check sees the raw solver

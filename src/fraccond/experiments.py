@@ -484,7 +484,7 @@ def suite_residuals(geometry, op, seed=0):
 
 
 def _scan_pair(geometry, amplitude, center=2.5, halfwidth=0.5):
-    x = geometry.radius()
+    x = geometry.radius
     vals = 1.0 + amplitude * plateau_profile((x - center) / halfwidth)
     return Conductivity(geometry, vals, gamma0=0.5)
 
@@ -524,7 +524,7 @@ def suite_exterior(
     M0 = assemble_dn(one, probe_basis, op)
     probes = [ProbeSpec(point=probe_point, widths=widths, indices=tuple(range(len(widths))))]
     recov = exterior_recovery(Mg, M0, probe_basis, probes)
-    idx = np.argmin(np.abs(geometry.radius().reshape(-1) - probe_point))
+    idx = np.argmin(np.abs(geometry.radius.reshape(-1) - probe_point))
     true_val = float(gam.values.reshape(-1)[idx])
     return {
         "scan": scan,

@@ -9,6 +9,7 @@ where measurement regions live.  All fields are real samples on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -154,12 +155,16 @@ class GeometryConfig:
         X, Y = np.meshgrid(x, x, indexing="ij")
         return (X, Y)
 
+    @cached_property
     def radius(self):
-        """Distance from the origin at every grid point."""
+        """Distance from the origin at every grid point, computed once per
+        geometry and read-only, since every caller shares it."""
         if self.n == 1:
-            return np.abs(self.axis())
-        X, Y = self.coords()
-        return np.hypot(X, Y)
+            r = np.abs(self.axis())
+        else:
+            r = np.hypot(*self.coords())
+        r.setflags(write=False)
+        return r
 
     def freqs(self):
         """Angular frequency arrays matching numpy's FFT layout."""
@@ -179,11 +184,11 @@ class GeometryConfig:
 
     def omega_mask(self):
         """Grid points strictly inside Omega (the Galerkin unknowns)."""
-        return self.radius() < self.omega_radius
+        return self.radius < self.omega_radius
 
     def omega_closure_mask(self):
         """Grid cells meeting the closure of Omega; exterior data vanish here."""
-        return self.radius() <= self.omega_radius + 0.5 * self.h
+        return self.radius <= self.omega_radius + 0.5 * self.h
 
     def exterior_mask(self):
         return ~self.omega_closure_mask()
@@ -191,7 +196,7 @@ class GeometryConfig:
     def region_mask(self, name):
         reg = self.region(name)
         if reg.kind == "annulus":
-            r = self.radius()
+            r = self.radius
             r_in, r_out = reg.data
             return (r > r_in) & (r < r_out)
         x = self.axis()
@@ -332,7 +337,7 @@ def smooth_random_field(geometry, seed, kmax=8, support_radius=None):
     elif not (np.isfinite(support_radius) and support_radius > 0):
         raise ValueError(f"support radius must be finite and positive, got {support_radius}")
     vals, _ = _random_trig_sum(geometry, seed, kmax)
-    vals = vals * mollifier_profile(geometry.radius() / support_radius)
+    vals = vals * mollifier_profile(geometry.radius / support_radius)
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals = vals / peak

@@ -36,20 +36,27 @@ How A' is solved depends on its size m, the number of unknowns:
   PCG with A' applied through the operator's windowed convolution
   (`FracOperator.interior_convolution`):
   A'Y = (diag(A') + c h^n w_0) Y - c h^n (S Y), S the stencil, one FFT over
-  a periodic box holding Omega's bounding box.  The preconditioner is the
-  unit block extended to that box: L_P, whose restriction to Omega is
-  A'_0, is a circulant, so R L_P^-1 E r is one more FFT pair on the same
-  box with the inverse symbol the operator keeps
-  (`FracOperator.box_inverse_symbol`).  Because A' has off-diagonal
-  entries <= 0 it is positive definite exactly when A' v > 0 for some
-  v > 0 (a nonsingular M-matrix), so building a system runs one PCG solve
-  of A' v = 1 as the certificate.  A system holds only vectors: at 2D
-  N = 512 a factored block would be 262 MB.
+  a periodic box holding Omega's bounding box, transformed only on the
+  rows of that bounding box.  The preconditioner is the unit block
+  extended to that box: L_P, whose restriction to Omega is A'_0, is a
+  circulant, so R |L_P|^-1 E r is one more FFT pair on the same box with
+  the inverse symbol modulus the operator keeps
+  (`FracOperator.box_inverse_symbol`; the modulus is L_P itself unless
+  Omega spans more than half the grid).  The columns of one solve share
+  one block Krylov space: each block step orthonormalizes the
+  preconditioned residuals and advances every column at once, so the
+  outlying eigenvalues of the preconditioned block are found once for the
+  whole stack (12 block steps for 16 harmonic data at 2D N = 512, where
+  each column alone takes 18).  Because A' has off-diagonal entries <= 0
+  it is positive definite exactly when A' v > 0 for some v > 0 (a
+  nonsingular M-matrix), so building a system runs one PCG solve of
+  A' v = 1 as the certificate.  A system holds only vectors: at 2D N = 512
+  a factored block would be 262 MB.
 
 Either way every column's Galerkin residual is checked against A_gamma
 itself, D_g A' D_g applied through the windowed convolution with the
 diagonal the system states, and the operator's `counts` record the
-factorizations, PCG solves and iterations and the worst residual.
+factorizations, PCG solves and block steps and the worst residual.
 
 The operator keeps the systems: `interior_system` keeps them in
 `FracOperator.systems`, keyed by the coefficient's kind and values, and
@@ -66,6 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .conductivity import Conductivity, Potential
 from .geometry import GridField
@@ -137,15 +145,19 @@ def _kept(store, key, limit, build):
 _CONVOLUTIONS_KEPT = 2
 
 
-# Above this many unknowns a system is solved by box-preconditioned PCG
-# instead of a factorization of its own (see the module docstring).
-# It is where box PCG overtakes a factorization in 2D.  Per system (build,
-# certificate and a 16-column solve for a bump's Liouville potential, the
-# operator's one-time arrays built; 2-core x86_64, one BLAS thread),
-# factored against PCG: 0.10 s against 0.14 s at 1741 unknowns and 0.14 s
-# against 0.12 s at 2061 (2D N = 256).  In 1D PCG wins earlier: 0.042 s
-# against 0.034 s at 1365 unknowns (N = 8192), 0.108 s against 0.044 s at
-# 2047 (N = 16384).
+# Above this many unknowns a system is solved by box-preconditioned block
+# PCG instead of a factorization of its own (see the module docstring).
+# Measured per system against block PCG (build, certificate and a 16-column
+# solve for a bump's Liouville potential, the operator's one-time arrays
+# built; 2-core x86_64, one BLAS thread), factored against PCG: 0.067 s
+# against 0.072 s at 1433 unknowns, 0.097 s against 0.082 s at 1741 and
+# 0.120 s against 0.085 s at 2061 (2D N = 256); in 1D 0.042 s against
+# 0.024 s at 1365 unknowns (N = 8192).  A kept system's later solves favour
+# the factor, one triangular pair against a PCG run (at 1433 unknowns a
+# 16-column solve, its full-grid apply included, takes 0.048 s against
+# 0.100 s), and the suites reuse systems: the 2D N = 256 reduction suite
+# (24 solves on 14 systems of 1433 unknowns) runs in 1.29-1.40 s and
+# 206 MB as it is and in 1.70-1.88 s and 123 MB with every system on PCG.
 _FACTORED_UNKNOWNS_MAX = 2000
 
 # PCG stops when every column's residual is below this fraction of its
@@ -242,8 +254,8 @@ class InteriorSystem:
         )
 
     def _precondition(self, V):
-        """R L_P^-1 E V: V's columns scattered into the box, multiplied by the
-        inverse box symbol and restricted to Omega, one FFT pair."""
+        """R |L_P|^-1 E V: V's columns scattered into the box, multiplied by
+        the inverse box symbol modulus and restricted to Omega, one FFT pair."""
         return self._convolve(V, self._inverse)
 
     def _matvec(self, Y, shift):
@@ -255,43 +267,43 @@ class InteriorSystem:
         return AY
 
     def _pcg(self, B, rtol=_PCG_RTOL):
-        """(Y, converged): A' Y = B column by column by conjugate gradients
-        from Y = 0, preconditioned by the box inverse.  A column stops
-        when its residual is below rtol of its right-hand side; a curvature
-        p^T A' p <= 0 (A' is not positive definite) stops the run
-        unconverged."""
+        """(Y, converged): A' Y = B by block conjugate gradients from Y = 0,
+        preconditioned by the box inverse: every column searches one Krylov
+        space (O'Leary, Linear Algebra Appl. 29, 1980), so the outlying
+        eigenvalues of the preconditioned block are found once for all of
+        them.  Each step makes the preconditioned residuals A'-orthogonal to
+        the last block of directions P and orthonormalizes them by
+        Householder QR (Dubrulle, ETNA 12, 2001); P stays an orthonormal
+        block of full width when the residuals are rank deficient or nearly
+        so, and nothing is dropped.  The run stops when every column's
+        residual is below rtol of its right-hand side.  A P^T A' P that
+        Cholesky refuses, the block form of a curvature p^T A' p <= 0 (A' is
+        not positive definite), stops it unconverged."""
         Y = np.zeros_like(B)
         R = B.copy()
-        target = rtol * np.linalg.norm(B, axis=0)
-        active = np.linalg.norm(R, axis=0) > target
-        Z = self._precondition(R)
-        P = Z
-        rz = np.einsum("ij,ij->j", R, Z)
+        target = rtol**2 * np.einsum("ij,ij->j", B, B)  # squared column norms
+        P = Q = curvature = None  # last step's directions, A' P, P^T A' P's factor
         it = 0
         converged = True
-        while active.any():
+        while np.any(np.einsum("ij,ij->j", R, R) > target):
             if it == _PCG_MAXITER:
                 converged = False
                 break
             it += 1
-            cols = np.flatnonzero(active)
-            Pa = P[:, cols]
-            Q = self._matvec(Pa, self._shift)
-            curvature = np.einsum("ij,ij->j", Pa, Q)
-            if not np.all(curvature > 0):
+            Z = self._precondition(R)
+            if P is not None:
+                Z -= P @ dpotrs(curvature, Q.T @ Z)[0]
+            P = sla.qr(Z, mode="economic", overwrite_a=True, check_finite=False)[0]
+            Q = self._matvec(P, self._shift)
+            # the small factorizations go to LAPACK directly: the checking
+            # wrappers cost more than the 16 x 16 work itself
+            curvature, info = dpotrf(P.T @ Q)
+            if info != 0:
                 converged = False
                 break
-            alpha = rz[cols] / curvature
-            Y[:, cols] += alpha * Pa
-            R[:, cols] -= alpha * Q
-            active[cols] = np.linalg.norm(R[:, cols], axis=0) > target[cols]
-            cols = np.flatnonzero(active)
-            if cols.size == 0:
-                break
-            Z = self._precondition(R[:, cols])
-            rz_new = np.einsum("ij,ij->j", R[:, cols], Z)
-            P[:, cols] = Z + (rz_new / rz[cols]) * P[:, cols]
-            rz[cols] = rz_new
+            alpha = dpotrs(curvature, P.T @ R)[0]
+            Y += P @ alpha
+            R -= Q @ alpha
         counts = self._counts
         counts.pcg_solves += 1
         counts.pcg_iterations += it

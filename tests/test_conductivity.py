@@ -200,7 +200,7 @@ class TestMandacheFamily:
 
     def test_support_inside_unit_ball(self, geom):
         fam = mandache_family(self.params(), 8, geom)
-        outside = geom.radius() >= 1.0
+        outside = geom.radius >= 1.0
         for g in fam:
             assert np.max(np.abs(g.values[outside] - 1.0)) == 0.0
 

@@ -246,7 +246,7 @@ def two_apply_reference(coefficient, basis, op):
 
 def ring_conductivity(geom, height=0.3):
     """A conductivity that differs from 1 on the annulus (2, 3) only."""
-    bump = mollifier_profile((geom.radius() - 2.5) / 0.45)
+    bump = mollifier_profile((geom.radius - 2.5) / 0.45)
     return Conductivity(geom, 1.0 + height * bump, gamma0=0.5)
 
 

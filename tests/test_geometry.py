@@ -88,9 +88,18 @@ class TestMasksAndGrids:
         assert not np.any(m & geom.omega_closure_mask())
 
     def test_2d_radius(self, geom2d):
-        r = geom2d.radius()
+        r = geom2d.radius
         assert r.shape == geom2d.shape
         assert r.min() >= 0.0
+
+    def test_radius_is_computed_once_and_read_only(self, geom2d):
+        # every mask and caller shares one array, so none may write to it
+        r = geom2d.radius
+        assert geom2d.radius is r
+        with pytest.raises(ValueError, match="read-only"):
+            r[0, 0] = 1.0
+        X, Y = geom2d.coords()
+        assert np.array_equal(r, np.hypot(X, Y))
 
     def test_unknown_region_raises(self, geom):
         with pytest.raises(KeyError):
@@ -205,7 +214,7 @@ class TestFftSynthesis:
         g = default_geometry(n=n, grid_points=N)
         for seed in (0, 5, 23):
             ref, _ = loop_trig_sum(g, seed, kmax)
-            ref = ref * mollifier_profile(g.radius() / (0.85 * g.box_halfwidth))
+            ref = ref * mollifier_profile(g.radius / (0.85 * g.box_halfwidth))
             ref = ref / np.max(np.abs(ref))
             f = smooth_random_field(g, seed=seed, kmax=kmax)
             assert sup_rel(f.values, ref) <= 1e-13
@@ -232,7 +241,7 @@ class TestRandomFields:
 
     def test_compact_support(self, geom):
         f = smooth_random_field(geom, seed=5, support_radius=4.0)
-        assert np.all(f.values[geom.radius() >= 4.0] == 0.0)
+        assert np.all(f.values[geom.radius >= 4.0] == 0.0)
         assert np.max(np.abs(f.values)) == pytest.approx(1.0)
 
     def test_support_radius_must_be_finite_and_positive(self, geom):

@@ -7,6 +7,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+import fraccond.solver as solver
+from fraccond.conductivity import bump_conductivity
+from fraccond.dnmap import assemble_dn, build_exterior_basis
 from fraccond.geometry import (
     GeometryConfig,
     GridField,
@@ -198,6 +201,30 @@ class TestApplyMultiplier:
         brute = np.sum(w[None, :] * v[(i[:, None] - i[None, :]) % N], axis=1)
         out = apply_multiplier(np.fft.rfftn(w), v)
         assert np.max(np.abs(out - brute)) <= 1e-12 * np.max(np.abs(brute))
+
+    @pytest.mark.parametrize(
+        "grid, corner, stack",
+        [((30,), (17,), ()), ((24, 24), (13, 13), ()), ((24, 20), (7, 13), (3,))],
+    )
+    def test_corner_of_a_larger_grid_is_bitwise_the_full_grid(self, grid, corner, stack):
+        # values on the low corner of a periodic grid, the result read back
+        # there: the full grid's transform pair on the zero-padded values,
+        # bit for bit
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(stack + corner)
+        on_corner = (Ellipsis,) + tuple(slice(c) for c in corner)
+        padded = np.zeros(stack + grid)
+        padded[on_corner] = values
+        axes = tuple(range(-len(grid), 0))
+        for symbol in (np.fft.rfftn(rng.standard_normal(grid)), rng.standard_normal(grid)):
+            spec = np.fft.rfftn(padded, axes=axes)
+            full = np.fft.irfftn(spec * symbol[..., : spec.shape[-1]], s=grid, axes=axes)
+            assert np.array_equal(apply_multiplier(symbol, padded), full)
+            out = apply_multiplier(symbol, values, grid)
+            assert out.shape == values.shape
+            assert np.array_equal(out, full[on_corner])
+        with pytest.raises(ValueError, match="exceed"):
+            apply_multiplier(symbol, np.zeros(stack + tuple(p + 1 for p in grid)), grid)
 
     def test_symbol_of_another_grid_rejected(self, geom, geom_small, op_quad):
         v = bandlimited_field(geom_small, seed=1).values
@@ -476,21 +503,36 @@ class TestInteriorStencil:
         "n, grid_points, omega_radius",
         [(1, 1024, 1.0), (2, 128, 1.0), (1, 256, 4.0), (2, 64, 4.0)],
     )
-    def test_box_symbol_guard(self, n, grid_points, omega_radius):
+    def test_box_symbol_guard(self, n, grid_points, omega_radius, monkeypatch):
         # the symbol is bounded below by the weights the window leaves out;
         # an Omega wider than half the grid repeats offsets in the window,
-        # which drives the symbol below 0, and the guard refuses it
-        geom = GeometryConfig(
+        # which drives the symbol below 0.  Its modulus still preconditions
+        # A' exactly, so the PCG path's DN matrix is the factored path's
+        geom = default_geometry(
             n=n,
-            s=0.4 if n == 1 else 0.5,
-            box_halfwidth=6.0,
             grid_points=grid_points,
             omega_radius=omega_radius,
+            region=("annulus", omega_radius + 0.5, 5.5),
         )
         op = FracOperator(geom)
+        conv = op.interior_convolution
+        symbol = op.form_weights.sum() + conv.center - conv.spectrum.real
+        symbol *= op.cns * geom.cell_volume
         _, _, D = op.interior_offsets
-        if 2 * D + 1 <= grid_points:
-            assert op.box_inverse_symbol.min() > 0
-        else:
-            with pytest.raises(ValueError, match="box symbol"):
-                op.box_inverse_symbol
+        assert (symbol.min() > 0) == (2 * D + 1 <= grid_points)
+        assert np.array_equal(op.box_inverse_symbol, 1.0 / np.abs(symbol))
+
+        basis = build_exterior_basis(geom, "annulus", 8, kind="harmonic")
+        gam = bump_conductivity(geom, height=0.5, width=0.8 * omega_radius)
+        factored = assemble_dn(gam, basis, FracOperator(geom)).entries
+        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        iterated = assemble_dn(gam, basis, op).entries
+        assert op.counts.factorizations == 0
+        assert np.max(np.abs(iterated - factored)) <= 1e-10 * np.max(np.abs(factored))
+
+        # a zero in the symbol, a singular box operator, is refused
+        zeroed = FracOperator(geom)
+        spectrum = zeroed.interior_convolution.spectrum
+        spectrum.flat[spectrum.size // 3] = zeroed.form_weights.sum() + conv.center
+        with pytest.raises(ValueError, match="box symbol has a zero"):
+            zeroed.box_inverse_symbol

@@ -10,7 +10,8 @@ from fraccond.conductivity import (
     bump_conductivity,
     liouville_potential,
 )
-from fraccond.geometry import GeometryConfig, mollifier_profile
+from fraccond.dnmap import build_exterior_basis
+from fraccond.geometry import GeometryConfig, default_geometry, mollifier_profile
 from fraccond.operators import FracOperator, bilinear_form
 from fraccond.solver import ExteriorDatum, InteriorSystem, SolverError, interior_system
 
@@ -18,7 +19,7 @@ from conftest import reference_block
 
 
 def annulus_bump_datum(geom, center=2.5, width=0.4, height=1.0):
-    x = geom.radius()
+    x = geom.radius
     vals = height * mollifier_profile((x - center) / width)
     vals = np.where(geom.omega_closure_mask(), 0.0, vals)
     return ExteriorDatum(geom, vals)
@@ -288,6 +289,34 @@ class TestSchrodingerSolve:
         assert sol.energy == pytest.approx(direct, rel=1e-10)
 
 
+def column_pcg(system, B, rtol=solver._PCG_RTOL):
+    """(Y, steps): A' Y = B by preconditioned CG on each column alone, with
+    the system's box preconditioner and product; steps is the most any
+    column took."""
+    Y = np.zeros_like(B)
+    steps = 0
+    for j in range(B.shape[1]):
+        b = B[:, j : j + 1]
+        y = np.zeros_like(b)
+        r = b.copy()
+        z = system._precondition(r)
+        p = z.copy()
+        rz = np.vdot(r, z)
+        it = 0
+        while np.linalg.norm(r) > rtol * np.linalg.norm(b):
+            it += 1
+            q = system._matvec(p, system._shift)
+            alpha = rz / np.vdot(p, q)
+            y += alpha * p
+            r -= alpha * q
+            z = system._precondition(r)
+            rz, rz_old = np.vdot(r, z), rz
+            p = z + (rz / rz_old) * p
+        Y[:, j] = y[:, 0]
+        steps = max(steps, it)
+    return Y, steps
+
+
 @pytest.fixture
 def shared_factor(monkeypatch):
     """Solve every interior system by PCG on the operator's box inverse."""
@@ -386,6 +415,41 @@ class TestSharedFactor:
         monkeypatch.setattr(InteriorSystem, "_pcg", lambda self, B, rtol: (v[:, None], converged))
         with pytest.raises(SolverError, match="positive definite"):
             InteriorSystem(coefficient, op)
+
+    @pytest.mark.parametrize("block", ["repeated", "zero", "near"])
+    def test_rank_deficient_block_matches_factored_path(self, geom, datum, block, monkeypatch):
+        # the residual block loses rank; QR keeps the directions
+        # orthonormal, so every column still converges, the zero one exactly
+        gam = bump_conductivity(geom, height=0.5, width=0.8)
+        f = datum.values
+        g = annulus_bump_datum(geom, center=2.7, width=0.3).values
+        second = {"repeated": f, "zero": np.zeros_like(f), "near": f + 1e-13 * g}[block]
+        F = np.stack([f, g, second])
+        direct, _, _ = interior_system(gam, FracOperator(geom)).solve_many(F)
+        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        X, _, residuals = interior_system(gam, FracOperator(geom)).solve_many(F)
+        assert np.max(np.abs(X - direct)) <= 1e-12 * np.max(np.abs(direct))
+        assert np.all(residuals <= 1e-10)
+        if block == "zero":
+            assert not np.any(X[2])
+
+    def test_block_steps_fewer_than_column_steps(self, shared_factor):
+        # one Krylov space for the whole block takes fewer steps than the
+        # column-wise PCG each column would run on its own (a test-local
+        # reference with the same preconditioner, product and stopping rule)
+        g = default_geometry(n=2, grid_points=256)
+        op = FracOperator(g)
+        basis = build_exterior_basis(g, "annulus", 16, kind="harmonic")
+        system = interior_system(bump_conductivity(g, 0.5, 0.8), op)
+        F = np.stack([f.values for f in basis.functions])
+        B = -system.apply(F).reshape(len(F), -1)[:, system.idx].T / system._gi[:, None]
+        before = op.counts.pcg_iterations
+        Y, converged = system._pcg(B)
+        block_steps = op.counts.pcg_iterations - before
+        Yc, column_steps = column_pcg(system, B)
+        assert converged
+        assert np.max(np.abs(Y - Yc)) <= 1e-12 * np.max(np.abs(Yc))
+        assert 0 < block_steps < column_steps
 
     @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
     def test_corrupted_diagonal_fails_the_residual_check(
