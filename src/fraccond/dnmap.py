@@ -248,14 +248,16 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
 
     Conductivity coefficients address the conductivity equation, Potential
     coefficients the Schrodinger one.  All k basis data F are solved in one
-    batch (InteriorSystem.solve_many): one stacked apply gives AF and the
-    right-hand sides B = -(AF)_Omega, one multi-RHS solve the interior
-    values X, against the stored system's own factor or, for a large
-    system, by box-preconditioned block PCG.  Each column's Galerkin
+    batch (InteriorSystem.solve_many): one stacked apply gives AF on the
+    bounding box of Omega and the basis' support and the right-hand sides
+    B = -(AF)_Omega, one multi-RHS solve the interior values X, against the
+    stored system's own factor or, for a large system, by block PCG with
+    the operator's half-size box preconditioner.  Each column's Galerkin
     residual is checked against the interior block; a failure raises
-    SolverError naming the column.  By Alessandrini's identity M = F (AF)^T - X^T B, so no flux
-    apply is made, and the apply's convolution is shared through the
-    operator's store by every coefficient with g F = F.  M is passed to
+    SolverError naming the column.  By Alessandrini's identity
+    M = F (AF)^T - X^T B over the box, so no flux apply is made, and the
+    apply's convolution is shared through the operator's store by every
+    coefficient with g F = F on the box.  M is passed to
     DnMatrix unsymmetrized, so its symmetry check sees the raw solver
     asymmetry.  Any other coefficient raises TypeError.
     """

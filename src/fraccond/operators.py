@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.linalg.lapack import dpotrf
 
 from .geometry import GridField
@@ -80,11 +81,15 @@ def apply_multiplier(symbol, values, grid=None):
 
     With grid given, values hold the low corner of a periodic grid of that
     shape, zero elsewhere, and the result is read back on the same corner.
-    The forward transform pads the corner, so its last-axis pass runs only
-    over rows that hold data; the inverse runs the complex passes over the
-    leading axes, keeps the corner's rows and runs the last-axis pass only
-    over those.  The result is the full grid's, restricted to the corner,
-    bit for bit.
+    The forward transform runs its real last-axis pass over the corner's
+    rows only and pads each leading axis for its complex pass; the inverse
+    runs the complex passes over the leading axes, keeps the corner's rows
+    and runs the last-axis pass only over those.  No real array of the
+    whole grid is formed, and the result is the full grid's, restricted to
+    the corner, bit for bit.  A convolution is translation invariant, so
+    values from any box of the grid may be given as its low corner: the
+    result is the convolution read back on that box.  The passes are
+    scipy.fft's, each after the first transforming its input in place.
     """
     corner = values.shape[-symbol.ndim :]
     grid = corner if grid is None else tuple(grid)
@@ -93,12 +98,14 @@ def apply_multiplier(symbol, values, grid=None):
     if any(c > p for c, p in zip(corner, grid)):
         raise ValueError(f"values of shape {corner} exceed grid {grid}")
     axes = tuple(range(-symbol.ndim, 0))
-    spec = np.fft.rfftn(values, s=grid, axes=axes)
+    spec = sfft.rfft(values, grid[-1], axis=-1)
+    for axis in axes[:-1]:
+        spec = sfft.fft(spec, grid[axis], axis=axis, overwrite_x=True)
     spec *= symbol[..., : spec.shape[-1]]
     for axis, c in zip(axes[:-1], corner):
         rows = (Ellipsis, slice(c)) + (slice(None),) * (-axis - 1)
-        spec = np.fft.ifft(spec, axis=axis)[rows]
-    return np.fft.irfft(spec, grid[-1], axis=-1)[..., : corner[-1]]
+        spec = sfft.ifft(spec, axis=axis, overwrite_x=True)[rows]
+    return sfft.irfft(spec, grid[-1], axis=-1, overwrite_x=True)[..., : corner[-1]]
 
 
 def parseval_pairing(weight, a_hat, b_hat, cell_volume, points=None):
@@ -125,18 +132,6 @@ def parseval_pairing(weight, a_hat, b_hat, cell_volume, points=None):
 _BLOCK = 256
 
 
-def _fast_length(n):
-    """The smallest 2^a 3^b 5^c >= n."""
-    while True:
-        r = n
-        for p in (2, 3, 5):
-            while r % p == 0:
-                r //= p
-        if r == 1:
-            return n
-        n += 1
-
-
 class WindowConvolution:
     """The interior stencil times a stack of vectors, without the dense stencil.
 
@@ -145,42 +140,40 @@ class WindowConvolution:
     a zero box of side P >= 2D + 1, that sum is the circular convolution with
     the window laid out at its offsets mod P: Omega's bounding box, of side
     at most D + 1, fits in the box, and P keeps the 2D + 1 offsets of each
-    axis apart.  P is the smallest such 2^a 3^b 5^c, a length the FFT takes
-    at full speed (180 against a power of two's 256 at 2D N = 512, where a
-    product of 16 columns takes 9 ms against 24 ms).  The vectors are
-    scattered into the bounding box only, the low corner of the periodic
-    box, and one `apply_multiplier` call with the box as its grid transforms
-    only the corner's rows and reads the corner back: 85 of 180 rows at 2D
-    N = 512, where a product and a preconditioner apply of 16 columns take
-    a median 27.9 ms against 32.2 ms on the whole box (200 interleaved
-    pairs, one BLAS thread).
-    `center` is the weight at offset 0, the stencil's diagonal.  A product
-    may apply another half spectrum on the same box: the solver's
-    preconditioner applies the inverse symbol of the box operator
-    (`FracOperator.box_inverse_symbol`) this way.
+    axis apart.  P is the smallest such 2^a 3^b 5^c (`scipy.fft.next_fast_len`),
+    a length the FFT takes at full speed (180 against a power of two's 256
+    at 2D N = 512).  The vectors are scattered into the bounding box only,
+    the low corner of the periodic box, and one `apply_multiplier` call with
+    the box as its grid transforms only the corner's rows and reads the
+    corner back (85 of 180 rows at 2D N = 512).
+    `center` is the weight at offset 0, the stencil's diagonal.  A window
+    of offsets [-D, D]^n with D below Omega's extent makes a box that still
+    holds the bounding box as long as 2D + 1 is at least its side; the
+    products then wrap the larger offsets.  The solver's preconditioner
+    (`FracOperator.box_inverse_symbol`) is such a convolution with its
+    spectrum replaced by an inverse symbol.
     """
 
     def __init__(self, window, coords, D):
         n = window.ndim
-        P = _fast_length(2 * D + 1)
+        P = sfft.next_fast_len(2 * D + 1, real=True)
         span = np.arange(-D, D + 1) % P
         padded = np.zeros((P,) * n)
         padded[np.ix_(*[span] * n)] = window
         self.shape = padded.shape
-        self.spectrum = np.fft.rfftn(padded)
+        self.spectrum = sfft.rfftn(padded)
         self.corner = tuple(int(a.max()) + 1 for a in coords)  # Omega's bounding box
         self.index = np.ravel_multi_index(coords, self.corner)
         self.center = float(window[(D,) * n])
 
-    def __call__(self, Y, spectrum=None):
+    def __call__(self, Y):
         """S Y for an (m, k) array Y of interior columns: Y scattered into
-        the bounding box, convolved with the window (or multiplied by the
-        half spectrum given) over the periodic box and restricted to Omega."""
+        the bounding box, multiplied by `spectrum` over the periodic box and
+        restricted to Omega."""
         k = Y.shape[1]
         corner = np.zeros((k,) + self.corner)
         corner.reshape(k, -1)[:, self.index] = Y.T
-        spectrum = self.spectrum if spectrum is None else spectrum
-        conv = apply_multiplier(spectrum, corner, self.shape)
+        conv = apply_multiplier(self.spectrum, corner, self.shape)
         return conv.reshape(k, -1)[:, self.index].T
 
 
@@ -216,13 +209,13 @@ class FracOperator:
     built on first use and kept for its lifetime: both weight families,
     their real-FFT half spectra, the quadrature symbol, the interior
     stencil that small systems are factored from, and the windowed interior
-    convolution and box inverse symbol that large systems are solved with
+    convolution and box preconditioner that large systems are solved with
     (no m x m array), and two least-recently-used stores
     that the solver fills and bounds: the interior systems
-    (`systems`, filled by `solver.interior_system`) and the full-grid
-    weight convolutions of the stacked exterior data (`convolutions`,
-    filled by `solver.InteriorSystem.apply`).  The solver also records what
-    it did in `counts`.  Nothing is cached outside an operator, so two
+    (`systems`, filled by `solver.interior_system`) and the weight
+    convolutions of the stacked exterior data on their bounding box
+    (`convolutions`, filled by `solver.InteriorSystem.apply`).  The solver
+    also records what it did in `counts`.  Nothing is cached outside an operator, so two
     operators share no state.
     """
 
@@ -252,7 +245,7 @@ class FracOperator:
     def form_spectrum(self):
         """Real-FFT half spectrum of the moment weights: `apply_multiplier`
         with it is their circular convolution."""
-        return np.fft.rfftn(self.form_weights)
+        return sfft.rfftn(self.form_weights)
 
     @cached_property
     def diagnostic_weights(self):
@@ -266,7 +259,7 @@ class FracOperator:
     def diagnostic_spectrum(self):
         """Real-FFT half spectrum of the diagnostic weights."""
         if self.geometry.n == 1:
-            return np.fft.rfftn(self.diagnostic_weights)
+            return sfft.rfftn(self.diagnostic_weights)
         return self.form_spectrum
 
     @cached_property
@@ -341,31 +334,38 @@ class FracOperator:
 
     @cached_property
     def box_inverse_symbol(self):
-        """Inverse symbol of the unit block's extension to the periodic box
-        of `interior_convolution`, the solver's preconditioner.
+        """The solver's preconditioner R L_P^-1 E: a `WindowConvolution`
+        whose spectrum is the inverse symbol of a circulant L_P on a box half
+        the side of `interior_convolution`'s.
 
-        On the box of side P let L_P = c h^n ((sum w + w_0) I - W_P), W_P the
-        circular convolution with the window and sum w the full grid's
-        weight sum, A'_0's diagonal over c h^n.  Restricted to Omega, L_P is
-        A'_0, the interior block of gamma = 1 and q = 0, exactly.  Its
-        symbol c h^n (sum w + w_0 - w_P(k)), w_P the window's real half
-        spectrum, is at least c h^n (w_0 + the weights the window leaves
-        out), so positive, unless Omega spans more than half the grid: then
-        the window repeats offsets and the symbol can go negative.  So the
-        preconditioner is |L_P|, the circulant of the symbol's modulus.  It
-        is positive definite whatever the sign, PCG still solves A' exactly,
-        and where the symbol is positive (every suite's geometry) it is L_P.
-        A zero in the symbol is refused.  R |L_P|^-1 E r, E scattering into
-        the box and R restricting to Omega, is one `interior_convolution`
-        product with this spectrum: the circulant-embedding preconditioner
-        for Toeplitz systems (Strang 1986; Chan and Ng, SIAM Review 38, 1996).
+        Let corner = D + 1 be the side of Omega's bounding box and
+        Dp = floor(corner / 2).  L_P = c h^n ((sum w + w_0) I - W_P) on the
+        periodic box of side P = next_fast_len(2 Dp + 1) >= corner, W_P the
+        circular convolution with the symmetrized window truncated to the
+        offsets [-Dp, Dp]^n and sum w the full grid's weight sum, A'_0's
+        diagonal over c h^n.  Restricted to Omega, L_P has A'_0's diagonal
+        and its every entry whose offset lies within [-Dp, Dp]^n; a larger
+        offset wraps onto a central weight.  That is Strang's circulant for
+        a Toeplitz matrix (Strang 1986; Chan and Ng, SIAM Review 38, 1996;
+        Lei and Sun, J. Comput. Phys. 242, 2013), here of A'_0, the interior
+        block of gamma = 1 and q = 0.  Its symbol c h^n (sum w + w_0 - w_P(k)),
+        w_P the truncated window's real half spectrum, is at least c h^n
+        times the weights the truncated window leaves out, as its offsets
+        are distinct on the grid (2 Dp + 1 <= N whenever Omega lies strictly
+        inside the box), so positive.  A symbol that is not positive is
+        refused.  R L_P^-1 E r, E scattering into the box and R restricting
+        to Omega, is one product of this convolution.
         """
-        conv = self.interior_convolution
+        window, coords, D = self.interior_offsets
+        Dp = (D + 1) // 2
+        central = (slice(D - Dp, D + Dp + 1),) * window.ndim
+        conv = WindowConvolution(window[central], coords, Dp)
         scale = self.cns * self.geometry.cell_volume
-        modulus = np.abs(scale * (self.form_weights.sum() + conv.center - conv.spectrum.real))
-        if not modulus.min() > 0:
-            raise ValueError("box symbol has a zero: the box operator is singular")
-        return 1.0 / modulus
+        symbol = scale * (self.form_weights.sum() + conv.center - conv.spectrum.real)
+        if not symbol.min() > 0:
+            raise ValueError("box symbol is not positive: the box operator is not definite")
+        conv.spectrum = 1.0 / symbol
+        return conv
 
     @cached_property
     def quadrature_symbol(self):
@@ -463,7 +463,7 @@ def hs_gram(basis, s: float) -> np.ndarray:
         raise ValueError("empty basis")
     geom = basis[0].geometry
     axes = tuple(range(1, geom.n + 1))
-    hats = np.fft.rfftn(np.stack([b.values for b in basis]), axes=axes)
+    hats = sfft.rfftn(np.stack([b.values for b in basis]), axes=axes)
     half = hats.shape[-1]
     twice = np.full(half, 2.0)
     twice[[0, -1]] = 1.0

@@ -16,16 +16,20 @@ failure for a potential signals a genuinely non-transformed, non-coercive
 q and is reported as such.
 
 Solves are batched and use the discrete Alessandrini identity.  For a
-(k, *grid) stack F of exterior data, one stacked full-grid apply gives AF;
-its interior rows are the right-hand sides B = -(AF)_Omega, one batched
-solve gives the interior values X = D_g^-1 A'^-1 D_g^-1 B, and the energy
-pairings of the solutions are M = F (AF)^T - X^T B, with no second apply
-for the fluxes.  The one FFT pair of an apply is the convolution of the
-weights with g F (with F for a potential), through
-`operators.apply_multiplier`; the operator keeps the last two in
-`FracOperator.convolutions`, keyed by a digest of g F.  Where g = 1 on the
-support of F, g F is bitwise F, so every potential and every conductivity
-equal to 1 there share one convolution per basis.
+(k, *grid) stack F of exterior data, one stacked apply gives AF on the
+bounding box of Omega and the support of F, the only part of the grid the
+solve reads; its interior rows are the right-hand sides B = -(AF)_Omega,
+one batched solve gives the interior values X = D_g^-1 A'^-1 D_g^-1 B, and
+the energy pairings of the solutions are M = F (AF)^T - X^T B over the box,
+with no second apply for the fluxes.  The one FFT pair of an apply is the
+convolution of the weights with g F (with F for a potential) over the
+periodic grid, through `operators.apply_multiplier` with the box as the
+grid's low corner (a convolution is translation invariant), so the real
+passes run over the box's rows only (251 of 512 rows at 2D N = 512).
+The operator keeps the last two in `FracOperator.convolutions`, keyed by a
+digest of g F on the box.  Where g = 1 on the support of F, g F is bitwise
+F, so every potential and every conductivity equal to 1 there share one
+convolution per basis.
 
 How A' is solved depends on its size m, the number of unknowns:
 
@@ -37,12 +41,13 @@ How A' is solved depends on its size m, the number of unknowns:
   (`FracOperator.interior_convolution`):
   A'Y = (diag(A') + c h^n w_0) Y - c h^n (S Y), S the stencil, one FFT over
   a periodic box holding Omega's bounding box, transformed only on the
-  rows of that bounding box.  The preconditioner is the unit block
-  extended to that box: L_P, whose restriction to Omega is A'_0, is a
-  circulant, so R |L_P|^-1 E r is one more FFT pair on the same box with
-  the inverse symbol modulus the operator keeps
-  (`FracOperator.box_inverse_symbol`; the modulus is L_P itself unless
-  Omega spans more than half the grid).  The columns of one solve share
+  rows of that bounding box.  The preconditioner is Strang's circulant of
+  the unit block A'_0 on a box half that side: L_P keeps the weights of
+  the offsets up to half Omega's extent, wraps the larger ones, and agrees
+  with A'_0 on every entry whose offset it keeps.  R L_P^-1 E r is one FFT
+  pair on that box with the inverse symbol the operator keeps
+  (`FracOperator.box_inverse_symbol`; a box of side 90 against the
+  product's 180 at 2D N = 512).  The columns of one solve share
   one block Krylov space: each block step orthonormalizes the
   preconditioned residuals and advances every column at once, so the
   outlying eigenvalues of the preconditioned block are found once for the
@@ -120,6 +125,11 @@ class Solution:
     energy: float
 
 
+def _bounding_box(mask):
+    """Slices of the smallest box that holds every nonzero entry of mask."""
+    return tuple(slice(int(a.min()), int(a.max()) + 1) for a in np.nonzero(mask))
+
+
 def _digest(*arrays):
     hsh = hashlib.sha256()
     for a in arrays:
@@ -139,9 +149,10 @@ def _kept(store, key, limit, build):
     return store[key]
 
 
-# full-grid convolutions an operator keeps: a basis convolved with 1 (shared
-# by every potential) and with the last conductivity that differs there;
-# each is k * N^n floats, 33 MB for 16 fields at 2D N=512
+# convolutions an operator keeps: a basis convolved with 1 (shared by every
+# potential) and with the last conductivity that differs there; each holds
+# k floats per point of the basis' bounding box, 8 MB for 16 fields at
+# 2D N=512
 _CONVOLUTIONS_KEPT = 2
 
 
@@ -177,8 +188,8 @@ class InteriorSystem:
     is g on Omega and `_diag` the diagonal of A'.  A system of at most
     `_FACTORED_UNKNOWNS_MAX` unknowns holds A''s Cholesky factor (lower
     triangle) in `_factor`; a larger one has `_factor` None and holds the
-    PCG product's diagonal shift `_shift` and the operator's box inverse
-    symbol `_inverse`, which preconditions.
+    PCG product's diagonal shift `_shift` and the operator's box
+    preconditioner `_preconditioner`.
     """
 
     def __init__(self, coefficient, op: FracOperator):
@@ -228,7 +239,7 @@ class InteriorSystem:
             return
 
         self._factor = None
-        self._inverse = op.box_inverse_symbol
+        self._preconditioner = op.box_inverse_symbol
         # PCG applies A' Y = shift Y - c h^n (S Y), S the stencil with its
         # diagonal w_0
         self._shift = self._diag + self._scale * self._convolve.center
@@ -254,9 +265,10 @@ class InteriorSystem:
         )
 
     def _precondition(self, V):
-        """R |L_P|^-1 E V: V's columns scattered into the box, multiplied by
-        the inverse box symbol modulus and restricted to Omega, one FFT pair."""
-        return self._convolve(V, self._inverse)
+        """R L_P^-1 E V: V's columns scattered into the preconditioner's box,
+        multiplied by the inverse box symbol and restricted to Omega, one FFT
+        pair."""
+        return self._preconditioner(V)
 
     def _matvec(self, Y, shift):
         """A' Y = shift Y - c h^n (S Y) through the operator's windowed
@@ -324,44 +336,54 @@ class InteriorSystem:
 
     # -- full-grid operator --------------------------------------------------
 
-    def apply(self, values):
-        """Full-grid stiffness applied to a field or a (k, *grid) stack.
+    def apply(self, values, box=None):
+        """Stiffness applied to a field or a (k, *grid) stack, on a box.
 
         A u = s (e u - w * (g u)) with s = c h^n g and e = w * g, or, for a
-        potential, g = 1, s = c h^n and e = w * 1 + q / c.  The one FFT
-        pair, the convolution w * (g u), is kept in the operator's
-        convolution store under a digest of g u and its shape.
+        potential, g = 1, s = c h^n and e = w * 1 + q / c.  box is a tuple of
+        slices of the grid, the whole grid when None; u and every factor are
+        read on it, and the result is A u on the box, exact when u vanishes
+        off it.  The one FFT pair, the convolution w * (g u) over the
+        periodic grid, takes the box as the grid's low corner
+        (`apply_multiplier` with the grid given) and is kept in the
+        operator's convolution store under a digest of g u on the box and
+        its shape: the convolution does not depend on where the box lies.
         """
-        gv = values if self.g is None else self.g * values
+        box = (Ellipsis,) if box is None else (Ellipsis,) + tuple(box)
+        u = values[box]
+        gu = u if self.g is None else self.g[box] * u
         conv = _kept(
             self._convolutions,
-            (gv.shape, _digest(gv)),
+            (gu.shape, _digest(gu)),
             _CONVOLUTIONS_KEPT,
-            lambda: apply_multiplier(self._spectrum, gv),
+            lambda: apply_multiplier(self._spectrum, gu, self.geometry.shape),
         )
-        out = values * self._e
+        out = u * self._e[box]
         out -= conv
-        out *= self._s
+        out *= self._s if self.g is None else self._s[box]
         return out
 
     def solve_many(self, data, tol: float = 1e-10):
         """Solve for a (k, *grid) stack F of exterior data in one batch.
 
-        One stacked apply gives AF and the right-hand sides B = -(AF)_Omega;
-        the interior values are X = D_g^-1 Y with A' Y = D_g^-1 B, Y from one
-        multi-RHS Cholesky solve against the system's own factor or, above
-        `_FACTORED_UNKNOWNS_MAX` unknowns, from box-preconditioned PCG.  Each
-        column's Galerkin residual is measured against A_gamma = D_g A' D_g
-        (`_block_product`) and must not exceed tol.  Returns (X, M,
-        residuals): the (k, interior) solution values, the energy pairings
-        M_ij = B(u_i, f_j) = B(u_i, u_j) and the residual of each column.
-        M = F (AF)^T - X^T B by Alessandrini's identity, which needs no flux
-        apply; it is returned unsymmetrized.
+        One stacked apply on the bounding box of Omega and the support of F
+        gives AF there and the right-hand sides B = -(AF)_Omega; the interior
+        values are X = D_g^-1 Y with A' Y = D_g^-1 B, Y from one multi-RHS
+        Cholesky solve against the system's own factor or, above
+        `_FACTORED_UNKNOWNS_MAX` unknowns, from box-preconditioned block
+        PCG.  Each column's Galerkin residual is measured against
+        A_gamma = D_g A' D_g (`_block_product`) and must not exceed tol.
+        Returns (X, M, residuals): the (k, interior) solution values, the
+        energy pairings M_ij = B(u_i, f_j) = B(u_i, u_j) and the residual of
+        each column.  M = F (AF)^T - X^T B by Alessandrini's identity, the
+        product over the box, where F is supported; it needs no flux apply
+        and is returned unsymmetrized.
         """
         F = np.asarray(data, dtype=float)
         k = F.shape[0]
-        AF = self.apply(F).reshape(k, -1)
-        B = -AF[:, self.idx].T
+        box = _bounding_box(self.mask | np.any(F, axis=0))
+        AF = self.apply(F, box).reshape(k, -1)
+        B = -AF[:, np.flatnonzero(self.mask[box])].T  # Omega in the box's order
         gi = self._gi[:, None]
         if self._factor is None:
             X, _ = self._pcg(B / gi)
@@ -379,7 +401,7 @@ class InteriorSystem:
                 f"Galerkin residual {residuals[i]:.3e} exceeds tol {tol:.3e} "
                 f"in column {i}"
             )
-        M = F.reshape(k, -1) @ AF.T - X.T @ B
+        M = F[(Ellipsis,) + box].reshape(k, -1) @ AF.T - X.T @ B
         return X.T, M, residuals
 
     def solve(self, datum: ExteriorDatum, tol: float = 1e-10) -> Solution:

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+import fraccond.operators as operators
 import fraccond.solver as solver
 from fraccond.conductivity import bump_conductivity
 from fraccond.dnmap import assemble_dn, build_exterior_basis
@@ -504,10 +505,10 @@ class TestInteriorStencil:
         [(1, 1024, 1.0), (2, 128, 1.0), (1, 256, 4.0), (2, 64, 4.0)],
     )
     def test_box_symbol_guard(self, n, grid_points, omega_radius, monkeypatch):
-        # the symbol is bounded below by the weights the window leaves out;
-        # an Omega wider than half the grid repeats offsets in the window,
-        # which drives the symbol below 0.  Its modulus still preconditions
-        # A' exactly, so the PCG path's DN matrix is the factored path's
+        # the truncated window's offsets [-Dp, Dp] are distinct on the grid,
+        # so the symbol is bounded below by the weights it leaves out: it is
+        # positive, and the PCG path's DN matrix is the factored path's, also
+        # where Omega spans more than half the grid
         geom = default_geometry(
             n=n,
             grid_points=grid_points,
@@ -515,12 +516,21 @@ class TestInteriorStencil:
             region=("annulus", omega_radius + 0.5, 5.5),
         )
         op = FracOperator(geom)
-        conv = op.interior_convolution
-        symbol = op.form_weights.sum() + conv.center - conv.spectrum.real
+        window, _, D = op.interior_offsets
+        Dp = (D + 1) // 2
+        assert 2 * Dp + 1 <= grid_points
+        pre = op.box_inverse_symbol
+        P = pre.shape[0]
+        assert D + 1 <= P < 2 * D + 1
+        # the symbol from the truncated window laid out at its offsets mod P
+        padded = np.zeros(pre.shape)
+        span = np.arange(-Dp, Dp + 1) % P
+        padded[np.ix_(*[span] * n)] = window[(slice(D - Dp, D + Dp + 1),) * n]
+        w0 = window[(D,) * n]
+        symbol = op.form_weights.sum() + w0 - np.fft.rfftn(padded).real
         symbol *= op.cns * geom.cell_volume
-        _, _, D = op.interior_offsets
-        assert (symbol.min() > 0) == (2 * D + 1 <= grid_points)
-        assert np.array_equal(op.box_inverse_symbol, 1.0 / np.abs(symbol))
+        assert symbol.min() > 0
+        assert np.max(np.abs(pre.spectrum * symbol - 1.0)) <= 1e-13
 
         basis = build_exterior_basis(geom, "annulus", 8, kind="harmonic")
         gam = bump_conductivity(geom, height=0.5, width=0.8 * omega_radius)
@@ -530,9 +540,12 @@ class TestInteriorStencil:
         assert op.counts.factorizations == 0
         assert np.max(np.abs(iterated - factored)) <= 1e-10 * np.max(np.abs(factored))
 
-        # a zero in the symbol, a singular box operator, is refused
-        zeroed = FracOperator(geom)
-        spectrum = zeroed.interior_convolution.spectrum
-        spectrum.flat[spectrum.size // 3] = zeroed.form_weights.sum() + conv.center
-        with pytest.raises(ValueError, match="box symbol has a zero"):
-            zeroed.box_inverse_symbol
+        # a zero patched into the spectrum, a singular box operator, is refused
+        class Zeroed(operators.WindowConvolution):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.spectrum.flat[self.spectrum.size // 3] = op.form_weights.sum() + self.center
+
+        monkeypatch.setattr(operators, "WindowConvolution", Zeroed)
+        with pytest.raises(ValueError, match="box symbol is not positive"):
+            FracOperator(geom).box_inverse_symbol

@@ -1,5 +1,7 @@
 """Galerkin solver: exactness relations, invariants, convergence."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,36 @@ class TestConvolutionStore:
         assert len(op.convolutions) == 1
 
 
+class TestBoxApply:
+    """An apply on a box of the grid is the full-grid apply read on the box."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
+    def test_box_apply_is_the_full_grid_apply_restricted(self, geom, geom2d, n, equation):
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        wide = mollifier_profile(g.radius / 4.0)  # away from 0 on Omega and the data
+        coefficient = {
+            "conductivity": lambda: Conductivity(g, 1.0 + 0.3 * wide, gamma0=0.5),
+            "schrodinger": lambda: Potential(g, 0.5 * wide),
+        }[equation]()
+        basis = build_exterior_basis(g, "annulus", 4, kind="harmonic")
+        F = np.stack([f.values for f in basis.functions])
+        support = np.any(F != 0, axis=0)
+        if equation == "conductivity":
+            assert np.all(coefficient.sqrt_values[support] != 1.0)
+        box = tuple(slice(a.min(), a.max() + 1) for a in np.nonzero(g.omega_mask() | support))
+        assert all(b.start > 0 for b in box)  # the box is not the grid's low corner
+        system = interior_system(coefficient, op)
+        full = system.apply(F)[(Ellipsis,) + box]
+        boxed = system.apply(F, box)
+        assert boxed.shape == full.shape
+        # A u = s (e u - w * (g u)) is a difference of two terms of the size
+        # of s e u, which sets the roundoff of either transform's result
+        terms = np.abs(system._s * system._e * F)[(Ellipsis,) + box]
+        assert np.max(np.abs(boxed - full)) <= 1e-15 * np.max(terms)
+
+
 class TestSchrodingerSolve:
     def test_zero_everything(self, geom, op_quad):
         z = ExteriorDatum(geom, np.zeros(geom.shape))
@@ -329,14 +361,27 @@ class TestSharedFactor:
     between them; no factor is formed."""
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_box_operator_restricts_to_the_unit_block(self, geom, geom2d, n):
-        # R L_P E, L_P applied through its symbol: A'_0 entrywise
+    def test_preconditioner_keeps_the_unit_block_near_the_diagonal(self, geom, geom2d, n):
+        # R L_P E, L_P applied through its symbol on the half-size box: A'_0's
+        # diagonal and every entry whose offset lies within [-Dp, Dp]^n
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
         one = Conductivity(g, np.ones(g.shape), gamma0=0.5)
         ref = reference_block(one, op)
-        restricted = op.interior_convolution(np.eye(ref.shape[0]), 1.0 / op.box_inverse_symbol)
-        assert np.max(np.abs(restricted - ref)) <= 1e-13 * np.max(np.abs(ref))
+        pre = op.box_inverse_symbol
+        forward = copy.copy(pre)  # L_P itself: the same box, the symbol
+        forward.spectrum = 1.0 / pre.spectrum
+        restricted = forward(np.eye(ref.shape[0]))
+        _, coords, D = op.interior_offsets
+        Dp = (D + 1) // 2
+        near = np.ones(ref.shape, dtype=bool)
+        for a in coords:
+            near &= np.abs(a[:, None] - a[None, :]) <= Dp
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(np.diag(restricted) - np.diag(ref))) <= 1e-13 * scale
+        assert np.max(np.abs(restricted - ref)[near]) <= 1e-13 * scale
+        # farther offsets wrap onto central weights
+        assert np.max(np.abs(restricted - ref)[~near]) > 1e-6 * scale
 
     @pytest.mark.parametrize("coefficient", ["unit", "zero"])
     def test_unit_coefficient_matches_factored_path(self, geom, datum, coefficient, monkeypatch):
@@ -463,3 +508,31 @@ class TestSharedFactor:
         system._diag = system._diag * (1.0 + 1e-6)
         with pytest.raises(SolverError, match="residual"):
             system.solve(datum)
+
+    def test_half_size_box_takes_at_most_one_more_step(self, shared_factor):
+        # the Strang circulant on the half-size box against a test-local
+        # oracle preconditioned by the unit block's extension L_P to the
+        # product's 2D + 1 box, whose restriction to Omega is A'_0 exactly
+        g = default_geometry(n=2, grid_points=128)
+        op = FracOperator(g)
+        basis = build_exterior_basis(g, "annulus", 16, kind="harmonic")
+        system = interior_system(bump_conductivity(g, 0.5, 0.8), op)
+        F = np.stack([f.values for f in basis.functions])
+        B = -system.apply(F).reshape(len(F), -1)[:, system.idx].T / system._gi[:, None]
+        conv = op.interior_convolution
+        assert op.box_inverse_symbol.shape[0] < conv.shape[0]
+        symbol = op.form_weights.sum() + conv.center - conv.spectrum.real
+        unit_inverse = copy.copy(conv)  # R L_P^-1 E on the product's box
+        unit_inverse.spectrum = 1.0 / (op.cns * g.cell_volume * symbol)
+
+        def steps(precondition):
+            system._precondition = precondition
+            before = op.counts.pcg_iterations
+            Y, converged = system._pcg(B)
+            assert converged
+            return Y, op.counts.pcg_iterations - before
+
+        Y, half = steps(system._preconditioner)
+        Y_unit, unit = steps(unit_inverse)
+        assert 0 < half <= unit + 1
+        assert np.max(np.abs(Y - Y_unit)) <= 1e-12 * np.max(np.abs(Y_unit))
