@@ -11,6 +11,7 @@ experiments that share a basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -44,6 +45,20 @@ class ExteriorBasis:
 
     def __len__(self):
         return len(self.functions)
+
+    @cached_property
+    def stack(self):
+        """The fields as one read-only (k, *grid) array, stacked once."""
+        F = np.stack([f.values for f in self.functions])
+        F.setflags(write=False)
+        return F
+
+    @cached_property
+    def support(self):
+        """Read-only grid mask of the points where some field is nonzero."""
+        mask = np.any(self.stack, axis=0)
+        mask.setflags(write=False)
+        return mask
 
     def order_of(self, i):
         h, k = self.orders[i]
@@ -248,24 +263,22 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
 
     Conductivity coefficients address the conductivity equation, Potential
     coefficients the Schrodinger one.  All k basis data F are solved in one
-    batch (InteriorSystem.solve_many): one stacked apply gives AF on the
-    bounding box of Omega and the basis' support and the right-hand sides
-    B = -(AF)_Omega, one multi-RHS solve the interior values X, against the
-    stored system's own factor or, for a large system, by block PCG with
-    the operator's half-size box preconditioner.  Each column's Galerkin
-    residual is checked against the interior block; a failure raises
-    SolverError naming the column.  By Alessandrini's identity
-    M = F (AF)^T - X^T B over the box, so no flux apply is made, and the
-    apply's convolution is shared through the operator's store by every
-    coefficient with g F = F on the box.  M is passed to
-    DnMatrix unsymmetrized, so its symmetry check sees the raw solver
-    asymmetry.  Any other coefficient raises TypeError.
+    batch (InteriorSystem.solve_many) from the basis' kept stack and
+    support: one stacked apply gives AF on the bounding box of Omega and
+    the basis' support and the right-hand sides B = -(AF)_Omega, and one
+    run of block PCG with the operator's half-size box preconditioner the
+    interior values X.  Each column's Galerkin residual is checked against
+    the interior block; a failure raises SolverError naming the column.
+    By Alessandrini's identity M = F (AF)^T - X^T B over the box, so no
+    flux apply is made, and the apply's convolution is shared through the
+    operator's store by every coefficient with g F = F on the box.  M is
+    passed to DnMatrix unsymmetrized, so its symmetry check sees the raw
+    solver asymmetry.  Any other coefficient raises TypeError.
     """
     system = interior_system(coefficient, op)
     if basis.geometry != system.geometry:
         raise ValueError("geometry mismatch")
-    F = np.stack([f.values for f in basis.functions])
-    _, M, _ = system.solve_many(F, tol)
+    _, M, _ = system.solve_many(basis.stack, tol, support=basis.support)
     return DnMatrix(entries=M, basis=basis)
 
 

@@ -60,6 +60,7 @@ from .operators import (
     pair_matvec,
     parseval_pairing,
 )
+from .solver import coefficient_key
 
 __all__ = [
     "liouville_identity_residual",
@@ -186,21 +187,30 @@ def exterior_recovery(M: DnMatrix, M0: DnMatrix, basis, probes) -> list:
     return results
 
 
+def _assembler(basis, op: FracOperator):
+    """assemble_dn on one basis and operator, made once per coefficient: a
+    coefficient of the same grid, kind and values as one already given
+    (`solver.coefficient_key`) gets that one's DnMatrix."""
+    assembled = {}
+
+    def dn(coefficient):
+        key = (*coefficient_key(coefficient), coefficient.geometry)
+        if key not in assembled:
+            assembled[key] = assemble_dn(coefficient, basis, op)
+        return assembled[key]
+
+    return dn
+
+
 def exterior_stability_scan(pairs, basis, op: FracOperator):
     """(sup-norm exterior gap, DN-difference norm) per pair plus the fitted
-    Lipschitz constant; identical pairs are excluded with a note.  A
-    coefficient object that several pairs share is assembled once."""
+    Lipschitz constant; identical pairs are excluded with a note.  Each
+    distinct coefficient is assembled once (`_assembler`)."""
     geom = basis.geometry
     ext = geom.exterior_mask()
     data = []
     excluded = 0
-    assembled = {}  # id(coefficient) -> DnMatrix; pairs keeps the objects alive
-
-    def dn(coefficient):
-        if id(coefficient) not in assembled:
-            assembled[id(coefficient)] = assemble_dn(coefficient, basis, op)
-        return assembled[id(coefficient)]
-
+    dn = _assembler(basis, op)
     for ga, gb in pairs:
         y = float(np.max(np.abs(ga.values - gb.values)[ext]))
         x = dn_operator_norm(dn(ga) - dn(gb))
@@ -227,15 +237,21 @@ def exterior_stability_scan(pairs, basis, op: FracOperator):
 def reduction_check(g1, g2, theta0, basis, op: FracOperator) -> dict:
     """Both DN differences of a pair in one basis, x for the conductivities'
     and lhs for their Liouville potentials', and the constant fitted to the
-    shape x + x^(1/2) + x^((1-theta0)/2); ratios are nan when x = 0."""
+    shape x + x^(1/2) + x^((1-theta0)/2) (`_reduction_record`)."""
     check_theta0(g1.geometry, theta0)
     Mg1 = assemble_dn(g1, basis, op)
     Mg2 = assemble_dn(g2, basis, op)
+    Mq1 = assemble_dn(liouville_potential(g1, op), basis, op)
+    Mq2 = assemble_dn(liouville_potential(g2, op), basis, op)
+    return _reduction_record(Mg1, Mg2, Mq1, Mq2, theta0)
+
+
+def _reduction_record(Mg1, Mg2, Mq1, Mq2, theta0) -> dict:
+    """x = |Lambda_g1 - Lambda_g2| and lhs = |Lambda_q1 - Lambda_q2| from
+    the four DN matrices of a pair and of its Liouville potentials, with the
+    constant fitted to the shape x + x^(1/2) + x^((1-theta0)/2); ratios are
+    nan when x = 0."""
     x = dn_operator_norm(Mg1 - Mg2)
-    q1 = liouville_potential(g1, op)
-    q2 = liouville_potential(g2, op)
-    Mq1 = assemble_dn(q1, basis, op)
-    Mq2 = assemble_dn(q2, basis, op)
     lhs = dn_operator_norm(Mq1 - Mq2)
     shape = x + x**0.5 + x ** ((1.0 - theta0) / 2.0) if x > 0 else 0.0
     nan = float("nan")
@@ -249,13 +265,12 @@ def reduction_check(g1, g2, theta0, basis, op: FracOperator) -> dict:
     }
 
 
-def dn_floor_estimate(basis, op: FracOperator) -> float:
+def dn_floor_estimate(dn, geometry) -> float:
     """Heuristic resolution floor of DN-difference norms: scaled roundoff of
-    the unit-conductivity DN norm.  Differences below the floor are solver
-    noise, not signal."""
-    one = Conductivity(basis.geometry, np.ones(basis.geometry.shape), gamma0=0.5)
-    base = dn_operator_norm(assemble_dn(one, basis, op))
-    return 100.0 * float(np.finfo(float).eps) * base
+    the unit-conductivity DN norm, its matrix from dn (`_assembler`).
+    Differences below the floor are solver noise, not signal."""
+    one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
+    return 100.0 * float(np.finfo(float).eps) * dn_operator_norm(dn(one))
 
 
 def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, delta=None) -> dict:
@@ -275,15 +290,14 @@ def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, del
     if delta is None:
         delta = 0.95 * (1.0 - theta0) / 2.0
     gate = 3.0 ** (-1.0 / delta)
-    floor = dn_floor_estimate(basis, op)
+    dn = _assembler(basis, op)
+    floor = dn_floor_estimate(dn, geom)
     omega = geom.omega_mask()
 
     retained = []
     flagged = []
     for ga, gb in family:
-        Ma = assemble_dn(ga, basis, op)
-        Mb = assemble_dn(gb, basis, op)
-        x = dn_operator_norm(Ma - Mb)
+        x = dn_operator_norm(dn(ga) - dn(gb))
         if x == 0.0:
             continue
         diff = np.abs(ga.sqrt_values - gb.sqrt_values)[omega]
@@ -537,12 +551,18 @@ def suite_exterior(
 def suite_reduction(
     geometry, op, theta0=0.9, amplitude=0.3, factor=1.3, region="annulus", basis_size=16
 ):
+    check_theta0(geometry, theta0)
     basis = build_exterior_basis(geometry, region, basis_size, "bumps")
     one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
+    # every check compares with the same unit conductivity and its potential
+    M_one = assemble_dn(one, basis, op)
+    M_q_one = assemble_dn(liouville_potential(one, op), basis, op)
     checks = []
     for w in [0.4 / factor**k for k in range(6)]:
         g = bump_conductivity(geometry, height=amplitude, width=w)
-        checks.append({"width": float(w), **reduction_check(g, one, theta0, basis, op)})
+        M_g = assemble_dn(g, basis, op)
+        M_q = assemble_dn(liouville_potential(g, op), basis, op)
+        checks.append({"width": float(w), **_reduction_record(M_g, M_one, M_q, M_q_one, theta0)})
     fitted = [c["fitted_constant"] for c in checks]
     return {
         "theta0": theta0,

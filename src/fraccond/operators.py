@@ -32,7 +32,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.linalg.lapack import dpotrf
 
 from .geometry import GridField
 from .kernels import (
@@ -128,10 +127,6 @@ def parseval_pairing(weight, a_hat, b_hat, cell_volume, points=None):
     return (a.view(float) @ b.view(float).T) * (cell_volume / points)
 
 
-# columns per block when interior matrices are filled blockwise
-_BLOCK = 256
-
-
 class WindowConvolution:
     """The interior stencil times a stack of vectors, without the dense stencil.
 
@@ -181,16 +176,13 @@ class WindowConvolution:
 class SolverCounts:
     """What the solver did on one operator, for the run's provenance.
 
-    factorizations counts dense Cholesky factorizations, one per system of
-    at most `solver._FACTORED_UNKNOWNS_MAX` unknowns; pcg_solves counts
-    the larger systems' block PCG runs (one per batched solve and one per
+    pcg_solves counts the block PCG runs (one per batched solve and one per
     positive-definiteness certificate), and pcg_iterations and
     pcg_max_iterations their total and largest numbers of block steps, each
     step advancing every column of the run at once; worst_residual is the
     largest relative Galerkin residual of any solved column.
     """
 
-    factorizations: int = 0
     pcg_solves: int = 0
     pcg_iterations: int = 0
     pcg_max_iterations: int = 0
@@ -207,10 +199,9 @@ class FracOperator:
     The geometry fixes everything: the order s, the constant c_{n,s} and
     every weight array.  The operator owns what it derives from them, each
     built on first use and kept for its lifetime: both weight families,
-    their real-FFT half spectra, the quadrature symbol, the interior
-    stencil that small systems are factored from, and the windowed interior
-    convolution and box preconditioner that large systems are solved with
-    (no m x m array), and two least-recently-used stores
+    their real-FFT half spectra, the quadrature symbol, and the windowed
+    interior convolution and box preconditioner that every interior system
+    is solved with (no m x m array), and two least-recently-used stores
     that the solver fills and bounds: the interior systems
     (`systems`, filled by `solver.interior_system`) and the weight
     convolutions of the stacked exterior data on their bounding box
@@ -283,43 +274,6 @@ class FracOperator:
         span = np.arange(-D, D + 1) % N
         window = w[np.ix_(*[span] * geom.n)]
         return window, tuple(a - a.min() for a in coords), D
-
-    @cached_property
-    def interior_stencil(self):
-        """Moment weights between every pair of grid points inside Omega.
-
-        Entry (i, j) is the weight at offset x_i - x_j averaged with the
-        weight at x_j - x_i, so the matrix is exactly symmetric.  It is in
-        Fortran order: the blocks of factored systems are scaled copies of
-        it that LAPACK factors in place; larger systems never form it.  The entries are read from `interior_offsets` at
-        the offset's key in base 2D + 1: the difference of two point keys.
-        """
-        window, coords, D = self.interior_offsets
-        window = window.reshape(-1)
-        m = coords[0].size
-        key = np.zeros(m, dtype=np.intp)
-        center = 0  # the key of offset 0
-        for a in coords:
-            key = key * (2 * D + 1) + a
-            center = center * (2 * D + 1) + D
-        row = key + center
-        stencil = np.empty((m, m), order="F")
-        # column blocks bound the index temporaries to m * _BLOCK entries;
-        # each block is gathered transposed, so it is written contiguously
-        for c0 in range(0, m, _BLOCK):
-            cols = slice(c0, c0 + _BLOCK)
-            stencil[:, cols] = window.take(row[None, :] - key[cols, None]).T
-        return stencil
-
-    def factor_block(self, stencil, diag):
-        """(factor, info) of dpotrf on the interior block -c h^n stencil with
-        the given diagonal, formed and factored in the array `stencil`,
-        which it overwrites with L in the lower triangle.  Counted in
-        `counts.factorizations`."""
-        np.multiply(stencil, -self.cns * self.geometry.cell_volume, out=stencil)
-        np.fill_diagonal(stencil, diag)
-        self.counts.factorizations += 1
-        return dpotrf(stencil, lower=1, clean=0, overwrite_a=1)
 
     @cached_property
     def interior_convolution(self):

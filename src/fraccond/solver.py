@@ -31,44 +31,41 @@ digest of g F on the box.  Where g = 1 on the support of F, g F is bitwise
 F, so every potential and every conductivity equal to 1 there share one
 convolution per basis.
 
-How A' is solved depends on its size m, the number of unknowns:
+A' is never factored and nothing m x m is formed (m the number of
+unknowns).  Every system, the unit coefficient's too, is solved by block
+PCG with A' applied through the operator's windowed convolution
+(`FracOperator.interior_convolution`):
+A'Y = (diag(A') + c h^n w_0) Y - c h^n (S Y), S the stencil, one FFT over a
+periodic box holding Omega's bounding box, transformed only on the rows of
+that bounding box.  The preconditioner is Strang's circulant of the unit
+block A'_0 on a box half that side: L_P keeps the weights of the offsets up
+to half Omega's extent, wraps the larger ones, and agrees with A'_0 on
+every entry whose offset it keeps.  R L_P^-1 E r is one FFT pair on that
+box with the inverse symbol the operator keeps
+(`FracOperator.box_inverse_symbol`; a box of side 90 against the product's
+180 at 2D N = 512).  The columns of one solve share one block Krylov
+space: each block step orthonormalizes the preconditioned residuals and
+advances every column at once, so the outlying eigenvalues of the
+preconditioned block are found once for the whole stack (12 block steps
+for 16 harmonic data at 2D N = 512, where each column alone takes 18).
+Because A' has off-diagonal entries <= 0 it is positive definite exactly
+when A' v > 0 for some v > 0 (a nonsingular M-matrix), so building a
+system runs one PCG solve of A' v = 1 as the certificate.  A system holds
+only vectors: at 2D N = 512 a dense block would be 262 MB.
 
-* m <= `_FACTORED_UNKNOWNS_MAX`: A' is factored in place, so one array per
-  system holds its Cholesky factor (lower triangle).
-* m > `_FACTORED_UNKNOWNS_MAX`: nothing is factored and nothing m x m is
-  formed.  Every system, the unit coefficient's too, is solved by block
-  PCG with A' applied through the operator's windowed convolution
-  (`FracOperator.interior_convolution`):
-  A'Y = (diag(A') + c h^n w_0) Y - c h^n (S Y), S the stencil, one FFT over
-  a periodic box holding Omega's bounding box, transformed only on the
-  rows of that bounding box.  The preconditioner is Strang's circulant of
-  the unit block A'_0 on a box half that side: L_P keeps the weights of
-  the offsets up to half Omega's extent, wraps the larger ones, and agrees
-  with A'_0 on every entry whose offset it keeps.  R L_P^-1 E r is one FFT
-  pair on that box with the inverse symbol the operator keeps
-  (`FracOperator.box_inverse_symbol`; a box of side 90 against the
-  product's 180 at 2D N = 512).  The columns of one solve share
-  one block Krylov space: each block step orthonormalizes the
-  preconditioned residuals and advances every column at once, so the
-  outlying eigenvalues of the preconditioned block are found once for the
-  whole stack (12 block steps for 16 harmonic data at 2D N = 512, where
-  each column alone takes 18).  Because A' has off-diagonal entries <= 0
-  it is positive definite exactly when A' v > 0 for some v > 0 (a
-  nonsingular M-matrix), so building a system runs one PCG solve of
-  A' v = 1 as the certificate.  A system holds only vectors: at 2D N = 512
-  a factored block would be 262 MB.
-
-Either way every column's Galerkin residual is checked against A_gamma
-itself, D_g A' D_g applied through the windowed convolution with the
-diagonal the system states, and the operator's `counts` record the
-factorizations, PCG solves and block steps and the worst residual.
+Every column's Galerkin residual is checked against A_gamma itself,
+D_g A' D_g applied through the windowed convolution with the diagonal the
+system states, and the operator's `counts` record the PCG solves and block
+steps and the worst residual.
 
 The operator keeps the systems: `interior_system` keeps them in
 `FracOperator.systems`, keyed by the coefficient's kind and values, and
 holds at most four, evicting the least recently used.  Four is what the
-suites reuse: each reduction check looks up g, 1 and their two Liouville
-potentials, and the next check looks up 1 and its potential again.  A
-larger store only keeps more dense factors alive below the constant.
+suites look up again: a reduction check looks up g, 1 and their two
+Liouville potentials, and the exterior suite looks up 1 for its probe
+basis after its three scan conductivities.  A system holds only vectors
+of Omega's size, so the bound keeps the store from growing with the
+number of coefficients a run visits.
 """
 
 from __future__ import annotations
@@ -89,6 +86,7 @@ __all__ = [
     "ExteriorDatum",
     "Solution",
     "InteriorSystem",
+    "coefficient_key",
     "interior_system",
 ]
 
@@ -156,21 +154,6 @@ def _kept(store, key, limit, build):
 _CONVOLUTIONS_KEPT = 2
 
 
-# Above this many unknowns a system is solved by box-preconditioned block
-# PCG instead of a factorization of its own (see the module docstring).
-# Measured per system against block PCG (build, certificate and a 16-column
-# solve for a bump's Liouville potential, the operator's one-time arrays
-# built; 2-core x86_64, one BLAS thread), factored against PCG: 0.067 s
-# against 0.072 s at 1433 unknowns, 0.097 s against 0.082 s at 1741 and
-# 0.120 s against 0.085 s at 2061 (2D N = 256); in 1D 0.042 s against
-# 0.024 s at 1365 unknowns (N = 8192).  A kept system's later solves favour
-# the factor, one triangular pair against a PCG run (at 1433 unknowns a
-# 16-column solve, its full-grid apply included, takes 0.048 s against
-# 0.100 s), and the suites reuse systems: the 2D N = 256 reduction suite
-# (24 solves on 14 systems of 1433 unknowns) runs in 1.29-1.40 s and
-# 206 MB as it is and in 1.70-1.88 s and 123 MB with every system on PCG.
-_FACTORED_UNKNOWNS_MAX = 2000
-
 # PCG stops when every column's residual is below this fraction of its
 # right-hand side; the Galerkin residual is then checked against tol apart
 _PCG_RTOL = 1e-14
@@ -185,11 +168,11 @@ class InteriorSystem:
     with the full-grid operator are `apply_multiplier` convolutions with the
     operator's cached weight spectrum, kept in its convolution store.  The
     interior block is A_gamma = D_g A' D_g (g = 1 for a potential); `_gi`
-    is g on Omega and `_diag` the diagonal of A'.  A system of at most
-    `_FACTORED_UNKNOWNS_MAX` unknowns holds A''s Cholesky factor (lower
-    triangle) in `_factor`; a larger one has `_factor` None and holds the
-    PCG product's diagonal shift `_shift` and the operator's box
-    preconditioner `_preconditioner`.
+    is g on Omega and `_diag` the diagonal of A'.  A' is solved by block
+    PCG: the system holds the PCG product's diagonal shift `_shift`, the
+    operator's windowed convolution `_convolve` and its box preconditioner
+    `_preconditioner`, and nothing m x m.  Building it runs the M-matrix
+    certificate of A', which refuses a system that is not positive definite.
     """
 
     def __init__(self, coefficient, op: FracOperator):
@@ -231,14 +214,6 @@ class InteriorSystem:
         self._diag = diag / self._gi**2
 
         self._convolve = op.interior_convolution
-        if self.idx.size <= _FACTORED_UNKNOWNS_MAX:
-            factor, info = op.factor_block(op.interior_stencil.copy(order="F"), self._diag)
-            if info != 0:
-                self._not_positive_definite()
-            self._factor = factor
-            return
-
-        self._factor = None
         self._preconditioner = op.box_inverse_symbol
         # PCG applies A' Y = shift Y - c h^n (S Y), S the stencil with its
         # diagonal w_0
@@ -325,9 +300,9 @@ class InteriorSystem:
     def _block_product(self, X):
         """A_gamma X = D_g A' D_g X, A''s diagonal read from `_diag`.
 
-        The solves fix A''s diagonal when the system is built (in its factor,
-        or in the PCG product's shift), so a `_diag` that no longer matches
-        them fails the Galerkin residual check.
+        The solves fix A''s diagonal in the PCG product's shift when the
+        system is built, so a `_diag` that no longer matches it fails the
+        Galerkin residual check.
         """
         gi = self._gi[:, None]
         AY = self._matvec(gi * X, self._diag + self._scale * self._convolve.center)
@@ -363,15 +338,16 @@ class InteriorSystem:
         out *= self._s if self.g is None else self._s[box]
         return out
 
-    def solve_many(self, data, tol: float = 1e-10):
+    def solve_many(self, data, tol: float = 1e-10, support=None):
         """Solve for a (k, *grid) stack F of exterior data in one batch.
 
         One stacked apply on the bounding box of Omega and the support of F
         gives AF there and the right-hand sides B = -(AF)_Omega; the interior
-        values are X = D_g^-1 Y with A' Y = D_g^-1 B, Y from one multi-RHS
-        Cholesky solve against the system's own factor or, above
-        `_FACTORED_UNKNOWNS_MAX` unknowns, from box-preconditioned block
-        PCG.  Each column's Galerkin residual is measured against
+        values are X = D_g^-1 Y with A' Y = D_g^-1 B, Y from one run of
+        box-preconditioned block PCG.  support is a grid mask holding every
+        point where some datum is nonzero, such as the one a
+        `dnmap.ExteriorBasis` keeps; when None it is found by scanning F.
+        Each column's Galerkin residual is measured against
         A_gamma = D_g A' D_g (`_block_product`) and must not exceed tol.
         Returns (X, M, residuals): the (k, interior) solution values, the
         energy pairings M_ij = B(u_i, f_j) = B(u_i, u_j) and the residual of
@@ -381,14 +357,13 @@ class InteriorSystem:
         """
         F = np.asarray(data, dtype=float)
         k = F.shape[0]
-        box = _bounding_box(self.mask | np.any(F, axis=0))
+        if support is None:
+            support = np.any(F, axis=0)
+        box = _bounding_box(self.mask | support)
         AF = self.apply(F, box).reshape(k, -1)
         B = -AF[:, np.flatnonzero(self.mask[box])].T  # Omega in the box's order
         gi = self._gi[:, None]
-        if self._factor is None:
-            X, _ = self._pcg(B / gi)
-        else:
-            X = sla.cho_solve((self._factor, True), B / gi, check_finite=False)
+        X, _ = self._pcg(B / gi)
         X /= gi
         R = self._block_product(X) - B
         scale = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
@@ -421,18 +396,26 @@ class InteriorSystem:
 _SYSTEMS_KEPT = 4
 
 
+def coefficient_key(coefficient):
+    """(kind, digest of values): what a coefficient's interior system on a
+    given operator, and so its DN matrix on a given basis, depend on.
+    Anything but a Conductivity or a Potential is refused with TypeError
+    before it is hashed."""
+    if not isinstance(coefficient, (Conductivity, Potential)):
+        raise TypeError("coefficient must be a Conductivity or a Potential")
+    tag = "c" if isinstance(coefficient, Conductivity) else "q"
+    return tag, _digest(coefficient.values)
+
+
 def interior_system(coefficient, op: FracOperator) -> InteriorSystem:
-    """Interior system of a coefficient, kept in the operator's store.
+    """Interior system of a coefficient, kept in the operator's store under
+    its `coefficient_key`.
 
     A coefficient on another grid than the operator is refused before the
     lookup: the key holds only the coefficient's kind and a digest of its
-    values, which equal values on another grid would share.  Anything but a
-    Conductivity or a Potential is refused with TypeError before it is hashed.
+    values, which equal values on another grid would share.
     """
-    if not isinstance(coefficient, (Conductivity, Potential)):
-        raise TypeError("coefficient must be a Conductivity or a Potential")
+    key = coefficient_key(coefficient)
     if coefficient.geometry != op.geometry:
         raise ValueError("coefficient and operator live on different grids")
-    tag = "c" if isinstance(coefficient, Conductivity) else "q"
-    key = (tag, _digest(coefficient.values))
     return _kept(op.systems, key, _SYSTEMS_KEPT, lambda: InteriorSystem(coefficient, op))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf
 
 from fraccond.conductivity import Conductivity
 from fraccond.geometry import GeometryConfig, annulus_region, default_geometry
 from fraccond.operators import FracOperator, apply_multiplier
+from fraccond.solver import interior_system
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +50,21 @@ def two_region_geometry():
     )
 
 
+def fancy_index_stencil(op):
+    """Interior stencil: the moment weights at the offset between every pair
+    of grid points inside Omega, averaged with the weight at the opposite
+    offset, gathered with one modulo-N index array per axis.  The solver
+    never forms this m x m matrix; it is the tests' oracle for the windowed
+    convolution and the entrywise blocks."""
+    geom = op.geometry
+    N = geom.grid_points
+    axes = tuple(range(geom.n))
+    w = op.form_weights
+    w = 0.5 * (w + np.roll(np.flip(w, axes), 1, axes))
+    coords = np.unravel_index(np.flatnonzero(geom.omega_mask()), geom.shape)
+    return w[tuple((a[:, None] - a[None, :]) % N for a in coords)]
+
+
 def reference_block(coefficient, op):
     """Interior block A_gamma built entrywise, independently of the solver's
     congruence form: the unit stencil times -c h^n g_i g_j, with diagonal
@@ -57,9 +75,59 @@ def reference_block(coefficient, op):
     conductivity = isinstance(coefficient, Conductivity)
     G = coefficient.sqrt_values if conductivity else np.ones(geom.shape)
     gi = G.reshape(-1)[idx]
-    A = op.interior_stencil * (-scale * np.outer(gi, gi))
+    A = fancy_index_stencil(op) * (-scale * np.outer(gi, gi))
     diag = scale * (G * apply_multiplier(op.form_spectrum, G)).reshape(-1)[idx]
     if not conductivity:
         diag = diag + geom.cell_volume * coefficient.values.reshape(-1)[idx]
     np.fill_diagonal(A, diag)
     return A
+
+
+def factored_path(coefficient, op, F):
+    """(X, M) for a (k, *grid) stack F of exterior data with the entrywise
+    block A_gamma factored by dpotrf, the oracle of the solver's PCG:
+    X = A_gamma^-1 B, (k, interior), and M = F (AF)^T - X^T B, with no
+    congruence, AF and F on the bounding box of Omega and F's support, as
+    the solver applies; M is unsymmetrized."""
+    system = interior_system(coefficient, op)
+    k = len(F)
+    covered = np.nonzero(system.mask | np.any(F != 0, axis=0))
+    box = tuple(slice(a.min(), a.max() + 1) for a in covered)
+    AF = system.apply(F, box).reshape(k, -1)
+    B = -AF[:, np.flatnonzero(system.mask[box])].T
+    block = np.asfortranarray(reference_block(coefficient, op))
+    factor, info = dpotrf(block, lower=1, clean=0, overwrite_a=1)
+    assert info == 0
+    X = sla.cho_solve((factor, True), B, check_finite=False)
+    M = F[(Ellipsis,) + box].reshape(k, -1) @ AF.T - X.T @ B
+    return X.T, M
+
+
+def outer_product_path(coefficient, basis, op):
+    """DN matrix of `factored_path` on a basis, symmetrized as DnMatrix
+    stores it."""
+    _, M = factored_path(coefficient, op, basis.stack)
+    return 0.5 * (M + M.T)
+
+
+def square_arrays(op):
+    """Every m x m array (m the interior unknowns) an operator holds in its
+    attributes, its stores and its systems, searched through the objects of
+    fraccond and the containers it finds."""
+    m = int(np.count_nonzero(op.geometry.omega_mask()))
+    found, seen, todo = [], set(), [op]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            if x.ndim >= 2 and x.shape[-2:] == (m, m):
+                found.append(x)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, (tuple, list)):
+            todo.extend(x)
+        elif type(x).__module__.startswith("fraccond") and hasattr(x, "__dict__"):
+            todo.extend(vars(x).values())
+    return found

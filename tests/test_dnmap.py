@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.linalg.lapack import dpotrf
 
 import fraccond.solver as solver
 from fraccond.conductivity import (
@@ -23,10 +22,10 @@ from fraccond.dnmap import (
 )
 from fraccond.experiments import suite_reduction
 from fraccond.geometry import GridField, default_geometry, mollifier_profile
-from fraccond.operators import FracOperator, hs_gram
+from fraccond.operators import FracOperator, apply_multiplier, hs_gram
 from fraccond.solver import ExteriorDatum, SolverError, interior_system
 
-from conftest import reference_block, two_region_geometry
+from conftest import outer_product_path, reference_block, square_arrays, two_region_geometry
 
 
 @pytest.fixture(scope="module")
@@ -250,27 +249,6 @@ def ring_conductivity(geom, height=0.3):
     return Conductivity(geom, 1.0 + height * bump, gamma0=0.5)
 
 
-def outer_product_path(coefficient, basis, op):
-    """DN matrix with the entrywise block A_gamma factored by dpotrf:
-    X = A_gamma^-1 B and M = F (AF)^T - X^T B, with no congruence; AF and
-    F on the bounding box of Omega and the basis' support, as the solver
-    applies."""
-    system = interior_system(coefficient, op)
-    F = np.stack([f.values for f in basis.functions])
-    k = len(basis)
-    covered = np.nonzero(system.mask | np.any(F != 0, axis=0))
-    box = tuple(slice(a.min(), a.max() + 1) for a in covered)
-    AF = system.apply(F, box).reshape(k, -1)
-    B = -AF[:, np.flatnonzero(system.mask[box])].T
-    F = F[(Ellipsis,) + box]
-    block = np.asfortranarray(reference_block(coefficient, op))
-    factor, info = dpotrf(block, lower=1, clean=0, overwrite_a=1)
-    assert info == 0
-    X = sla.cho_solve((factor, True), B, check_finite=False)
-    M = F.reshape(k, -1) @ AF.T - X.T @ B
-    return 0.5 * (M + M.T)  # symmetrized as DnMatrix stores it
-
-
 class TestCongruenceAssembly:
     """DN matrices through A_gamma = D_g A' D_g against the entrywise block."""
 
@@ -288,26 +266,44 @@ class TestCongruenceAssembly:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("case", ["unit-on-omega", "potential"])
     def test_bitwise_where_g_is_one(self, geom, geom2d, n, case):
+        # where g = 1 on Omega, D_g is the identity and A' is A_gamma bit for
+        # bit.  The assembly's apply hits the one convolution entry that an
+        # apply on the same box made, w * (g F) bit for bit, so AF is the
+        # same from a cold store and a warm one; M is the dpotrf oracle's
+        # within the PCG tolerance
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
         b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
         if case == "potential":
             coefficient = liouville_potential(bump_conductivity(g, 0.5, 0.8), op)
+            gF = b.stack
         else:
             coefficient = ring_conductivity(g)
             assert np.all(coefficient.sqrt_values[g.omega_mask()] == 1.0)
+            gF = coefficient.sqrt_values * b.stack
+        system = interior_system(coefficient, op)
+        assert np.all(system._gi == 1.0)
+        assert np.array_equal(system._diag, np.diag(reference_block(coefficient, op)))
+        box = tuple(slice(a.min(), a.max() + 1) for a in np.nonzero(g.omega_mask() | b.support))
+        AF = system.apply(b.stack, box)  # a cold store: the convolution is computed
+        (entry,) = op.convolutions.values()
+        fresh = apply_multiplier(op.form_spectrum, gF[(Ellipsis,) + box], g.shape)
+        assert np.array_equal(entry, fresh)
         M = assemble_dn(coefficient, b, op).entries
-        assert np.array_equal(M, outer_product_path(coefficient, b, op))
+        assert len(op.convolutions) == 1 and next(iter(op.convolutions.values())) is entry
+        assert np.array_equal(system.apply(b.stack, box), AF)
+        ref = outer_product_path(coefficient, b, FracOperator(g))
+        assert np.max(np.abs(M - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestSharedFactorAssembly:
-    """DN matrices by PCG preconditioned by the operator's box inverse, every
-    system taking that path, against the dpotrf-factored entrywise block."""
+    """DN matrices by PCG preconditioned by the operator's box inverse, the
+    one path every system takes, against the dpotrf-factored entrywise
+    block."""
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("case", ["bump", "ring", "potential"])
-    def test_matches_outer_product_path(self, geom, geom2d, n, case, monkeypatch):
-        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+    def test_matches_outer_product_path(self, geom, geom2d, n, case):
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
         b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
@@ -317,39 +313,37 @@ class TestSharedFactorAssembly:
             "potential": lambda: liouville_potential(bump_conductivity(g, 0.5, 0.8), op),
         }[case]()
         M = assemble_dn(coefficient, b, op).entries
-        assert op.counts.pcg_solves == 2 and op.counts.factorizations == 0
-        assert "interior_stencil" not in vars(op)  # nothing m x m is formed
-        ref = outer_product_path(coefficient, b, op)
+        assert op.counts.pcg_solves == 2
+        assert op.systems and not square_arrays(op)  # nothing m x m is kept
+        ref = outer_product_path(coefficient, b, FracOperator(g))
         assert np.max(np.abs(M - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_unit_and_zero_potential_are_bitwise(self, geom, geom2d, n, monkeypatch):
+    def test_unit_and_zero_potential_are_bitwise(self, geom, geom2d, n):
         # gamma = 1 and q = 0 state the same system bit for bit, so their
-        # PCG runs agree bitwise; both match the factored path
+        # PCG runs agree bitwise; both match the factored oracle
         g = geom if n == 1 else geom2d
         b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
         one = Conductivity(g, np.ones(g.shape), gamma0=0.5)
         zero = Potential(g, np.zeros(g.shape))
-        own = assemble_dn(one, b, FracOperator(g)).entries
-        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        own = outer_product_path(one, b, FracOperator(g))
         op = FracOperator(g)
         unit, pot = (assemble_dn(c, b, op).entries for c in (one, zero))
         assert np.array_equal(unit, pot)
         assert np.max(np.abs(unit - own)) <= 1e-10 * np.max(np.abs(own))
-        assert (op.counts.pcg_solves, op.counts.factorizations) == (4, 0)
+        assert op.counts.pcg_solves == 4
 
     @pytest.mark.parametrize("n, grid_points", [(1, 4096), (1, 16384), (2, 128), (2, 256)])
-    def test_iterations_stay_bounded_under_refinement(self, n, grid_points, monkeypatch):
+    def test_iterations_stay_bounded_under_refinement(self, n, grid_points):
         # the box symbol preconditions uniformly: a bump conductivity and its
         # Liouville potential take at most 30 iterations on every grid
-        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
         g = default_geometry(n=n, grid_points=grid_points)
         op = FracOperator(g)
         b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
         gam = bump_conductivity(g, 0.5, 0.8)
         for coefficient in (gam, liouville_potential(gam, op)):
             assemble_dn(coefficient, b, op)
-        assert op.counts.pcg_solves == 4 and op.counts.factorizations == 0
+        assert op.counts.pcg_solves == 4
         assert 0 < op.counts.pcg_max_iterations <= 30
 
 
@@ -393,9 +387,7 @@ class TestAlessandriniAssembly:
 
     def test_reduction_suite_convolves_each_basis_once(self, geom_small, monkeypatch):
         # a per-matrix FFT coming back would show as one stacked call per
-        # assembly (24 here) instead of one per basis
-        import fraccond.solver as solver
-
+        # assembly (14 here) instead of one per basis
         stacked = []
         plain = solver.apply_multiplier
 

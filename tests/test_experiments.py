@@ -22,9 +22,12 @@ from fraccond.experiments import (
     mtilde_equation_residual,
     reduction_check,
     run_suite,
+    suite_reduction,
 )
 from fraccond.geometry import bandlimited_field, default_geometry
 from fraccond.operators import FracOperator, pair_form
+
+from conftest import square_arrays
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +222,33 @@ class TestReduction:
         with pytest.raises(ValueError, match="theta0"):
             reduction_check(gam, gam, 0.7, basis, op_quad)
 
+    def test_suite_assembles_the_unit_reference_once(self, geom_small, monkeypatch):
+        # every check compares with gamma = 1 and its Liouville potential:
+        # the suite assembles those two once, 14 DN matrices where six
+        # reduction_check calls make 24, and its payload is theirs bitwise
+        import fraccond.experiments as experiments
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return assemble_dn(*args)
+
+        monkeypatch.setattr(experiments, "assemble_dn", counted)
+        op = FracOperator(geom_small)
+        out = suite_reduction(geom_small, op, basis_size=8)
+        assert len(calls) == 14
+        assert not square_arrays(op)  # nothing m x m is kept
+        calls.clear()
+        basis = build_exterior_basis(geom_small, "annulus", 8, "bumps")
+        one = Conductivity(geom_small, np.ones(geom_small.shape), gamma0=0.5)
+        checks = []
+        for w in [0.4 / 1.3**k for k in range(6)]:
+            g = bump_conductivity(geom_small, height=0.3, width=w)
+            checks.append({"width": w, **reduction_check(g, one, 0.9, basis, op)})
+        assert len(calls) == 24
+        assert out["checks"] == checks
+
     def test_family_fitted_band(self, geom, op_quad):
         out = run_suite("reduction", geom, op_quad, {"basis_size": 12})
         assert out["fitted_band"] <= 5.0
@@ -249,6 +279,35 @@ class TestLogModulus:
         assert out["monotone"]
         assert all(p[0] <= out["gate"] for p in out["data_points"])
         assert all(p[0] >= 10 * out["floor"] for p in out["data_points"])
+
+    def test_each_coefficient_assembled_once(self, geom, ones_gamma, monkeypatch):
+        # the pairs' shared unit conductivity and the floor's are one
+        # assembly; x and the floor are bitwise the per-pair assembly's
+        import fraccond.experiments as experiments
+
+        basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        family = [
+            (bump_conductivity(geom, height=4e-4 * 2.0**-k, width=0.6), ones_gamma)
+            for k in range(6)
+        ]
+        op = FracOperator(geom)
+        xs = [
+            dn_operator_norm(assemble_dn(ga, basis, op) - assemble_dn(gb, basis, op))
+            for ga, gb in family
+        ]
+        one = Conductivity(geom, np.ones(geom.shape), gamma0=0.5)
+        floor = 100.0 * np.finfo(float).eps * dn_operator_norm(assemble_dn(one, basis, op))
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return assemble_dn(*args)
+
+        monkeypatch.setattr(experiments, "assemble_dn", counted)
+        fit = log_stability_fit(family, 2.0, basis, op)
+        assert len(calls) == 7  # six bumps and gamma = 1
+        assert fit["floor"] == floor
+        assert sorted(p[0] for p in fit["data_points"] + fit["flagged_points"]) == sorted(xs)
 
     def test_fit_reproduces_inputs(self, geom, op_quad, ones_gamma):
         basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 import fraccond.operators as operators
-import fraccond.solver as solver
 from fraccond.conductivity import bump_conductivity
 from fraccond.dnmap import assemble_dn, build_exterior_basis
 from fraccond.geometry import (
@@ -32,6 +31,8 @@ from fraccond.operators import (
     hs_norm,
     parseval_pairing,
 )
+
+from conftest import fancy_index_stencil, outer_product_path
 
 
 def oracle_laplacian(u, s):
@@ -447,17 +448,6 @@ class TestWeights:
         assert np.max(np.abs(sym_q[sel] - sym_s[sel]) / sym_s[sel]) <= 3e-2
 
 
-def fancy_index_stencil(op):
-    """Interior stencil gathered with one modulo-N index array per axis."""
-    geom = op.geometry
-    N = geom.grid_points
-    axes = tuple(range(geom.n))
-    w = op.form_weights
-    w = 0.5 * (w + np.roll(np.flip(w, axes), 1, axes))
-    coords = np.unravel_index(np.flatnonzero(geom.omega_mask()), geom.shape)
-    return w[tuple((a[:, None] - a[None, :]) % N for a in coords)]
-
-
 class TestInteriorStencil:
     @pytest.mark.parametrize(
         "n, grid_points, omega_radius",
@@ -476,8 +466,12 @@ class TestInteriorStencil:
         coords = np.unravel_index(np.flatnonzero(geom.omega_mask()), geom.shape)
         spread = max(int(a.max() - a.min()) for a in coords)
         assert (spread > grid_points // 2) == (omega_radius > geom.box_halfwidth / 2)
-        assert op.interior_stencil.flags.f_contiguous
-        assert np.array_equal(op.interior_stencil, fancy_index_stencil(op))
+        # the window and coordinates the convolutions are built from give
+        # every pair's weight at the difference of their coordinates
+        window, rel, D = op.interior_offsets
+        assert D == spread
+        gathered = window[tuple(a[:, None] - a[None, :] + D for a in rel)]
+        assert np.array_equal(gathered, fancy_index_stencil(op))
 
     @pytest.mark.parametrize(
         "n, grid_points, omega_radius",
@@ -498,7 +492,6 @@ class TestInteriorStencil:
         conv = op.interior_convolution
         assert conv.center == stencil[0, 0]
         assert np.max(np.abs(conv(Y) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert "interior_stencil" not in vars(op)  # the product never forms it
 
     @pytest.mark.parametrize(
         "n, grid_points, omega_radius",
@@ -507,7 +500,7 @@ class TestInteriorStencil:
     def test_box_symbol_guard(self, n, grid_points, omega_radius, monkeypatch):
         # the truncated window's offsets [-Dp, Dp] are distinct on the grid,
         # so the symbol is bounded below by the weights it leaves out: it is
-        # positive, and the PCG path's DN matrix is the factored path's, also
+        # positive, and the PCG path's DN matrix is the dpotrf oracle's, also
         # where Omega spans more than half the grid
         geom = default_geometry(
             n=n,
@@ -534,10 +527,8 @@ class TestInteriorStencil:
 
         basis = build_exterior_basis(geom, "annulus", 8, kind="harmonic")
         gam = bump_conductivity(geom, height=0.5, width=0.8 * omega_radius)
-        factored = assemble_dn(gam, basis, FracOperator(geom)).entries
-        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        factored = outer_product_path(gam, basis, FracOperator(geom))
         iterated = assemble_dn(gam, basis, op).entries
-        assert op.counts.factorizations == 0
         assert np.max(np.abs(iterated - factored)) <= 1e-10 * np.max(np.abs(factored))
 
         # a zero patched into the spectrum, a singular box operator, is refused

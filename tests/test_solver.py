@@ -17,7 +17,7 @@ from fraccond.geometry import GeometryConfig, default_geometry, mollifier_profil
 from fraccond.operators import FracOperator, bilinear_form
 from fraccond.solver import ExteriorDatum, InteriorSystem, SolverError, interior_system
 
-from conftest import reference_block
+from conftest import factored_path, fancy_index_stencil, reference_block
 
 
 def annulus_bump_datum(geom, center=2.5, width=0.4, height=1.0):
@@ -160,7 +160,7 @@ class TestCoercivity:
         # A_gamma = D_g A' D_g is the entrywise block
         gam = bump_conductivity(geom, height=0.5, width=0.8)
         system = interior_system(gam, op_quad)
-        a_prime = np.multiply(op_quad.interior_stencil, -system._scale)
+        a_prime = np.multiply(fancy_index_stencil(op_quad), -system._scale)
         np.fill_diagonal(a_prime, system._diag)
         congruent = system._gi[:, None] * a_prime * system._gi
         ref = reference_block(gam, op_quad)
@@ -204,7 +204,7 @@ class TestPackedSystem:
 
 
 class TestSystemStore:
-    """Each operator keeps its four most recently used factored systems."""
+    """Each operator keeps its four most recently used systems."""
 
     @pytest.fixture
     def op(self, geom_small):
@@ -349,16 +349,11 @@ def column_pcg(system, B, rtol=solver._PCG_RTOL):
     return Y, steps
 
 
-@pytest.fixture
-def shared_factor(monkeypatch):
-    """Solve every interior system by PCG on the operator's box inverse."""
-    monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
-
-
 class TestSharedFactor:
-    """Systems above the size constant: PCG preconditioned by the inverse
-    symbol of the unit block's box extension, which the operator shares
-    between them; no factor is formed."""
+    """Every system: PCG preconditioned by the inverse symbol of the unit
+    block's box extension, which the operator shares between them; no
+    factor is formed.  The oracle is the dpotrf-factored entrywise block
+    (`conftest.factored_path`)."""
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_preconditioner_keeps_the_unit_block_near_the_diagonal(self, geom, geom2d, n):
@@ -384,36 +379,36 @@ class TestSharedFactor:
         assert np.max(np.abs(restricted - ref)[~near]) > 1e-6 * scale
 
     @pytest.mark.parametrize("coefficient", ["unit", "zero"])
-    def test_unit_coefficient_matches_factored_path(self, geom, datum, coefficient, monkeypatch):
+    def test_unit_coefficient_matches_factored_path(self, geom, datum, coefficient):
         make = {
             "unit": lambda: Conductivity(geom, np.ones(geom.shape), gamma0=0.5),
             "zero": lambda: Potential(geom, np.zeros(geom.shape)),
         }[coefficient]
-        direct = interior_system(make(), FracOperator(geom)).solve(datum)
-        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        X, M = factored_path(make(), FracOperator(geom), datum.values[None])
         op = FracOperator(geom)
         shared = interior_system(make(), op).solve(datum)
-        ref = np.max(np.abs(direct.u.values))
-        assert np.max(np.abs(shared.u.values - direct.u.values)) <= 1e-12 * ref
-        assert shared.energy == pytest.approx(direct.energy, rel=1e-12)
+        direct = datum.values.copy()
+        direct[geom.omega_mask()] = X[0]
+        ref = np.max(np.abs(direct))
+        assert np.max(np.abs(shared.u.values - direct)) <= 1e-12 * ref
+        assert shared.energy == pytest.approx(M[0, 0], rel=1e-12)
         counts = op.counts
-        assert (counts.pcg_solves, counts.factorizations) == (2, 0)  # certificate, solve
+        assert counts.pcg_solves == 2  # certificate, solve
         assert counts.pcg_max_iterations > 0
 
-    def test_matches_own_factor_and_counts(self, geom, datum, monkeypatch):
+    def test_matches_own_factor_and_counts(self, geom, datum):
         gam = bump_conductivity(geom, height=0.5, width=0.8)
-        direct = interior_system(gam, FracOperator(geom)).solve(datum).u.values
-        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        X, _ = factored_path(gam, FracOperator(geom), datum.values[None])
         op = FracOperator(geom)
         sol = interior_system(gam, op).solve(datum)
-        assert np.max(np.abs(sol.u.values - direct)) <= 1e-12 * np.max(np.abs(direct))
+        interior = sol.u.values[geom.omega_mask()]
+        assert np.max(np.abs(interior - X[0])) <= 1e-12 * np.max(np.abs(sol.u.values))
         counts = op.counts
-        assert counts.factorizations == 0
         assert counts.pcg_solves == 2  # the certificate and the solve
         assert 0 < counts.pcg_max_iterations < counts.pcg_iterations
         assert 0 < counts.worst_residual == sol.residual <= 1e-10
 
-    def test_non_coercive_potential_reported(self, geom, shared_factor):
+    def test_non_coercive_potential_reported(self, geom):
         bad = Potential(geom, -50.0 * np.ones(geom.shape))
         op = FracOperator(geom)
         with pytest.raises(SolverError, match="positive definite"):
@@ -421,7 +416,7 @@ class TestSharedFactor:
         assert op.counts.pcg_iterations == 1  # p^T A' p <= 0 at the first step
 
     @pytest.mark.parametrize("margin", [0.05, -0.05])
-    def test_certificate_at_the_coercivity_edge(self, geom, shared_factor, margin):
+    def test_certificate_at_the_coercivity_edge(self, geom, margin):
         # q = const shifts the spectrum of A' = A'_0 + h^n q I by h^n q:
         # a margin of +-5% of A'_0's smallest eigenvalue either side of 0
         op = FracOperator(geom)
@@ -438,7 +433,7 @@ class TestSharedFactor:
                 interior_system(q, op)
 
     @pytest.mark.parametrize("case", ["negative-entry", "negative-product", "unconverged"])
-    def test_every_certificate_condition_can_fire(self, geom, shared_factor, monkeypatch, case):
+    def test_every_certificate_condition_can_fire(self, geom, monkeypatch, case):
         # each certificate is one the guard must refuse.  For q = -50: the
         # exact solution of A' v = 1, which has negative entries as A' is
         # not an M-matrix, and v = 1 > 0, where A' 1 has negative entries.
@@ -462,7 +457,7 @@ class TestSharedFactor:
             InteriorSystem(coefficient, op)
 
     @pytest.mark.parametrize("block", ["repeated", "zero", "near"])
-    def test_rank_deficient_block_matches_factored_path(self, geom, datum, block, monkeypatch):
+    def test_rank_deficient_block_matches_factored_path(self, geom, datum, block):
         # the residual block loses rank; QR keeps the directions
         # orthonormal, so every column still converges, the zero one exactly
         gam = bump_conductivity(geom, height=0.5, width=0.8)
@@ -470,15 +465,14 @@ class TestSharedFactor:
         g = annulus_bump_datum(geom, center=2.7, width=0.3).values
         second = {"repeated": f, "zero": np.zeros_like(f), "near": f + 1e-13 * g}[block]
         F = np.stack([f, g, second])
-        direct, _, _ = interior_system(gam, FracOperator(geom)).solve_many(F)
-        monkeypatch.setattr(solver, "_FACTORED_UNKNOWNS_MAX", 0)
+        direct, _ = factored_path(gam, FracOperator(geom), F)
         X, _, residuals = interior_system(gam, FracOperator(geom)).solve_many(F)
         assert np.max(np.abs(X - direct)) <= 1e-12 * np.max(np.abs(direct))
         assert np.all(residuals <= 1e-10)
         if block == "zero":
             assert not np.any(X[2])
 
-    def test_block_steps_fewer_than_column_steps(self, shared_factor):
+    def test_block_steps_fewer_than_column_steps(self):
         # one Krylov space for the whole block takes fewer steps than the
         # column-wise PCG each column would run on its own (a test-local
         # reference with the same preconditioner, product and stopping rule)
@@ -496,20 +490,7 @@ class TestSharedFactor:
         assert np.max(np.abs(Y - Yc)) <= 1e-12 * np.max(np.abs(Yc))
         assert 0 < block_steps < column_steps
 
-    @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
-    def test_corrupted_diagonal_fails_the_residual_check(
-        self, geom, datum, equation, shared_factor
-    ):
-        op = FracOperator(geom)
-        gam = bump_conductivity(geom, height=0.5, width=0.8)
-        coefficient = gam if equation == "conductivity" else liouville_potential(gam, op)
-        system = InteriorSystem(coefficient, op)
-        assert system.solve(datum).residual <= 1e-10
-        system._diag = system._diag * (1.0 + 1e-6)
-        with pytest.raises(SolverError, match="residual"):
-            system.solve(datum)
-
-    def test_half_size_box_takes_at_most_one_more_step(self, shared_factor):
+    def test_half_size_box_takes_at_most_one_more_step(self):
         # the Strang circulant on the half-size box against a test-local
         # oracle preconditioned by the unit block's extension L_P to the
         # product's 2D + 1 box, whose restriction to Omega is A'_0 exactly
