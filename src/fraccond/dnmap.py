@@ -28,6 +28,7 @@ __all__ = [
     "basis_from_fields",
     "assemble_dn",
     "dn_operator_norm",
+    "whiten_gram",
     "restrict_dn",
 ]
 
@@ -282,24 +283,28 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     return DnMatrix(entries=M, basis=basis)
 
 
-def _whiten(gram):
+def whiten_gram(gram):
+    """G^(-1/2) of a Gram matrix by one symmetric eigendecomposition."""
     vals, vecs = sla.eigh(gram)
     if vals[0] <= 1e-14 * vals[-1]:
         raise ValueError("singular Gram matrix: rank-deficient basis")
     return vecs @ np.diag(vals**-0.5) @ vecs.T
 
 
-def dn_operator_norm(delta) -> float:
+def dn_operator_norm(delta, whitening=None) -> float:
     """Dual-pairing operator norm of a DnMatrix, or of a DnBlock (a
-    difference of DN matrices, possibly restricted), over the basis span."""
+    difference of DN matrices, possibly restricted), over the basis span.
+
+    whitening, if given, is the pair (G_rows^(-1/2), G_cols^(-1/2)) of
+    delta's Gram blocks by `whiten_gram`, so that a caller norming many
+    blocks over the same Grams whitens each of them once."""
     if isinstance(delta, DnMatrix):
         entries, g_rows, g_cols = delta.entries, delta.basis.gram, delta.basis.gram
     elif isinstance(delta, DnBlock):
         entries, g_rows, g_cols = delta.entries, delta.gram_rows, delta.gram_cols
     else:
         raise TypeError("dn_operator_norm expects a DnMatrix or DnBlock")
-    wr = _whiten(g_rows)
-    wc = _whiten(g_cols)
+    wr, wc = whitening or (whiten_gram(g_rows), whiten_gram(g_cols))
     core = wr @ entries @ wc
     if core.size == 0:
         return 0.0

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft as sfft
 
 from .conductivity import (
     Conductivity,
@@ -45,6 +46,7 @@ from .dnmap import (
     build_exterior_basis,
     dn_operator_norm,
     restrict_dn,
+    whiten_gram,
 )
 from .geometry import (
     GridField,
@@ -55,7 +57,6 @@ from .geometry import (
 from .operators import (
     FracOperator,
     apply_multiplier,
-    fourier_symbol,
     pair_form,
     pair_matvec,
     parseval_pairing,
@@ -82,12 +83,26 @@ EPS_GUARD = 1e-300
 # ---------------------------------------------------------------------------
 
 
-def _multiplier_potential(gamma: Conductivity, s: float) -> np.ndarray:
+def _multiplier_potential(gamma: Conductivity, op: FracOperator) -> np.ndarray:
     """Liouville potential -(-Delta)^s m / gamma^(1/2) with (-Delta)^s the
-    Fourier multiplier |k|^(2s); the diagnostics' oracle for the quadrature
-    potential."""
-    lap_m = apply_multiplier(fourier_symbol(gamma.geometry, s), gamma.m_values)
+    Fourier multiplier |k|^(2s) (`op.multiplier_spectrum`); the diagnostics'
+    oracle for the quadrature potential."""
+    lap_m = apply_multiplier(op.multiplier_spectrum, gamma.m_values)
     return -lap_m / gamma.sqrt_values
+
+
+def _multiplier_pairing(gamma: Conductivity, u: GridField, phi: GridField, op: FracOperator) -> float:
+    """The Liouville identity's right side: the Parseval pairing of g u and
+    g phi (g = gamma^(1/2)) with the multiplier |k|^(2s), on their real
+    half spectra, plus h^n sum q g u g phi with the multiplier potential q."""
+    g = gamma.sqrt_values
+    gu = g * u.values
+    gphi = g * phi.values
+    h_n = gamma.geometry.cell_volume
+    q = _multiplier_potential(gamma, op)
+    return parseval_pairing(
+        op.multiplier_spectrum, sfft.rfftn(gu), sfft.rfftn(gphi), h_n, gu.size
+    ) + h_n * float(np.sum(q * gu * gphi))
 
 
 def liouville_identity_residual(gamma: Conductivity, u: GridField, phi: GridField, op: FracOperator) -> float:
@@ -96,19 +111,13 @@ def liouville_identity_residual(gamma: Conductivity, u: GridField, phi: GridFiel
     The left side is the conductivity pairing evaluated by high-order pair
     quadrature; the right side is the Parseval pairing with the multiplier
     |k|^(2s) of the transformed fields, plus the potential built from that
-    multiplier.  The two routes share no discretization, so the defect
-    measures discretization error and must shrink under grid refinement.
+    multiplier (`_multiplier_pairing`).  The two routes share no
+    discretization, so the defect measures discretization error and must
+    shrink under grid refinement.
     """
-    geom = gamma.geometry
-    g = gamma.sqrt_values
-    h_n = geom.cell_volume
-    lhs = pair_form(op.diagnostic_spectrum, op.cns, h_n, g, u.values, phi.values)
-    q = _multiplier_potential(gamma, op.s)
-    gu = g * u.values
-    gphi = g * phi.values
-    rhs = parseval_pairing(
-        fourier_symbol(geom, op.s), np.fft.fftn(gu), np.fft.fftn(gphi), h_n
-    ) + h_n * float(np.sum(q * gu * gphi))
+    h_n = gamma.geometry.cell_volume
+    lhs = pair_form(op.diagnostic_spectrum, op.cns, h_n, gamma.sqrt_values, u.values, phi.values)
+    rhs = _multiplier_pairing(gamma, u, phi, op)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + EPS_GUARD)
 
 
@@ -126,8 +135,8 @@ def mtilde_equation_residual(g1: Conductivity, g2: Conductivity, op: FracOperato
     sqrt1 = g1.sqrt_values
     sqrt2 = g2.sqrt_values
     mtilde = (g1.m_values - g2.m_values) / sqrt1
-    q1 = _multiplier_potential(g1, op.s)
-    q2 = _multiplier_potential(g2, op.s)
+    q1 = _multiplier_potential(g1, op)
+    q2 = _multiplier_potential(g2, op)
     rhs_density = sqrt1 * sqrt2 * (q2 - q1)
     bm = pair_matvec(op.diagnostic_spectrum, op.cns, h_n, sqrt1, mtilde)
     worst = 0.0
@@ -416,12 +425,16 @@ def instability_search(params: MandacheParams, basis, op: FracOperator, count=32
 
     region = basis.regions[0]
     best = None
+    whitening = None  # every block pairs the region with itself: one Gram
     for i in range(count):
         for j in range(i + 1, count):
             if gaps[i, j] < params.eps:
                 continue
             block = restrict_dn(mats[i] - mats[j], region, region, basis=basis)
-            dn_gap = dn_operator_norm(block)
+            if whitening is None:
+                white = whiten_gram(block.gram_rows)
+                whitening = (white, white)
+            dn_gap = dn_operator_norm(block, whitening)
             if best is None or dn_gap < best[0]:
                 best = (dn_gap, float(gaps[i, j]), (i, j))
     if best is None:

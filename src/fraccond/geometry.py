@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.fft as sfft
 
 __all__ = [
     "Region",
@@ -282,7 +283,7 @@ class GridField:
 
 
 def _random_trig_sum(geometry, seed, kmax):
-    """Seeded trigonometric sum over the modes pi k / L, synthesized by one inverse FFT.
+    """Seeded trigonometric sum over the modes pi k / L, synthesized by one inverse real FFT.
 
     The modes are k = (k_1, ..., k_n) with 0 <= k_i <= kmax and |k| = sum k_i
     >= 1.  Mode k has coefficients (a, b) ~ N(0, 1) / |k|, drawn from a Philox
@@ -290,8 +291,12 @@ def _random_trig_sum(geometry, seed, kmax):
     a cos(pi k.x / L) + b sin(pi k.x / L).  Because x_j = -L + j h with
     h = 2L/N, pi k.x_j / L = 2 pi k.j / N - pi |k|: every mode is a DFT mode
     of the grid, and the sum is the real part of the unnormalized inverse DFT
-    of (-1)^|k| (a - i b).  Modes at or above N/2
-    would alias, so kmax must satisfy 1 <= kmax < N/2.
+    of c_k = (-1)^|k| (a - i b).  That real part is the inverse DFT of the
+    Hermitian part, c_k / 2 at k and conj(c_k) / 2 at -k, so one `irfftn` of
+    its half spectrum (last axis 0 ... N/2) gives it: c_k / 2 sits at every
+    mode, and conj(c_k) / 2 is added at -k only where -k falls in the half
+    spectrum, on the column k_n = 0; irfftn supplies every other conjugate.
+    Modes at or above N/2 would alias, so kmax must satisfy 1 <= kmax < N/2.
 
     Returns the grid values and the coefficient energy sum(a^2 + b^2).
     """
@@ -305,9 +310,12 @@ def _random_trig_sum(geometry, seed, kmax):
     # cumsum adds strictly in mode order, like a per-mode loop; np.sum's
     # pairwise order would move the normalization at roundoff
     total = float(np.cumsum(a * a + b * b)[-1])
-    spec = np.zeros(geometry.shape, dtype=complex)
-    spec[idx] = np.where(kabs % 2, -1.0, 1.0) * (a - 1j * b)
-    return np.fft.ifftn(spec, norm="forward").real, total
+    c = np.where(kabs % 2, -0.5, 0.5) * (a - 1j * b)
+    spec = np.zeros(geometry.shape[:-1] + (N // 2 + 1,), dtype=complex)
+    spec[idx] = c
+    column = idx[-1] == 0
+    spec[tuple(-k[column] % N for k in idx)] = np.conj(c[column])
+    return sfft.irfftn(spec, geometry.shape, norm="forward"), total
 
 
 def bandlimited_field(geometry, seed, kmodes=20):

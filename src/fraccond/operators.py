@@ -113,12 +113,17 @@ def parseval_pairing(weight, a_hat, b_hat, cell_volume, points=None):
     a_hat and b_hat are FFTs of grid fields, giving a float, or of (k, *grid)
     and (l, *grid) stacks, giving the (k, l) matrix of every pair's sum as one
     weighted matrix product.  They are full FFTs unless points, the number of
-    grid points N^n, is given: then they are real half spectra (`rfftn`) and
-    the weight on the half spectrum already counts twice every entry that
-    stands for itself and its conjugate.
+    grid points N^n, is given: then they are real half spectra (`rfftn`), the
+    weight is given on the half spectrum, and every column of its last axis
+    but k = 0 and k = N/2 stands for itself and its conjugate, so it counts
+    twice.
     """
     if points is None:
         points = weight.size
+    else:
+        twice = np.full(weight.shape[-1], 2.0)
+        twice[[0, -1]] = 1.0
+        weight = weight * twice
     if a_hat.ndim == weight.ndim:
         return float(np.sum(weight * (a_hat * np.conj(b_hat)).real)) * cell_volume / points
     a = np.ascontiguousarray((a_hat * weight).reshape(a_hat.shape[0], -1))
@@ -199,7 +204,8 @@ class FracOperator:
     The geometry fixes everything: the order s, the constant c_{n,s} and
     every weight array.  The operator owns what it derives from them, each
     built on first use and kept for its lifetime: both weight families,
-    their real-FFT half spectra, the quadrature symbol, and the windowed
+    their real-FFT half spectra, the multiplier |k|^(2s) on the half
+    spectrum (`multiplier_spectrum`), the quadrature symbol, and the windowed
     interior convolution and box preconditioner that every interior system
     is solved with (no m x m array), and two least-recently-used stores
     that the solver fills and bounds: the interior systems
@@ -237,6 +243,14 @@ class FracOperator:
         """Real-FFT half spectrum of the moment weights: `apply_multiplier`
         with it is their circular convolution."""
         return sfft.rfftn(self.form_weights)
+
+    @cached_property
+    def multiplier_spectrum(self):
+        """The multiplier |k|^(2s) on the real-FFT half spectrum, the last
+        axis' frequencies 0 ... N/2: the residual diagnostics' oracle for the
+        quadrature operator."""
+        g = self.geometry
+        return np.ascontiguousarray(fourier_symbol(g, g.s)[..., : g.grid_points // 2 + 1])
 
     @cached_property
     def diagnostic_weights(self):
@@ -411,16 +425,12 @@ def hs_norm(u: GridField, s: float) -> float:
 def hs_gram(basis, s: float) -> np.ndarray:
     """Gram matrix of a list of grid fields in the discrete H^s product:
     one real FFT of the stacked fields and one stacked `parseval_pairing` on
-    the half spectrum.  There every column of the last axis but k = 0 and
-    k = N/2 stands for itself and its conjugate, so its weight counts twice."""
+    the half spectrum."""
     if len(basis) == 0:
         raise ValueError("empty basis")
     geom = basis[0].geometry
     axes = tuple(range(1, geom.n + 1))
     hats = sfft.rfftn(np.stack([b.values for b in basis]), axes=axes)
-    half = hats.shape[-1]
-    twice = np.full(half, 2.0)
-    twice[[0, -1]] = 1.0
-    weight = bessel_symbol(geom, s)[..., :half] * twice
+    weight = bessel_symbol(geom, s)[..., : hats.shape[-1]]
     G = parseval_pairing(weight, hats, hats, geom.cell_volume, geom.grid_points**geom.n)
     return 0.5 * (G + G.T)

@@ -131,3 +131,39 @@ def square_arrays(op):
         elif type(x).__module__.startswith("fraccond") and hasattr(x, "__dict__"):
             todo.extend(vars(x).values())
     return found
+
+
+def full_grid_moment_weights_2d(s, N, L, near=4, images=6, gl_order=24):
+    """The 2D moment weights as the full-grid loop builds them: the principal
+    term, the Gauss-Legendre near-cell masses, the midpoint periodic images
+    (j1 outer, j2 inner) and the uniform tail at every one of the N^2
+    offsets, with no symmetry used.  The oracle of the octant evaluation in
+    `kernels._moment_weights_2d`."""
+    h = 2.0 * L / N
+    ax = np.where(np.arange(N) <= N // 2, np.arange(N), np.arange(N) - N) * h
+    Y1, Y2 = np.meshgrid(ax, ax, indexing="ij")
+    R2 = Y1**2 + Y2**2
+    R2[0, 0] = np.inf
+    W = h**2 * R2 ** (-(1.0 + s))
+    nodes, wts = np.polynomial.legendre.leggauss(gl_order)
+    half = 0.5 * h
+    for r1 in range(-near, near + 1):
+        for r2 in range(-near, near + 1):
+            if r1 == 0 and r2 == 0:
+                continue
+            x = r1 * h + half * nodes
+            y = r2 * h + half * nodes
+            X, Y = np.meshgrid(x, y, indexing="ij")
+            WW = np.outer(wts, wts) * half * half
+            W[r1 % N, r2 % N] = np.sum(WW * (X**2 + Y**2) ** (-(1.0 + s)))
+    shifts = range(-images, images + 1)
+    for j1 in shifts:
+        for j2 in shifts:
+            if j1 == 0 and j2 == 0:
+                continue
+            D2 = (Y1 + 2 * L * j1) ** 2 + (Y2 + 2 * L * j2) ** 2
+            W += h**2 * D2 ** (-(1.0 + s))
+    R_out = (2 * images + 1) * L
+    W += 2.0 * np.pi * R_out ** (-2.0 * s) / (2.0 * s) / N**2
+    W[0, 0] = 0.0
+    return W

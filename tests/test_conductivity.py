@@ -74,22 +74,22 @@ class TestLiouvillePotential:
     # the quadrature potential and the residual diagnostics' multiplier one
     def test_unit_gamma_zero_potential(self, geom, op_quad, ones_gamma):
         for q in (liouville_potential(ones_gamma, op_quad).values,
-                  _multiplier_potential(ones_gamma, geom.s)):
+                  _multiplier_potential(ones_gamma, op_quad)):
             assert np.max(np.abs(q)) <= 1e-12
 
     def test_constant_gamma_zero_potential(self, geom, op_quad):
         g = Conductivity(geom, np.full(geom.shape, 2.0), gamma0=0.5)
-        for q in (liouville_potential(g, op_quad).values, _multiplier_potential(g, geom.s)):
+        for q in (liouville_potential(g, op_quad).values, _multiplier_potential(g, op_quad)):
             assert np.max(np.abs(q)) <= 1e-10
 
-    def test_first_order_consistency(self, geom):
+    def test_first_order_consistency(self, geom, op_quad):
         # q(1 + t f) approaches its linearization -(t/2) (-Delta)^s f
         f = mollifier_profile(geom.axis() / 0.8)
         lin = -0.5 * apply_multiplier(fourier_symbol(geom, geom.s), f)
         errs = []
         for t in (1e-2, 1e-3):
             g = Conductivity(geom, 1.0 + t * f, gamma0=0.5)
-            q = _multiplier_potential(g, geom.s)
+            q = _multiplier_potential(g, op_quad)
             errs.append(np.max(np.abs(q - t * lin)) / t)
         assert errs[1] < errs[0]
         assert errs[1] <= 1e-2 * np.max(np.abs(lin))
@@ -108,7 +108,7 @@ class TestLiouvillePotential:
         assert good <= 1e-6
 
         g = gam.sqrt_values
-        q_flipped = -_multiplier_potential(gam, op_quad.s)
+        q_flipped = -_multiplier_potential(gam, op_quad)
         h_n = geom.cell_volume
         lhs = pair_form(op_quad.diagnostic_spectrum, op_quad.cns, h_n, g, u.values, phi.values)
         gu, gphi = g * u.values, g * phi.values

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import fraccond.experiments as experiments
 from fraccond.conductivity import (
     Conductivity,
     MandacheParams,
@@ -13,6 +15,7 @@ from fraccond.conductivity import (
 from fraccond.dnmap import assemble_dn, build_exterior_basis, dn_operator_norm
 from fraccond.experiments import (
     EPS_GUARD,
+    _multiplier_pairing,
     _multiplier_potential,
     _rank_correlation,
     exterior_stability_scan,
@@ -25,7 +28,7 @@ from fraccond.experiments import (
     suite_reduction,
 )
 from fraccond.geometry import bandlimited_field, default_geometry
-from fraccond.operators import FracOperator, pair_form
+from fraccond.operators import FracOperator, fourier_symbol, pair_form, parseval_pairing
 
 from conftest import square_arrays
 
@@ -57,6 +60,30 @@ class TestLiouvilleResidual:
         assert resids[1024] <= 1e-6
         assert resids[1024] / resids[512] <= 0.7
 
+    @pytest.mark.parametrize("n, N", [(1, 1024), (2, 128)])
+    def test_right_side_matches_full_spectrum(self, n, N):
+        # the half-spectrum Parseval sum is the full complex FFT's
+        g = default_geometry(n=n, grid_points=N)
+        op = FracOperator(g)
+        u = bandlimited_field(g, seed=3)
+        phi = bandlimited_field(g, seed=7)
+        h_n = g.cell_volume
+        for gam in (bump_conductivity(g, height=0.5, width=0.8), bump_conductivity(g, height=-0.4)):
+            gu = gam.sqrt_values * u.values
+            gphi = gam.sqrt_values * phi.values
+            q = _multiplier_potential(gam, op)
+            full = parseval_pairing(
+                fourier_symbol(g, g.s), np.fft.fftn(gu), np.fft.fftn(gphi), h_n
+            ) + h_n * float(np.sum(q * gu * gphi))
+            assert _multiplier_pairing(gam, u, phi, op) == pytest.approx(full, rel=1e-12)
+
+    def test_multiplier_spectrum_is_the_half_of_the_symbol(self, geom2d):
+        op = FracOperator(geom2d)
+        half = geom2d.grid_points // 2 + 1
+        full = fourier_symbol(geom2d, geom2d.s)
+        assert np.array_equal(op.multiplier_spectrum, full[:, :half])
+        assert op.multiplier_spectrum is op.multiplier_spectrum
+
 
 class TestMtildeResidual:
     def test_identical_pair_vanishes(self, geom, op_quad, ones_gamma):
@@ -79,7 +106,7 @@ class TestMtildeResidual:
         gam = bump_conductivity(geom, height=0.5, width=0.8)
         h_n = geom.cell_volume
         mtilde = (gam.m_values - ones_gamma.m_values) / gam.sqrt_values
-        q_gap = _multiplier_potential(ones_gamma, geom.s) - _multiplier_potential(gam, geom.s)
+        q_gap = _multiplier_potential(ones_gamma, op_quad) - _multiplier_potential(gam, op_quad)
         rhs_density = gam.sqrt_values * ones_gamma.sqrt_values * q_gap
         worst = 0.0
         for seed in range(10):
@@ -350,6 +377,40 @@ class TestInstability:
         assert out["eps_discrete"]
         assert out["dn_over_gamma"] <= 1e-3
         assert out["decay_rate"] > 0 and out["decay_r_squared"] >= 0.9
+
+    def test_search_whitens_each_gram_once(self, geom, op_quad, monkeypatch):
+        # every pair's block shares one restricted Gram; the parent whitened
+        # it twice per pair (962 eigh calls for 481 pairs)
+        grams = []
+        eigh = sla.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            grams.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigh", counting_eigh)
+        run_suite("instability", geom, op_quad, {"seed": 7, "count": 32})
+        distinct = {g.tobytes() for g in grams}
+        assert 1 <= len(grams) <= len(distinct)
+
+    def test_whitened_norms_are_the_norms(self, geom, op_quad, monkeypatch):
+        # the search's norms with the shared whitening are bitwise the ones
+        # that whiten both Gram blocks on every call
+        seen = []
+
+        def checked(block, whitening=None):
+            norm = dn_operator_norm(block, whitening)
+            assert whitening is not None and norm == dn_operator_norm(block)
+            seen.append(norm)
+            return norm
+
+        monkeypatch.setattr(experiments, "dn_operator_norm", checked)
+        basis = build_exterior_basis(geom, "annulus", 16, kind="harmonic")
+        params = MandacheParams(
+            ell=2.5, eps=0.1, beta=1e4, lattice_spacing=0.2, seed=7, s=geom.s, n=1
+        )
+        rec = instability_search(params, basis, op_quad, count=16)
+        assert seen and rec["dn_gap"] == min(seen)
 
     def test_single_bump_decay(self, geom, op_quad, ones_gamma):
         from fraccond.conductivity import Potential, liouville_potential

@@ -187,6 +187,22 @@ def loop_trig_sum(geometry, seed, kmax):
     return vals, total
 
 
+def complex_trig_sum(geometry, seed, kmax):
+    """The FFT synthesis as a full complex inverse DFT: the same Philox draws,
+    (-1)^|k| (a - i b) at every mode k of the full spectrum, and the real
+    part of the unnormalized inverse.  The reference for the half-spectrum
+    synthesis."""
+    N = geometry.grid_points
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    idx = np.unravel_index(np.arange(1, (kmax + 1) ** geometry.n), (kmax + 1,) * geometry.n)
+    kabs = sum(idx)
+    a, b = (rng.standard_normal((kabs.size, 2)) / kabs[:, None]).T
+    total = float(np.cumsum(a * a + b * b)[-1])
+    spec = np.zeros((N,) * geometry.n, dtype=complex)
+    spec[idx] = np.where(kabs % 2, -1.0, 1.0) * (a - 1j * b)
+    return np.fft.ifftn(spec, norm="forward").real, total
+
+
 def sup_rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
@@ -207,6 +223,18 @@ class TestFftSynthesis:
             assert sup_rel(vals, ref) <= 1e-13
             f = bandlimited_field(g, seed=seed, kmodes=kmax)
             assert sup_rel(f.values, ref / np.sqrt(total)) <= 1e-13
+
+    @pytest.mark.parametrize("n,N", [(1, 1024), (2, 128)])
+    @pytest.mark.parametrize("kmax", [20, 5])
+    def test_half_spectrum_matches_complex_synthesis(self, n, N, kmax):
+        g = default_geometry(n=n, grid_points=N)
+        for seed in (0, 5, 23):
+            ref, total = complex_trig_sum(g, seed, kmax)
+            vals, half_total = _random_trig_sum(g, seed, kmax)
+            assert half_total == total
+            assert sup_rel(vals, ref) <= 1e-14
+            f = bandlimited_field(g, seed=seed, kmodes=kmax)
+            assert sup_rel(f.values, ref / np.sqrt(total)) <= 1e-14
 
     @pytest.mark.parametrize("n,N", SYNTHESIS_GRIDS)
     @pytest.mark.parametrize("kmax", [8, 5])

@@ -251,6 +251,24 @@ class TestCliExitCodes:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "d")])
         assert rc == EXIT_CONFIG
 
+    def test_instability_in_2d_is_config_error(self, tmp_path):
+        # the lattice family is built on 1D grids only: a clean exit 2 with a
+        # config error line, not a traceback
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[geometry]\nn = 2\ngrid_points = 64\n[suite]\nname = instability\n")
+        src = os.path.dirname(os.path.dirname(fraccond.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fraccond.cli", "run", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+
     def test_console_entry_point(self, tmp_path):
         cfg = write_config(tmp_path)
         # the child imports the package under test, wherever pytest found it

@@ -18,7 +18,7 @@ from fraccond.geometry import (
     mollifier_profile,
     smooth_random_field,
 )
-from fraccond.kernels import normalization_constant
+from fraccond.kernels import moment_weights_for, normalization_constant
 from fraccond.operators import (
     FracOperator,
     apply_multiplier,
@@ -32,7 +32,7 @@ from fraccond.operators import (
     parseval_pairing,
 )
 
-from conftest import fancy_index_stencil, outer_product_path
+from conftest import fancy_index_stencil, full_grid_moment_weights_2d, outer_product_path
 
 
 def oracle_laplacian(u, s):
@@ -431,6 +431,24 @@ class TestWeights:
     def test_product_weights_symmetric(self, op_quad):
         v = op_quad.diagnostic_weights
         assert np.allclose(v[1:], v[1:][::-1], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("N", [64, 128])
+    @pytest.mark.parametrize("s", [0.5, 0.3])
+    def test_2d_moment_weights_from_the_octant(self, N, s):
+        W = moment_weights_for(2, s, N, 6.0)
+        ref = full_grid_moment_weights_2d(s, N, 6.0)
+        # W(r1, r2) = W(r2, r1) = W(-r1, r2) = W(r1, -r2), exactly
+        assert np.array_equal(W, W.T)
+        mirror = (-np.arange(N)) % N
+        assert np.array_equal(W, W[mirror, :])
+        assert np.array_equal(W, W[:, mirror])
+        # the octant 0 <= r1 <= r2 <= N/2 is the full-grid loop's, bit for bit
+        r1, r2 = np.triu_indices(N // 2 + 1)
+        assert np.array_equal(W[r1, r2], ref[r1, r2])
+        # elsewhere that loop summed the images in another order
+        assert np.max(np.abs(W - ref)) <= 1e-14 * np.max(np.abs(ref))
+        nonzero = ref > 0
+        assert np.max(np.abs(W - ref)[nonzero] / ref[nonzero]) <= 1e-14
 
     def test_quadrature_symbol_tracks_multiplier(self, geom, op_quad):
         sym_q = op_quad.quadrature_symbol
