@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,13 +83,20 @@ class Conductivity:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
+    @cached_property
     def sqrt_values(self):
-        return np.sqrt(self.values)
+        """g = gamma^(1/2), computed once and read-only, since every caller
+        (the interior system among them) shares it."""
+        g = np.sqrt(self.values)
+        g.setflags(write=False)
+        return g
 
-    @property
+    @cached_property
     def m_values(self):
-        return self.sqrt_values - 1.0
+        """m = gamma^(1/2) - 1, computed once and read-only."""
+        m = self.sqrt_values - 1.0
+        m.setflags(write=False)
+        return m
 
 
 def _edge_mask(geometry, margin):

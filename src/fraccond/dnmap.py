@@ -11,14 +11,13 @@ experiments that share a basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
-from .geometry import GridField, mollifier_profile
+from .geometry import bounding_box, mollifier_profile
 from .operators import FracOperator, hs_gram
-from .solver import ExteriorDatum, SolverError, interior_system
+from .solver import SolverError, interior_system
 
 __all__ = [
     "ExteriorBasis",
@@ -35,31 +34,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExteriorBasis:
-    """Finite family of exterior data spanning the measurement region(s)."""
+    """Finite family of exterior data spanning the measurement region(s).
+
+    The data live on their solve box: `box` is a tuple of slices of the
+    grid, the bounding box of Omega and the data's support, and `stack` the
+    (k, *box) array of the data on it, which the basis takes read-only.
+    The data vanish off the box, so no array of the whole grid is kept.
+    """
 
     geometry: object
-    functions: tuple  # ExteriorDatum
+    stack: np.ndarray
+    box: tuple
     regions: tuple  # region name per function
     orders: tuple  # (radial, angular) per function; bumps carry (index, 0)
     kind: str
     gram: np.ndarray
 
+    def __post_init__(self):
+        shape = tuple(len(range(N)[b]) for b, N in zip(self.box, self.geometry.shape))
+        if self.stack.ndim != 1 + self.geometry.n or self.stack.shape[1:] != shape:
+            raise ValueError(f"stack of shape {self.stack.shape} does not fit box {shape}")
+        self.stack.setflags(write=False)
+
     def __len__(self):
-        return len(self.functions)
-
-    @cached_property
-    def stack(self):
-        """The fields as one read-only (k, *grid) array, stacked once."""
-        F = np.stack([f.values for f in self.functions])
-        F.setflags(write=False)
-        return F
-
-    @cached_property
-    def support(self):
-        """Read-only grid mask of the points where some field is nonzero."""
-        mask = np.any(self.stack, axis=0)
-        mask.setflags(write=False)
-        return mask
+        return len(self.stack)
 
     def order_of(self, i):
         h, k = self.orders[i]
@@ -124,31 +122,50 @@ def build_exterior_basis(geometry, region_name, size, kind="bumps"):
     kind "harmonic": radial oscillations times angular modes, ordered by
     (radial index h, angular order k); in one dimension the angular factor
     degenerates to parity (k = 0 even, k = 1 odd).
-    Every function is normalized to unit H^s norm.  Rank deficiency of the
-    resulting Gram matrix (region too small for the requested size) raises
-    ValueError.
+    The fields are evaluated on the region's box only
+    (`GeometryConfig.region_box`).  Every function is normalized to unit
+    H^s norm.  Rank deficiency of the resulting Gram matrix (region too
+    small for the requested size) raises ValueError.
     """
     if size < 1:
         raise ValueError("basis size must be >= 1")
     region = geometry.region(region_name)
+    box = geometry.region_box(region_name)
     if kind == "bumps":
-        fields = _bump_fields(geometry, region, size)
+        fields = _bump_fields(geometry, region, box, size)
         orders = tuple((i, 0) for i in range(size))
     elif kind == "harmonic":
-        fields, orders = _harmonic_fields(geometry, region, size)
+        fields, orders = _harmonic_fields(geometry, region, box, size)
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
     return basis_from_fields(geometry, region_name, fields, orders, kind)
 
 
 def basis_from_fields(geometry, region_name, fields, orders, kind):
-    """Exterior basis of the given fields in one region, each normalized to
-    unit H^s norm.  The norms are the square roots of the diagonal of the
-    raw fields' Gram matrix, which then scales to the basis Gram matrix.  A
-    vanishing field or a Gram matrix with smallest eigenvalue below 1e-10
-    raises ValueError."""
-    raw = [GridField(geometry, vals) for vals in fields]
-    gram = hs_gram(raw, geometry.s)
+    """Exterior basis of a (k, *box) stack of fields in one region, each
+    normalized to unit H^s norm.
+
+    The fields are given on the region's box (`GeometryConfig.region_box`),
+    zero off it, and must be finite and vanish on the closure of Omega, as
+    every exterior datum must; a field that is not raises ValueError.  The
+    basis keeps them cropped to the bounding box of Omega and their support,
+    the box its solves read.  The norms are the square roots of the diagonal
+    of the raw fields' Gram matrix, which then scales to the basis Gram
+    matrix.  A vanishing field or a Gram matrix with smallest eigenvalue
+    below 1e-10 raises ValueError."""
+    box = geometry.region_box(region_name)
+    F = np.asarray(fields, dtype=float)
+    omega = geometry.omega_mask()[box]
+    if F.shape[1:] != omega.shape:
+        raise ValueError(f"fields of shape {F.shape[1:]} do not fit the region's box {omega.shape}")
+    if not np.all(np.isfinite(F)):
+        raise ValueError("exterior datum must be finite")
+    if np.any(F[:, geometry.omega_closure_mask()[box]] != 0.0):
+        raise ValueError("exterior datum must vanish on the closure of Omega")
+    crop = bounding_box(omega | np.any(F, axis=0))
+    F = F[(slice(None),) + crop]
+    box = tuple(slice(b.start + c.start, b.start + c.stop) for b, c in zip(box, crop))
+    gram = hs_gram(F, geometry, geometry.s)
     norms = np.sqrt(np.maximum(np.diagonal(gram), 0.0))
     if np.any(norms <= 0):
         raise ValueError("degenerate basis function (region too coarse)")
@@ -156,51 +173,50 @@ def basis_from_fields(geometry, region_name, fields, orders, kind):
     lam_min = float(sla.eigvalsh(gram)[0])
     if lam_min < 1e-10:
         raise ValueError(
-            f"requested {len(fields)} functions exceed the region's resolution "
+            f"requested {len(F)} functions exceed the region's resolution "
             f"(Gram smallest eigenvalue {lam_min:.3e})"
         )
-    data = tuple(ExteriorDatum(geometry, f.values / n) for f, n in zip(raw, norms))
     return ExteriorBasis(
         geometry=geometry,
-        functions=data,
-        regions=(region_name,) * len(fields),
+        stack=F / norms.reshape((-1,) + (1,) * geometry.n),
+        box=box,
+        regions=(region_name,) * len(F),
         orders=orders,
         kind=kind,
         gram=gram,
     )
 
 
-def _bump_fields(geometry, region, size):
-    mask = geometry.region_mask(region.name)
+def _bump_fields(geometry, region, box, size):
+    mask = geometry.region_mask(region.name)[box]
+    coords = geometry.coords(box)
+    fields = np.empty((size,) + mask.shape)
     if geometry.n == 1:
         comps = _interval_components(region)
         per = [size // len(comps)] * len(comps)
         for i in range(size - sum(per)):
             per[i] += 1
-        x = geometry.axis()
-        fields = []
+        (x,) = coords
+        i = 0
         for (a, b), count in zip(comps, per):
             if count == 0:
                 continue
             width = (b - a) / (count + 1) * 0.9
             centers = a + (b - a) * (np.arange(count) + 1) / (count + 1)
             for c in centers:
-                v = mollifier_profile((x - c) / width)
-                v = np.where(mask, v, 0.0)
-                fields.append(v)
+                fields[i] = np.where(mask, mollifier_profile((x - c) / width), 0.0)
+                i += 1
         return fields
     r_in, r_out = region.data
     # ring lattice: equally spaced angles on the mid-radius circle
     mid = 0.5 * (r_in + r_out)
     width = min(0.45 * (r_out - r_in), 0.9 * np.pi * mid / size)
-    X, Y = geometry.coords()
-    fields = []
+    X, Y = coords
     for i in range(size):
         th = 2.0 * np.pi * i / size
         cx, cy = mid * np.cos(th), mid * np.sin(th)
         v = mollifier_profile(np.hypot(X - cx, Y - cy) / width)
-        v = np.where(mask, v, 0.0)
-        fields.append(v)
+        fields[i] = np.where(mask, v, 0.0)
     return fields
 
 
@@ -221,27 +237,26 @@ def _harmonic_orders(size, n):
     return pairs[:size]
 
 
-def _harmonic_fields(geometry, region, size):
+def _harmonic_fields(geometry, region, box, size):
     lo, hi = region.bounds()
-    r = geometry.radius
+    r = geometry.radius[box]
     t = (r - lo) / (hi - lo)
     window = np.where((t > 0) & (t < 1), _radial_window(np.clip(t, 0.0, 1.0)), 0.0)
-    mask = geometry.region_mask(region.name)
+    mask = geometry.region_mask(region.name)[box]
     window = np.where(mask, window, 0.0)
-    fields = []
+    fields = np.empty((size,) + r.shape)
     orders = []
     if geometry.n == 1:
-        x = geometry.axis()
+        (x,) = geometry.coords(box)
         parity_sign = np.sign(x)
-        for h, k, _ in _harmonic_orders(size, 1):
+        for i, (h, k, _) in enumerate(_harmonic_orders(size, 1)):
             radial = window * np.cos(np.pi * h * t)
-            v = radial if k == 0 else radial * parity_sign
-            fields.append(v)
+            fields[i] = radial if k == 0 else radial * parity_sign
             orders.append((h, k))
     else:
-        X, Y = geometry.coords()
+        X, Y = geometry.coords(box)
         theta = np.arctan2(Y, X)
-        for h, k, phase in _harmonic_orders(size, 2):
+        for i, (h, k, phase) in enumerate(_harmonic_orders(size, 2)):
             radial = window * np.cos(np.pi * h * t)
             if k == 0:
                 ang = np.ones_like(theta)
@@ -249,7 +264,7 @@ def _harmonic_fields(geometry, region, size):
                 ang = np.cos(k * theta)
             else:
                 ang = np.sin(k * theta)
-            fields.append(radial * ang)
+            fields[i] = radial * ang
             orders.append((h, k))
     return fields, tuple(orders)
 
@@ -264,22 +279,22 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
 
     Conductivity coefficients address the conductivity equation, Potential
     coefficients the Schrodinger one.  All k basis data F are solved in one
-    batch (InteriorSystem.solve_many) from the basis' kept stack and
-    support: one stacked apply gives AF on the bounding box of Omega and
-    the basis' support and the right-hand sides B = -(AF)_Omega, and one
-    run of block PCG with the operator's half-size box preconditioner the
-    interior values X.  Each column's Galerkin residual is checked against
-    the interior block; a failure raises SolverError naming the column.
-    By Alessandrini's identity M = F (AF)^T - X^T B over the box, so no
-    flux apply is made, and the apply's convolution is shared through the
-    operator's store by every coefficient with g F = F on the box.  M is
-    passed to DnMatrix unsymmetrized, so its symmetry check sees the raw
-    solver asymmetry.  Any other coefficient raises TypeError.
+    batch (InteriorSystem.solve_many) on the basis' box, where its stack
+    holds them: one stacked apply gives AF on the box and the right-hand
+    sides B = -(AF)_Omega, and one run of block PCG with the operator's
+    half-size box preconditioner the interior values X.  Each column's
+    Galerkin residual is checked against the interior block; a failure
+    raises SolverError naming the column.  By Alessandrini's identity
+    M = F (AF)^T - X^T B over the box, so no flux apply is made, and the
+    apply's convolution is shared through the operator's store by every
+    coefficient with g F = F on the box.  M is passed to DnMatrix
+    unsymmetrized, so its symmetry check sees the raw solver asymmetry.
+    Any other coefficient raises TypeError.
     """
     system = interior_system(coefficient, op)
     if basis.geometry != system.geometry:
         raise ValueError("geometry mismatch")
-    _, M, _ = system.solve_many(basis.stack, tol, support=basis.support)
+    _, M, _ = system.solve_many(basis.stack, basis.box, tol)
     return DnMatrix(entries=M, basis=basis)
 
 

@@ -135,9 +135,8 @@ def mtilde_equation_residual(g1: Conductivity, g2: Conductivity, op: FracOperato
     sqrt1 = g1.sqrt_values
     sqrt2 = g2.sqrt_values
     mtilde = (g1.m_values - g2.m_values) / sqrt1
-    q1 = _multiplier_potential(g1, op)
-    q2 = _multiplier_potential(g2, op)
-    rhs_density = sqrt1 * sqrt2 * (q2 - q1)
+    rhs_density = _multiplier_potential(g2, op) - _multiplier_potential(g1, op)
+    rhs_density *= sqrt1 * sqrt2
     bm = pair_matvec(op.diagnostic_spectrum, op.cns, h_n, sqrt1, mtilde)
     worst = 0.0
     for seed in range(n_tests):
@@ -481,18 +480,20 @@ def instability_search(params: MandacheParams, basis, op: FracOperator, count=32
 
 
 def _residual_battery(geometry):
-    """Five bump conductivities of varying height/width."""
+    """Five bump conductivities of varying height/width, made one at a time,
+    so that only the one in use keeps its cached g and m."""
     specs = [(0.5, 0.8), (0.35, 0.6), (0.25, 0.5), (-0.25, 0.7), (-0.4, 0.9)]
-    return [bump_conductivity(geometry, height=a, width=w) for a, w in specs]
+    return (bump_conductivity(geometry, height=a, width=w) for a, w in specs)
 
 
 def suite_residuals(geometry, op, seed=0):
     out = {"cases": [], "refinement": []}
     u = bandlimited_field(geometry, seed=seed + 11)
     phi = bandlimited_field(geometry, seed=seed + 23)
-    for k, gamma in enumerate(_residual_battery(geometry)):
-        res = liouville_identity_residual(gamma, u, phi, op)
-        out["cases"].append({"case": k, "liouville_residual": float(res)})
+    out["cases"] = [
+        {"case": k, "liouville_residual": float(liouville_identity_residual(gamma, u, phi, op))}
+        for k, gamma in enumerate(_residual_battery(geometry))
+    ]
     g1 = bump_conductivity(geometry, height=0.5, width=0.8)
     g2 = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
     out["mtilde_residual"] = float(mtilde_equation_residual(g1, g2, op))
@@ -532,18 +533,15 @@ def suite_exterior(
 
     # recovery probes on a dedicated probe basis
     widths = (0.32, 0.226, 0.16, 0.113)
-    mask = geometry.region_mask(region)
-    fields = []
+    box = geometry.region_box(region)
+    mask = geometry.region_mask(region)[box]
     if geometry.n == 1:
-        x = geometry.axis()
-        for w in widths:
-            fields.append(np.where(mask, mollifier_profile((x - probe_point) / w), 0.0))
+        (x,) = geometry.coords(box)
+        offset = x - probe_point
     else:
-        X, Y = geometry.coords()
-        for w in widths:
-            fields.append(
-                np.where(mask, mollifier_profile(np.hypot(X - probe_point, Y) / w), 0.0)
-            )
+        X, Y = geometry.coords(box)
+        offset = np.hypot(X - probe_point, Y)
+    fields = np.stack([np.where(mask, mollifier_profile(offset / w), 0.0) for w in widths])
     orders = tuple((i, 0) for i in range(len(widths)))
     probe_basis = basis_from_fields(geometry, region, fields, orders, "bumps")
     gam = _scan_pair(geometry, recovery_height)

@@ -19,6 +19,7 @@ __all__ = [
     "GeometryConfig",
     "GridField",
     "annulus_region",
+    "bounding_box",
     "default_geometry",
     "mollifier_profile",
     "smoothstep",
@@ -87,6 +88,11 @@ class Region:
         return lo, hi
 
 
+def bounding_box(mask):
+    """Slices of the smallest box that holds every nonzero entry of mask."""
+    return tuple(slice(int(a.min()), int(a.max()) + 1) for a in np.nonzero(mask))
+
+
 def annulus_region(name, r_in, r_out, n):
     """Annular region; for n = 1 this is the interval pair (-r_out,-r_in) u (r_in,r_out)."""
     if n == 1:
@@ -148,13 +154,12 @@ class GeometryConfig:
         N = self.grid_points
         return -self.box_halfwidth + self.h * np.arange(N)
 
-    def coords(self):
-        """Coordinate arrays; shape (N,) for n=1, two (N,N) arrays for n=2."""
+    def coords(self, box=None):
+        """Coordinate arrays; shape (N,) for n=1, two (N,N) arrays for n=2.
+        With box, a tuple of slices of the grid, they are read on that box."""
         x = self.axis()
-        if self.n == 1:
-            return (x,)
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        return (X, Y)
+        box = (slice(None),) * self.n if box is None else box
+        return tuple(np.meshgrid(*(x[b] for b in box), indexing="ij"))
 
     @cached_property
     def radius(self):
@@ -205,6 +210,11 @@ class GeometryConfig:
         for a, b in reg.data:
             m |= (x > a) & (x < b)
         return m
+
+    def region_box(self, name):
+        """Slices of the bounding box of Omega and the named region: the box
+        the exterior data in that region are built on."""
+        return bounding_box(self.omega_mask() | self.region_mask(name))
 
     def region(self, name):
         for reg in self.measurement_sets:

@@ -80,12 +80,12 @@ def apply_multiplier(symbol, values, grid=None):
 
     With grid given, values hold the low corner of a periodic grid of that
     shape, zero elsewhere, and the result is read back on the same corner.
-    The forward transform runs its real last-axis pass over the corner's
-    rows only and pads each leading axis for its complex pass; the inverse
-    runs the complex passes over the leading axes, keeps the corner's rows
-    and runs the last-axis pass only over those.  No real array of the
-    whole grid is formed, and the result is the full grid's, restricted to
-    the corner, bit for bit.  A convolution is translation invariant, so
+    The forward transform (`_corner_rfftn`) runs its real last-axis pass
+    over the corner's rows only and pads each leading axis for its complex
+    pass; the inverse runs the complex passes over the leading axes, keeps
+    the corner's rows and runs the last-axis pass only over those.  No real
+    array of the whole grid is formed, and the result is the full grid's,
+    restricted to the corner, bit for bit.  A convolution is translation invariant, so
     values from any box of the grid may be given as its low corner: the
     result is the convolution read back on that box.  The passes are
     scipy.fft's, each after the first transforming its input in place.
@@ -94,17 +94,32 @@ def apply_multiplier(symbol, values, grid=None):
     grid = corner if grid is None else tuple(grid)
     if symbol.shape[:-1] != grid[:-1] or symbol.shape[-1] not in (grid[-1], grid[-1] // 2 + 1):
         raise ValueError(f"multiplier of shape {symbol.shape} does not fit grid {grid}")
-    if any(c > p for c, p in zip(corner, grid)):
-        raise ValueError(f"values of shape {corner} exceed grid {grid}")
     axes = tuple(range(-symbol.ndim, 0))
-    spec = sfft.rfft(values, grid[-1], axis=-1)
-    for axis in axes[:-1]:
-        spec = sfft.fft(spec, grid[axis], axis=axis, overwrite_x=True)
+    spec = _corner_rfftn(values, grid)
     spec *= symbol[..., : spec.shape[-1]]
     for axis, c in zip(axes[:-1], corner):
         rows = (Ellipsis, slice(c)) + (slice(None),) * (-axis - 1)
         spec = sfft.ifft(spec, axis=axis, overwrite_x=True)[rows]
     return sfft.irfft(spec, grid[-1], axis=-1, overwrite_x=True)[..., : corner[-1]]
+
+
+def _corner_rfftn(values, grid):
+    """Real FFT over the last len(grid) axes of values, the low corner of a
+    periodic grid of that shape, zero elsewhere: the real last-axis pass runs
+    over the corner's rows only, and each leading axis is padded for its
+    complex pass."""
+    corner = values.shape[-len(grid) :]
+    if any(c > p for c, p in zip(corner, grid)):
+        raise ValueError(f"values of shape {corner} exceed grid {grid}")
+    spec = sfft.rfft(values, grid[-1], axis=-1)
+    for axis in range(-len(grid), -1):
+        spec = sfft.fft(spec, grid[axis], axis=axis, overwrite_x=True)
+    return spec
+
+
+# frequencies per block of a stacked `parseval_pairing`: the weighted copy
+# of a block of 16 spectra is 1 MB
+_PAIRING_BLOCK = 4096
 
 
 def parseval_pairing(weight, a_hat, b_hat, cell_volume, points=None):
@@ -126,10 +141,16 @@ def parseval_pairing(weight, a_hat, b_hat, cell_volume, points=None):
         weight = weight * twice
     if a_hat.ndim == weight.ndim:
         return float(np.sum(weight * (a_hat * np.conj(b_hat)).real)) * cell_volume / points
-    a = np.ascontiguousarray((a_hat * weight).reshape(a_hat.shape[0], -1))
-    b = np.ascontiguousarray(b_hat.reshape(b_hat.shape[0], -1))
-    # sum w Re(a conj(b)) is a real product of the interleaved parts
-    return (a.view(float) @ b.view(float).T) * (cell_volume / points)
+    a = a_hat.reshape(a_hat.shape[0], -1)
+    b = b_hat.reshape(b_hat.shape[0], -1)
+    w = weight.reshape(-1)
+    # sum w Re(a conj(b)) is a real product of the interleaved parts, summed
+    # over blocks of frequencies, so no weighted copy of a whole stack is made
+    P = np.zeros((len(a), len(b)))
+    for start in range(0, w.size, _PAIRING_BLOCK):
+        block = slice(start, start + _PAIRING_BLOCK)
+        P += (a[:, block] * w[block]).view(float) @ b[:, block].view(float).T
+    return P * (cell_volume / points)
 
 
 class WindowConvolution:
@@ -422,15 +443,19 @@ def hs_norm(u: GridField, s: float) -> float:
     return float(np.sqrt(max(hs_inner(u, u, s), 0.0)))
 
 
-def hs_gram(basis, s: float) -> np.ndarray:
-    """Gram matrix of a list of grid fields in the discrete H^s product:
-    one real FFT of the stacked fields and one stacked `parseval_pairing` on
-    the half spectrum."""
-    if len(basis) == 0:
+def hs_gram(stack, geometry, s: float) -> np.ndarray:
+    """Gram matrix of a (k, *corner) stack of fields in the discrete H^s
+    product of the geometry's grid.
+
+    The fields lie on a box of the grid, given as its low corner and zero
+    elsewhere: the pairing is translation invariant, so the box may lie
+    anywhere.  One real FFT of the stack zero-padded to the grid
+    (`_corner_rfftn`, the real pass over the corner's rows only) and one
+    stacked `parseval_pairing` on the half spectrum, which weights it block
+    by block: the transform is the one complex stack of the grid's size."""
+    if len(stack) == 0:
         raise ValueError("empty basis")
-    geom = basis[0].geometry
-    axes = tuple(range(1, geom.n + 1))
-    hats = sfft.rfftn(np.stack([b.values for b in basis]), axes=axes)
-    weight = bessel_symbol(geom, s)[..., : hats.shape[-1]]
-    G = parseval_pairing(weight, hats, hats, geom.cell_volume, geom.grid_points**geom.n)
+    hats = _corner_rfftn(np.asarray(stack, dtype=float), geometry.shape)
+    weight = bessel_symbol(geometry, s)[..., : hats.shape[-1]]
+    G = parseval_pairing(weight, hats, hats, geometry.cell_volume, geometry.grid_points**geometry.n)
     return 0.5 * (G + G.T)

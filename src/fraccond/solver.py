@@ -15,21 +15,25 @@ diagonal.  A_gamma is positive definite exactly when A' is, as g > 0;
 failure for a potential signals a genuinely non-transformed, non-coercive
 q and is reported as such.
 
-Solves are batched and use the discrete Alessandrini identity.  For a
-(k, *grid) stack F of exterior data, one stacked apply gives AF on the
-bounding box of Omega and the support of F, the only part of the grid the
-solve reads; its interior rows are the right-hand sides B = -(AF)_Omega,
-one batched solve gives the interior values X = D_g^-1 A'^-1 D_g^-1 B, and
-the energy pairings of the solutions are M = F (AF)^T - X^T B over the box,
-with no second apply for the fluxes.  The one FFT pair of an apply is the
-convolution of the weights with g F (with F for a potential) over the
-periodic grid, through `operators.apply_multiplier` with the box as the
-grid's low corner (a convolution is translation invariant), so the real
-passes run over the box's rows only (251 of 512 rows at 2D N = 512).
-The operator keeps the last two in `FracOperator.convolutions`, keyed by a
-digest of g F on the box.  Where g = 1 on the support of F, g F is bitwise
-F, so every potential and every conductivity equal to 1 there share one
-convolution per basis.
+Solves are batched and use the discrete Alessandrini identity.  The
+exterior data F come as a (k, *box) stack on their solve box, a box of the
+grid that holds Omega and every point where a datum is nonzero (a
+`dnmap.ExteriorBasis` keeps its stack on the bounding box of Omega and the
+data's support); nothing of F off the box is stored or read.  One stacked
+apply gives AF on the box; its interior rows are the right-hand sides
+B = -(AF)_Omega, one batched solve gives the interior values
+X = D_g^-1 A'^-1 D_g^-1 B, and the energy pairings of the solutions are
+M = F (AF)^T - X^T B over the box, with no second apply for the fluxes.
+The one FFT pair of an apply is the convolution of the weights with g F
+(with F for a potential) over the periodic grid, through
+`operators.apply_multiplier` with the box as the grid's low corner (a
+convolution is translation invariant), so the real passes run over the
+box's rows only (251 of 512 rows at 2D N = 512).  It is taken field by
+field into one compact (k, *box) array, so no stacked spectrum of the
+grid is formed.  The operator keeps the last two in
+`FracOperator.convolutions`, keyed by a digest of g F on the box.  Where
+g = 1 on the support of F, g F is bitwise F, so every potential and every
+conductivity equal to 1 there share one convolution per basis.
 
 A' is never factored and nothing m x m is formed (m the number of
 unknowns).  Every system, the unit coefficient's too, is solved by block
@@ -78,7 +82,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .conductivity import Conductivity, Potential
-from .geometry import GridField
+from .geometry import GridField, bounding_box
 from .operators import FracOperator, apply_multiplier
 
 __all__ = [
@@ -123,11 +127,6 @@ class Solution:
     energy: float
 
 
-def _bounding_box(mask):
-    """Slices of the smallest box that holds every nonzero entry of mask."""
-    return tuple(slice(int(a.min()), int(a.max()) + 1) for a in np.nonzero(mask))
-
-
 def _digest(*arrays):
     hsh = hashlib.sha256()
     for a in arrays:
@@ -148,15 +147,17 @@ def _kept(store, key, limit, build):
 
 
 # convolutions an operator keeps: a basis convolved with 1 (shared by every
-# potential) and with the last conductivity that differs there; each holds
-# k floats per point of the basis' bounding box, 8 MB for 16 fields at
-# 2D N=512
+# potential) and with the last conductivity that differs there; each is a
+# compact array of k floats per point of the basis' box, 8 MB for 16 fields
+# at 2D N=512
 _CONVOLUTIONS_KEPT = 2
 
 
 # PCG stops when every column's residual is below this fraction of its
-# right-hand side; the Galerkin residual is then checked against tol apart
-_PCG_RTOL = 1e-14
+# right-hand side; the Galerkin residual is then checked against tol apart.
+# At 1e-14 the stop sat on the roundoff floor, where last-bit changes in B
+# moved the step count; 1e-11 is too loose for the step-count tests
+_PCG_RTOL = 1e-12
 _PCG_MAXITER = 100
 
 
@@ -312,56 +313,66 @@ class InteriorSystem:
     # -- full-grid operator --------------------------------------------------
 
     def apply(self, values, box=None):
-        """Stiffness applied to a field or a (k, *grid) stack, on a box.
+        """Stiffness applied to a field or a (k, *box) stack on a box.
 
         A u = s (e u - w * (g u)) with s = c h^n g and e = w * g, or, for a
         potential, g = 1, s = c h^n and e = w * 1 + q / c.  box is a tuple of
-        slices of the grid, the whole grid when None; u and every factor are
-        read on it, and the result is A u on the box, exact when u vanishes
-        off it.  The one FFT pair, the convolution w * (g u) over the
-        periodic grid, takes the box as the grid's low corner
-        (`apply_multiplier` with the grid given) and is kept in the
-        operator's convolution store under a digest of g u on the box and
-        its shape: the convolution does not depend on where the box lies.
+        slices of the grid, the whole grid when None, and values hold u on
+        it; every factor is read on it, and the result is A u on the box,
+        exact when u vanishes off it.  The one FFT pair, the convolution
+        w * (g u) over the periodic grid, takes the box as the grid's low
+        corner (`apply_multiplier` with the grid given), field by field
+        into one compact array, and is kept in the operator's convolution
+        store under a digest of g u and its shape: the convolution does not
+        depend on where the box lies.
         """
         box = (Ellipsis,) if box is None else (Ellipsis,) + tuple(box)
-        u = values[box]
-        gu = u if self.g is None else self.g[box] * u
+        gu = values if self.g is None else self.g[box] * values
         conv = _kept(
             self._convolutions,
             (gu.shape, _digest(gu)),
             _CONVOLUTIONS_KEPT,
-            lambda: apply_multiplier(self._spectrum, gu, self.geometry.shape),
+            lambda: self._convolution(gu),
         )
-        out = u * self._e[box]
+        out = values * self._e[box]
         out -= conv
         out *= self._s if self.g is None else self._s[box]
         return out
 
-    def solve_many(self, data, tol: float = 1e-10, support=None):
-        """Solve for a (k, *grid) stack F of exterior data in one batch.
+    def _convolution(self, gu):
+        """w * gu over the periodic grid for a field or a stack on a box,
+        transformed one field at a time into a preallocated result."""
+        grid = self.geometry.shape
+        fields = gu.reshape((-1,) + gu.shape[-len(grid) :])
+        conv = np.empty(fields.shape)
+        for field, out in zip(fields, conv):
+            out[...] = apply_multiplier(self._spectrum, field, grid)
+        return conv.reshape(gu.shape)
 
-        One stacked apply on the bounding box of Omega and the support of F
-        gives AF there and the right-hand sides B = -(AF)_Omega; the interior
-        values are X = D_g^-1 Y with A' Y = D_g^-1 B, Y from one run of
-        box-preconditioned block PCG.  support is a grid mask holding every
-        point where some datum is nonzero, such as the one a
-        `dnmap.ExteriorBasis` keeps; when None it is found by scanning F.
+    def solve_many(self, data, box, tol: float = 1e-10):
+        """Solve for a (k, *box) stack F of exterior data on a box in one batch.
+
+        box is a tuple of slices of the grid that holds Omega, and F the data
+        on it, zero off it (a `dnmap.ExteriorBasis` keeps its stack and box
+        so).  One stacked apply gives AF on the box and the right-hand sides
+        B = -(AF)_Omega; the interior values are X = D_g^-1 Y with
+        A' Y = D_g^-1 B, Y from one run of box-preconditioned block PCG.
         Each column's Galerkin residual is measured against
         A_gamma = D_g A' D_g (`_block_product`) and must not exceed tol.
         Returns (X, M, residuals): the (k, interior) solution values, the
         energy pairings M_ij = B(u_i, f_j) = B(u_i, u_j) and the residual of
         each column.  M = F (AF)^T - X^T B by Alessandrini's identity, the
-        product over the box, where F is supported; it needs no flux apply
-        and is returned unsymmetrized.
+        product over the box; it needs no flux apply and is returned
+        unsymmetrized.  A box that does not hold Omega raises ValueError.
         """
         F = np.asarray(data, dtype=float)
         k = F.shape[0]
-        if support is None:
-            support = np.any(F, axis=0)
-        box = _bounding_box(self.mask | support)
+        box = tuple(box)
+        inside = self.mask[box]
+        if np.count_nonzero(inside) != self.idx.size:
+            raise ValueError("the solve box must hold Omega")
         AF = self.apply(F, box).reshape(k, -1)
-        B = -AF[:, np.flatnonzero(self.mask[box])].T  # Omega in the box's order
+        B = -AF[:, np.flatnonzero(inside)].T  # Omega in the box's order
         gi = self._gi[:, None]
         X, _ = self._pcg(B / gi)
         X /= gi
@@ -376,13 +387,16 @@ class InteriorSystem:
                 f"Galerkin residual {residuals[i]:.3e} exceeds tol {tol:.3e} "
                 f"in column {i}"
             )
-        M = F[(Ellipsis,) + box].reshape(k, -1) @ AF.T - X.T @ B
+        M = F.reshape(k, -1) @ AF.T - X.T @ B
         return X.T, M, residuals
 
     def solve(self, datum: ExteriorDatum, tol: float = 1e-10) -> Solution:
+        """Forward solution of one full-grid datum, solved on the bounding
+        box of Omega and the datum's support."""
         if datum.geometry != self.geometry:
             raise ValueError("geometry mismatch")
-        X, M, residuals = self.solve_many(datum.values[None], tol)
+        box = bounding_box(self.mask | (datum.values != 0))
+        X, M, residuals = self.solve_many(datum.values[box][None], box, tol)
         u = datum.values.copy()
         u.reshape(-1)[self.idx] = X[0]
         return Solution(

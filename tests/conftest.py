@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 import scipy.linalg as sla
 from scipy.linalg.lapack import dpotrf
 
 from fraccond.conductivity import Conductivity
 from fraccond.geometry import GeometryConfig, annulus_region, default_geometry
-from fraccond.operators import FracOperator, apply_multiplier
+from fraccond.operators import FracOperator, apply_multiplier, bessel_symbol
 from fraccond.solver import interior_system
 
 
@@ -93,21 +94,46 @@ def factored_path(coefficient, op, F):
     k = len(F)
     covered = np.nonzero(system.mask | np.any(F != 0, axis=0))
     box = tuple(slice(a.min(), a.max() + 1) for a in covered)
+    F = F[(Ellipsis,) + box]
     AF = system.apply(F, box).reshape(k, -1)
     B = -AF[:, np.flatnonzero(system.mask[box])].T
     block = np.asfortranarray(reference_block(coefficient, op))
     factor, info = dpotrf(block, lower=1, clean=0, overwrite_a=1)
     assert info == 0
     X = sla.cho_solve((factor, True), B, check_finite=False)
-    M = F[(Ellipsis,) + box].reshape(k, -1) @ AF.T - X.T @ B
+    M = F.reshape(k, -1) @ AF.T - X.T @ B
     return X.T, M
 
 
 def outer_product_path(coefficient, basis, op):
     """DN matrix of `factored_path` on a basis, symmetrized as DnMatrix
     stores it."""
-    _, M = factored_path(coefficient, op, basis.stack)
+    _, M = factored_path(coefficient, op, grid_stack(basis))
     return 0.5 * (M + M.T)
+
+
+def grid_stack(basis):
+    """A basis' (k, *box) stack scattered onto a zero (k, *grid) array: the
+    full-grid data the basis stands for."""
+    F = np.zeros((len(basis),) + basis.geometry.shape)
+    F[(Ellipsis,) + basis.box] = basis.stack
+    return F
+
+
+def full_grid_hs_gram(F, geometry, s):
+    """H^s Gram matrix of a (k, *grid) stack by one full-grid real FFT and a
+    weighted product of the whole half-spectrum stacks, with no padding and
+    no blocks: the oracle of `operators.hs_gram` on a box."""
+    axes = tuple(range(1, geometry.n + 1))
+    hats = sfft.rfftn(F, axes=axes)
+    twice = np.full(hats.shape[-1], 2.0)
+    twice[[0, -1]] = 1.0
+    weight = bessel_symbol(geometry, s)[..., : hats.shape[-1]] * twice
+    a = (hats * weight).reshape(len(F), -1)
+    b = hats.reshape(len(F), -1)
+    points = geometry.grid_points**geometry.n
+    G = (a.view(float) @ b.view(float).T) * (geometry.cell_volume / points)
+    return 0.5 * (G + G.T)
 
 
 def square_arrays(op):

@@ -18,6 +18,7 @@ from fraccond.conductivity import (
 from fraccond.experiments import _multiplier_potential
 from fraccond.geometry import GeometryConfig, mollifier_profile
 from fraccond.operators import apply_multiplier, fourier_symbol, parseval_pairing
+from fraccond.solver import interior_system
 
 
 class TestConductivityType:
@@ -53,6 +54,17 @@ class TestConductivityType:
         g = bump_conductivity(geom, height=0.5)
         with pytest.raises(ValueError):
             g.values[0] = 2.0
+
+    def test_sqrt_and_m_computed_once_and_shared(self, geom, op_quad):
+        g = bump_conductivity(geom, height=0.5)
+        assert g.sqrt_values is g.sqrt_values and g.m_values is g.m_values
+        assert np.array_equal(g.sqrt_values, np.sqrt(g.values))
+        assert np.array_equal(g.m_values, np.sqrt(g.values) - 1.0)
+        for a in (g.sqrt_values, g.m_values):
+            with pytest.raises(ValueError):
+                a[0] = 2.0
+        # the interior system shares g instead of holding its own copy
+        assert interior_system(g, op_quad).g is g.sqrt_values
 
 
 class TestBackgroundDeviation:

@@ -1,5 +1,7 @@
 """DN matrices, dual-pairing norms, bases, restrictions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -16,16 +18,24 @@ from fraccond.dnmap import (
     DnMatrix,
     ExteriorBasis,
     assemble_dn,
+    basis_from_fields,
     build_exterior_basis,
     dn_operator_norm,
     restrict_dn,
 )
 from fraccond.experiments import suite_reduction
-from fraccond.geometry import GridField, default_geometry, mollifier_profile
+from fraccond.geometry import GridField, bounding_box, default_geometry, mollifier_profile
 from fraccond.operators import FracOperator, apply_multiplier, hs_gram
-from fraccond.solver import ExteriorDatum, SolverError, interior_system
+from fraccond.solver import SolverError, interior_system
 
-from conftest import outer_product_path, reference_block, square_arrays, two_region_geometry
+from conftest import (
+    full_grid_hs_gram,
+    grid_stack,
+    outer_product_path,
+    reference_block,
+    square_arrays,
+    two_region_geometry,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,15 +49,18 @@ def harmonic(geom):
 
 
 def merge_bases(a, b):
-    functions = a.functions + b.functions
-    fields = [GridField(f.geometry, f.values) for f in functions]
+    geom = a.geometry
+    F = np.concatenate([grid_stack(a), grid_stack(b)])
+    box = bounding_box(geom.omega_mask() | np.any(F, axis=0))
+    stack = F[(Ellipsis,) + box].copy()
     return ExteriorBasis(
-        geometry=a.geometry,
-        functions=functions,
+        geometry=geom,
+        stack=stack,
+        box=box,
         regions=a.regions + b.regions,
         orders=a.orders + b.orders,
         kind=a.kind,
-        gram=hs_gram(fields, a.geometry.s),
+        gram=hs_gram(stack, geom, geom.s),
     )
 
 
@@ -60,8 +73,7 @@ class TestBasisConstruction:
     def test_functions_supported_in_region(self, geom, basis, harmonic):
         mask = geom.region_mask("annulus")
         for b in (basis, harmonic):
-            for f in b.functions:
-                assert np.all(f.values[~mask] == 0.0)
+            assert np.all(grid_stack(b)[:, ~mask] == 0.0)
 
     def test_parity_orthogonality_1d(self, geom):
         b = build_exterior_basis(geom, "annulus", 4, kind="harmonic")
@@ -98,6 +110,67 @@ class TestBasisConstruction:
     def test_unknown_region(self, geom):
         with pytest.raises(KeyError):
             build_exterior_basis(geom, "nowhere", 4)
+
+
+class TestBoxBasis:
+    """A basis keeps its data as one (k, *box) stack on its solve box."""
+
+    @pytest.mark.parametrize("n, N", [(1, 1024), (2, 128), (2, 256)])
+    @pytest.mark.parametrize("kind", ["bumps", "harmonic"])
+    def test_box_gram_matches_full_grid_gram(self, n, N, kind):
+        g = default_geometry(n=n, grid_points=N)
+        b = build_exterior_basis(g, "annulus", 16, kind=kind)
+        ref = full_grid_hs_gram(grid_stack(b), g, g.s)
+        for G in (b.gram, hs_gram(b.stack, g, g.s)):
+            assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["bumps", "harmonic"])
+    def test_no_array_has_the_grid_shape(self, geom, geom2d, n, kind):
+        g = geom if n == 1 else geom2d
+        b = build_exterior_basis(g, "annulus", 8, kind=kind)
+        arrays = [v for v in vars(b).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2  # the stack and the Gram
+        for a in arrays:
+            assert a.shape[-g.n :] != g.shape
+        assert b.stack.shape[0] == len(b) and not b.stack.flags.writeable
+        # the box is the bounding box of Omega and the data's support
+        covered = g.omega_mask() | np.any(grid_stack(b), axis=0)
+        assert b.box == bounding_box(covered)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "closure"])
+    def test_invalid_fields_refused(self, geom, geom2d, n, bad):
+        g = geom if n == 1 else geom2d
+        box = g.region_box("annulus")
+        mask = g.region_mask("annulus")[box]
+        r = np.abs(g.coords(box)[0] - 2.5) if n == 1 else np.hypot(*g.coords(box)) - 2.5
+        F = np.stack([np.where(mask, mollifier_profile(r / w), 0.0) for w in (0.3, 0.2)])
+        basis_from_fields(g, "annulus", F, ((0, 0), (1, 0)), "bumps")  # valid as given
+        outside = np.flatnonzero(~g.omega_closure_mask()[box])[0]
+        inside = np.flatnonzero(g.omega_closure_mask()[box])[-1]
+        index, value = {
+            "nan": (outside, np.nan),
+            "inf": (outside, np.inf),
+            "closure": (inside, 1e-300),
+        }[bad]
+        F[1].reshape(-1)[index] = value
+        match = "closure" if bad == "closure" else "finite"
+        with pytest.raises(ValueError, match=match):
+            basis_from_fields(g, "annulus", F, ((0, 0), (1, 0)), "bumps")
+
+    def test_build_peak_memory_below_two_grid_stacks(self):
+        # 16 fields on the grid are k N^2 8 bytes; the basis is built, its
+        # Gram included, in less than twice that
+        g = default_geometry(n=2, grid_points=256)
+        k = 16
+        tracemalloc.start()
+        try:
+            build_exterior_basis(g, "annulus", k, "bumps")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * k * g.grid_points**2 * 8
 
 
 class TestAssembly:
@@ -161,10 +234,10 @@ class TestAssembly:
         assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_batched_failure_names_column(self, geom, op_quad, basis):
-        zero = ExteriorDatum(geom, np.zeros(geom.shape))
         pair = ExteriorBasis(
             geometry=geom,
-            functions=(zero, basis.functions[0]),
+            stack=np.stack([np.zeros_like(basis.stack[0]), basis.stack[0]]),
+            box=basis.box,
             regions=("annulus",) * 2,
             orders=((0, 0), (1, 0)),
             kind="bumps",
@@ -219,13 +292,14 @@ def column_reference(coefficient, basis, op):
     full_apply = reference_apply(coefficient, op)
     k = len(basis)
     M = np.empty((k, k))
-    for i, f in enumerate(basis.functions):
-        b = -full_apply(f.values).reshape(-1)[system.idx]
-        u = f.values.copy().reshape(-1)
+    F = grid_stack(basis)
+    for i, f in enumerate(F):
+        b = -full_apply(f).reshape(-1)[system.idx]
+        u = f.copy().reshape(-1)
         u[system.idx] = np.linalg.solve(A, b)
         z = full_apply(u.reshape(geom.shape))
-        for j, fj in enumerate(basis.functions):
-            M[i, j] = np.sum(fj.values * z)
+        for j, fj in enumerate(F):
+            M[i, j] = np.sum(fj * z)
     return M
 
 
@@ -234,7 +308,7 @@ def two_apply_reference(coefficient, basis, op):
     right-hand sides, a dense solve, a second stacked apply Z = A U."""
     system = interior_system(coefficient, op)
     full_apply = reference_apply(coefficient, op)
-    F = np.stack([f.values for f in basis.functions])
+    F = grid_stack(basis)
     k = len(basis)
     B = -full_apply(F).reshape(k, -1)[:, system.idx].T
     U = F.reshape(k, -1).copy()
@@ -280,18 +354,17 @@ class TestCongruenceAssembly:
         else:
             coefficient = ring_conductivity(g)
             assert np.all(coefficient.sqrt_values[g.omega_mask()] == 1.0)
-            gF = coefficient.sqrt_values * b.stack
+            gF = coefficient.sqrt_values[b.box] * b.stack
         system = interior_system(coefficient, op)
         assert np.all(system._gi == 1.0)
         assert np.array_equal(system._diag, np.diag(reference_block(coefficient, op)))
-        box = tuple(slice(a.min(), a.max() + 1) for a in np.nonzero(g.omega_mask() | b.support))
-        AF = system.apply(b.stack, box)  # a cold store: the convolution is computed
+        AF = system.apply(b.stack, b.box)  # a cold store: the convolution is computed
         (entry,) = op.convolutions.values()
-        fresh = apply_multiplier(op.form_spectrum, gF[(Ellipsis,) + box], g.shape)
+        fresh = apply_multiplier(op.form_spectrum, gF, g.shape)
         assert np.array_equal(entry, fresh)
         M = assemble_dn(coefficient, b, op).entries
         assert len(op.convolutions) == 1 and next(iter(op.convolutions.values())) is entry
-        assert np.array_equal(system.apply(b.stack, box), AF)
+        assert np.array_equal(system.apply(b.stack, b.box), AF)
         ref = outer_product_path(coefficient, b, FracOperator(g))
         assert np.max(np.abs(M - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -377,6 +450,19 @@ class TestAlessandriniAssembly:
         assert len(op.convolutions) == 2
         assert np.array_equal(cached, fresh)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_convolution_entry_is_compact(self, geom, geom2d, n):
+        # the stored entry owns exactly the box's floats, not a view into
+        # a transform's larger output
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, "annulus", 8, kind="bumps")
+        assemble_dn(bump_conductivity(g, 0.5, 0.8), b, op)
+        (entry,) = op.convolutions.values()
+        owner = entry if entry.base is None else entry.base
+        assert entry.shape == b.stack.shape
+        assert entry.nbytes == owner.nbytes == b.stack.nbytes
+
     def test_unit_on_support_shares_one_convolution(self, geom):
         op = FracOperator(geom)
         b = build_exterior_basis(geom, "annulus", 8, kind="bumps")
@@ -386,24 +472,23 @@ class TestAlessandriniAssembly:
         assert len(op.convolutions) == 1
 
     def test_reduction_suite_convolves_each_basis_once(self, geom_small, monkeypatch):
-        # a per-matrix FFT coming back would show as one stacked call per
-        # assembly (14 here) instead of one per basis
+        # a per-matrix convolution coming back would show as one stacked
+        # call per assembly (14 here) instead of one per basis
         stacked = []
-        plain = solver.apply_multiplier
+        plain = solver.InteriorSystem._convolution
 
-        def counting(symbol, values, grid=None):
-            if values.ndim > geom_small.n:
-                stacked.append(values.shape)
-            return plain(symbol, values, grid)
+        def counting(self, gu):
+            stacked.append(gu.shape)
+            return plain(self, gu)
 
-        monkeypatch.setattr(solver, "apply_multiplier", counting)
+        monkeypatch.setattr(solver.InteriorSystem, "_convolution", counting)
         out = suite_reduction(geom_small, FracOperator(geom_small), basis_size=8)
         assert len(out["checks"]) == 6
         # the one stack is on the bounding box of Omega and the basis' support
         b = build_exterior_basis(geom_small, "annulus", 8, kind="bumps")
-        covered = geom_small.omega_mask() | np.any([f.values != 0 for f in b.functions], axis=0)
+        covered = geom_small.omega_mask() | np.any(grid_stack(b), axis=0)
         (support,) = np.nonzero(covered)
-        assert stacked == [(8, support.max() - support.min() + 1)]
+        assert stacked == [(8, support.max() - support.min() + 1)] == [b.stack.shape]
         assert stacked[0][1] < geom_small.grid_points
 
 

@@ -198,7 +198,7 @@ class TestExteriorSuite:
         from fraccond.geometry import GridField, mollifier_profile
         from fraccond.operators import hs_gram, hs_norm
         from fraccond.dnmap import ExteriorBasis
-        from fraccond.solver import ExteriorDatum
+        from fraccond.geometry import bounding_box
 
         x = geom.axis()
         widths = (0.32, 0.226, 0.16)
@@ -206,15 +206,17 @@ class TestExteriorSuite:
         normed = []
         for w in widths:
             v = np.where(mask, mollifier_profile((x - 2.5) / w), 0.0)
-            f = GridField(geom, v)
-            normed.append(GridField(geom, v / hs_norm(f, geom.s)))
+            normed.append(v / hs_norm(GridField(geom, v), geom.s))
+        box = bounding_box(geom.omega_mask() | np.any(normed, axis=0))
+        stack = np.stack(normed)[(Ellipsis,) + box].copy()
         basis = ExteriorBasis(
             geometry=geom,
-            functions=tuple(ExteriorDatum(geom, f.values) for f in normed),
+            stack=stack,
+            box=box,
             regions=("annulus",) * len(widths),
             orders=tuple((i, 0) for i in range(len(widths))),
             kind="bumps",
-            gram=hs_gram(normed, geom.s),
+            gram=hs_gram(stack, geom, geom.s),
         )
         one = Conductivity(geom, np.ones(geom.shape), gamma0=0.5)
         gam = bump_conductivity(geom, height=0.8, width=0.8)  # interior only

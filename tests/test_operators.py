@@ -357,17 +357,22 @@ class TestGradientEnergy:
             assert bilinear_form(u, u, gam, op_quad) >= 0.0
 
 
+def fields(fs):
+    """The (k, *grid) stack of a list of grid fields."""
+    return np.stack([f.values for f in fs])
+
+
 class TestHsGram:
     def test_single_normalized_function(self, geom):
         f = smooth_random_field(geom, seed=11)
         f = GridField(geom, f.values / hs_norm(f, geom.s))
-        G = hs_gram([f], geom.s)
+        G = hs_gram(fields([f]), geom, geom.s)
         assert G.shape == (1, 1)
         assert G[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_s_zero_reduces_to_l2(self, geom):
         fs = [smooth_random_field(geom, seed=s) for s in range(3)]
-        G0 = hs_gram(fs, 0.0)
+        G0 = hs_gram(fields(fs), geom, 0.0)
         for i in range(3):
             for j in range(3):
                 l2 = float(np.sum(fs[i].values * fs[j].values) * geom.cell_volume)
@@ -378,29 +383,29 @@ class TestHsGram:
         L = geom.box_halfwidth
         lo = GridField(geom, np.cos(np.pi * 2 * x / L))
         hi = GridField(geom, np.cos(np.pi * 37 * x / L))
-        G = hs_gram([lo, hi], geom.s)
+        G = hs_gram(fields([lo, hi]), geom, geom.s)
         assert abs(G[0, 1]) <= 1e-10 * np.sqrt(G[0, 0] * G[1, 1])
 
     def test_monotone_in_s(self, geom):
         fs = [smooth_random_field(geom, seed=s) for s in range(4)]
-        G1 = hs_gram(fs, 0.2)
-        G2 = hs_gram(fs, 0.4)
+        G1 = hs_gram(fields(fs), geom, 0.2)
+        G2 = hs_gram(fields(fs), geom, 0.4)
         assert np.all(np.diag(G2) >= np.diag(G1) - 1e-14)
 
     def test_positive_definite_for_independent_basis(self, geom):
         fs = [smooth_random_field(geom, seed=s) for s in range(4)]
-        vals = np.linalg.eigvalsh(hs_gram(fs, geom.s))
+        vals = np.linalg.eigvalsh(hs_gram(fields(fs), geom, geom.s))
         assert vals[0] > 0
 
     def test_empty_basis_rejected(self, geom):
         with pytest.raises(ValueError):
-            hs_gram([], geom.s)
+            hs_gram(np.zeros((0,) + geom.shape), geom, geom.s)
 
     @pytest.mark.parametrize("n,N", [(1, 1024), (2, 64)])
     def test_stacked_gram_matches_pairwise_inner_products(self, n, N):
         g = default_geometry(n=n, grid_points=N)
         fs = [smooth_random_field(g, seed=s, kmax=5) for s in range(5)]
-        G = hs_gram(fs, g.s)
+        G = hs_gram(fields(fs), g, g.s)
         ref = np.array([[hs_inner(a, b, g.s) for b in fs] for a in fs])
         assert np.array_equal(G, G.T)
         assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))

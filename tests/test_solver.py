@@ -17,7 +17,7 @@ from fraccond.geometry import GeometryConfig, default_geometry, mollifier_profil
 from fraccond.operators import FracOperator, bilinear_form
 from fraccond.solver import ExteriorDatum, InteriorSystem, SolverError, interior_system
 
-from conftest import factored_path, fancy_index_stencil, reference_block
+from conftest import factored_path, fancy_index_stencil, grid_stack, reference_block
 
 
 def annulus_bump_datum(geom, center=2.5, width=0.4, height=1.0):
@@ -293,15 +293,15 @@ class TestBoxApply:
             "schrodinger": lambda: Potential(g, 0.5 * wide),
         }[equation]()
         basis = build_exterior_basis(g, "annulus", 4, kind="harmonic")
-        F = np.stack([f.values for f in basis.functions])
+        F = grid_stack(basis)
         support = np.any(F != 0, axis=0)
         if equation == "conductivity":
             assert np.all(coefficient.sqrt_values[support] != 1.0)
-        box = tuple(slice(a.min(), a.max() + 1) for a in np.nonzero(g.omega_mask() | support))
+        box = basis.box
         assert all(b.start > 0 for b in box)  # the box is not the grid's low corner
         system = interior_system(coefficient, op)
         full = system.apply(F)[(Ellipsis,) + box]
-        boxed = system.apply(F, box)
+        boxed = system.apply(basis.stack, box)
         assert boxed.shape == full.shape
         # A u = s (e u - w * (g u)) is a difference of two terms of the size
         # of s e u, which sets the roundoff of either transform's result
@@ -466,7 +466,8 @@ class TestSharedFactor:
         second = {"repeated": f, "zero": np.zeros_like(f), "near": f + 1e-13 * g}[block]
         F = np.stack([f, g, second])
         direct, _ = factored_path(gam, FracOperator(geom), F)
-        X, _, residuals = interior_system(gam, FracOperator(geom)).solve_many(F)
+        whole = (slice(None),) * geom.n
+        X, _, residuals = interior_system(gam, FracOperator(geom)).solve_many(F, whole)
         assert np.max(np.abs(X - direct)) <= 1e-12 * np.max(np.abs(direct))
         assert np.all(residuals <= 1e-10)
         if block == "zero":
@@ -480,7 +481,7 @@ class TestSharedFactor:
         op = FracOperator(g)
         basis = build_exterior_basis(g, "annulus", 16, kind="harmonic")
         system = interior_system(bump_conductivity(g, 0.5, 0.8), op)
-        F = np.stack([f.values for f in basis.functions])
+        F = grid_stack(basis)
         B = -system.apply(F).reshape(len(F), -1)[:, system.idx].T / system._gi[:, None]
         before = op.counts.pcg_iterations
         Y, converged = system._pcg(B)
@@ -498,7 +499,7 @@ class TestSharedFactor:
         op = FracOperator(g)
         basis = build_exterior_basis(g, "annulus", 16, kind="harmonic")
         system = interior_system(bump_conductivity(g, 0.5, 0.8), op)
-        F = np.stack([f.values for f in basis.functions])
+        F = grid_stack(basis)
         B = -system.apply(F).reshape(len(F), -1)[:, system.idx].T / system._gi[:, None]
         conv = op.interior_convolution
         assert op.box_inverse_symbol.shape[0] < conv.shape[0]
