@@ -14,9 +14,9 @@ are run keys, accepted for every suite; the seed is recorded in every
 report and passed only to the suites that declare it.
 
 A run writes report.json (the deterministic payload, hashed) and
-provenance.json (version, seed, wall time and the solver's counts: PCG
-solves and block steps, worst Galerkin residual) plus
-the plot sidecars.  Exit codes: 0 ok, 2 config error, 3 solver failure, 4
+provenance.json (version, seed, wall time and the solver's counts:
+systems built, PCG solves and block steps, convolution hits, worst
+Galerkin residual) plus the plot sidecars.  Exit codes: 0 ok, 2 config error, 3 solver failure, 4
 suite invariant failure.
 """
 

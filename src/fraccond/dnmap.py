@@ -81,15 +81,14 @@ class DnMatrix:
         object.__setattr__(self, "entries", M)
 
     def __sub__(self, other):
+        """The difference on self's basis: a difference of two exactly
+        symmetric matrices is exactly symmetric, so storing it is bitwise
+        the subtraction."""
         if other.basis is not self.basis and not np.array_equal(
             other.basis.gram, self.basis.gram
         ):
             raise ValueError("DN matrices built on different bases")
-        return DnBlock(
-            entries=self.entries - other.entries,
-            gram_rows=self.basis.gram,
-            gram_cols=self.basis.gram,
-        )
+        return DnMatrix(entries=self.entries - other.entries, basis=self.basis)
 
 
 @dataclass(frozen=True)
@@ -286,10 +285,11 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     Galerkin residual is checked against the interior block; a failure
     raises SolverError naming the column.  By Alessandrini's identity
     M = F (AF)^T - X^T B over the box, so no flux apply is made, and the
-    apply's convolution is shared through the operator's store by every
-    coefficient with g F = F on the box.  M is passed to DnMatrix
-    unsymmetrized, so its symmetry check sees the raw solver asymmetry.
-    Any other coefficient raises TypeError.
+    apply's convolution, kept in the operator's one slot, is shared by
+    consecutive assemblies of coefficients with g F = F on the box.  The
+    system is built for this call and dropped after it.  M is passed to
+    DnMatrix unsymmetrized, so its symmetry check sees the raw solver
+    asymmetry.  Any other coefficient raises TypeError.
     """
     system = interior_system(coefficient, op)
     if basis.geometry != system.geometry:
@@ -307,8 +307,9 @@ def whiten_gram(gram):
 
 
 def dn_operator_norm(delta, whitening=None) -> float:
-    """Dual-pairing operator norm of a DnMatrix, or of a DnBlock (a
-    difference of DN matrices, possibly restricted), over the basis span.
+    """Dual-pairing operator norm of a DnMatrix (a DN matrix or a
+    difference of them) or of a DnBlock (one restricted by `restrict_dn`),
+    over the basis span.
 
     whitening, if given, is the pair (G_rows^(-1/2), G_cols^(-1/2)) of
     delta's Gram blocks by `whiten_gram`, so that a caller norming many
@@ -326,18 +327,13 @@ def dn_operator_norm(delta, whitening=None) -> float:
     return float(np.linalg.svd(core, compute_uv=False)[0])
 
 
-def restrict_dn(block, rows_region: str, cols_region: str, basis: ExteriorBasis | None = None):
-    """Partial-data restriction: keep test functions in rows_region and
-    trial functions in cols_region, with the matching Gram blocks."""
-    if isinstance(block, DnMatrix):
-        basis = block.basis
-        entries = block.entries
-    elif isinstance(block, DnBlock):
-        if basis is None:
-            raise ValueError("restricting a DnBlock requires the originating basis")
-        entries = block.entries
-    else:
-        raise TypeError("restrict_dn expects a DnMatrix or DnBlock")
+def restrict_dn(dn: DnMatrix, rows_region: str, cols_region: str):
+    """Partial-data restriction of a DN matrix, or of a difference of them:
+    keep test functions in rows_region and trial functions in cols_region,
+    with the matching Gram blocks of its basis."""
+    if not isinstance(dn, DnMatrix):
+        raise TypeError("restrict_dn expects a DnMatrix")
+    basis = dn.basis
     rows = [i for i, r in enumerate(basis.regions) if r == rows_region]
     cols = [j for j, r in enumerate(basis.regions) if r == cols_region]
     if not rows or not cols:
@@ -345,7 +341,7 @@ def restrict_dn(block, rows_region: str, cols_region: str, basis: ExteriorBasis 
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     return DnBlock(
-        entries=entries[np.ix_(rows, cols)],
+        entries=dn.entries[np.ix_(rows, cols)],
         gram_rows=basis.gram[np.ix_(rows, rows)],
         gram_cols=basis.gram[np.ix_(cols, cols)],
     )

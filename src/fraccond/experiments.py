@@ -61,7 +61,7 @@ from .operators import (
     pair_matvec,
     parseval_pairing,
 )
-from .solver import coefficient_key
+from .solver import _digest
 
 __all__ = [
     "liouville_identity_residual",
@@ -195,10 +195,21 @@ def exterior_recovery(M: DnMatrix, M0: DnMatrix, basis, probes) -> list:
     return results
 
 
+def coefficient_key(coefficient):
+    """(kind, digest of values): what a coefficient's interior system on a
+    given operator, and so its DN matrix on a given basis, depend on.
+    Anything but a Conductivity or a Potential is refused with TypeError
+    before it is hashed."""
+    if not isinstance(coefficient, (Conductivity, Potential)):
+        raise TypeError("coefficient must be a Conductivity or a Potential")
+    tag = "c" if isinstance(coefficient, Conductivity) else "q"
+    return tag, _digest(coefficient.values)
+
+
 def _assembler(basis, op: FracOperator):
     """assemble_dn on one basis and operator, made once per coefficient: a
     coefficient of the same grid, kind and values as one already given
-    (`solver.coefficient_key`) gets that one's DnMatrix."""
+    (`coefficient_key`) gets that one's DnMatrix."""
     assembled = {}
 
     def dn(coefficient):
@@ -429,7 +440,7 @@ def instability_search(params: MandacheParams, basis, op: FracOperator, count=32
         for j in range(i + 1, count):
             if gaps[i, j] < params.eps:
                 continue
-            block = restrict_dn(mats[i] - mats[j], region, region, basis=basis)
+            block = restrict_dn(mats[i] - mats[j], region, region)
             if whitening is None:
                 white = whiten_gram(block.gram_rows)
                 whitening = (white, white)

@@ -26,7 +26,6 @@ w and g = gamma^(1/2) it reduces to two circular convolutions:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,16 +201,20 @@ class WindowConvolution:
 class SolverCounts:
     """What the solver did on one operator, for the run's provenance.
 
-    pcg_solves counts the block PCG runs (one per batched solve and one per
-    positive-definiteness certificate), and pcg_iterations and
+    systems counts the interior systems built, each with one
+    positive-definiteness certificate; pcg_solves counts the block PCG runs
+    (one per batched solve and one per certificate), and pcg_iterations and
     pcg_max_iterations their total and largest numbers of block steps, each
-    step advancing every column of the run at once; worst_residual is the
-    largest relative Galerkin residual of any solved column.
+    step advancing every column of the run at once; convolution_hits counts
+    the applies that reused the operator's kept convolution; worst_residual
+    is the largest relative Galerkin residual of any solved column.
     """
 
+    systems: int = 0
     pcg_solves: int = 0
     pcg_iterations: int = 0
     pcg_max_iterations: int = 0
+    convolution_hits: int = 0
     worst_residual: float = 0.0
 
 
@@ -228,19 +231,17 @@ class FracOperator:
     their real-FFT half spectra, the multiplier |k|^(2s) on the half
     spectrum (`multiplier_spectrum`), the quadrature symbol, and the windowed
     interior convolution and box preconditioner that every interior system
-    is solved with (no m x m array), and two least-recently-used stores
-    that the solver fills and bounds: the interior systems
-    (`systems`, filled by `solver.interior_system`) and the weight
-    convolutions of the stacked exterior data on their bounding box
-    (`convolutions`, filled by `solver.InteriorSystem.apply`).  The solver
-    also records what it did in `counts`.  Nothing is cached outside an operator, so two
-    operators share no state.
+    is solved with (no m x m array).  It keeps no interior systems.  Its
+    one slot `convolution` holds the last weight convolution of stacked
+    exterior data on their solve box, as (key, compact array), filled by
+    `solver.InteriorSystem.apply`.  The solver also records what it did in
+    `counts`.  Nothing is cached outside an operator, so two operators
+    share no state.
     """
 
     def __init__(self, geometry):
         self.geometry = geometry
-        self.systems = OrderedDict()  # least recently used first
-        self.convolutions = OrderedDict()  # least recently used first
+        self.convolution = None  # (key, array) of the last exterior apply
         self.counts = SolverCounts()
 
     @property

@@ -30,10 +30,12 @@ The one FFT pair of an apply is the convolution of the weights with g F
 convolution is translation invariant), so the real passes run over the
 box's rows only (251 of 512 rows at 2D N = 512).  It is taken field by
 field into one compact (k, *box) array, so no stacked spectrum of the
-grid is formed.  The operator keeps the last two in
-`FracOperator.convolutions`, keyed by a digest of g F on the box.  Where
-g = 1 on the support of F, g F is bitwise F, so every potential and every
-conductivity equal to 1 there share one convolution per basis.
+grid is formed.  The operator keeps the last one in
+`FracOperator.convolution`, keyed by a digest of g F on the box, and the
+next apply reuses it when its digest matches.  Where g = 1 on the support
+of F, g F is bitwise F, so every potential and every conductivity equal
+to 1 there share one convolution per basis, and a suite's assemblies on
+one basis follow one another.
 
 A' is never factored and nothing m x m is formed (m the number of
 unknowns).  Every system, the unit coefficient's too, is solved by block
@@ -60,16 +62,12 @@ only vectors: at 2D N = 512 a dense block would be 262 MB.
 Every column's Galerkin residual is checked against A_gamma itself,
 D_g A' D_g applied through the windowed convolution with the diagonal the
 system states, and the operator's `counts` record the PCG solves and block
-steps and the worst residual.
+steps, the systems built, the convolution hits and the worst residual.
 
-The operator keeps the systems: `interior_system` keeps them in
-`FracOperator.systems`, keyed by the coefficient's kind and values, and
-holds at most four, evicting the least recently used.  Four is what the
-suites look up again: a reduction check looks up g, 1 and their two
-Liouville potentials, and the exterior suite looks up 1 for its probe
-basis after its three scan conductivities.  A system holds only vectors
-of Omega's size, so the bound keeps the store from growing with the
-number of coefficients a run visits.
+Nothing keeps a system: `interior_system` builds one for each call, and a
+caller that needs a coefficient's DN matrix twice keeps the matrix (as
+`experiments._assembler` does).  So at most one system, with its
+full-grid factors, is alive during an assembly.
 """
 
 from __future__ import annotations
@@ -90,7 +88,6 @@ __all__ = [
     "ExteriorDatum",
     "Solution",
     "InteriorSystem",
-    "coefficient_key",
     "interior_system",
 ]
 
@@ -127,30 +124,8 @@ class Solution:
     energy: float
 
 
-def _digest(*arrays):
-    hsh = hashlib.sha256()
-    for a in arrays:
-        hsh.update(np.ascontiguousarray(a))
-    return hsh.hexdigest()[:24]
-
-
-def _kept(store, key, limit, build):
-    """store[key], built on a miss, in a least-recently-used store of at most
-    limit entries; the oldest entry is freed before the new one is built."""
-    if key in store:
-        store.move_to_end(key)
-    else:
-        if len(store) >= limit:
-            store.popitem(last=False)
-        store[key] = build()
-    return store[key]
-
-
-# convolutions an operator keeps: a basis convolved with 1 (shared by every
-# potential) and with the last conductivity that differs there; each is a
-# compact array of k floats per point of the basis' box, 8 MB for 16 fields
-# at 2D N=512
-_CONVOLUTIONS_KEPT = 2
+def _digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array)).hexdigest()[:24]
 
 
 # PCG stops when every column's residual is below this fraction of its
@@ -167,18 +142,23 @@ class InteriorSystem:
     coefficient is a Conductivity (conductivity equation) or a Potential
     (Schrodinger equation) on the operator's grid.  Matrix-vector products
     with the full-grid operator are `apply_multiplier` convolutions with the
-    operator's cached weight spectrum, kept in its convolution store.  The
-    interior block is A_gamma = D_g A' D_g (g = 1 for a potential); `_gi`
-    is g on Omega and `_diag` the diagonal of A'.  A' is solved by block
-    PCG: the system holds the PCG product's diagonal shift `_shift`, the
-    operator's windowed convolution `_convolve` and its box preconditioner
-    `_preconditioner`, and nothing m x m.  Building it runs the M-matrix
-    certificate of A', which refuses a system that is not positive definite.
+    operator's cached weight spectrum, the last one kept in its
+    `convolution` slot.  The interior block is A_gamma = D_g A' D_g (g = 1
+    for a potential); `_gi` is g on Omega and `_diag` the diagonal of A'.
+    A' is solved by block PCG: the system holds the PCG product's diagonal
+    shift `_shift`, the operator's windowed convolution `_convolve` and its
+    box preconditioner `_preconditioner`, and nothing m x m.  Building it
+    runs the M-matrix certificate of A', which refuses a system that is not
+    positive definite.  The system holds its operator (`op`), whose counts
+    it adds to; the operator holds no system.
     """
 
     def __init__(self, coefficient, op: FracOperator):
+        if not isinstance(coefficient, (Conductivity, Potential)):
+            raise TypeError("coefficient must be a Conductivity or a Potential")
         if coefficient.geometry != op.geometry:
             raise ValueError("coefficient and operator live on different grids")
+        self.op = op
         self.geometry = geom = op.geometry
         self.mask = geom.omega_mask()
         self.idx = np.flatnonzero(self.mask.reshape(-1))
@@ -188,21 +168,15 @@ class InteriorSystem:
             self.kind = "conductivity"
             self.g = coefficient.sqrt_values
             self.q = None
-        elif isinstance(coefficient, Potential):
+        else:
             self.kind = "schrodinger"
             self.g = None
             self.q = coefficient.values
-        else:
-            raise TypeError("coefficient must be a Conductivity or a Potential")
 
-        # the operator's arrays, shared, not copied; holding the operator
-        # itself would make it and its stored systems a reference cycle
-        self._spectrum = op.form_spectrum
-        self._convolutions = op.convolutions
-        self._counts = op.counts
+        op.counts.systems += 1
         self._scale = op.cns * geom.cell_volume
         G = np.ones(geom.shape) if self.g is None else self.g
-        wg = apply_multiplier(self._spectrum, G)  # w * g, the diagonal's convolution
+        wg = apply_multiplier(op.form_spectrum, G)  # w * g, the diagonal's convolution
         diag = self._scale * (G * wg).reshape(-1)[self.idx]
         # the factors of apply: A u = s (e u - w * (g u))
         if self.q is None:
@@ -292,7 +266,7 @@ class InteriorSystem:
             alpha = dpotrs(curvature, P.T @ R)[0]
             Y += P @ alpha
             R -= Q @ alpha
-        counts = self._counts
+        counts = self.op.counts
         counts.pcg_solves += 1
         counts.pcg_iterations += it
         counts.pcg_max_iterations = max(counts.pcg_max_iterations, it)
@@ -322,18 +296,21 @@ class InteriorSystem:
         exact when u vanishes off it.  The one FFT pair, the convolution
         w * (g u) over the periodic grid, takes the box as the grid's low
         corner (`apply_multiplier` with the grid given), field by field
-        into one compact array, and is kept in the operator's convolution
-        store under a digest of g u and its shape: the convolution does not
-        depend on where the box lies.
+        into one compact array.  The operator's `convolution` slot keeps the
+        last one under a digest of g u and its shape (the convolution does
+        not depend on where the box lies); an apply whose key matches reuses
+        it, and any other frees it before its own is built.
         """
         box = (Ellipsis,) if box is None else (Ellipsis,) + tuple(box)
         gu = values if self.g is None else self.g[box] * values
-        conv = _kept(
-            self._convolutions,
-            (gu.shape, _digest(gu)),
-            _CONVOLUTIONS_KEPT,
-            lambda: self._convolution(gu),
-        )
+        op = self.op
+        key = (gu.shape, _digest(gu))
+        if op.convolution is not None and op.convolution[0] == key:
+            op.counts.convolution_hits += 1
+        else:
+            op.convolution = None  # the old array is freed before the new one is built
+            op.convolution = (key, self._convolution(gu))
+        conv = op.convolution[1]
         out = values * self._e[box]
         out -= conv
         out *= self._s if self.g is None else self._s[box]
@@ -346,7 +323,7 @@ class InteriorSystem:
         fields = gu.reshape((-1,) + gu.shape[-len(grid) :])
         conv = np.empty(fields.shape)
         for field, out in zip(fields, conv):
-            out[...] = apply_multiplier(self._spectrum, field, grid)
+            out[...] = apply_multiplier(self.op.form_spectrum, field, grid)
         return conv.reshape(gu.shape)
 
     def solve_many(self, data, box, tol: float = 1e-10):
@@ -379,7 +356,8 @@ class InteriorSystem:
         R = self._block_product(X) - B
         scale = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
         residuals = np.linalg.norm(R, axis=0) / scale
-        self._counts.worst_residual = max(self._counts.worst_residual, float(residuals.max()))
+        counts = self.op.counts
+        counts.worst_residual = max(counts.worst_residual, float(residuals.max()))
         bad = np.flatnonzero(~(residuals <= tol))
         if bad.size:
             i = int(bad[0])
@@ -406,30 +384,7 @@ class InteriorSystem:
         )
 
 
-# interior systems an operator keeps (see the module docstring)
-_SYSTEMS_KEPT = 4
-
-
-def coefficient_key(coefficient):
-    """(kind, digest of values): what a coefficient's interior system on a
-    given operator, and so its DN matrix on a given basis, depend on.
-    Anything but a Conductivity or a Potential is refused with TypeError
-    before it is hashed."""
-    if not isinstance(coefficient, (Conductivity, Potential)):
-        raise TypeError("coefficient must be a Conductivity or a Potential")
-    tag = "c" if isinstance(coefficient, Conductivity) else "q"
-    return tag, _digest(coefficient.values)
-
-
 def interior_system(coefficient, op: FracOperator) -> InteriorSystem:
-    """Interior system of a coefficient, kept in the operator's store under
-    its `coefficient_key`.
-
-    A coefficient on another grid than the operator is refused before the
-    lookup: the key holds only the coefficient's kind and a digest of its
-    values, which equal values on another grid would share.
-    """
-    key = coefficient_key(coefficient)
-    if coefficient.geometry != op.geometry:
-        raise ValueError("coefficient and operator live on different grids")
-    return _kept(op.systems, key, _SYSTEMS_KEPT, lambda: InteriorSystem(coefficient, op))
+    """Interior system of a coefficient on an operator, built anew: the
+    operator keeps no systems."""
+    return InteriorSystem(coefficient, op)

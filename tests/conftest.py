@@ -136,27 +136,34 @@ def full_grid_hs_gram(F, geometry, s):
     return 0.5 * (G + G.T)
 
 
-def square_arrays(op):
-    """Every m x m array (m the interior unknowns) an operator holds in its
-    attributes, its stores and its systems, searched through the objects of
-    fraccond and the containers it finds."""
-    m = int(np.count_nonzero(op.geometry.omega_mask()))
-    found, seen, todo = [], set(), [op]
+def reachable(root):
+    """Every object reachable from root through the attributes of fraccond's
+    objects and the containers it finds, root included."""
+    seen, todo = set(), [root]
     while todo:
         x = todo.pop()
         if id(x) in seen:
             continue
         seen.add(id(x))
-        if isinstance(x, np.ndarray):
-            if x.ndim >= 2 and x.shape[-2:] == (m, m):
-                found.append(x)
-        elif isinstance(x, dict):
+        yield x
+        if isinstance(x, dict):
             todo.extend(x.values())
         elif isinstance(x, (tuple, list)):
             todo.extend(x)
         elif type(x).__module__.startswith("fraccond") and hasattr(x, "__dict__"):
             todo.extend(vars(x).values())
-    return found
+
+
+def square_arrays(root):
+    """Every m x m array (m the interior unknowns of root's geometry) that
+    an operator or a system holds: its attributes, its convolution slot, a
+    system's operator and whatever they hold (`reachable`)."""
+    m = int(np.count_nonzero(root.geometry.omega_mask()))
+    return [
+        x
+        for x in reachable(root)
+        if isinstance(x, np.ndarray) and x.ndim >= 2 and x.shape[-2:] == (m, m)
+    ]
 
 
 def full_grid_moment_weights_2d(s, N, L, near=4, images=6, gl_order=24):

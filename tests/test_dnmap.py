@@ -26,12 +26,13 @@ from fraccond.dnmap import (
 from fraccond.experiments import suite_reduction
 from fraccond.geometry import GridField, bounding_box, default_geometry, mollifier_profile
 from fraccond.operators import FracOperator, apply_multiplier, hs_gram
-from fraccond.solver import SolverError, interior_system
+from fraccond.solver import InteriorSystem, SolverError, interior_system
 
 from conftest import (
     full_grid_hs_gram,
     grid_stack,
     outer_product_path,
+    reachable,
     reference_block,
     square_arrays,
     two_region_geometry,
@@ -221,6 +222,14 @@ class TestAssembly:
             dn_operator_norm(M1), rel=1e-10
         )
 
+    def test_difference_is_a_dn_matrix_on_the_basis(self, geom, op_quad, basis, ones_gamma):
+        Mg = assemble_dn(bump_conductivity(geom, height=0.5, width=0.8), basis, op_quad)
+        M1 = assemble_dn(ones_gamma, basis, op_quad)
+        delta = Mg - M1
+        assert isinstance(delta, DnMatrix) and delta.basis is basis
+        # exactly symmetric, so storing it leaves the subtraction bitwise
+        assert np.array_equal(delta.entries, Mg.entries - M1.entries)
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
     def test_batched_matches_column_reference(self, geom, geom2d, n, equation):
@@ -341,10 +350,10 @@ class TestCongruenceAssembly:
     @pytest.mark.parametrize("case", ["unit-on-omega", "potential"])
     def test_bitwise_where_g_is_one(self, geom, geom2d, n, case):
         # where g = 1 on Omega, D_g is the identity and A' is A_gamma bit for
-        # bit.  The assembly's apply hits the one convolution entry that an
-        # apply on the same box made, w * (g F) bit for bit, so AF is the
-        # same from a cold store and a warm one; M is the dpotrf oracle's
-        # within the PCG tolerance
+        # bit.  The assembly's apply hits the convolution that an apply on
+        # the same box left in the operator's slot, w * (g F) bit for bit, so
+        # AF is the same from a cold slot and a warm one; M is the dpotrf
+        # oracle's within the PCG tolerance
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
         b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
@@ -358,12 +367,12 @@ class TestCongruenceAssembly:
         system = interior_system(coefficient, op)
         assert np.all(system._gi == 1.0)
         assert np.array_equal(system._diag, np.diag(reference_block(coefficient, op)))
-        AF = system.apply(b.stack, b.box)  # a cold store: the convolution is computed
-        (entry,) = op.convolutions.values()
+        AF = system.apply(b.stack, b.box)  # a cold slot: the convolution is computed
+        _, entry = op.convolution
         fresh = apply_multiplier(op.form_spectrum, gF, g.shape)
         assert np.array_equal(entry, fresh)
         M = assemble_dn(coefficient, b, op).entries
-        assert len(op.convolutions) == 1 and next(iter(op.convolutions.values())) is entry
+        assert op.convolution[1] is entry and op.counts.convolution_hits == 1
         assert np.array_equal(system.apply(b.stack, b.box), AF)
         ref = outer_product_path(coefficient, b, FracOperator(g))
         assert np.max(np.abs(M - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -387,7 +396,8 @@ class TestSharedFactorAssembly:
         }[case]()
         M = assemble_dn(coefficient, b, op).entries
         assert op.counts.pcg_solves == 2
-        assert op.systems and not square_arrays(op)  # nothing m x m is kept
+        # nothing m x m is held by a system or by the operator it reaches
+        assert not square_arrays(interior_system(coefficient, op))
         ref = outer_product_path(coefficient, b, FracOperator(g))
         assert np.max(np.abs(M - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -405,6 +415,20 @@ class TestSharedFactorAssembly:
         assert np.array_equal(unit, pot)
         assert np.max(np.abs(unit - own)) <= 1e-10 * np.max(np.abs(own))
         assert op.counts.pcg_solves == 4
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_operator_keeps_no_system(self, geom, geom2d, n):
+        # assemble_dn builds its system for the call: once it returns, no
+        # InteriorSystem, and so none of its full-grid factors, can be
+        # reached from the operator
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        gam = bump_conductivity(g, 0.5, 0.8)
+        for coefficient in (gam, liouville_potential(gam, op)):
+            assemble_dn(coefficient, b, op)
+        assert op.counts.systems == 2
+        assert not [x for x in reachable(op) if isinstance(x, InteriorSystem)]
 
     @pytest.mark.parametrize("n, grid_points", [(1, 4096), (1, 16384), (2, 128), (2, 256)])
     def test_iterations_stay_bounded_under_refinement(self, n, grid_points):
@@ -445,9 +469,12 @@ class TestAlessandriniAssembly:
         ring = ring_conductivity(g)
         op = FracOperator(g)
         assemble_dn(Conductivity(g, np.ones(g.shape), gamma0=0.5), b, op)
+        kept = op.convolution[0]
         cached = assemble_dn(ring, b, op).entries
         fresh = assemble_dn(ring, b, FracOperator(g)).entries
-        assert len(op.convolutions) == 2
+        # the ring differs from 1 on the basis' support: its g F has another
+        # key, so the unit assembly's convolution is not reused
+        assert op.convolution[0] != kept and op.counts.convolution_hits == 0
         assert np.array_equal(cached, fresh)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -458,7 +485,7 @@ class TestAlessandriniAssembly:
         op = FracOperator(g)
         b = build_exterior_basis(g, "annulus", 8, kind="bumps")
         assemble_dn(bump_conductivity(g, 0.5, 0.8), b, op)
-        (entry,) = op.convolutions.values()
+        _, entry = op.convolution
         owner = entry if entry.base is None else entry.base
         assert entry.shape == b.stack.shape
         assert entry.nbytes == owner.nbytes == b.stack.nbytes
@@ -469,7 +496,7 @@ class TestAlessandriniAssembly:
         bump = bump_conductivity(geom, height=0.5, width=0.8)  # 1 outside Omega
         for c in (bump, liouville_potential(bump, op), Potential(geom, np.zeros(geom.shape))):
             assemble_dn(c, b, op)
-        assert len(op.convolutions) == 1
+        assert op.counts.convolution_hits == 2
 
     def test_reduction_suite_convolves_each_basis_once(self, geom_small, monkeypatch):
         # a per-matrix convolution coming back would show as one stacked
@@ -570,7 +597,7 @@ class TestRestriction:
         gam = bump_conductivity(geo, height=0.4, width=0.7)
         one = Conductivity(geo, np.ones(geo.shape), gamma0=0.5)
         delta = assemble_dn(gam, both, op) - assemble_dn(one, both, op)
-        off = restrict_dn(delta, "inner", "outer", basis=both)
+        off = restrict_dn(delta, "inner", "outer")
         assert off.entries.shape == (6, 6)
         full_norm = dn_operator_norm(delta)
         part_norm = dn_operator_norm(off)
@@ -587,6 +614,13 @@ class TestRestriction:
                 gram_cols=basis.gram[:9, :9],
             )
             assert dn_operator_norm(sub) <= dn_operator_norm(delta) + 1e-12
+
+    def test_dn_block_rejected(self, basis):
+        # a block carries no regions: restricting it with some basis' regions
+        # would pair them unchecked
+        block = DnBlock(entries=basis.gram, gram_rows=basis.gram, gram_cols=basis.gram)
+        with pytest.raises(TypeError, match="DnMatrix"):
+            restrict_dn(block, "annulus", "annulus")
 
     def test_missing_region_rejected(self, geom, op_quad, basis):
         gam = bump_conductivity(geom, height=0.4, width=0.7)

@@ -10,6 +10,7 @@ import fraccond.experiments as experiments
 from fraccond.conductivity import (
     Conductivity,
     MandacheParams,
+    Potential,
     bump_conductivity,
 )
 from fraccond.dnmap import assemble_dn, build_exterior_basis, dn_operator_norm
@@ -18,6 +19,7 @@ from fraccond.experiments import (
     _multiplier_pairing,
     _multiplier_potential,
     _rank_correlation,
+    coefficient_key,
     exterior_stability_scan,
     instability_search,
     liouville_identity_residual,
@@ -127,6 +129,21 @@ class TestMtildeResidual:
             one = Conductivity(g, np.ones(g.shape), gamma0=0.5)
             resids[N] = mtilde_equation_residual(gam, one, op)
         assert resids[1024] / resids[512] <= 0.7
+
+
+class TestCoefficientKey:
+    def test_kind_is_part_of_the_key(self, geom_small):
+        ones = np.ones(geom_small.shape)
+        gam = Conductivity(geom_small, ones, gamma0=0.5)
+        q = Potential(geom_small, ones)
+        (tag_gam, digest_gam), (tag_q, digest_q) = coefficient_key(gam), coefficient_key(q)
+        assert digest_gam == digest_q  # equal values
+        assert (tag_gam, tag_q) == ("c", "q")
+        assert coefficient_key(Conductivity(geom_small, ones, gamma0=0.9)) == (tag_gam, digest_gam)
+
+    def test_non_coefficient_rejected(self, geom_small):
+        with pytest.raises(TypeError, match="Conductivity or a Potential"):
+            coefficient_key(np.ones(geom_small.shape))
 
 
 class TestExteriorSuite:

@@ -364,12 +364,17 @@ class TestProvenance:
         assert rc in (EXIT_OK, EXIT_INVARIANT)
         counts = json.loads((tmp_path / "out" / "provenance.json").read_text())["solver"]
         assert set(counts) == {
+            "systems",
             "pcg_solves",
             "pcg_iterations",
             "pcg_max_iterations",
+            "convolution_hits",
             "worst_residual",
         }
-        assert counts["pcg_solves"] > 0
+        # 14 DN matrices on one basis, each a system; every g is 1 on the
+        # basis' support, so all 14 applies share one convolution
+        assert (counts["systems"], counts["convolution_hits"]) == (14, 13)
+        assert counts["pcg_solves"] == 28  # a certificate and a solve per system
         assert 0 < counts["worst_residual"] <= 1e-10
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "solver" not in report

@@ -179,104 +179,90 @@ class TestPackedSystem:
 
     def test_mismatched_box_rejected(self, geom, op_quad):
         gam = bump_conductivity(geom, height=0.5, width=0.8)
-        interior_system(gam, op_quad)  # a cached system for this coefficient
-        assert interior_system(gam, op_quad) is interior_system(gam, op_quad)
         other = GeometryConfig(
             n=1, s=geom.s, box_halfwidth=5.0, grid_points=geom.grid_points
         )
         with pytest.raises(ValueError, match="different grids"):
             interior_system(gam, FracOperator(other))
-        # equal values on another grid share the key; the grid check refuses them
         moved = Conductivity(other, gam.values, gamma0=gam.gamma0)
         with pytest.raises(ValueError, match="different grids"):
             interior_system(moved, op_quad)
+
+    def test_non_coefficient_rejected_before_its_grid_is_read(self, geom_small):
+        class Impostor:
+            @property
+            def geometry(self):
+                pytest.fail("read the grid of a non-coefficient")
+
+        op = FracOperator(geom_small)
+        for impostor in (Impostor(), np.ones(geom_small.shape)):
+            with pytest.raises(TypeError, match="Conductivity or a Potential"):
+                InteriorSystem(impostor, op)
+        assert op.counts.systems == 0
 
     @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
     def test_corrupted_diagonal_fails_the_residual_check(self, geom, datum, equation):
         op = FracOperator(geom)
         gam = bump_conductivity(geom, height=0.5, width=0.8)
         coefficient = gam if equation == "conductivity" else liouville_potential(gam, op)
-        system = InteriorSystem(coefficient, op)  # kept out of the operator's store
+        system = InteriorSystem(coefficient, op)
         assert system.solve(datum).residual <= 1e-10
         system._diag = system._diag * (1.0 + 1e-6)
         with pytest.raises(SolverError, match="residual"):
             system.solve(datum)
 
-
-class TestSystemStore:
-    """Each operator keeps its four most recently used systems."""
-
-    @pytest.fixture
-    def op(self, geom_small):
-        return FracOperator(geom_small)
-
-    @staticmethod
-    def bumps(geom, count):
-        return [bump_conductivity(geom, height=0.1 * (k + 1), width=0.8) for k in range(count)]
-
-    def test_reduction_order_reuses_repeats(self, op, geom_small):
-        g1, g2 = self.bumps(geom_small, 2)
-        one = Conductivity(geom_small, np.ones(geom_small.shape), gamma0=0.5)
-        q1, q2, q_one = (liouville_potential(g, op) for g in (g1, g2, one))
-        first = [interior_system(c, op) for c in (g1, one, q1, q_one)]
-        second = [interior_system(c, op) for c in (g2, one, q2, q_one)]
-        assert second[1] is first[1]
-        assert second[3] is first[3]
-        assert len({id(s) for s in first + second}) == 6
-        assert len(op.systems) == 4
-
-    def test_least_recently_used_is_evicted(self, op, geom_small):
-        a, b, c, d, e = self.bumps(geom_small, 5)
-        systems = {id(g): interior_system(g, op) for g in (a, b, c, d)}
-        assert interior_system(a, op) is systems[id(a)]  # a is now the most recent
-        interior_system(e, op)  # evicts b, the least recently used
-        assert len(op.systems) == 4
-        assert interior_system(a, op) is systems[id(a)]
-        rebuilt = interior_system(b, op)
-        assert rebuilt is not systems[id(b)]
-        assert len(op.systems) == 4
-
-    def test_kind_is_part_of_the_key(self, op, geom_small):
-        ones = np.ones(geom_small.shape)
-        gam = Conductivity(geom_small, ones, gamma0=0.5)
-        q = Potential(geom_small, ones)
-        s_gam, s_q = interior_system(gam, op), interior_system(q, op)
-        assert s_gam is not s_q
-        assert (s_gam.kind, s_q.kind) == ("conductivity", "schrodinger")
-
-    def test_operators_share_no_systems(self, op, geom_small):
-        (gam,) = self.bumps(geom_small, 1)
-        other = FracOperator(geom_small)
-        assert interior_system(gam, op) is not interior_system(gam, other)
-        assert len(op.systems) == len(other.systems) == 1
+    def test_every_call_builds_a_system(self, geom_small):
+        op = FracOperator(geom_small)
+        gam = bump_conductivity(geom_small, height=0.5, width=0.8)
+        assert interior_system(gam, op) is not interior_system(gam, op)
+        assert op.counts.systems == 2
+        assert op.counts.pcg_solves == 2  # a certificate each
 
 
 class TestConvolutionStore:
-    """Each operator keeps the full-grid convolutions of its two most recently
-    applied stacks."""
+    """Each operator keeps the convolution of its last applied stack in a
+    single slot."""
 
-    def test_least_recently_used_is_evicted(self, geom_small):
+    @staticmethod
+    def data(geom, *centers):
+        return [annulus_bump_datum(geom, center=x).values[None] for x in centers]
+
+    def test_only_the_last_apply_is_kept(self, geom_small):
         op = FracOperator(geom_small)
         system = interior_system(Potential(geom_small, np.zeros(geom_small.shape)), op)
-        a, b, c = (
-            annulus_bump_datum(geom_small, center=x).values[None] for x in (2.2, 2.5, 2.8)
-        )
+        a, b = self.data(geom_small, 2.2, 2.5)
+        Aa = system.apply(a)
+        key_a, conv_a = op.convolution
+        assert np.array_equal(system.apply(a), Aa)  # a hit
+        assert op.convolution[1] is conv_a and op.counts.convolution_hits == 1
+        system.apply(b)  # a miss replaces a
+        assert op.convolution[0] != key_a
+        assert np.array_equal(system.apply(a), Aa)  # a again, rebuilt
+        assert op.convolution[1] is not conv_a and op.counts.convolution_hits == 1
+
+    def test_slot_is_freed_before_a_miss_is_built(self, geom_small, monkeypatch):
+        op = FracOperator(geom_small)
+        system = interior_system(Potential(geom_small, np.zeros(geom_small.shape)), op)
+        a, b = self.data(geom_small, 2.2, 2.5)
         system.apply(a)
-        conv_a = next(reversed(op.convolutions.values()))
+        held = []
+        plain = solver.InteriorSystem._convolution
+
+        def watching(self, gu):
+            held.append(op.convolution)
+            return plain(self, gu)
+
+        monkeypatch.setattr(solver.InteriorSystem, "_convolution", watching)
         system.apply(b)
-        system.apply(a)  # a hit: a is now the most recent
-        assert next(reversed(op.convolutions.values())) is conv_a
-        system.apply(c)  # evicts b
-        assert len(op.convolutions) == 2
-        assert next(iter(op.convolutions.values())) is conv_a
+        assert held == [None]
 
     def test_conductivity_and_potential_share_a_unit_entry(self, geom_small):
         op = FracOperator(geom_small)
         one = Conductivity(geom_small, np.ones(geom_small.shape), gamma0=0.5)
         zero = Potential(geom_small, np.zeros(geom_small.shape))
-        F = annulus_bump_datum(geom_small).values[None]
+        (F,) = self.data(geom_small, 2.5)
         assert np.array_equal(interior_system(one, op).apply(F), interior_system(zero, op).apply(F))
-        assert len(op.convolutions) == 1
+        assert op.counts.convolution_hits == 1
 
 
 class TestBoxApply:
@@ -404,6 +390,7 @@ class TestSharedFactor:
         interior = sol.u.values[geom.omega_mask()]
         assert np.max(np.abs(interior - X[0])) <= 1e-12 * np.max(np.abs(sol.u.values))
         counts = op.counts
+        assert counts.systems == 1
         assert counts.pcg_solves == 2  # the certificate and the solve
         assert 0 < counts.pcg_max_iterations < counts.pcg_iterations
         assert 0 < counts.worst_residual == sol.residual <= 1e-10
