@@ -45,7 +45,6 @@ from .experiments import (
     liouville_identity_residual,
     log_stability_fit,
     mtilde_equation_residual,
-    reduction_check,
     run_suite,
 )
 

@@ -100,12 +100,14 @@ class Conductivity:
 
 
 def _edge_mask(geometry, margin):
+    """Grid points within margin cells of the box boundary along any axis."""
     N = geometry.grid_points
     idx = np.arange(N)
     near = (idx < margin) | (idx >= N - margin)
-    if geometry.n == 1:
-        return near
-    return near[:, None] | near[None, :]
+    mask = near
+    for _ in range(geometry.n - 1):
+        mask = mask[..., None] | near
+    return mask
 
 
 @dataclass(frozen=True)
@@ -238,14 +240,11 @@ def validate_admissibility(
 
 
 def bump_conductivity(geometry, height, center=0.0, width=0.8, gamma0=None):
-    """gamma = 1 + height * mollifier((x - center)/width)."""
-    if geometry.n == 1:
-        t = (geometry.axis() - center) / width
-    else:
-        X, Y = geometry.coords()
-        cx, cy = (center, 0.0) if np.isscalar(center) else center
-        t = np.hypot(X - cx, Y - cy) / width
-    vals = 1.0 + height * mollifier_profile(t)
+    """gamma = 1 + height * mollifier(|x - center| / width); center is a point
+    of R^n, and a scalar c stands for (c, 0, ...)."""
+    if np.isscalar(center):
+        center = (center,) + (0.0,) * (geometry.n - 1)
+    vals = 1.0 + height * mollifier_profile(geometry.distance(center) / width)
     if gamma0 is None:
         lo = float(vals.min())
         hi = float(vals.max())
@@ -372,9 +371,8 @@ def mandache_family(params: MandacheParams, count: int, geometry: GeometryConfig
             f"patterns exist at this spacing (packing bound ~ exp("
             f"(beta/eps)^(n/ell)) = {bound:.3e})"
         )
-    x = geometry.axis()
     half = 0.45 * params.lattice_spacing
-    bumps = [mollifier_profile((x - c) / half) for c in sites]
+    bumps = [mollifier_profile(geometry.distance((c,)) / half) for c in sites]
 
     rng = np.random.Generator(np.random.Philox(key=int(params.seed)))
     patterns = _level_patterns(n_sites, count, rng)
@@ -383,7 +381,7 @@ def mandache_family(params: MandacheParams, count: int, geometry: GeometryConfig
 
     members = []
     for p in patterns[:count]:
-        f = np.zeros_like(x)
+        f = np.zeros(geometry.shape)
         for level, psi in zip(p, bumps):
             f = f + level * params.eps * psi
         member = Conductivity(geometry, 1.0 + f, gamma0=0.5)

@@ -105,10 +105,6 @@ class DnBlock:
 # ---------------------------------------------------------------------------
 
 
-def _interval_components(region):
-    return sorted(region.data, key=lambda ab: ab[0])
-
-
 def _radial_window(t):
     """Smooth window on (0, 1), compactly supported, peak 1 at t = 1/2."""
     return mollifier_profile(2.0 * (t - 0.5))
@@ -187,35 +183,24 @@ def basis_from_fields(geometry, region_name, fields, orders, kind):
 
 
 def _bump_fields(geometry, region, box, size):
-    mask = geometry.region_mask(region.name)[box]
-    coords = geometry.coords(box)
-    fields = np.empty((size,) + mask.shape)
+    """Mollifier bumps in the region: evenly spaced along each of its two
+    intervals in 1D (the left one takes the odd bump), on a ring lattice of
+    equally spaced angles on the mid-radius circle in 2D."""
+    r_in, r_out = region.r_in, region.r_out
     if geometry.n == 1:
-        comps = _interval_components(region)
-        per = [size // len(comps)] * len(comps)
-        for i in range(size - sum(per)):
-            per[i] += 1
-        (x,) = coords
-        i = 0
-        for (a, b), count in zip(comps, per):
-            if count == 0:
-                continue
+        layout = []
+        for (a, b), count in zip(((-r_out, -r_in), (r_in, r_out)), (size - size // 2, size // 2)):
             width = (b - a) / (count + 1) * 0.9
-            centers = a + (b - a) * (np.arange(count) + 1) / (count + 1)
-            for c in centers:
-                fields[i] = np.where(mask, mollifier_profile((x - c) / width), 0.0)
-                i += 1
-        return fields
-    r_in, r_out = region.data
-    # ring lattice: equally spaced angles on the mid-radius circle
-    mid = 0.5 * (r_in + r_out)
-    width = min(0.45 * (r_out - r_in), 0.9 * np.pi * mid / size)
-    X, Y = coords
-    for i in range(size):
-        th = 2.0 * np.pi * i / size
-        cx, cy = mid * np.cos(th), mid * np.sin(th)
-        v = mollifier_profile(np.hypot(X - cx, Y - cy) / width)
-        fields[i] = np.where(mask, v, 0.0)
+            layout += [((c,), width) for c in a + (b - a) * (np.arange(count) + 1) / (count + 1)]
+    else:
+        mid = 0.5 * (r_in + r_out)
+        width = min(0.45 * (r_out - r_in), 0.9 * np.pi * mid / size)
+        angles = (2.0 * np.pi * i / size for i in range(size))
+        layout = [((mid * np.cos(th), mid * np.sin(th)), width) for th in angles]
+    mask = geometry.region_mask(region.name)[box]
+    fields = np.empty((size,) + mask.shape)
+    for i, (center, width) in enumerate(layout):
+        fields[i] = np.where(mask, mollifier_profile(geometry.distance(center, box) / width), 0.0)
     return fields
 
 
@@ -237,7 +222,7 @@ def _harmonic_orders(size, n):
 
 
 def _harmonic_fields(geometry, region, box, size):
-    lo, hi = region.bounds()
+    lo, hi = region.r_in, region.r_out
     r = geometry.radius[box]
     t = (r - lo) / (hi - lo)
     window = np.where((t > 0) & (t < 1), _radial_window(np.clip(t, 0.0, 1.0)), 0.0)

@@ -68,7 +68,6 @@ __all__ = [
     "mtilde_equation_residual",
     "exterior_recovery",
     "exterior_stability_scan",
-    "reduction_check",
     "log_stability_fit",
     "instability_search",
     "run_suite",
@@ -251,18 +250,6 @@ def exterior_stability_scan(pairs, basis, op: FracOperator):
 # ---------------------------------------------------------------------------
 # reduction and log-modulus
 # ---------------------------------------------------------------------------
-
-
-def reduction_check(g1, g2, theta0, basis, op: FracOperator) -> dict:
-    """Both DN differences of a pair in one basis, x for the conductivities'
-    and lhs for their Liouville potentials', and the constant fitted to the
-    shape x + x^(1/2) + x^((1-theta0)/2) (`_reduction_record`)."""
-    check_theta0(g1.geometry, theta0)
-    Mg1 = assemble_dn(g1, basis, op)
-    Mg2 = assemble_dn(g2, basis, op)
-    Mq1 = assemble_dn(liouville_potential(g1, op), basis, op)
-    Mq2 = assemble_dn(liouville_potential(g2, op), basis, op)
-    return _reduction_record(Mg1, Mg2, Mq1, Mq2, theta0)
 
 
 def _reduction_record(Mg1, Mg2, Mq1, Mq2, theta0) -> dict:
@@ -546,12 +533,7 @@ def suite_exterior(
     widths = (0.32, 0.226, 0.16, 0.113)
     box = geometry.region_box(region)
     mask = geometry.region_mask(region)[box]
-    if geometry.n == 1:
-        (x,) = geometry.coords(box)
-        offset = x - probe_point
-    else:
-        X, Y = geometry.coords(box)
-        offset = np.hypot(X - probe_point, Y)
+    offset = geometry.distance((probe_point,) + (0.0,) * (geometry.n - 1), box)
     fields = np.stack([np.where(mask, mollifier_profile(offset / w), 0.0) for w in widths])
     orders = tuple((i, 0) for i in range(len(widths)))
     probe_basis = basis_from_fields(geometry, region, fields, orders, "bumps")

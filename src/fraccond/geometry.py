@@ -3,7 +3,14 @@
 The computational domain is the periodic box [-L, L]^n (n = 1 or 2) with N
 uniformly spaced points per axis.  The inclusion Omega is a centered ball
 (an interval when n = 1); everything outside its closure is the exterior,
-where measurement regions live.  All fields are real samples on the grid.
+where measurement regions live.  Every region is an annulus
+r_in < |x| < r_out, which in one dimension is a pair of intervals.  All
+fields are real samples on the grid.
+
+This module is the one place that knows how the dimension enters a
+distance: `GeometryConfig.distance` gives |x - c| on the grid or on a box
+of it, and the radius, the frequency magnitude and the region masks are
+built from it, so callers never branch on n to measure one.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ __all__ = [
     "Region",
     "GeometryConfig",
     "GridField",
-    "annulus_region",
     "bounding_box",
     "default_geometry",
     "mollifier_profile",
@@ -61,43 +67,30 @@ def plateau_profile(t, edge=0.35):
 
 @dataclass(frozen=True)
 class Region:
-    """Named exterior measurement region.
+    """Named exterior measurement region, the annulus r_in < |x| < r_out.
 
-    kind "intervals": data is a tuple of (a, b) intervals (n = 1).
-    kind "annulus":   data is (r_in, r_out), the set r_in < |x| < r_out.
+    In one dimension it is the interval pair (-r_out, -r_in) u (r_in, r_out).
     """
 
     name: str
-    kind: str
-    data: tuple
+    r_in: float
+    r_out: float
 
     def __post_init__(self):
-        if self.kind not in ("intervals", "annulus"):
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.kind == "annulus":
-            r_in, r_out = self.data
-            if not (0 < r_in < r_out):
-                raise ValueError("annulus needs 0 < r_in < r_out")
+        if not (0 < self.r_in < self.r_out):
+            raise ValueError("annulus needs 0 < r_in < r_out")
 
-    def bounds(self):
-        """Min/max distance from origin touched by the region."""
-        if self.kind == "annulus":
-            return self.data
-        lo = min(min(abs(a), abs(b)) for a, b in self.data)
-        hi = max(max(abs(a), abs(b)) for a, b in self.data)
-        return lo, hi
+
+def _norm(components):
+    """Euclidean norm of one or two component arrays: |a|, or hypot(a, b)."""
+    if len(components) == 1:
+        return np.abs(components[0])
+    return np.hypot(*components)
 
 
 def bounding_box(mask):
     """Slices of the smallest box that holds every nonzero entry of mask."""
     return tuple(slice(int(a.min()), int(a.max()) + 1) for a in np.nonzero(mask))
-
-
-def annulus_region(name, r_in, r_out, n):
-    """Annular region; for n = 1 this is the interval pair (-r_out,-r_in) u (r_in,r_out)."""
-    if n == 1:
-        return Region(name, "intervals", ((-r_out, -r_in), (r_in, r_out)))
-    return Region(name, "annulus", (float(r_in), float(r_out)))
 
 
 @dataclass(frozen=True)
@@ -129,10 +122,9 @@ class GeometryConfig:
         if not (0 < self.omega_radius < self.box_halfwidth):
             raise ValueError("Omega must sit strictly inside the box")
         for reg in self.measurement_sets:
-            lo, hi = reg.bounds()
-            if lo <= self.omega_radius:
+            if reg.r_in <= self.omega_radius:
                 raise ValueError(f"region {reg.name!r} touches Omega")
-            if hi >= self.box_halfwidth:
+            if reg.r_out >= self.box_halfwidth:
                 raise ValueError(f"region {reg.name!r} leaves the box")
 
     # -- grid helpers -------------------------------------------------------
@@ -161,30 +153,26 @@ class GeometryConfig:
         box = (slice(None),) * self.n if box is None else box
         return tuple(np.meshgrid(*(x[b] for b in box), indexing="ij"))
 
+    def distance(self, center, box=None):
+        """|x - center| at every grid point, or on box, a tuple of slices of
+        the grid; center is a point of R^n."""
+        return _norm(tuple(x - c for x, c in zip(self.coords(box), center, strict=True)))
+
     @cached_property
     def radius(self):
         """Distance from the origin at every grid point, computed once per
         geometry and read-only, since every caller shares it."""
-        if self.n == 1:
-            r = np.abs(self.axis())
-        else:
-            r = np.hypot(*self.coords())
+        r = self.distance((0.0,) * self.n)
         r.setflags(write=False)
         return r
 
     def freqs(self):
         """Angular frequency arrays matching numpy's FFT layout."""
         k = 2.0 * np.pi * np.fft.fftfreq(self.grid_points, d=self.h)
-        if self.n == 1:
-            return (k,)
-        KX, KY = np.meshgrid(k, k, indexing="ij")
-        return (KX, KY)
+        return tuple(np.meshgrid(*(k,) * self.n, indexing="ij"))
 
     def freq_magnitude(self):
-        ks = self.freqs()
-        if self.n == 1:
-            return np.abs(ks[0])
-        return np.hypot(ks[0], ks[1])
+        return _norm(self.freqs())
 
     # -- masks --------------------------------------------------------------
 
@@ -201,15 +189,7 @@ class GeometryConfig:
 
     def region_mask(self, name):
         reg = self.region(name)
-        if reg.kind == "annulus":
-            r = self.radius
-            r_in, r_out = reg.data
-            return (r > r_in) & (r < r_out)
-        x = self.axis()
-        m = np.zeros_like(x, dtype=bool)
-        for a, b in reg.data:
-            m |= (x > a) & (x < b)
-        return m
+        return (self.radius > reg.r_in) & (self.radius < reg.r_out)
 
     def region_box(self, name):
         """Slices of the bounding box of Omega and the named region: the box
@@ -233,21 +213,20 @@ def default_geometry(
 ):
     """Standard layout: Omega = B_1, measurement annulus between radii 2 and 3.
 
-    region is (name, r_in, r_out), built by `annulus_region`; s defaults to
-    0.4 in 1D and 0.5 in 2D, grid_points to 1024 in 1D and 128 in 2D.
+    region is (name, r_in, r_out), the one `Region` of the layout; s defaults
+    to 0.4 in 1D and 0.5 in 2D, grid_points to 1024 in 1D and 128 in 2D.
     """
     if s is None:
         s = 0.4 if n == 1 else 0.5
     if grid_points is None:
         grid_points = 1024 if n == 1 else 128
-    name, r_in, r_out = region
     return GeometryConfig(
         n=n,
         s=s,
         box_halfwidth=box_halfwidth,
         grid_points=grid_points,
         omega_radius=omega_radius,
-        measurement_sets=(annulus_region(name, r_in, r_out, n),),
+        measurement_sets=(Region(*region),),
     )
 
 
@@ -273,23 +252,6 @@ class GridField:
 
     def same_grid(self, other):
         return self.geometry == other.geometry
-
-    def __add__(self, other):
-        self._check(other)
-        return GridField(self.geometry, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GridField(self.geometry, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return GridField(self.geometry, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if not self.same_grid(other):
-            raise ValueError("geometry mismatch")
 
 
 def _random_trig_sum(geometry, seed, kmax):

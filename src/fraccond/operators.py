@@ -244,10 +244,6 @@ class FracOperator:
         self.convolution = None  # (key, array) of the last exterior apply
         self.counts = SolverCounts()
 
-    @property
-    def s(self):
-        return self.geometry.s
-
     @cached_property
     def cns(self):
         return normalization_constant(self.geometry.n, self.geometry.s)

@@ -5,7 +5,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dpotrf
 
 from fraccond.conductivity import Conductivity
-from fraccond.geometry import GeometryConfig, annulus_region, default_geometry
+from fraccond.geometry import GeometryConfig, Region, default_geometry
 from fraccond.operators import FracOperator, apply_multiplier, bessel_symbol
 from fraccond.solver import interior_system
 
@@ -45,8 +45,8 @@ def two_region_geometry():
         grid_points=1024,
         omega_radius=1.0,
         measurement_sets=(
-            annulus_region("inner", 1.5, 2.2, 1),
-            annulus_region("outer", 2.4, 3.4, 1),
+            Region("inner", 1.5, 2.2),
+            Region("outer", 2.4, 3.4),
         ),
     )
 

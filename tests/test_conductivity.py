@@ -46,6 +46,19 @@ class TestConductivityType:
         with pytest.raises(ValueError, match="boundary"):
             Conductivity(geom, vals, gamma0=0.5)
 
+    def test_edge_deviation_on_one_axis_rejected_2d(self, geom2d):
+        # cell (0, N/2) lies in the edge ring along the first axis only
+        vals = np.ones(geom2d.shape)
+        vals[0, geom2d.grid_points // 2] = 1.5
+        with pytest.raises(ValueError, match="boundary"):
+            Conductivity(geom2d, vals, gamma0=0.5)
+
+    def test_bump_at_a_point_2d(self, geom2d):
+        X, Y = geom2d.coords()
+        ref = 1.0 + 0.5 * mollifier_profile(np.hypot(X - 0.3, Y - -0.2) / 0.8)
+        g = bump_conductivity(geom2d, height=0.5, center=(0.3, -0.2), width=0.8)
+        assert np.array_equal(g.values, ref)
+
     def test_bump_peak(self, geom):
         g = bump_conductivity(geom, height=3.0, width=0.8)
         assert np.max(g.m_values) == pytest.approx(1.0, abs=1e-12)  # sqrt(4) - 1

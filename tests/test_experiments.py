@@ -12,6 +12,7 @@ from fraccond.conductivity import (
     MandacheParams,
     Potential,
     bump_conductivity,
+    liouville_potential,
 )
 from fraccond.dnmap import assemble_dn, build_exterior_basis, dn_operator_norm
 from fraccond.experiments import (
@@ -25,7 +26,7 @@ from fraccond.experiments import (
     liouville_identity_residual,
     log_stability_fit,
     mtilde_equation_residual,
-    reduction_check,
+    _reduction_record,
     run_suite,
     suite_reduction,
 )
@@ -251,7 +252,9 @@ class TestReduction:
     def test_identical_pair_vacuous(self, geom, op_quad):
         gam = bump_conductivity(geom, height=0.3, width=0.5)
         basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
-        chk = reduction_check(gam, gam, 0.9, basis, op_quad)
+        M = assemble_dn(gam, basis, op_quad)
+        Mq = assemble_dn(liouville_potential(gam, op_quad), basis, op_quad)
+        chk = _reduction_record(M, M, Mq, Mq, 0.9)
         assert chk["x"] == 0.0 and chk["lhs"] == 0.0
         assert math.isnan(chk["fitted_constant"])
 
@@ -263,15 +266,13 @@ class TestReduction:
         assert x**0.05 == pytest.approx(0.7943282347242815, rel=1e-12)
 
     def test_inadmissible_theta0(self, geom, op_quad):
-        gam = bump_conductivity(geom, height=0.3, width=0.5)
-        basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
         with pytest.raises(ValueError, match="theta0"):
-            reduction_check(gam, gam, 0.7, basis, op_quad)
+            suite_reduction(geom, op_quad, theta0=0.7)
 
     def test_suite_assembles_the_unit_reference_once(self, geom_small, monkeypatch):
         # every check compares with gamma = 1 and its Liouville potential:
-        # the suite assembles those two once, 14 DN matrices where six
-        # reduction_check calls make 24, and its payload is theirs bitwise
+        # the suite assembles those two once, 14 DN matrices where four per
+        # check make 24, and its payload is theirs bitwise
         import fraccond.experiments as experiments
 
         calls = []
@@ -291,7 +292,11 @@ class TestReduction:
         checks = []
         for w in [0.4 / 1.3**k for k in range(6)]:
             g = bump_conductivity(geom_small, height=0.3, width=w)
-            checks.append({"width": w, **reduction_check(g, one, 0.9, basis, op)})
+            dn = [
+                experiments.assemble_dn(c, basis, op)
+                for c in (g, one, liouville_potential(g, op), liouville_potential(one, op))
+            ]
+            checks.append({"width": w, **_reduction_record(*dn, 0.9)})
         assert len(calls) == 24
         assert out["checks"] == checks
 
