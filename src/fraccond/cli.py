@@ -7,11 +7,13 @@ Commands:
     fraccond validate --config FILE
 
 Configs are INI files with [geometry] and [suite] sections; unknown
-sections and keys are rejected.  A suite's [suite] keys are its keyword
-parameters: each is cast to the type of its default (a tuple default reads
-space-separated numbers) and falls back to that default.  `name` and `seed`
-are run keys, accepted for every suite; the seed is recorded in every
-report and passed only to the suites that declare it.
+sections and keys are rejected.  [geometry] region = <r_in> <r_out> sets
+the one measurement region, the annulus r_in < |x| < r_out.  A suite's
+[suite] keys are its keyword parameters: each is cast to the type of its
+default (a tuple default reads space-separated numbers) and falls back to
+that default.  `name` and `seed` are run keys, accepted for every suite;
+the seed is recorded in every report and passed only to the suites that
+declare it.
 
 A run writes report.json (the deterministic payload, hashed) and
 provenance.json (version, seed, wall time and the solver's counts:
@@ -113,14 +115,14 @@ def parse_config(path):
 
 def build_geometry(config):
     """The [geometry] section's layout; `default_geometry` supplies the keys
-    it leaves out."""
+    it leaves out.  region reads '<r_in> <r_out>', two numbers."""
     geo = dict(config.get("geometry", {}))
     if "region" in geo:
         try:
-            name, r_in, r_out = geo["region"].split()
-            geo["region"] = (name, float(r_in), float(r_out))
+            r_in, r_out = map(float, geo["region"].split())
+            geo["region"] = (r_in, r_out)
         except ValueError as exc:
-            raise ConfigError("geometry.region must be '<name> <r_in> <r_out>'") from exc
+            raise ConfigError("geometry.region must be '<r_in> <r_out>'") from exc
     try:
         return default_geometry(**geo)
     except ValueError as exc:

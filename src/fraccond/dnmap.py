@@ -11,6 +11,7 @@ experiments that share a basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,7 +35,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExteriorBasis:
-    """Finite family of exterior data spanning the measurement region(s).
+    """Finite family of exterior data spanning the measurement region.
 
     The data live on their solve box: `box` is a tuple of slices of the
     grid, the bounding box of Omega and the data's support, and `stack` the
@@ -45,7 +46,6 @@ class ExteriorBasis:
     geometry: object
     stack: np.ndarray
     box: tuple
-    regions: tuple  # region name per function
     orders: tuple  # (radial, angular) per function; bumps carry (index, 0)
     kind: str
     gram: np.ndarray
@@ -62,6 +62,12 @@ class ExteriorBasis:
     def order_of(self, i):
         h, k = self.orders[i]
         return h + k
+
+    @cached_property
+    def whitening(self):
+        """G^(-1/2) of the Gram matrix (`whiten_gram`), computed once: every
+        DN norm over the basis reads it."""
+        return whiten_gram(self.gram)
 
 
 @dataclass(frozen=True)
@@ -110,8 +116,9 @@ def _radial_window(t):
     return mollifier_profile(2.0 * (t - 0.5))
 
 
-def build_exterior_basis(geometry, region_name, size, kind="bumps"):
-    """Exterior basis of the requested size supported in one region.
+def build_exterior_basis(geometry, size, kind="bumps"):
+    """Exterior basis of the requested size supported in the geometry's
+    measurement region.
 
     kind "bumps": mollifier bumps on a lattice filling the region.
     kind "harmonic": radial oscillations times angular modes, ordered by
@@ -124,21 +131,20 @@ def build_exterior_basis(geometry, region_name, size, kind="bumps"):
     """
     if size < 1:
         raise ValueError("basis size must be >= 1")
-    region = geometry.region(region_name)
-    box = geometry.region_box(region_name)
+    box = geometry.region_box()
     if kind == "bumps":
-        fields = _bump_fields(geometry, region, box, size)
+        fields = _bump_fields(geometry, box, size)
         orders = tuple((i, 0) for i in range(size))
     elif kind == "harmonic":
-        fields, orders = _harmonic_fields(geometry, region, box, size)
+        fields, orders = _harmonic_fields(geometry, box, size)
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
-    return basis_from_fields(geometry, region_name, fields, orders, kind)
+    return basis_from_fields(geometry, fields, orders, kind)
 
 
-def basis_from_fields(geometry, region_name, fields, orders, kind):
-    """Exterior basis of a (k, *box) stack of fields in one region, each
-    normalized to unit H^s norm.
+def basis_from_fields(geometry, fields, orders, kind):
+    """Exterior basis of a (k, *box) stack of fields in the measurement
+    region, each normalized to unit H^s norm.
 
     The fields are given on the region's box (`GeometryConfig.region_box`),
     zero off it, and must be finite and vanish on the closure of Omega, as
@@ -148,7 +154,7 @@ def basis_from_fields(geometry, region_name, fields, orders, kind):
     of the raw fields' Gram matrix, which then scales to the basis Gram
     matrix.  A vanishing field or a Gram matrix with smallest eigenvalue
     below 1e-10 raises ValueError."""
-    box = geometry.region_box(region_name)
+    box = geometry.region_box()
     F = np.asarray(fields, dtype=float)
     omega = geometry.omega_mask()[box]
     if F.shape[1:] != omega.shape:
@@ -175,18 +181,17 @@ def basis_from_fields(geometry, region_name, fields, orders, kind):
         geometry=geometry,
         stack=F / norms.reshape((-1,) + (1,) * geometry.n),
         box=box,
-        regions=(region_name,) * len(F),
         orders=orders,
         kind=kind,
         gram=gram,
     )
 
 
-def _bump_fields(geometry, region, box, size):
+def _bump_fields(geometry, box, size):
     """Mollifier bumps in the region: evenly spaced along each of its two
     intervals in 1D (the left one takes the odd bump), on a ring lattice of
     equally spaced angles on the mid-radius circle in 2D."""
-    r_in, r_out = region.r_in, region.r_out
+    r_in, r_out = geometry.region.r_in, geometry.region.r_out
     if geometry.n == 1:
         layout = []
         for (a, b), count in zip(((-r_out, -r_in), (r_in, r_out)), (size - size // 2, size // 2)):
@@ -197,7 +202,7 @@ def _bump_fields(geometry, region, box, size):
         width = min(0.45 * (r_out - r_in), 0.9 * np.pi * mid / size)
         angles = (2.0 * np.pi * i / size for i in range(size))
         layout = [((mid * np.cos(th), mid * np.sin(th)), width) for th in angles]
-    mask = geometry.region_mask(region.name)[box]
+    mask = geometry.region_mask()[box]
     fields = np.empty((size,) + mask.shape)
     for i, (center, width) in enumerate(layout):
         fields[i] = np.where(mask, mollifier_profile(geometry.distance(center, box) / width), 0.0)
@@ -221,13 +226,12 @@ def _harmonic_orders(size, n):
     return pairs[:size]
 
 
-def _harmonic_fields(geometry, region, box, size):
-    lo, hi = region.r_in, region.r_out
+def _harmonic_fields(geometry, box, size):
+    lo, hi = geometry.region.r_in, geometry.region.r_out
     r = geometry.radius[box]
     t = (r - lo) / (hi - lo)
-    window = np.where((t > 0) & (t < 1), _radial_window(np.clip(t, 0.0, 1.0)), 0.0)
-    mask = geometry.region_mask(region.name)[box]
-    window = np.where(mask, window, 0.0)
+    mask = geometry.region_mask()[box]
+    window = np.where(mask, _radial_window(np.clip(t, 0.0, 1.0)), 0.0)
     fields = np.empty((size,) + r.shape)
     orders = []
     if geometry.n == 1:
@@ -291,40 +295,33 @@ def whiten_gram(gram):
     return vecs @ np.diag(vals**-0.5) @ vecs.T
 
 
-def dn_operator_norm(delta, whitening=None) -> float:
+def dn_operator_norm(delta) -> float:
     """Dual-pairing operator norm of a DnMatrix (a DN matrix or a
-    difference of them) or of a DnBlock (one restricted by `restrict_dn`),
-    over the basis span.
-
-    whitening, if given, is the pair (G_rows^(-1/2), G_cols^(-1/2)) of
-    delta's Gram blocks by `whiten_gram`, so that a caller norming many
-    blocks over the same Grams whitens each of them once."""
+    difference of them), whitened by its basis' stored G^(-1/2), or of a
+    DnBlock (one restricted by `restrict_dn`), whitened by its Gram blocks,
+    over the basis span."""
     if isinstance(delta, DnMatrix):
-        entries, g_rows, g_cols = delta.entries, delta.basis.gram, delta.basis.gram
+        wr = wc = delta.basis.whitening
     elif isinstance(delta, DnBlock):
-        entries, g_rows, g_cols = delta.entries, delta.gram_rows, delta.gram_cols
+        wr, wc = whiten_gram(delta.gram_rows), whiten_gram(delta.gram_cols)
     else:
         raise TypeError("dn_operator_norm expects a DnMatrix or DnBlock")
-    wr, wc = whitening or (whiten_gram(g_rows), whiten_gram(g_cols))
-    core = wr @ entries @ wc
-    if core.size == 0:
-        return 0.0
+    core = wr @ delta.entries @ wc
     return float(np.linalg.svd(core, compute_uv=False)[0])
 
 
-def restrict_dn(dn: DnMatrix, rows_region: str, cols_region: str):
+def restrict_dn(dn: DnMatrix, rows, cols):
     """Partial-data restriction of a DN matrix, or of a difference of them:
-    keep test functions in rows_region and trial functions in cols_region,
-    with the matching Gram blocks of its basis."""
+    keep the test functions of basis indices rows and the trial functions of
+    basis indices cols, with the matching Gram blocks of its basis.  An
+    empty or out-of-range index set raises ValueError."""
     if not isinstance(dn, DnMatrix):
         raise TypeError("restrict_dn expects a DnMatrix")
     basis = dn.basis
-    rows = [i for i, r in enumerate(basis.regions) if r == rows_region]
-    cols = [j for j, r in enumerate(basis.regions) if r == cols_region]
-    if not rows or not cols:
-        raise ValueError("a requested region has no basis functions")
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    for index in (rows, cols):
+        if index.size == 0 or index.min() < 0 or index.max() >= len(basis):
+            raise ValueError(f"basis indices must be nonempty and within 0..{len(basis) - 1}")
     return DnBlock(
         entries=dn.entries[np.ix_(rows, cols)],
         gram_rows=basis.gram[np.ix_(rows, rows)],

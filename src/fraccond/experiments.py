@@ -45,8 +45,6 @@ from .dnmap import (
     basis_from_fields,
     build_exterior_basis,
     dn_operator_norm,
-    restrict_dn,
-    whiten_gram,
 )
 from .geometry import (
     GridField,
@@ -160,7 +158,7 @@ class ProbeSpec:
     indices: tuple
 
 
-def exterior_recovery(M: DnMatrix, M0: DnMatrix, basis, probes) -> list:
+def exterior_recovery(M: DnMatrix, M0: DnMatrix, probes) -> list:
     """Pointwise exterior conductivity estimates from concentrating probes.
 
     For each probe the quadratic-form ratio <Lambda_gamma phi_w, phi_w> /
@@ -168,7 +166,7 @@ def exterior_recovery(M: DnMatrix, M0: DnMatrix, basis, probes) -> list:
     w^(2s), the rate at which far pairs of the concentrating bump stop
     seeing the surrounding conductivity.
     """
-    s = basis.geometry.s
+    s = M.basis.geometry.s
     results = []
     for probe in probes:
         ratios = []
@@ -420,18 +418,12 @@ def instability_search(params: MandacheParams, basis, op: FracOperator, count=32
         q = liouville_potential(member, op)
         mats.append(assemble_dn(q, basis, op))
 
-    region = basis.regions[0]
     best = None
-    whitening = None  # every block pairs the region with itself: one Gram
     for i in range(count):
         for j in range(i + 1, count):
             if gaps[i, j] < params.eps:
                 continue
-            block = restrict_dn(mats[i] - mats[j], region, region)
-            if whitening is None:
-                white = whiten_gram(block.gram_rows)
-                whitening = (white, white)
-            dn_gap = dn_operator_norm(block, whitening)
+            dn_gap = dn_operator_norm(mats[i] - mats[j])
             if best is None or dn_gap < best[0]:
                 best = (dn_gap, float(gaps[i, j]), (i, j))
     if best is None:
@@ -518,30 +510,29 @@ def _scan_pair(geometry, amplitude, center=2.5, halfwidth=0.5):
 def suite_exterior(
     geometry,
     op,
-    region="annulus",
     basis_size=16,
     amplitudes=(0.05, 0.1, 0.2),
     probe_point=2.5,
     recovery_height=0.5,
 ):
-    basis = build_exterior_basis(geometry, region, basis_size, "bumps")
+    basis = build_exterior_basis(geometry, basis_size, "bumps")
     one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
     pairs = [(_scan_pair(geometry, a), one) for a in amplitudes]
     scan = exterior_stability_scan(pairs, basis, op)
 
     # recovery probes on a dedicated probe basis
     widths = (0.32, 0.226, 0.16, 0.113)
-    box = geometry.region_box(region)
-    mask = geometry.region_mask(region)[box]
+    box = geometry.region_box()
+    mask = geometry.region_mask()[box]
     offset = geometry.distance((probe_point,) + (0.0,) * (geometry.n - 1), box)
     fields = np.stack([np.where(mask, mollifier_profile(offset / w), 0.0) for w in widths])
     orders = tuple((i, 0) for i in range(len(widths)))
-    probe_basis = basis_from_fields(geometry, region, fields, orders, "bumps")
+    probe_basis = basis_from_fields(geometry, fields, orders, "bumps")
     gam = _scan_pair(geometry, recovery_height)
     Mg = assemble_dn(gam, probe_basis, op)
     M0 = assemble_dn(one, probe_basis, op)
     probes = [ProbeSpec(point=probe_point, widths=widths, indices=tuple(range(len(widths))))]
-    recov = exterior_recovery(Mg, M0, probe_basis, probes)
+    recov = exterior_recovery(Mg, M0, probes)
     idx = np.argmin(np.abs(geometry.radius.reshape(-1) - probe_point))
     true_val = float(gam.values.reshape(-1)[idx])
     return {
@@ -552,11 +543,9 @@ def suite_exterior(
     }
 
 
-def suite_reduction(
-    geometry, op, theta0=0.9, amplitude=0.3, factor=1.3, region="annulus", basis_size=16
-):
+def suite_reduction(geometry, op, theta0=0.9, amplitude=0.3, factor=1.3, basis_size=16):
     check_theta0(geometry, theta0)
-    basis = build_exterior_basis(geometry, region, basis_size, "bumps")
+    basis = build_exterior_basis(geometry, basis_size, "bumps")
     one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
     # every check compares with the same unit conductivity and its potential
     M_one = assemble_dn(one, basis, op)
@@ -586,10 +575,9 @@ def suite_logmodulus(
     q_index=2.0,
     base_amplitude=8e-4,
     pairs=8,
-    region="annulus",
     basis_size=16,
 ):
-    basis = build_exterior_basis(geometry, region, basis_size, "bumps")
+    basis = build_exterior_basis(geometry, basis_size, "bumps")
     one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
     family = [
         (bump_conductivity(geometry, height=base_amplitude * 2.0**-k, width=0.6), one)
@@ -607,7 +595,6 @@ def suite_instability(
     beta=1e4,
     lattice_spacing=0.2,
     count=32,
-    region="annulus",
     basis_size=16,
 ):
     params = MandacheParams(
@@ -619,7 +606,7 @@ def suite_instability(
         s=geometry.s,
         n=geometry.n,
     )
-    basis = build_exterior_basis(geometry, region, basis_size, "harmonic")
+    basis = build_exterior_basis(geometry, basis_size, "harmonic")
     return instability_search(params, basis, op, count=count)
 
 

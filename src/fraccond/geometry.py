@@ -3,9 +3,9 @@
 The computational domain is the periodic box [-L, L]^n (n = 1 or 2) with N
 uniformly spaced points per axis.  The inclusion Omega is a centered ball
 (an interval when n = 1); everything outside its closure is the exterior,
-where measurement regions live.  Every region is an annulus
-r_in < |x| < r_out, which in one dimension is a pair of intervals.  All
-fields are real samples on the grid.
+where the one measurement region lives: the annulus r_in < |x| < r_out,
+which in one dimension is a pair of intervals.  All fields are real
+samples on the grid.
 
 This module is the one place that knows how the dimension enters a
 distance: `GeometryConfig.distance` gives |x - c| on the grid or on a box
@@ -15,7 +15,7 @@ built from it, so callers never branch on n to measure one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "mollifier_profile",
     "smoothstep",
     "plateau_profile",
-    "smooth_random_field",
     "bandlimited_field",
 ]
 
@@ -67,12 +66,11 @@ def plateau_profile(t, edge=0.35):
 
 @dataclass(frozen=True)
 class Region:
-    """Named exterior measurement region, the annulus r_in < |x| < r_out.
+    """The exterior measurement region, the annulus r_in < |x| < r_out.
 
     In one dimension it is the interval pair (-r_out, -r_in) u (r_in, r_out).
     """
 
-    name: str
     r_in: float
     r_out: float
 
@@ -95,10 +93,11 @@ def bounding_box(mask):
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    """Dimension, fractional order, truncation box, grid and region layout.
+    """Dimension, fractional order, truncation box, grid and measurement
+    region.
 
     Invariants enforced at construction: 0 < s < min(1, n/2); the inclusion
-    Omega = B_omega_radius sits strictly inside the box; every measurement
+    Omega = B_omega_radius sits strictly inside the box; the measurement
     region is contained in the exterior of Omega and in the box; N is a
     power of two with N >= 64.
     """
@@ -108,7 +107,7 @@ class GeometryConfig:
     box_halfwidth: float
     grid_points: int
     omega_radius: float = 1.0
-    measurement_sets: tuple = field(default_factory=tuple)
+    region: Region = Region(2.0, 3.0)
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -121,11 +120,10 @@ class GeometryConfig:
             raise ValueError("grid_points must be a power of two, at least 64")
         if not (0 < self.omega_radius < self.box_halfwidth):
             raise ValueError("Omega must sit strictly inside the box")
-        for reg in self.measurement_sets:
-            if reg.r_in <= self.omega_radius:
-                raise ValueError(f"region {reg.name!r} touches Omega")
-            if reg.r_out >= self.box_halfwidth:
-                raise ValueError(f"region {reg.name!r} leaves the box")
+        if self.region.r_in <= self.omega_radius:
+            raise ValueError("the measurement region touches Omega")
+        if self.region.r_out >= self.box_halfwidth:
+            raise ValueError("the measurement region leaves the box")
 
     # -- grid helpers -------------------------------------------------------
 
@@ -187,20 +185,13 @@ class GeometryConfig:
     def exterior_mask(self):
         return ~self.omega_closure_mask()
 
-    def region_mask(self, name):
-        reg = self.region(name)
-        return (self.radius > reg.r_in) & (self.radius < reg.r_out)
+    def region_mask(self):
+        return (self.radius > self.region.r_in) & (self.radius < self.region.r_out)
 
-    def region_box(self, name):
-        """Slices of the bounding box of Omega and the named region: the box
-        the exterior data in that region are built on."""
-        return bounding_box(self.omega_mask() | self.region_mask(name))
-
-    def region(self, name):
-        for reg in self.measurement_sets:
-            if reg.name == name:
-                return reg
-        raise KeyError(f"no measurement region named {name!r}")
+    def region_box(self):
+        """Slices of the bounding box of Omega and the region: the box the
+        exterior data are built on."""
+        return bounding_box(self.omega_mask() | self.region_mask())
 
 
 def default_geometry(
@@ -209,11 +200,11 @@ def default_geometry(
     box_halfwidth=6.0,
     grid_points=None,
     omega_radius=1.0,
-    region=("annulus", 2.0, 3.0),
+    region=(2.0, 3.0),
 ):
     """Standard layout: Omega = B_1, measurement annulus between radii 2 and 3.
 
-    region is (name, r_in, r_out), the one `Region` of the layout; s defaults
+    region is (r_in, r_out), the layout's `Region`; s defaults
     to 0.4 in 1D and 0.5 in 2D, grid_points to 1024 in 1D and 128 in 2D.
     """
     if s is None:
@@ -226,7 +217,7 @@ def default_geometry(
         box_halfwidth=box_halfwidth,
         grid_points=grid_points,
         omega_radius=omega_radius,
-        measurement_sets=(Region(*region),),
+        region=Region(*region),
     )
 
 
@@ -302,23 +293,3 @@ def bandlimited_field(geometry, seed, kmodes=20):
     vals, total = _random_trig_sum(geometry, seed, kmodes)
     return GridField(geometry, vals / np.sqrt(total))
 
-
-def smooth_random_field(geometry, seed, kmax=8, support_radius=None):
-    """Seeded smooth compactly supported field with unit sup norm.
-
-    A band-limited random Fourier sum (counter-based Philox stream) over the
-    DFT modes pi k / L with 0 <= k_i <= kmax, 1 <= kmax < N/2, synthesized by
-    one inverse FFT, is multiplied by a mollifier window so the result is
-    C_c^infinity inside |x| < support_radius.  support_radius must be finite
-    and positive.
-    """
-    if support_radius is None:
-        support_radius = 0.85 * geometry.box_halfwidth
-    elif not (np.isfinite(support_radius) and support_radius > 0):
-        raise ValueError(f"support radius must be finite and positive, got {support_radius}")
-    vals, _ = _random_trig_sum(geometry, seed, kmax)
-    vals = vals * mollifier_profile(geometry.radius / support_radius)
-    peak = np.max(np.abs(vals))
-    if peak > 0:
-        vals = vals / peak
-    return GridField(geometry, vals)

@@ -5,7 +5,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dpotrf
 
 from fraccond.conductivity import Conductivity
-from fraccond.geometry import GeometryConfig, Region, default_geometry
+from fraccond.geometry import GridField, _random_trig_sum, default_geometry, mollifier_profile
 from fraccond.operators import FracOperator, apply_multiplier, bessel_symbol
 from fraccond.solver import interior_system
 
@@ -36,19 +36,16 @@ def ones_gamma(geom):
     return Conductivity(geom, np.ones(geom.shape), gamma0=0.5)
 
 
-def two_region_geometry():
-    """Layout with two disjoint exterior measurement regions."""
-    return GeometryConfig(
-        n=1,
-        s=0.4,
-        box_halfwidth=6.0,
-        grid_points=1024,
-        omega_radius=1.0,
-        measurement_sets=(
-            Region("inner", 1.5, 2.2),
-            Region("outer", 2.4, 3.4),
-        ),
-    )
+def smooth_random_field(geometry, seed, kmax=8, support_radius=None):
+    """Seeded smooth compactly supported test field with unit sup norm: the
+    random trigonometric sum of `bandlimited_field` over the modes
+    0 <= k_i <= kmax, times a mollifier window of radius support_radius
+    (default 0.85 L), so that it is C_c^infinity inside that radius."""
+    if support_radius is None:
+        support_radius = 0.85 * geometry.box_halfwidth
+    vals, _ = _random_trig_sum(geometry, seed, kmax)
+    vals = vals * mollifier_profile(geometry.radius / support_radius)
+    return GridField(geometry, vals / np.max(np.abs(vals)))
 
 
 def fancy_index_stencil(op):

@@ -35,49 +35,32 @@ from conftest import (
     reachable,
     reference_block,
     square_arrays,
-    two_region_geometry,
 )
 
 
 @pytest.fixture(scope="module")
 def basis(geom):
-    return build_exterior_basis(geom, "annulus", 16, kind="bumps")
+    return build_exterior_basis(geom, 16, kind="bumps")
 
 
 @pytest.fixture(scope="module")
 def harmonic(geom):
-    return build_exterior_basis(geom, "annulus", 16, kind="harmonic")
-
-
-def merge_bases(a, b):
-    geom = a.geometry
-    F = np.concatenate([grid_stack(a), grid_stack(b)])
-    box = bounding_box(geom.omega_mask() | np.any(F, axis=0))
-    stack = F[(Ellipsis,) + box].copy()
-    return ExteriorBasis(
-        geometry=geom,
-        stack=stack,
-        box=box,
-        regions=a.regions + b.regions,
-        orders=a.orders + b.orders,
-        kind=a.kind,
-        gram=hs_gram(stack, geom, geom.s),
-    )
+    return build_exterior_basis(geom, 16, kind="harmonic")
 
 
 class TestBasisConstruction:
     def test_single_bump_unit_gram(self, geom):
-        b = build_exterior_basis(geom, "annulus", 1, kind="bumps")
+        b = build_exterior_basis(geom, 1, kind="bumps")
         assert b.gram.shape == (1, 1)
         assert b.gram[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_functions_supported_in_region(self, geom, basis, harmonic):
-        mask = geom.region_mask("annulus")
+        mask = geom.region_mask()
         for b in (basis, harmonic):
             assert np.all(grid_stack(b)[:, ~mask] == 0.0)
 
     def test_parity_orthogonality_1d(self, geom):
-        b = build_exterior_basis(geom, "annulus", 4, kind="harmonic")
+        b = build_exterior_basis(geom, 4, kind="harmonic")
         # parity is the angular label k: any even (k=0) function is exactly
         # orthogonal to any odd (k=1) one
         for i in range(4):
@@ -86,12 +69,12 @@ class TestBasisConstruction:
                     assert abs(b.gram[i, j]) <= 1e-12
 
     def test_harmonic_order_bookkeeping(self, geom):
-        b = build_exterior_basis(geom, "annulus", 6, kind="harmonic")
+        b = build_exterior_basis(geom, 6, kind="harmonic")
         orders = [b.order_of(i) for i in range(6)]
         assert orders == sorted(orders)
 
     def test_2d_angular_block_structure(self, geom2d):
-        b = build_exterior_basis(geom2d, "annulus", 10, kind="harmonic")
+        b = build_exterior_basis(geom2d, 10, kind="harmonic")
         # functions with different angular order are near-orthogonal
         for i in range(len(b)):
             for j in range(len(b)):
@@ -102,15 +85,11 @@ class TestBasisConstruction:
 
     def test_rank_deficiency_detected(self, geom):
         with pytest.raises(ValueError):
-            build_exterior_basis(geom, "annulus", 200, kind="bumps")
+            build_exterior_basis(geom, 200, kind="bumps")
 
     def test_bad_size(self, geom):
         with pytest.raises(ValueError):
-            build_exterior_basis(geom, "annulus", 0)
-
-    def test_unknown_region(self, geom):
-        with pytest.raises(KeyError):
-            build_exterior_basis(geom, "nowhere", 4)
+            build_exterior_basis(geom, 0)
 
 
 class TestBoxBasis:
@@ -120,7 +99,7 @@ class TestBoxBasis:
     @pytest.mark.parametrize("kind", ["bumps", "harmonic"])
     def test_box_gram_matches_full_grid_gram(self, n, N, kind):
         g = default_geometry(n=n, grid_points=N)
-        b = build_exterior_basis(g, "annulus", 16, kind=kind)
+        b = build_exterior_basis(g, 16, kind=kind)
         ref = full_grid_hs_gram(grid_stack(b), g, g.s)
         for G in (b.gram, hs_gram(b.stack, g, g.s)):
             assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -129,7 +108,7 @@ class TestBoxBasis:
     @pytest.mark.parametrize("kind", ["bumps", "harmonic"])
     def test_no_array_has_the_grid_shape(self, geom, geom2d, n, kind):
         g = geom if n == 1 else geom2d
-        b = build_exterior_basis(g, "annulus", 8, kind=kind)
+        b = build_exterior_basis(g, 8, kind=kind)
         arrays = [v for v in vars(b).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 2  # the stack and the Gram
         for a in arrays:
@@ -143,11 +122,11 @@ class TestBoxBasis:
     @pytest.mark.parametrize("bad", ["nan", "inf", "closure"])
     def test_invalid_fields_refused(self, geom, geom2d, n, bad):
         g = geom if n == 1 else geom2d
-        box = g.region_box("annulus")
-        mask = g.region_mask("annulus")[box]
+        box = g.region_box()
+        mask = g.region_mask()[box]
         r = np.abs(g.coords(box)[0] - 2.5) if n == 1 else np.hypot(*g.coords(box)) - 2.5
         F = np.stack([np.where(mask, mollifier_profile(r / w), 0.0) for w in (0.3, 0.2)])
-        basis_from_fields(g, "annulus", F, ((0, 0), (1, 0)), "bumps")  # valid as given
+        basis_from_fields(g, F, ((0, 0), (1, 0)), "bumps")  # valid as given
         outside = np.flatnonzero(~g.omega_closure_mask()[box])[0]
         inside = np.flatnonzero(g.omega_closure_mask()[box])[-1]
         index, value = {
@@ -158,7 +137,7 @@ class TestBoxBasis:
         F[1].reshape(-1)[index] = value
         match = "closure" if bad == "closure" else "finite"
         with pytest.raises(ValueError, match=match):
-            basis_from_fields(g, "annulus", F, ((0, 0), (1, 0)), "bumps")
+            basis_from_fields(g, F, ((0, 0), (1, 0)), "bumps")
 
     def test_build_peak_memory_below_two_grid_stacks(self):
         # 16 fields on the grid are k N^2 8 bytes; the basis is built, its
@@ -167,7 +146,7 @@ class TestBoxBasis:
         k = 16
         tracemalloc.start()
         try:
-            build_exterior_basis(g, "annulus", k, "bumps")
+            build_exterior_basis(g, k, "bumps")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -204,7 +183,7 @@ class TestAssembly:
         for N in (512, 1024):
             g = default_geometry(n=1, grid_points=N)
             op = FracOperator(g)
-            b = build_exterior_basis(g, "annulus", 8, kind="bumps")
+            b = build_exterior_basis(g, 8, kind="bumps")
             gam = bump_conductivity(g, height=0.5, width=0.8)
             q = liouville_potential(gam, op)
             rel = dn_operator_norm(
@@ -235,7 +214,7 @@ class TestAssembly:
     def test_batched_matches_column_reference(self, geom, geom2d, n, equation):
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
-        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        b = build_exterior_basis(g, 8, kind="harmonic")
         gam = bump_conductivity(g, height=0.5, width=0.8)
         coefficient = gam if equation == "conductivity" else liouville_potential(gam, op)
         M = assemble_dn(coefficient, b, op).entries
@@ -247,7 +226,6 @@ class TestAssembly:
             geometry=geom,
             stack=np.stack([np.zeros_like(basis.stack[0]), basis.stack[0]]),
             box=basis.box,
-            regions=("annulus",) * 2,
             orders=((0, 0), (1, 0)),
             kind="bumps",
             gram=np.eye(2),
@@ -338,7 +316,7 @@ class TestCongruenceAssembly:
     def test_conductivity_matches_outer_product_path(self, geom, geom2d, n):
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
-        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        b = build_exterior_basis(g, 8, kind="harmonic")
         gam = bump_conductivity(g, height=0.5, width=0.8)
         assert np.any(gam.sqrt_values[g.omega_mask()] != 1.0)
         M = assemble_dn(gam, b, op).entries
@@ -355,7 +333,7 @@ class TestCongruenceAssembly:
         # oracle's within the PCG tolerance
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
-        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        b = build_exterior_basis(g, 8, kind="harmonic")
         if case == "potential":
             coefficient = liouville_potential(bump_conductivity(g, 0.5, 0.8), op)
             gF = b.stack
@@ -387,7 +365,7 @@ class TestSharedFactorAssembly:
     def test_matches_outer_product_path(self, geom, geom2d, n, case):
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
-        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        b = build_exterior_basis(g, 8, kind="harmonic")
         coefficient = {
             "bump": lambda: bump_conductivity(g, 0.5, 0.8),
             "ring": lambda: ring_conductivity(g),
@@ -405,7 +383,7 @@ class TestSharedFactorAssembly:
         # gamma = 1 and q = 0 state the same system bit for bit, so their
         # PCG runs agree bitwise; both match the factored oracle
         g = geom if n == 1 else geom2d
-        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        b = build_exterior_basis(g, 8, kind="harmonic")
         one = Conductivity(g, np.ones(g.shape), gamma0=0.5)
         zero = Potential(g, np.zeros(g.shape))
         own = outer_product_path(one, b, FracOperator(g))
@@ -422,7 +400,7 @@ class TestSharedFactorAssembly:
         # reached from the operator
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
-        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        b = build_exterior_basis(g, 8, kind="harmonic")
         gam = bump_conductivity(g, 0.5, 0.8)
         for coefficient in (gam, liouville_potential(gam, op)):
             assemble_dn(coefficient, b, op)
@@ -435,7 +413,7 @@ class TestSharedFactorAssembly:
         # Liouville potential take at most 30 iterations on every grid
         g = default_geometry(n=n, grid_points=grid_points)
         op = FracOperator(g)
-        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        b = build_exterior_basis(g, 8, kind="harmonic")
         gam = bump_conductivity(g, 0.5, 0.8)
         for coefficient in (gam, liouville_potential(gam, op)):
             assemble_dn(coefficient, b, op)
@@ -451,7 +429,7 @@ class TestAlessandriniAssembly:
     def test_matches_two_apply_reference(self, geom, geom2d, n, case):
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
-        b = build_exterior_basis(g, "annulus", 8, kind="harmonic")
+        b = build_exterior_basis(g, 8, kind="harmonic")
         coefficient = {
             "potential": lambda: liouville_potential(bump_conductivity(g, 0.5, 0.8), op),
             "unit": lambda: Conductivity(g, np.ones(g.shape), gamma0=0.5),
@@ -464,7 +442,7 @@ class TestAlessandriniAssembly:
     @pytest.mark.parametrize("n", [1, 2])
     def test_support_change_is_not_a_stale_hit(self, geom, geom2d, n):
         g = geom if n == 1 else geom2d
-        b = build_exterior_basis(g, "annulus", 8, kind="bumps")
+        b = build_exterior_basis(g, 8, kind="bumps")
         ring = ring_conductivity(g)
         op = FracOperator(g)
         assemble_dn(Conductivity(g, np.ones(g.shape), gamma0=0.5), b, op)
@@ -482,7 +460,7 @@ class TestAlessandriniAssembly:
         # a transform's larger output
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
-        b = build_exterior_basis(g, "annulus", 8, kind="bumps")
+        b = build_exterior_basis(g, 8, kind="bumps")
         assemble_dn(bump_conductivity(g, 0.5, 0.8), b, op)
         _, entry = op.convolution
         owner = entry if entry.base is None else entry.base
@@ -491,7 +469,7 @@ class TestAlessandriniAssembly:
 
     def test_unit_on_support_shares_one_convolution(self, geom):
         op = FracOperator(geom)
-        b = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        b = build_exterior_basis(geom, 8, kind="bumps")
         bump = bump_conductivity(geom, height=0.5, width=0.8)  # 1 outside Omega
         for c in (bump, liouville_potential(bump, op), Potential(geom, np.zeros(geom.shape))):
             assemble_dn(c, b, op)
@@ -511,7 +489,7 @@ class TestAlessandriniAssembly:
         out = suite_reduction(geom_small, FracOperator(geom_small), basis_size=8)
         assert len(out["checks"]) == 6
         # the one stack is on the bounding box of Omega and the basis' support
-        b = build_exterior_basis(geom_small, "annulus", 8, kind="bumps")
+        b = build_exterior_basis(geom_small, 8, kind="bumps")
         covered = geom_small.omega_mask() | np.any(grid_stack(b), axis=0)
         (support,) = np.nonzero(covered)
         assert stacked == [(8, support.max() - support.min() + 1)] == [b.stack.shape]
@@ -557,7 +535,7 @@ class TestOperatorNorm:
         assert ours == pytest.approx(best, rel=1e-3)
 
     def test_monotone_under_basis_enrichment(self, geom, op_quad):
-        big = build_exterior_basis(geom, "annulus", 12, kind="bumps")
+        big = build_exterior_basis(geom, 12, kind="bumps")
         gam = bump_conductivity(geom, height=0.3, width=0.7)
         one = Conductivity(geom, np.ones(geom.shape), gamma0=0.5)
         delta = assemble_dn(gam, big, op_quad).entries - assemble_dn(one, big, op_quad).entries
@@ -583,24 +561,27 @@ class TestRestriction:
     def test_full_region_restriction_is_identity(self, geom, op_quad, basis):
         gam = bump_conductivity(geom, height=0.4, width=0.7)
         M = assemble_dn(gam, basis, op_quad)
-        block = restrict_dn(M, "annulus", "annulus")
+        every = range(len(basis))
+        block = restrict_dn(M, every, every)
         assert np.array_equal(block.entries, M.entries)
-        assert dn_operator_norm(block) == pytest.approx(dn_operator_norm(M))
+        assert np.array_equal(block.gram_rows, basis.gram)
+        assert dn_operator_norm(block) == dn_operator_norm(M)
 
-    def test_two_region_blocks(self, op_quad):
-        geo = two_region_geometry()
-        op = FracOperator(geo)
-        inner = build_exterior_basis(geo, "inner", 6, kind="bumps")
-        outer = build_exterior_basis(geo, "outer", 6, kind="bumps")
-        both = merge_bases(inner, outer)
-        gam = bump_conductivity(geo, height=0.4, width=0.7)
-        one = Conductivity(geo, np.ones(geo.shape), gamma0=0.5)
-        delta = assemble_dn(gam, both, op) - assemble_dn(one, both, op)
-        off = restrict_dn(delta, "inner", "outer")
-        assert off.entries.shape == (6, 6)
-        full_norm = dn_operator_norm(delta)
-        part_norm = dn_operator_norm(off)
-        assert part_norm <= full_norm + 1e-12
+    def test_two_region_blocks(self, geom, op_quad, basis):
+        # the first size - size // 2 bumps lie on (-r_out, -r_in), the rest
+        # on (r_in, r_out): testing the left interval against the right one
+        # is partial data on two disjoint sets W1 and W2
+        k = len(basis)
+        left, right = range(k - k // 2), range(k - k // 2, k)
+        x = geom.axis()
+        F = grid_stack(basis)
+        assert np.all(F[list(left)][:, x > 0] == 0.0) and np.all(F[list(right)][:, x < 0] == 0.0)
+        gam = bump_conductivity(geom, height=0.4, width=0.7)
+        one = Conductivity(geom, np.ones(geom.shape), gamma0=0.5)
+        delta = assemble_dn(gam, basis, op_quad) - assemble_dn(one, basis, op_quad)
+        off = restrict_dn(delta, left, right)
+        assert off.entries.shape == (len(left), len(right))
+        assert 0.0 < dn_operator_norm(off) <= dn_operator_norm(delta)
 
     def test_partial_leq_full_random(self, basis):
         rng = np.random.Generator(np.random.Philox(key=5))
@@ -615,14 +596,18 @@ class TestRestriction:
             assert dn_operator_norm(sub) <= dn_operator_norm(delta) + 1e-12
 
     def test_dn_block_rejected(self, basis):
-        # a block carries no regions: restricting it with some basis' regions
+        # a block carries no basis: restricting it with some basis' indices
         # would pair them unchecked
         block = DnBlock(entries=basis.gram, gram_rows=basis.gram, gram_cols=basis.gram)
+        every = range(len(basis))
         with pytest.raises(TypeError, match="DnMatrix"):
-            restrict_dn(block, "annulus", "annulus")
+            restrict_dn(block, every, every)
 
-    def test_missing_region_rejected(self, geom, op_quad, basis):
-        gam = bump_conductivity(geom, height=0.4, width=0.7)
-        M = assemble_dn(gam, basis, op_quad)
-        with pytest.raises(ValueError):
-            restrict_dn(M, "annulus", "elsewhere")
+    def test_bad_indices_rejected(self, geom, op_quad, basis):
+        # an empty index set, and ones reaching past either end of the basis
+        M = assemble_dn(bump_conductivity(geom, height=0.4, width=0.7), basis, op_quad)
+        every = range(len(basis))
+        for bad in ([], [len(basis)], [-1], [0, len(basis)]):
+            for rows, cols in ((bad, every), (every, bad)):
+                with pytest.raises(ValueError, match="basis indices"):
+                    restrict_dn(M, rows, cols)

@@ -14,7 +14,7 @@ from fraccond.conductivity import (
     bump_conductivity,
     liouville_potential,
 )
-from fraccond.dnmap import assemble_dn, build_exterior_basis, dn_operator_norm
+from fraccond.dnmap import assemble_dn, build_exterior_basis, dn_operator_norm, whiten_gram
 from fraccond.experiments import (
     EPS_GUARD,
     _multiplier_pairing,
@@ -151,7 +151,7 @@ class TestExteriorSuite:
     def test_scan_linearity(self, geom, op_quad, ones_gamma):
         from fraccond.experiments import _scan_pair
 
-        basis = build_exterior_basis(geom, "annulus", 12, kind="bumps")
+        basis = build_exterior_basis(geom, 12, kind="bumps")
         pairs = [
             (_scan_pair(geom, 0.1), ones_gamma),
             (_scan_pair(geom, 0.05), ones_gamma),
@@ -165,7 +165,7 @@ class TestExteriorSuite:
         import fraccond.experiments as experiments
         from fraccond.experiments import _scan_pair
 
-        basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        basis = build_exterior_basis(geom, 8, kind="bumps")
         pairs = [(_scan_pair(geom, a), ones_gamma) for a in (0.05, 0.1, 0.2)]
         op = FracOperator(geom)
         ext = geom.exterior_mask()
@@ -188,7 +188,7 @@ class TestExteriorSuite:
         assert out["data"] == data  # bitwise the per-pair assembly
 
     def test_identical_pair_excluded(self, geom, op_quad, ones_gamma):
-        basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        basis = build_exterior_basis(geom, 8, kind="bumps")
         out = exterior_stability_scan([(ones_gamma, ones_gamma)], basis, op_quad)
         assert out["excluded"] == 1
         assert out["data"] == []
@@ -220,7 +220,7 @@ class TestExteriorSuite:
 
         x = geom.axis()
         widths = (0.32, 0.226, 0.16)
-        mask = geom.region_mask("annulus")
+        mask = geom.region_mask()
         normed = []
         for w in widths:
             v = np.where(mask, mollifier_profile((x - 2.5) / w), 0.0)
@@ -231,7 +231,6 @@ class TestExteriorSuite:
             geometry=geom,
             stack=stack,
             box=box,
-            regions=("annulus",) * len(widths),
             orders=tuple((i, 0) for i in range(len(widths))),
             kind="bumps",
             gram=hs_gram(stack, geom, geom.s),
@@ -240,9 +239,7 @@ class TestExteriorSuite:
         gam = bump_conductivity(geom, height=0.8, width=0.8)  # interior only
         Mg = assemble_dn(gam, basis, op_quad)
         M0 = assemble_dn(one, basis, op_quad)
-        res = exterior_recovery(
-            Mg, M0, basis, [ProbeSpec(2.5, widths, tuple(range(len(widths))))]
-        )[0]
+        res = exterior_recovery(Mg, M0, [ProbeSpec(2.5, widths, tuple(range(len(widths))))])[0]
         assert abs(res["finest_ratio"] - 1.0) <= 5e-2
         ratios = res["ratios"]
         assert abs(ratios[-1] - 1.0) <= abs(ratios[0] - 1.0) + 1e-12
@@ -251,7 +248,7 @@ class TestExteriorSuite:
 class TestReduction:
     def test_identical_pair_vacuous(self, geom, op_quad):
         gam = bump_conductivity(geom, height=0.3, width=0.5)
-        basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        basis = build_exterior_basis(geom, 8, kind="bumps")
         M = assemble_dn(gam, basis, op_quad)
         Mq = assemble_dn(liouville_potential(gam, op_quad), basis, op_quad)
         chk = _reduction_record(M, M, Mq, Mq, 0.9)
@@ -287,7 +284,7 @@ class TestReduction:
         assert len(calls) == 14
         assert not square_arrays(op)  # nothing m x m is kept
         calls.clear()
-        basis = build_exterior_basis(geom_small, "annulus", 8, "bumps")
+        basis = build_exterior_basis(geom_small, 8, "bumps")
         one = Conductivity(geom_small, np.ones(geom_small.shape), gamma0=0.5)
         checks = []
         for w in [0.4 / 1.3**k for k in range(6)]:
@@ -311,14 +308,14 @@ class TestReduction:
 
 class TestLogModulus:
     def test_q_index_validation(self, geom, op_quad, ones_gamma):
-        basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        basis = build_exterior_basis(geom, 8, kind="bumps")
         family = [(bump_conductivity(geom, height=1e-4, width=0.6), ones_gamma)]
         # n=1, s=0.4: 2n/(n-2s) = 10
         with pytest.raises(ValueError, match="q index"):
             log_stability_fit(family, 11.0, basis, op_quad)
 
     def test_identical_pairs_filtered(self, geom, op_quad, ones_gamma):
-        basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        basis = build_exterior_basis(geom, 8, kind="bumps")
         family = [(ones_gamma, ones_gamma)] * 6
         with pytest.raises(ValueError, match="usable"):
             log_stability_fit(family, 2.0, basis, op_quad)
@@ -336,7 +333,7 @@ class TestLogModulus:
         # assembly; x and the floor are bitwise the per-pair assembly's
         import fraccond.experiments as experiments
 
-        basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        basis = build_exterior_basis(geom, 8, kind="bumps")
         family = [
             (bump_conductivity(geom, height=4e-4 * 2.0**-k, width=0.6), ones_gamma)
             for k in range(6)
@@ -361,7 +358,7 @@ class TestLogModulus:
         assert sorted(p[0] for p in fit["data_points"] + fit["flagged_points"]) == sorted(xs)
 
     def test_fit_reproduces_inputs(self, geom, op_quad, ones_gamma):
-        basis = build_exterior_basis(geom, "annulus", 8, kind="bumps")
+        basis = build_exterior_basis(geom, 8, kind="bumps")
         family = [
             (bump_conductivity(geom, height=4e-4 * 2.0**-k, width=0.6), ones_gamma)
             for k in range(6)
@@ -382,7 +379,7 @@ class TestInstability:
         assert val == pytest.approx(0.3005, abs=2e-4)
 
     def test_search_record(self, geom, op_quad):
-        basis = build_exterior_basis(geom, "annulus", 16, kind="harmonic")
+        basis = build_exterior_basis(geom, 16, kind="harmonic")
         params = MandacheParams(
             ell=2.5, eps=0.1, beta=1e4, lattice_spacing=0.2, seed=7, s=geom.s, n=1
         )
@@ -403,44 +400,51 @@ class TestInstability:
         assert out["decay_rate"] > 0 and out["decay_r_squared"] >= 0.9
 
     def test_search_whitens_each_gram_once(self, geom, op_quad, monkeypatch):
-        # every pair's block shares one restricted Gram; the parent whitened
-        # it twice per pair (962 eigh calls for 481 pairs)
-        grams = []
+        # the basis whitens its Gram once and every pair's norm reads it
+        grams, bases = [], []
         eigh = sla.eigh
+        build = experiments.build_exterior_basis
 
         def counting_eigh(a, *args, **kwargs):
             grams.append(np.array(a))
             return eigh(a, *args, **kwargs)
 
+        def recording_build(*args, **kwargs):
+            bases.append(build(*args, **kwargs))
+            return bases[-1]
+
         monkeypatch.setattr(sla, "eigh", counting_eigh)
+        monkeypatch.setattr(experiments, "build_exterior_basis", recording_build)
         run_suite("instability", geom, op_quad, {"seed": 7, "count": 32})
-        distinct = {g.tobytes() for g in grams}
-        assert 1 <= len(grams) <= len(distinct)
+        assert len(bases) == len(grams) == 1
+        assert np.array_equal(grams[0], bases[0].gram)
 
     def test_whitened_norms_are_the_norms(self, geom, op_quad, monkeypatch):
-        # the search's norms with the shared whitening are bitwise the ones
-        # that whiten both Gram blocks on every call
+        # every norm of the search is bitwise the largest singular value of
+        # W M W, W = G^(-1/2) of the basis' Gram
         seen = []
 
-        def checked(block, whitening=None):
-            norm = dn_operator_norm(block, whitening)
-            assert whitening is not None and norm == dn_operator_norm(block)
+        def checked(d):
+            norm = dn_operator_norm(d)
+            W = d.basis.whitening
+            assert norm == np.linalg.svd(W @ d.entries @ W, compute_uv=False)[0]
             seen.append(norm)
             return norm
 
         monkeypatch.setattr(experiments, "dn_operator_norm", checked)
-        basis = build_exterior_basis(geom, "annulus", 16, kind="harmonic")
+        basis = build_exterior_basis(geom, 16, kind="harmonic")
         params = MandacheParams(
             ell=2.5, eps=0.1, beta=1e4, lattice_spacing=0.2, seed=7, s=geom.s, n=1
         )
         rec = instability_search(params, basis, op_quad, count=16)
         assert seen and rec["dn_gap"] == min(seen)
+        assert np.array_equal(basis.whitening, whiten_gram(basis.gram))
 
     def test_single_bump_decay(self, geom, op_quad, ones_gamma):
         from fraccond.conductivity import Potential, liouville_potential
         from fraccond.experiments import coefficient_decay
 
-        basis = build_exterior_basis(geom, "annulus", 16, kind="harmonic")
+        basis = build_exterior_basis(geom, 16, kind="harmonic")
         gam = bump_conductivity(geom, height=0.5, width=0.5)
         q = liouville_potential(gam, op_quad)
         M = assemble_dn(q, basis, op_quad)

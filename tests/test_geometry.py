@@ -13,10 +13,11 @@ from fraccond.geometry import (
     default_geometry,
     mollifier_profile,
     plateau_profile,
-    smooth_random_field,
     smoothstep,
     _random_trig_sum,
 )
+
+from conftest import smooth_random_field
 
 
 class TestGeometryValidation:
@@ -49,7 +50,7 @@ class TestGeometryValidation:
                 s=0.4,
                 box_halfwidth=6.0,
                 grid_points=128,
-                measurement_sets=(Region("bad", 0.5, 2.0),),
+                region=Region(0.5, 2.0),
             )
 
     def test_region_must_stay_in_box(self):
@@ -59,13 +60,13 @@ class TestGeometryValidation:
                 s=0.4,
                 box_halfwidth=6.0,
                 grid_points=128,
-                measurement_sets=(Region("bad", 2.0, 7.0),),
+                region=Region(2.0, 7.0),
             )
 
     @pytest.mark.parametrize("r_in, r_out", [(0.0, 1.0), (-1.0, 2.0), (2.0, 2.0), (3.0, 2.0)])
     def test_region_needs_ordered_positive_radii(self, r_in, r_out):
         with pytest.raises(ValueError, match="0 < r_in < r_out"):
-            Region("bad", r_in, r_out)
+            Region(r_in, r_out)
 
     def test_dimension_restricted(self):
         with pytest.raises(ValueError):
@@ -88,7 +89,7 @@ class TestMasksAndGrids:
         assert np.all(closure | exterior)
 
     def test_region_mask_inside_exterior(self, geom):
-        m = geom.region_mask("annulus")
+        m = geom.region_mask()
         assert np.any(m)
         assert not np.any(m & geom.omega_closure_mask())
 
@@ -107,10 +108,10 @@ class TestMasksAndGrids:
         assert np.array_equal(r, np.hypot(X, Y))
 
     def test_box_distance_is_euclidean(self, geom, geom2d):
-        box = geom.region_box("annulus")
+        box = geom.region_box()
         (x,) = geom.coords(box)
         assert np.array_equal(geom.distance((2.5,), box), np.abs(x - 2.5))
-        box = geom2d.region_box("annulus")
+        box = geom2d.region_box()
         X, Y = geom2d.coords(box)
         assert np.array_equal(geom2d.distance((0.3, -0.2), box), np.hypot(X - 0.3, Y - -0.2))
 
@@ -124,15 +125,11 @@ class TestMasksAndGrids:
 
     def test_1d_region_mask_is_the_interval_pair(self):
         # both radii are grid points, so the open ends are exercised exactly
-        g = default_geometry(n=1, grid_points=64, region=("annulus", 2.25, 3.0))
+        g = default_geometry(n=1, grid_points=64, region=(2.25, 3.0))
         x = g.axis()
         assert np.any(x == -2.25) and np.any(x == 3.0)
         pair = ((x > -3.0) & (x < -2.25)) | ((x > 2.25) & (x < 3.0))
-        assert np.array_equal(g.region_mask("annulus"), pair)
-
-    def test_unknown_region_raises(self, geom):
-        with pytest.raises(KeyError):
-            geom.region("missing")
+        assert np.array_equal(g.region_mask(), pair)
 
 
 class TestProfiles:
@@ -253,6 +250,8 @@ class TestFftSynthesis:
     @pytest.mark.parametrize("n,N", SYNTHESIS_GRIDS)
     @pytest.mark.parametrize("kmax", [8, 5])
     def test_smooth_matches_loop(self, n, N, kmax):
+        # the compactly supported test field of the operator oracles is the
+        # windowed trigonometric sum, normalized to unit sup norm
         g = default_geometry(n=n, grid_points=N)
         for seed in (0, 5, 23):
             ref, _ = loop_trig_sum(g, seed, kmax)
@@ -267,36 +266,22 @@ class TestFftSynthesis:
         for k in (0, -1, 32, 40):
             with pytest.raises(ValueError, match="mode cutoff"):
                 bandlimited_field(g, seed=1, kmodes=k)
-            with pytest.raises(ValueError, match="mode cutoff"):
-                smooth_random_field(g, seed=1, kmax=k)
         bandlimited_field(g, seed=1, kmodes=31)
-        smooth_random_field(g, seed=1, kmax=1)
+        bandlimited_field(g, seed=1, kmodes=1)
 
 
 class TestRandomFields:
     def test_seeded_reproducibility(self, geom):
-        a = smooth_random_field(geom, seed=5)
-        b = smooth_random_field(geom, seed=5)
+        a = bandlimited_field(geom, seed=5)
+        b = bandlimited_field(geom, seed=5)
         assert np.array_equal(a.values, b.values)
-        c = smooth_random_field(geom, seed=6)
+        c = bandlimited_field(geom, seed=6)
         assert not np.array_equal(a.values, c.values)
 
     def test_compact_support(self, geom):
         f = smooth_random_field(geom, seed=5, support_radius=4.0)
         assert np.all(f.values[geom.radius >= 4.0] == 0.0)
         assert np.max(np.abs(f.values)) == pytest.approx(1.0)
-
-    def test_support_radius_must_be_finite_and_positive(self, geom):
-        # a zero radius gives a 0/0 window and an all-zero field, and the
-        # window's |t| would silently fold a negative radius to its absolute value
-        for radius in (0.0, -1.0, -4.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="support radius"):
-                smooth_random_field(geom, seed=5, support_radius=radius)
-
-    def test_default_radius_is_the_explicit_one(self, geom):
-        default = smooth_random_field(geom, seed=5)
-        explicit = smooth_random_field(geom, seed=5, support_radius=0.85 * geom.box_halfwidth)
-        assert np.array_equal(default.values, explicit.values)
 
     def test_bandlimited_grid_independent(self):
         coarse = default_geometry(n=1, grid_points=512)

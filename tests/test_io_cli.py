@@ -22,7 +22,7 @@ from fraccond.cli import (
     suite_keys,
 )
 from fraccond.experiments import SUITES
-from fraccond.geometry import default_geometry
+from fraccond.geometry import Region, default_geometry
 from fraccond.dnmap import DnMatrix
 from fraccond.plots import emit_plots
 
@@ -34,7 +34,7 @@ s = 0.4
 box_halfwidth = 6.0
 grid_points = {N}
 omega_radius = 1.0
-region = annulus 2.0 3.0
+region = 2.0 3.0
 
 [suite]
 name = {suite}
@@ -63,7 +63,6 @@ KEY_READERS = {
     "count": ("instability",),
     "probe_point": ("exterior",),
     "recovery_height": ("exterior",),
-    "region": _BASIS,
 }
 
 
@@ -184,13 +183,33 @@ class TestConfigParsing:
         assert build_geometry(parse_config(path)) == default_geometry(n)
 
     def test_malformed_region_rejected(self, tmp_path):
+        # the region is two radii and carries no name
         base = write_config(tmp_path).read_text()
-        for region in ("annulus 2.0", "annulus two 3.0", "annulus 2.0 3.0 4.0"):
+        for region in ("2.0", "two 3.0", "2.0 3.0 4.0", "annulus 2.0 3.0"):
             path = tmp_path / "region.ini"
-            path.write_text(base.replace("annulus 2.0 3.0", region))
+            path.write_text(base.replace("region = 2.0 3.0", f"region = {region}"))
             with pytest.raises(ConfigError, match="region"):
                 build_geometry(parse_config(path))
             assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("suite", ["exterior", "reduction", "logmodulus", "instability"])
+    def test_suite_region_key_rejected(self, tmp_path, suite):
+        # the geometry holds the one region, so no suite reads a region key:
+        # validate and run refuse it alike
+        path = write_config(tmp_path, suite=suite, N=256, extra="region = annulus\n")
+        with pytest.raises(ConfigError, match=f"'{suite}' does not read region"):
+            parse_config(path)
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+    def test_geometry_region_is_run(self, tmp_path):
+        path = write_config(tmp_path, suite="reduction", N=256)
+        path.write_text(path.read_text().replace("region = 2.0 3.0", "region = 2.25 3.25"))
+        assert build_geometry(parse_config(path)).region == Region(2.25, 3.25)
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) in (EXIT_OK, EXIT_INVARIANT)
+        assert (out / "report.json").exists()
 
     def test_amplitudes_parsing(self, tmp_path):
         path = tmp_path / "exp.ini"

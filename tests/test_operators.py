@@ -16,7 +16,6 @@ from fraccond.geometry import (
     bandlimited_field,
     default_geometry,
     mollifier_profile,
-    smooth_random_field,
 )
 from fraccond.kernels import moment_weights_for, normalization_constant
 from fraccond.operators import (
@@ -32,7 +31,12 @@ from fraccond.operators import (
     parseval_pairing,
 )
 
-from conftest import fancy_index_stencil, full_grid_moment_weights_2d, outer_product_path
+from conftest import (
+    fancy_index_stencil,
+    full_grid_moment_weights_2d,
+    outer_product_path,
+    smooth_random_field,
+)
 
 
 def oracle_laplacian(u, s):
@@ -478,12 +482,11 @@ class TestInteriorStencil:
         [(1, 1024, 1.0), (2, 128, 1.0), (1, 256, 4.0), (2, 64, 4.0)],
     )
     def test_matches_fancy_index_gather(self, n, grid_points, omega_radius):
-        geom = GeometryConfig(
+        geom = default_geometry(
             n=n,
-            s=0.4 if n == 1 else 0.5,
-            box_halfwidth=6.0,
             grid_points=grid_points,
             omega_radius=omega_radius,
+            region=(omega_radius + 0.5, 5.5),
         )
         op = FracOperator(geom)
         # an Omega wider than the box half-width has offsets that wrap around
@@ -502,12 +505,11 @@ class TestInteriorStencil:
         [(1, 1024, 1.0), (2, 128, 1.0), (1, 256, 4.0), (2, 64, 4.0)],
     )
     def test_window_convolution_matches_stencil(self, n, grid_points, omega_radius):
-        geom = GeometryConfig(
+        geom = default_geometry(
             n=n,
-            s=0.4 if n == 1 else 0.5,
-            box_halfwidth=6.0,
             grid_points=grid_points,
             omega_radius=omega_radius,
+            region=(omega_radius + 0.5, 5.5),
         )
         op = FracOperator(geom)
         stencil = fancy_index_stencil(op)
@@ -530,7 +532,7 @@ class TestInteriorStencil:
             n=n,
             grid_points=grid_points,
             omega_radius=omega_radius,
-            region=("annulus", omega_radius + 0.5, 5.5),
+            region=(omega_radius + 0.5, 5.5),
         )
         op = FracOperator(geom)
         window, _, D = op.interior_offsets
@@ -549,7 +551,7 @@ class TestInteriorStencil:
         assert symbol.min() > 0
         assert np.max(np.abs(pre.spectrum * symbol - 1.0)) <= 1e-13
 
-        basis = build_exterior_basis(geom, "annulus", 8, kind="harmonic")
+        basis = build_exterior_basis(geom, 8, kind="harmonic")
         gam = bump_conductivity(geom, height=0.5, width=0.8 * omega_radius)
         factored = outer_product_path(gam, basis, FracOperator(geom))
         iterated = assemble_dn(gam, basis, op).entries

@@ -278,7 +278,7 @@ class TestBoxApply:
             "conductivity": lambda: Conductivity(g, 1.0 + 0.3 * wide, gamma0=0.5),
             "schrodinger": lambda: Potential(g, 0.5 * wide),
         }[equation]()
-        basis = build_exterior_basis(g, "annulus", 4, kind="harmonic")
+        basis = build_exterior_basis(g, 4, kind="harmonic")
         F = grid_stack(basis)
         support = np.any(F != 0, axis=0)
         if equation == "conductivity":
@@ -466,7 +466,7 @@ class TestSharedFactor:
         # reference with the same preconditioner, product and stopping rule)
         g = default_geometry(n=2, grid_points=256)
         op = FracOperator(g)
-        basis = build_exterior_basis(g, "annulus", 16, kind="harmonic")
+        basis = build_exterior_basis(g, 16, kind="harmonic")
         system = interior_system(bump_conductivity(g, 0.5, 0.8), op)
         F = grid_stack(basis)
         B = -system.apply(F).reshape(len(F), -1)[:, system.idx].T / system._gi[:, None]
@@ -484,7 +484,7 @@ class TestSharedFactor:
         # product's 2D + 1 box, whose restriction to Omega is A'_0 exactly
         g = default_geometry(n=2, grid_points=128)
         op = FracOperator(g)
-        basis = build_exterior_basis(g, "annulus", 16, kind="harmonic")
+        basis = build_exterior_basis(g, 16, kind="harmonic")
         system = interior_system(bump_conductivity(g, 0.5, 0.8), op)
         F = grid_stack(basis)
         B = -system.apply(F).reshape(len(F), -1)[:, system.idx].T / system._gi[:, None]
