@@ -266,19 +266,20 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     """DN matrix M_ij = B(u_{f_i}, f_j) for the given coefficient.
 
     Conductivity coefficients address the conductivity equation, Potential
-    coefficients the Schrodinger one.  All k basis data F are solved in one
-    batch (InteriorSystem.solve_many) on the basis' box, where its stack
-    holds them: one stacked apply gives AF on the box and the right-hand
-    sides B = -(AF)_Omega, and one run of block PCG with the operator's
-    half-size box preconditioner the interior values X.  Each column's
-    Galerkin residual is checked against the interior block; a failure
-    raises SolverError naming the column.  By Alessandrini's identity
-    M = F (AF)^T - X^T B over the box, so no flux apply is made, and the
-    apply's convolution, kept in the operator's one slot, is shared by
-    consecutive assemblies of coefficients with g F = F on the box.  The
-    system is built for this call and dropped after it.  M is passed to
-    DnMatrix unsymmetrized, so its symmetry check sees the raw solver
-    asymmetry.  Any other coefficient raises TypeError.
+    coefficients the Schrodinger one (the suites take a Liouville
+    potential's map from its conductivity's, `experiments._liouville_dns`).
+    All k basis data F are solved in one batch (InteriorSystem.solve_many)
+    on the basis' box, where its stack holds them: one stacked apply gives
+    AF on the box and the right-hand sides B = -(AF)_Omega, and one run of
+    block PCG with the operator's half-size box preconditioner the interior
+    values X.  Each column's Galerkin residual is checked against the
+    interior block; a failure raises SolverError naming the column.  By
+    Alessandrini's identity M = F (AF)^T - X^T B over the box, so no flux
+    apply is made, and the apply's convolution, kept in the operator's one
+    slot, is shared by consecutive assemblies of coefficients with g F = F
+    on the box.  The system is built for this call and dropped after it.
+    M is passed to DnMatrix unsymmetrized, so its symmetry check sees the
+    raw solver asymmetry.  Any other coefficient raises TypeError.
     """
     system = interior_system(coefficient, op)
     if basis.geometry != system.geometry:

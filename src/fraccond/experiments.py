@@ -11,7 +11,8 @@ command-line harness can persist and plot it:
                  amplitude scan, plus pointwise exterior recovery from
                  concentrating probe bumps.
 * reduction    - the two DN differences of a shrinking interior family and
-                 the fitted constant of the power-shape bound.
+                 the fitted constant of the power-shape bound, Lambda_q
+                 from the exact Liouville identity, not a second solve.
 * logmodulus   - log-modulus fit of coefficient error versus DN error over
                  an amplitude ladder, with the smallness gate applied.
 * instability  - lattice-family search for an eps-separated pair with tiny
@@ -32,10 +33,8 @@ import scipy.fft as sfft
 from .conductivity import (
     Conductivity,
     MandacheParams,
-    Potential,
     bump_conductivity,
     check_theta0,
-    liouville_potential,
     mandache_family,
     pairwise_sup_gaps,
 )
@@ -192,30 +191,37 @@ def exterior_recovery(M: DnMatrix, M0: DnMatrix, probes) -> list:
     return results
 
 
-def coefficient_key(coefficient):
-    """(kind, digest of values): what a coefficient's interior system on a
-    given operator, and so its DN matrix on a given basis, depend on.
-    Anything but a Conductivity or a Potential is refused with TypeError
-    before it is hashed."""
-    if not isinstance(coefficient, (Conductivity, Potential)):
-        raise TypeError("coefficient must be a Conductivity or a Potential")
-    tag = "c" if isinstance(coefficient, Conductivity) else "q"
-    return tag, _digest(coefficient.values)
-
-
 def _assembler(basis, op: FracOperator):
-    """assemble_dn on one basis and operator, made once per coefficient: a
-    coefficient of the same grid, kind and values as one already given
-    (`coefficient_key`) gets that one's DnMatrix."""
+    """assemble_dn on one basis and operator, made once per conductivity: a
+    conductivity of the same grid and values as one already given gets that
+    one's DnMatrix.  Anything but a Conductivity is refused with TypeError
+    before it is hashed."""
     assembled = {}
 
-    def dn(coefficient):
-        key = (*coefficient_key(coefficient), coefficient.geometry)
+    def dn(gamma):
+        if not isinstance(gamma, Conductivity):
+            raise TypeError("coefficient must be a Conductivity")
+        key = (_digest(gamma.values), gamma.geometry)
         if key not in assembled:
-            assembled[key] = assemble_dn(coefficient, basis, op)
+            assembled[key] = assemble_dn(gamma, basis, op)
         return assembled[key]
 
     return dn
+
+
+def _liouville_dns(gamma: Conductivity, basis, op: FracOperator):
+    """(Lambda_gamma, Lambda_q) on a basis, q = `liouville_potential(gamma)`,
+    with no Potential system: the discrete Liouville transform is exact,
+    B_gamma(u, phi) = B_q(g u, g phi) with g = gamma^(1/2), so Lambda_q(F) =
+    Lambda_gamma(F / g).  Where g = 1 wherever a basis field is nonzero,
+    F / g is F bitwise and Lambda_q is Lambda_gamma's matrix; otherwise
+    Lambda_gamma is assembled on F / g, its entries kept on the basis."""
+    M = assemble_dn(gamma, basis, op)
+    g = gamma.sqrt_values[basis.box]
+    if np.all(g[np.any(basis.stack != 0, axis=0)] == 1.0):
+        return M, M
+    Mq = assemble_dn(gamma, replace(basis, stack=basis.stack / g), op)
+    return M, DnMatrix(entries=Mq.entries, basis=basis)
 
 
 def exterior_stability_scan(pairs, basis, op: FracOperator):
@@ -411,12 +417,9 @@ def instability_search(params: MandacheParams, basis, op: FracOperator, count=32
     omega = geom.omega_mask()
     gaps = pairwise_sup_gaps(members, omega)
 
-    zero_q = Potential(geom, np.zeros(geom.shape))
-    M0 = assemble_dn(zero_q, basis, op)
-    mats = []
-    for member in members:
-        q = liouville_potential(member, op)
-        mats.append(assemble_dn(q, basis, op))
+    one = Conductivity(geom, np.ones(geom.shape), gamma0=0.5)
+    M0 = _liouville_dns(one, basis, op)[1]
+    mats = [_liouville_dns(member, basis, op)[1] for member in members]
 
     best = None
     for i in range(count):
@@ -548,13 +551,11 @@ def suite_reduction(geometry, op, theta0=0.9, amplitude=0.3, factor=1.3, basis_s
     basis = build_exterior_basis(geometry, basis_size, "bumps")
     one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
     # every check compares with the same unit conductivity and its potential
-    M_one = assemble_dn(one, basis, op)
-    M_q_one = assemble_dn(liouville_potential(one, op), basis, op)
+    M_one, M_q_one = _liouville_dns(one, basis, op)
     checks = []
     for w in [0.4 / factor**k for k in range(6)]:
         g = bump_conductivity(geometry, height=amplitude, width=w)
-        M_g = assemble_dn(g, basis, op)
-        M_q = assemble_dn(liouville_potential(g, op), basis, op)
+        M_g, M_q = _liouville_dns(g, basis, op)
         checks.append({"width": float(w), **_reduction_record(M_g, M_one, M_q, M_q_one, theta0)})
     fitted = [c["fitted_constant"] for c in checks]
     return {

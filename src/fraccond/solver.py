@@ -13,7 +13,9 @@ g^2 (for a potential g = 1 and A' is the block itself): every A' of one
 operator differs from the unit block A'_0 (gamma = 1, q = 0) only on its
 diagonal.  A_gamma is positive definite exactly when A' is, as g > 0;
 failure for a potential signals a genuinely non-transformed, non-coercive
-q and is reported as such.
+q and is reported as such.  The congruence gives Lambda_q(F) =
+Lambda_gamma(F / g) for the Liouville potential q of gamma, so the suites
+build no Potential system (`experiments._liouville_dns`).
 
 Solves are batched and use the discrete Alessandrini identity.  The
 exterior data F come as a (k, *box) stack on their solve box, a box of the
@@ -144,7 +146,8 @@ class InteriorSystem:
     with the full-grid operator are `apply_multiplier` convolutions with the
     operator's cached weight spectrum, the last one kept in its
     `convolution` slot.  The interior block is A_gamma = D_g A' D_g (g = 1
-    for a potential); `_gi` is g on Omega and `_diag` the diagonal of A'.
+    for a potential, never formed); `_gi` is g on Omega and `_diag` the
+    diagonal of A'.  Of the grid the system owns only apply's factor `_e`.
     A' is solved by block PCG: the system holds the PCG product's diagonal
     shift `_shift`, the operator's windowed convolution `_convolve` and its
     box preconditioner `_preconditioner`, and nothing m x m.  Building it
@@ -164,28 +167,22 @@ class InteriorSystem:
         self.idx = np.flatnonzero(self.mask.reshape(-1))
         if self.idx.size == 0:
             raise SolverError("no interior degrees of freedom")
-        if isinstance(coefficient, Conductivity):
-            self.kind = "conductivity"
-            self.g = coefficient.sqrt_values
-            self.q = None
-        else:
-            self.kind = "schrodinger"
-            self.g = None
-            self.q = coefficient.values
-
         op.counts.systems += 1
         self._scale = op.cns * geom.cell_volume
-        G = np.ones(geom.shape) if self.g is None else self.g
-        wg = apply_multiplier(op.form_spectrum, G)  # w * g, the diagonal's convolution
-        diag = self._scale * (G * wg).reshape(-1)[self.idx]
-        # the factors of apply: A u = s (e u - w * (g u))
-        if self.q is None:
-            self._e, self._s = wg, self._scale * self.g
+        # e, the factor of apply's A u = c h^n g (e u - w * (g u)), and the
+        # diagonal c h^n g (w * g) (+ h^n q) of A_gamma on Omega
+        if isinstance(coefficient, Conductivity):
+            self.kind, self.g, self.q = "conductivity", coefficient.sqrt_values, None
+            self._e = apply_multiplier(op.form_spectrum, self.g)  # w * g
+            self._gi = self.g.reshape(-1)[self.idx]
+            diag = self._scale * (self._gi * self._e.reshape(-1)[self.idx])
         else:
-            diag = diag + geom.cell_volume * self.q.reshape(-1)[self.idx]
-            self._e, self._s = wg + self.q / op.cns, self._scale
+            self.kind, self.g, self.q = "schrodinger", None, coefficient.values
+            w1 = op.form_spectrum.flat[0].real  # w * 1, the weights' sum
+            self._e = w1 + self.q / op.cns
+            self._gi = np.ones(self.idx.size)
+            diag = self._scale * w1 + geom.cell_volume * self.q.reshape(-1)[self.idx]
         # A_gamma = D_g A' D_g; A' has A_gamma's diagonal divided by g^2
-        self._gi = G.reshape(-1)[self.idx]
         self._diag = diag / self._gi**2
 
         self._convolve = op.interior_convolution
@@ -290,16 +287,17 @@ class InteriorSystem:
         """Stiffness applied to a field or a (k, *box) stack on a box.
 
         A u = s (e u - w * (g u)) with s = c h^n g and e = w * g, or, for a
-        potential, g = 1, s = c h^n and e = w * 1 + q / c.  box is a tuple of
-        slices of the grid, the whole grid when None, and values hold u on
-        it; every factor is read on it, and the result is A u on the box,
-        exact when u vanishes off it.  The one FFT pair, the convolution
-        w * (g u) over the periodic grid, takes the box as the grid's low
-        corner (`apply_multiplier` with the grid given), field by field
-        into one compact array.  The operator's `convolution` slot keeps the
-        last one under a digest of g u and its shape (the convolution does
-        not depend on where the box lies); an apply whose key matches reuses
-        it, and any other frees it before its own is built.
+        potential, g = 1, s = c h^n and e = w * 1 + q / c (w * 1 the sum of
+        the weights).  box is a tuple of slices of the grid, the whole grid
+        when None, and values hold u on it; every factor is read on it, and
+        the result is A u on the box, exact when u vanishes off it.  The one
+        FFT pair, the convolution w * (g u) over the periodic grid, takes the
+        box as the grid's low corner (`apply_multiplier` with the grid
+        given), field by field into one compact array.  The operator's
+        `convolution` slot keeps the last one under a digest of g u and its
+        shape (the convolution does not depend on where the box lies); an
+        apply whose key matches reuses it, and any other frees it before its
+        own is built.
         """
         box = (Ellipsis,) if box is None else (Ellipsis,) + tuple(box)
         gu = values if self.g is None else self.g[box] * values
@@ -313,7 +311,7 @@ class InteriorSystem:
         conv = op.convolution[1]
         out = values * self._e[box]
         out -= conv
-        out *= self._s if self.g is None else self._s[box]
+        out *= self._scale if self.g is None else self._scale * self.g[box]
         return out
 
     def _convolution(self, gu):

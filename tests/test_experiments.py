@@ -19,8 +19,9 @@ from fraccond.experiments import (
     EPS_GUARD,
     _multiplier_pairing,
     _multiplier_potential,
+    _assembler,
+    _liouville_dns,
     _rank_correlation,
-    coefficient_key,
     exterior_stability_scan,
     instability_search,
     liouville_identity_residual,
@@ -132,19 +133,80 @@ class TestMtildeResidual:
         assert resids[1024] / resids[512] <= 0.7
 
 
-class TestCoefficientKey:
-    def test_kind_is_part_of_the_key(self, geom_small):
+class TestAssembler:
+    def test_equal_conductivities_share_one_matrix(self, geom_small):
+        op = FracOperator(geom_small)
+        dn = _assembler(build_exterior_basis(geom_small, 4, "bumps"), op)
         ones = np.ones(geom_small.shape)
-        gam = Conductivity(geom_small, ones, gamma0=0.5)
-        q = Potential(geom_small, ones)
-        (tag_gam, digest_gam), (tag_q, digest_q) = coefficient_key(gam), coefficient_key(q)
-        assert digest_gam == digest_q  # equal values
-        assert (tag_gam, tag_q) == ("c", "q")
-        assert coefficient_key(Conductivity(geom_small, ones, gamma0=0.9)) == (tag_gam, digest_gam)
+        M = dn(Conductivity(geom_small, ones, gamma0=0.5))
+        # the key is the grid and the values: gamma0 is not part of it
+        assert dn(Conductivity(geom_small, ones, gamma0=0.9)) is M
+        assert op.counts.systems == 1
+        assert dn(bump_conductivity(geom_small, 0.3, width=0.5)) is not M
+        assert op.counts.systems == 2
 
-    def test_non_coefficient_rejected(self, geom_small):
-        with pytest.raises(TypeError, match="Conductivity or a Potential"):
-            coefficient_key(np.ones(geom_small.shape))
+    def test_potential_and_array_rejected(self, geom_small):
+        op = FracOperator(geom_small)
+        dn = _assembler(build_exterior_basis(geom_small, 4, "bumps"), op)
+        ones = np.ones(geom_small.shape)
+        for coefficient in (Potential(geom_small, ones), ones):
+            with pytest.raises(TypeError, match="must be a Conductivity"):
+                dn(coefficient)
+        assert op.counts.systems == 0
+
+
+class TestLiouvilleDns:
+    """Lambda_q from the exact discrete Liouville identity Lambda_q(F) =
+    Lambda_gamma(F / g), checked through the solver's Schrodinger path."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("width", [0.4, 3.1])
+    def test_matches_the_potential_system(self, geom, geom2d, n, width):
+        # width 3.1 reaches the annulus (2, 3), where the basis lives, so
+        # g != 1 on the data and only the F / g assembly gives Lambda_q
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        basis = build_exterior_basis(g, 16, "bumps")
+        gam = bump_conductivity(g, height=0.3, width=width)
+        support = np.any(basis.stack != 0, axis=0)
+        reaches = bool(np.any(gam.sqrt_values[basis.box][support] != 1.0))
+        assert reaches == (width > 2.0)
+        Mg, Mq = _liouville_dns(gam, basis, op)
+        ref = assemble_dn(liouville_potential(gam, op), basis, op).entries
+        scale = np.max(np.abs(ref))
+        assert Mq.basis is basis
+        assert np.max(np.abs(Mq.entries - ref)) <= 1e-13 * scale
+        if reaches:
+            # Lambda_gamma(F) is not Lambda_q(F): 12% (1D) and 4.8% (2D) off
+            assert np.max(np.abs(Mg.entries - ref)) > 1e-2 * scale
+        else:
+            assert Mq is Mg
+
+    def test_reachable_from_the_reduction_config(self, geom_small):
+        # at factor 0.6 the widths 3.09 and 5.14 reach the annulus: their
+        # Lambda_q take a second assembly each, 7 + 2 systems
+        op = FracOperator(geom_small)
+        out = suite_reduction(geom_small, op, factor=0.6, basis_size=8)
+        assert op.counts.systems == 9
+        wide = [c for c in out["checks"] if c["width"] > 2.0]
+        assert len(wide) == 2 and all(c["lhs"] != c["x"] for c in wide)
+
+    def test_suites_build_no_potential_system(self, geom_small, monkeypatch):
+        import fraccond.solver as solver
+
+        kinds = []
+        init = solver.InteriorSystem.__init__
+
+        def recording(self, coefficient, op):
+            kinds.append(type(coefficient))
+            init(self, coefficient, op)
+
+        monkeypatch.setattr(solver.InteriorSystem, "__init__", recording)
+        for name, systems in (("reduction", 7), ("instability", 33)):
+            kinds.clear()
+            run_suite(name, geom_small, FracOperator(geom_small))
+            assert len(kinds) == systems
+            assert set(kinds) == {Conductivity}
 
 
 class TestExteriorSuite:
@@ -268,8 +330,10 @@ class TestReduction:
 
     def test_suite_assembles_the_unit_reference_once(self, geom_small, monkeypatch):
         # every check compares with gamma = 1 and its Liouville potential:
-        # the suite assembles those two once, 14 DN matrices where four per
-        # check make 24, and its payload is theirs bitwise
+        # the suite assembles gamma = 1 once and no potential, since every g
+        # is 1 on the basis' support and Lambda_q is then Lambda_gamma; 7
+        # DN matrices where two per check make 12, and its payload is
+        # theirs bitwise, lhs equal to x
         import fraccond.experiments as experiments
 
         calls = []
@@ -281,7 +345,8 @@ class TestReduction:
         monkeypatch.setattr(experiments, "assemble_dn", counted)
         op = FracOperator(geom_small)
         out = suite_reduction(geom_small, op, basis_size=8)
-        assert len(calls) == 14
+        assert len(calls) == 7
+        assert set(map(type, calls)) == {Conductivity}
         assert not square_arrays(op)  # nothing m x m is kept
         calls.clear()
         basis = build_exterior_basis(geom_small, 8, "bumps")
@@ -289,13 +354,11 @@ class TestReduction:
         checks = []
         for w in [0.4 / 1.3**k for k in range(6)]:
             g = bump_conductivity(geom_small, height=0.3, width=w)
-            dn = [
-                experiments.assemble_dn(c, basis, op)
-                for c in (g, one, liouville_potential(g, op), liouville_potential(one, op))
-            ]
-            checks.append({"width": w, **_reduction_record(*dn, 0.9)})
-        assert len(calls) == 24
+            Mg, Mone = (experiments.assemble_dn(c, basis, op) for c in (g, one))
+            checks.append({"width": w, **_reduction_record(Mg, Mone, Mg, Mone, 0.9)})
+        assert len(calls) == 12
         assert out["checks"] == checks
+        assert all(c["lhs"] == c["x"] for c in out["checks"])
 
     def test_family_fitted_band(self, geom, op_quad):
         out = run_suite("reduction", geom, op_quad, {"basis_size": 12})

@@ -390,10 +390,11 @@ class TestProvenance:
             "convolution_hits",
             "worst_residual",
         }
-        # 14 DN matrices on one basis, each a system; every g is 1 on the
-        # basis' support, so all 14 applies share one convolution
-        assert (counts["systems"], counts["convolution_hits"]) == (14, 13)
-        assert counts["pcg_solves"] == 28  # a certificate and a solve per system
+        # 7 DN matrices on one basis, one system per conductivity: every g
+        # is 1 on the basis' support, so each Liouville potential's map is
+        # its conductivity's, and all 7 applies share one convolution
+        assert (counts["systems"], counts["convolution_hits"]) == (7, 6)
+        assert counts["pcg_solves"] == 14  # a certificate and a solve per system
         assert 0 < counts["worst_residual"] <= 1e-10
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "solver" not in report
