@@ -201,7 +201,7 @@ def _assembler(basis, op: FracOperator):
     def dn(gamma):
         if not isinstance(gamma, Conductivity):
             raise TypeError("coefficient must be a Conductivity")
-        key = (_digest(gamma.values), gamma.geometry)
+        key = (_digest([gamma.values]), gamma.geometry)
         if key not in assembled:
             assembled[key] = assemble_dn(gamma, basis, op)
         return assembled[key]

@@ -90,21 +90,35 @@ def _tail_mass_scaled(a_start, s, N):
     return integral + half - (N / 12.0) * deriv
 
 
+# offsets per block of `_folded_cell_masses_1d`: a block's (rows, images)
+# arrays are 0.4 MB each with the default 48 images
+_IMAGE_ROWS = 1024
+
+
 def _folded_cell_masses_1d(N, s, h, images=48):
     """Periodized moment weights: W[r] = total kernel mass of cells = r (mod N).
+
+    Each offset r sums the masses of its images r + jN and N - r + jN,
+    j = 0 ... images, then an Euler-Maclaurin tail for each side.  The
+    images are evaluated for a block of `_IMAGE_ROWS` offsets at a time,
+    so no (N, images) array is formed; every offset's sum is the same
+    row reduction in the same order whatever the block, so the weights do
+    not depend on it bit for bit.
 
     W[0] is zero: offsets congruent to 0 pair a grid point with its own
     periodic copies, so they never contribute to a pair difference.
     """
-    r = np.arange(N)
     j = np.arange(images + 1)
     W = np.zeros(N)
-    for q in (r, N - r):
-        idx = q[:, None] + N * j[None, :]
-        valid = idx >= 1
-        contrib = np.where(valid, _cell_mass_scaled(np.maximum(idx, 1), s), 0.0)
-        W += contrib.sum(axis=1)
-        W += _tail_mass_scaled(q + N * (images + 1), s, N)
+    for start in range(0, N, _IMAGE_ROWS):
+        r = np.arange(start, min(start + _IMAGE_ROWS, N))
+        w = W[start : start + _IMAGE_ROWS]
+        for q in (r, N - r):
+            idx = q[:, None] + N * j[None, :]
+            valid = idx >= 1
+            contrib = np.where(valid, _cell_mass_scaled(np.maximum(idx, 1), s), 0.0)
+            w += contrib.sum(axis=1)
+            w += _tail_mass_scaled(q + N * (images + 1), s, N)
     W[0] = 0.0
     return W * h ** (-2.0 * s)
 

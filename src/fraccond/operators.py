@@ -79,8 +79,8 @@ def apply_multiplier(symbol, values, grid=None):
 
     With grid given, values hold the low corner of a periodic grid of that
     shape, zero elsewhere, and the result is read back on the same corner.
-    The forward transform (`_corner_rfftn`) runs its real last-axis pass
-    over the corner's rows only and pads each leading axis for its complex
+    The forward transform runs its real last-axis pass over the corner's
+    rows only (`_corner_rfft`) and pads each leading axis for its complex
     pass; the inverse runs the complex passes over the leading axes, keeps
     the corner's rows and runs the last-axis pass only over those.  No real
     array of the whole grid is formed, and the result is the full grid's,
@@ -94,7 +94,9 @@ def apply_multiplier(symbol, values, grid=None):
     if symbol.shape[:-1] != grid[:-1] or symbol.shape[-1] not in (grid[-1], grid[-1] // 2 + 1):
         raise ValueError(f"multiplier of shape {symbol.shape} does not fit grid {grid}")
     axes = tuple(range(-symbol.ndim, 0))
-    spec = _corner_rfftn(values, grid)
+    spec = _corner_rfft(values, grid)
+    for axis in axes[:-1]:
+        spec = sfft.fft(spec, grid[axis], axis=axis, overwrite_x=True)
     spec *= symbol[..., : spec.shape[-1]]
     for axis, c in zip(axes[:-1], corner):
         rows = (Ellipsis, slice(c)) + (slice(None),) * (-axis - 1)
@@ -102,18 +104,15 @@ def apply_multiplier(symbol, values, grid=None):
     return sfft.irfft(spec, grid[-1], axis=-1, overwrite_x=True)[..., : corner[-1]]
 
 
-def _corner_rfftn(values, grid):
-    """Real FFT over the last len(grid) axes of values, the low corner of a
-    periodic grid of that shape, zero elsewhere: the real last-axis pass runs
-    over the corner's rows only, and each leading axis is padded for its
-    complex pass."""
+def _corner_rfft(values, grid):
+    """The real last-axis pass of the real FFT over the last len(grid) axes
+    of values, the low corner of a periodic grid of that shape, zero
+    elsewhere: it runs over the corner's rows only, each padded to the grid's
+    last axis; the leading axes are left for complex passes."""
     corner = values.shape[-len(grid) :]
     if any(c > p for c, p in zip(corner, grid)):
         raise ValueError(f"values of shape {corner} exceed grid {grid}")
-    spec = sfft.rfft(values, grid[-1], axis=-1)
-    for axis in range(-len(grid), -1):
-        spec = sfft.fft(spec, grid[axis], axis=axis, overwrite_x=True)
-    return spec
+    return sfft.rfft(values, grid[-1], axis=-1)
 
 
 # frequencies per block of a stacked `parseval_pairing`: the weighted copy
@@ -440,19 +439,41 @@ def hs_norm(u: GridField, s: float) -> float:
     return float(np.sqrt(max(hs_inner(u, u, s), 0.0)))
 
 
+# half-spectrum columns per block of `hs_gram`'s leading-axis passes: a
+# block of 16 fields at 2D N = 2048 is 13 MB, where the whole padded half
+# spectrum is 537 MB
+_GRAM_COLUMNS = 24
+
+
 def hs_gram(stack, geometry, s: float) -> np.ndarray:
     """Gram matrix of a (k, *corner) stack of fields in the discrete H^s
     product of the geometry's grid.
 
     The fields lie on a box of the grid, given as its low corner and zero
     elsewhere: the pairing is translation invariant, so the box may lie
-    anywhere.  One real FFT of the stack zero-padded to the grid
-    (`_corner_rfftn`, the real pass over the corner's rows only) and one
-    stacked `parseval_pairing` on the half spectrum, which weights it block
-    by block: the transform is the one complex stack of the grid's size."""
+    anywhere.  The real last-axis pass of the real FFT runs over the
+    corner's rows, zero-padded to the grid's last axis: it is the box's own
+    transform, and in 1D the whole one.  The leading axes are then padded
+    and transformed one block of half-spectrum columns at a time, and each
+    block's stacked `parseval_pairing` is added, so no complex stack of the
+    grid's size is formed.  Consecutive blocks share their edge column: the
+    pairing counts a block's first and last column once, as the half
+    spectrum's own edges k = 0 and k = N/2 must count, so a shared column
+    counts twice, as every other column must.  With no leading axes there
+    is one block, the whole half spectrum."""
     if len(stack) == 0:
         raise ValueError("empty basis")
-    hats = _corner_rfftn(np.asarray(stack, dtype=float), geometry.shape)
+    grid = geometry.shape
+    hats = _corner_rfft(np.asarray(stack, dtype=float), grid)
     weight = bessel_symbol(geometry, s)[..., : hats.shape[-1]]
-    G = parseval_pairing(weight, hats, hats, geometry.cell_volume, geometry.grid_points**geometry.n)
+    last = hats.shape[-1] - 1
+    step = _GRAM_COLUMNS if geometry.n > 1 else last
+    points = geometry.grid_points**geometry.n
+    G = 0.0
+    for start in range(0, last, step):
+        columns = (Ellipsis, slice(start, min(start + step, last) + 1))
+        block = hats[columns]
+        for axis in range(-geometry.n, -1):
+            block = sfft.fft(block, grid[axis], axis=axis)
+        G = G + parseval_pairing(weight[columns], block, block, geometry.cell_volume, points)
     return 0.5 * (G + G.T)

@@ -26,18 +26,21 @@ apply gives AF on the box; its interior rows are the right-hand sides
 B = -(AF)_Omega, one batched solve gives the interior values
 X = D_g^-1 A'^-1 D_g^-1 B, and the energy pairings of the solutions are
 M = F (AF)^T - X^T B over the box, with no second apply for the fluxes.
-The one FFT pair of an apply is the convolution of the weights with g F
-(with F for a potential) over the periodic grid, through
-`operators.apply_multiplier` with the box as the grid's low corner (a
-convolution is translation invariant), so the real passes run over the
-box's rows only (251 of 512 rows at 2D N = 512).  It is taken field by
-field into one compact (k, *box) array, so no stacked spectrum of the
-grid is formed.  The operator keeps the last one in
-`FracOperator.convolution`, keyed by a digest of g F on the box, and the
-next apply reuses it when its digest matches.  Where g = 1 on the support
-of F, g F is bitwise F, so every potential and every conductivity equal
-to 1 there share one convolution per basis, and a suite's assemblies on
-one basis follow one another.
+F (AF)^T and B are taken right after the apply and AF is freed, so
+during the solve the only stacks of the box's size are the data and the
+operator's kept convolution.  The one FFT pair of an apply is the
+convolution of the weights with g F (with F for a potential) over the
+periodic grid, through `operators.apply_multiplier` with the box as the
+grid's low corner (a convolution is translation invariant), so the real
+passes run over the box's rows only (251 of 512 rows at 2D N = 512).  It
+is taken field by field into one compact (k, *box) array, so no stacked
+spectrum of the grid is formed.  The operator keeps the last one in
+`FracOperator.convolution`, keyed by a sha256 of g F on the box, and the
+next apply reuses it when its digest matches; g F is formed one field at
+a time, for the digest and for the convolution, and never stacked.  Where
+g = 1 on the support of F, g F is bitwise F, so every potential and every
+conductivity equal to 1 there share one convolution per basis, and a
+suite's assemblies on one basis follow one another.
 
 A' is never factored and nothing m x m is formed (m the number of
 unknowns).  Every system, the unit coefficient's too, is solved by block
@@ -126,8 +129,13 @@ class Solution:
     energy: float
 
 
-def _digest(array):
-    return hashlib.sha256(np.ascontiguousarray(array)).hexdigest()[:24]
+def _digest(arrays):
+    """sha256 of the bytes of arrays given one at a time by an iterable: the
+    digest of their stack, with no stack formed."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array))
+    return digest.hexdigest()[:24]
 
 
 # PCG stops when every column's residual is below this fraction of its
@@ -294,35 +302,44 @@ class InteriorSystem:
         FFT pair, the convolution w * (g u) over the periodic grid, takes the
         box as the grid's low corner (`apply_multiplier` with the grid
         given), field by field into one compact array.  The operator's
-        `convolution` slot keeps the last one under a digest of g u and its
-        shape (the convolution does not depend on where the box lies); an
-        apply whose key matches reuses it, and any other frees it before its
-        own is built.
+        `convolution` slot keeps the last one under the shape of u and a
+        sha256 of the stacked g u, streamed one field at a time (the
+        convolution does not depend on where the box lies); an apply whose
+        key matches reuses it, and any other frees it before its own is
+        built.  g u is formed one field at a time for the key and again for
+        the convolution, so no stack of it is held.
         """
         box = (Ellipsis,) if box is None else (Ellipsis,) + tuple(box)
-        gu = values if self.g is None else self.g[box] * values
         op = self.op
-        key = (gu.shape, _digest(gu))
+        key = (values.shape, _digest(self._products(values, box)))
         if op.convolution is not None and op.convolution[0] == key:
             op.counts.convolution_hits += 1
         else:
             op.convolution = None  # the old array is freed before the new one is built
-            op.convolution = (key, self._convolution(gu))
+            op.convolution = (key, self._convolution(values, box))
         conv = op.convolution[1]
         out = values * self._e[box]
         out -= conv
         out *= self._scale if self.g is None else self._scale * self.g[box]
         return out
 
-    def _convolution(self, gu):
-        """w * gu over the periodic grid for a field or a stack on a box,
+    def _products(self, values, box):
+        """g u for each field of a field or a stack on a box, one field at a
+        time (u itself for a potential)."""
+        grid = self.geometry.shape
+        g = None if self.g is None else self.g[box]
+        for u in values.reshape((-1,) + values.shape[-len(grid) :]):
+            yield u if g is None else g * u
+
+    def _convolution(self, values, box):
+        """w * (g u) over the periodic grid for a field or a stack on a box,
         transformed one field at a time into a preallocated result."""
         grid = self.geometry.shape
-        fields = gu.reshape((-1,) + gu.shape[-len(grid) :])
-        conv = np.empty(fields.shape)
-        for field, out in zip(fields, conv):
-            out[...] = apply_multiplier(self.op.form_spectrum, field, grid)
-        return conv.reshape(gu.shape)
+        conv = np.empty(values.shape)
+        out = conv.reshape((-1,) + values.shape[-len(grid) :])
+        for i, gu in enumerate(self._products(values, box)):
+            out[i] = apply_multiplier(self.op.form_spectrum, gu, grid)
+        return conv
 
     def solve_many(self, data, box, tol: float = 1e-10):
         """Solve for a (k, *box) stack F of exterior data on a box in one batch.
@@ -338,7 +355,9 @@ class InteriorSystem:
         energy pairings M_ij = B(u_i, f_j) = B(u_i, u_j) and the residual of
         each column.  M = F (AF)^T - X^T B by Alessandrini's identity, the
         product over the box; it needs no flux apply and is returned
-        unsymmetrized.  A box that does not hold Omega raises ValueError.
+        unsymmetrized.  F (AF)^T and B are formed right after the apply and
+        AF is freed before PCG runs.  A box that does not hold Omega raises
+        ValueError.
         """
         F = np.asarray(data, dtype=float)
         k = F.shape[0]
@@ -348,6 +367,8 @@ class InteriorSystem:
             raise ValueError("the solve box must hold Omega")
         AF = self.apply(F, box).reshape(k, -1)
         B = -AF[:, np.flatnonzero(inside)].T  # Omega in the box's order
+        FAF = F.reshape(k, -1) @ AF.T
+        del AF  # freed before the solve, which needs only B
         gi = self._gi[:, None]
         X, _ = self._pcg(B / gi)
         X /= gi
@@ -363,7 +384,7 @@ class InteriorSystem:
                 f"Galerkin residual {residuals[i]:.3e} exceeds tol {tol:.3e} "
                 f"in column {i}"
             )
-        M = F.reshape(k, -1) @ AF.T - X.T @ B
+        M = FAF - X.T @ B
         return X.T, M, residuals
 
     def solve(self, datum: ExteriorDatum, tol: float = 1e-10) -> Solution:

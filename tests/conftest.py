@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -197,3 +199,15 @@ def full_grid_moment_weights_2d(s, N, L, near=4, images=6, gl_order=24):
     W += 2.0 * np.pi * R_out ** (-2.0 * s) / (2.0 * s) / N**2
     W[0, 0] = 0.0
     return W
+
+
+def peak_traced_bytes(fn, *args):
+    """The peak of the memory that tracemalloc traces while fn(*args) runs,
+    in bytes: numpy's arrays are traced, so it bounds the call's transient
+    arrays.  Tracing is stopped however the call ends."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,11 +1,11 @@
 """DN matrices, dual-pairing norms, bases, restrictions."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
+import scipy.fft as sfft
 import scipy.linalg as sla
 
+import fraccond.operators as operators
 import fraccond.solver as solver
 from fraccond.conductivity import (
     Conductivity,
@@ -25,13 +25,20 @@ from fraccond.dnmap import (
 )
 from fraccond.experiments import suite_reduction
 from fraccond.geometry import GridField, bounding_box, default_geometry, mollifier_profile
-from fraccond.operators import FracOperator, apply_multiplier, hs_gram
+from fraccond.operators import (
+    FracOperator,
+    apply_multiplier,
+    bessel_symbol,
+    hs_gram,
+    parseval_pairing,
+)
 from fraccond.solver import InteriorSystem, SolverError, interior_system
 
 from conftest import (
     full_grid_hs_gram,
     grid_stack,
     outer_product_path,
+    peak_traced_bytes,
     reachable,
     reference_block,
     square_arrays,
@@ -144,13 +151,49 @@ class TestBoxBasis:
         # Gram included, in less than twice that
         g = default_geometry(n=2, grid_points=256)
         k = 16
-        tracemalloc.start()
-        try:
-            build_exterior_basis(g, k, "bumps")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_traced_bytes(build_exterior_basis, g, k, "bumps")
         assert peak < 2 * k * g.grid_points**2 * 8
+
+
+class TestGramBlocks:
+    """`hs_gram` transforms the leading axes one block of half-spectrum
+    columns at a time, after the real last-axis pass over the box."""
+
+    @pytest.mark.parametrize("kind", ["bumps", "harmonic"])
+    @pytest.mark.parametrize("on", ["box", "grid"])
+    def test_ragged_blocks_match_full_grid_gram(self, kind, on):
+        # 33 half-spectrum columns at N = 64 leave a last block shorter
+        # than the others; a stack on the whole grid is transformed with
+        # no padding
+        g = default_geometry(n=2, grid_points=64)
+        assert (g.grid_points // 2 + 1) % operators._GRAM_COLUMNS != 0
+        b = build_exterior_basis(g, 12, kind=kind)
+        ref = full_grid_hs_gram(grid_stack(b), g, g.s)
+        stack = b.stack if on == "box" else grid_stack(b)
+        G = hs_gram(stack, g, g.s)
+        assert np.array_equal(G, G.T)
+        assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", [1024, 16384])
+    def test_1d_is_the_one_shot_pairing(self, N):
+        # in 1D the last-axis pass is the whole transform, paired at once
+        g = default_geometry(n=1, grid_points=N)
+        b = build_exterior_basis(g, 16, kind="harmonic")
+        hats = sfft.rfft(b.stack, N, axis=-1)
+        weight = bessel_symbol(g, g.s)[: hats.shape[-1]]
+        G = parseval_pairing(weight, hats, hats, g.cell_volume, N)
+        assert np.array_equal(hs_gram(b.stack, g, g.s), 0.5 * (G + G.T))
+
+    def test_peak_memory_below_the_padded_half_spectrum(self):
+        # the whole padded half spectrum of the stack, (k, N, N/2 + 1)
+        # complex, is more than the blocked Gram ever holds
+        g = default_geometry(n=2, grid_points=256)
+        b = build_exterior_basis(g, 16, kind="bumps")
+        k, N = len(b), g.grid_points
+        padded = k * N * (N // 2 + 1) * 16
+        assert peak_traced_bytes(hs_gram, b.stack, g, g.s) < padded
+        # the one-shot oracle forms that stack, so the bound can fire
+        assert peak_traced_bytes(full_grid_hs_gram, grid_stack(b), g, g.s) > padded
 
 
 class TestAssembly:
@@ -481,9 +524,9 @@ class TestAlessandriniAssembly:
         stacked = []
         plain = solver.InteriorSystem._convolution
 
-        def counting(self, gu):
-            stacked.append(gu.shape)
-            return plain(self, gu)
+        def counting(self, values, box):
+            stacked.append(values.shape)
+            return plain(self, values, box)
 
         monkeypatch.setattr(solver.InteriorSystem, "_convolution", counting)
         out = suite_reduction(geom_small, FracOperator(geom_small), basis_size=8)

@@ -17,7 +17,13 @@ from fraccond.geometry import (
     default_geometry,
     mollifier_profile,
 )
-from fraccond.kernels import moment_weights_for, normalization_constant
+from fraccond.kernels import (
+    _cell_mass_scaled,
+    _folded_cell_masses_1d,
+    _tail_mass_scaled,
+    moment_weights_for,
+    normalization_constant,
+)
 from fraccond.operators import (
     FracOperator,
     apply_multiplier,
@@ -35,6 +41,7 @@ from conftest import (
     fancy_index_stencil,
     full_grid_moment_weights_2d,
     outer_product_path,
+    peak_traced_bytes,
     smooth_random_field,
 )
 
@@ -459,6 +466,26 @@ class TestWeights:
         assert np.max(np.abs(W - ref)) <= 1e-14 * np.max(np.abs(ref))
         nonzero = ref > 0
         assert np.max(np.abs(W - ref)[nonzero] / ref[nonzero]) <= 1e-14
+
+    @pytest.mark.parametrize("N", [64, 1024, 16384])
+    @pytest.mark.parametrize("s", [0.4, 0.1])
+    def test_1d_moment_weights_in_row_blocks(self, N, s):
+        # the one-shot sum over every offset's images, as one (N, images)
+        # array per side: the row blocks must give it bit for bit
+        h, images = 12.0 / N, 48
+        q = np.arange(N)[:, None]
+        j = np.arange(images + 1)[None, :]
+        ref = np.zeros(N)
+        for side in (q, N - q):
+            idx = side + N * j
+            ref += np.where(idx >= 1, _cell_mass_scaled(np.maximum(idx, 1), s), 0.0).sum(axis=1)
+            ref += _tail_mass_scaled(side[:, 0] + N * (images + 1), s, N)
+        ref[0] = 0.0
+        assert np.array_equal(_folded_cell_masses_1d(N, s, h), ref * h ** (-2.0 * s))
+
+    def test_1d_moment_weights_peak_memory(self):
+        # the one-shot sum held several (16384, 49) arrays, about 38 MB
+        assert peak_traced_bytes(moment_weights_for, 1, 0.4, 16384, 6.0) < 4 * 2**20
 
     def test_quadrature_symbol_tracks_multiplier(self, geom, op_quad):
         sym_q = op_quad.quadrature_symbol

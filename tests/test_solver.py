@@ -1,6 +1,7 @@
 """Galerkin solver: exactness relations, invariants, convergence."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -248,9 +249,9 @@ class TestConvolutionStore:
         held = []
         plain = solver.InteriorSystem._convolution
 
-        def watching(self, gu):
+        def watching(self, *args):
             held.append(op.convolution)
-            return plain(self, gu)
+            return plain(self, *args)
 
         monkeypatch.setattr(solver.InteriorSystem, "_convolution", watching)
         system.apply(b)
@@ -263,6 +264,43 @@ class TestConvolutionStore:
         (F,) = self.data(geom_small, 2.5)
         assert np.array_equal(interior_system(one, op).apply(F), interior_system(zero, op).apply(F))
         assert op.counts.convolution_hits == 1
+
+
+class TestStreamedAssembly:
+    """`apply` forms g u one field at a time, for the convolution key and for
+    the convolution; `solve_many` frees AF before its PCG run."""
+
+    @staticmethod
+    def coefficient(op, equation):
+        # reaches the annulus, so g != 1 where the basis lives
+        gamma = bump_conductivity(op.geometry, height=0.5, width=2.8)
+        return gamma if equation == "conductivity" else liouville_potential(gamma, op)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
+    def test_key_is_the_digest_of_the_stacked_products(self, geom, geom2d, n, equation):
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, 8, kind="harmonic")
+        coefficient = self.coefficient(op, equation)
+        interior_system(coefficient, op).apply(b.stack, b.box)
+        gu = b.stack if equation == "schrodinger" else coefficient.sqrt_values[b.box] * b.stack
+        assert not np.array_equal(gu, b.stack) or equation == "schrodinger"
+        digest = hashlib.sha256(np.ascontiguousarray(gu)).hexdigest()[:24]
+        assert op.convolution[0] == (b.stack.shape, digest)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
+    def test_dn_matrix_is_the_alessandrini_product(self, geom, geom2d, n, equation):
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, 8, kind="harmonic")
+        system = interior_system(self.coefficient(op, equation), op)
+        X, M, _ = system.solve_many(b.stack, b.box)
+        k = len(b)
+        AF = system.apply(b.stack, b.box).reshape(k, -1)
+        B = -AF[:, np.flatnonzero(system.mask[b.box])].T
+        assert np.array_equal(M, b.stack.reshape(k, -1) @ AF.T - X @ B)
 
 
 class TestBoxApply:
