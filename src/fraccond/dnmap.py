@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .geometry import bounding_box, mollifier_profile
 from .operators import FracOperator, hs_gram
@@ -171,7 +170,7 @@ def basis_from_fields(geometry, fields, orders, kind):
     if np.any(norms <= 0):
         raise ValueError("degenerate basis function (region too coarse)")
     gram = gram / np.outer(norms, norms)
-    lam_min = float(sla.eigvalsh(gram)[0])
+    lam_min = float(np.linalg.eigvalsh(gram)[0])
     if lam_min < 1e-10:
         raise ValueError(
             f"requested {len(F)} functions exceed the region's resolution "
@@ -290,7 +289,7 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
 
 def whiten_gram(gram):
     """G^(-1/2) of a Gram matrix by one symmetric eigendecomposition."""
-    vals, vecs = sla.eigh(gram)
+    vals, vecs = np.linalg.eigh(gram)
     if vals[0] <= 1e-14 * vals[-1]:
         raise ValueError("singular Gram matrix: rank-deficient basis")
     return vecs @ np.diag(vals**-0.5) @ vecs.T

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as sfft
 
 from .conductivity import (
     Conductivity,
@@ -97,7 +96,7 @@ def _multiplier_pairing(gamma: Conductivity, u: GridField, phi: GridField, op: F
     h_n = gamma.geometry.cell_volume
     q = _multiplier_potential(gamma, op)
     return parseval_pairing(
-        op.multiplier_spectrum, sfft.rfftn(gu), sfft.rfftn(gphi), h_n, gu.size
+        op.multiplier_spectrum, np.fft.rfftn(gu), np.fft.rfftn(gphi), h_n, gu.size
     ) + h_n * float(np.sum(q * gu * gphi))
 
 
@@ -227,7 +226,8 @@ def _liouville_dns(gamma: Conductivity, basis, op: FracOperator):
 def exterior_stability_scan(pairs, basis, op: FracOperator):
     """(sup-norm exterior gap, DN-difference norm) per pair plus the fitted
     Lipschitz constant; identical pairs are excluded with a note.  Each
-    distinct coefficient is assembled once (`_assembler`)."""
+    distinct coefficient is assembled once (`_assembler`).  pairs is read
+    once, pair by pair, so a generator need hold only the current pair."""
     geom = basis.geometry
     ext = geom.exterior_mask()
     data = []
@@ -520,7 +520,9 @@ def suite_exterior(
 ):
     basis = build_exterior_basis(geometry, basis_size, "bumps")
     one = Conductivity(geometry, np.ones(geometry.shape), gamma0=0.5)
-    pairs = [(_scan_pair(geometry, a), one) for a in amplitudes]
+    # built one at a time, so a scan conductivity and its cached square
+    # root are freed once its pair is assembled
+    pairs = ((_scan_pair(geometry, a), one) for a in amplitudes)
     scan = exterior_stability_scan(pairs, basis, op)
 
     # recovery probes on a dedicated probe basis

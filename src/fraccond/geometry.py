@@ -19,7 +19,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
+
+# numpy imports these on first use; importing them here keeps that cost
+# (about 20 ms for numpy.random) out of the first field a run synthesizes
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 __all__ = [
     "Region",
@@ -278,7 +282,8 @@ def _random_trig_sum(geometry, seed, kmax):
     spec[idx] = c
     column = idx[-1] == 0
     spec[tuple(-k[column] % N for k in idx)] = np.conj(c[column])
-    return sfft.irfftn(spec, geometry.shape, norm="forward"), total
+    axes = tuple(range(geometry.n))
+    return np.fft.irfftn(spec, s=geometry.shape, axes=axes, norm="forward"), total
 
 
 def bandlimited_field(geometry, seed, kmodes=20):

@@ -31,11 +31,10 @@ assumed.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gamma
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.special import gamma as gamma_fn
 
 __all__ = [
     "normalization_constant",
@@ -48,7 +47,7 @@ __all__ = [
 
 def normalization_constant(n, s):
     """c_{n,s} making the singular integral match the multiplier |k|^(2s)."""
-    return 4.0**s * gamma_fn(n / 2.0 + s) / (np.pi ** (n / 2.0) * abs(gamma_fn(-s)))
+    return 4.0**s * gamma(n / 2.0 + s) / (np.pi ** (n / 2.0) * abs(gamma(-s)))
 
 
 # ---------------------------------------------------------------------------

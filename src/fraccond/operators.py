@@ -12,6 +12,7 @@ Every Fourier multiplier and every weight convolution goes through
 `apply_multiplier`, one forward and one inverse real FFT: the oracle
 multipliers in the full DFT layout, the weights as their cached real-FFT
 half spectrum.  Every weighted Parseval sum goes through `parseval_pairing`.
+The transforms are numpy.fft's, so the module needs numpy alone.
 
 The conductivity form
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 
 from .geometry import GridField
 from .kernels import (
@@ -74,45 +74,101 @@ def apply_multiplier(symbol, values, grid=None):
     `bessel_symbol`, `FracOperator.quadrature_symbol`) or the real-FFT half
     spectrum of a weight array (`FracOperator.form_spectrum`), which makes
     the call the circular convolution with those weights.  The grid has
-    symbol.ndim axes, the last ones of values; a symbol of another grid is
-    refused, since slicing it would silently apply a different multiplier.
+    symbol.ndim axes, the last ones of values, and one or two of them; a
+    symbol of another grid is refused, since slicing it would silently apply
+    a different multiplier.
 
     With grid given, values hold the low corner of a periodic grid of that
     shape, zero elsewhere, and the result is read back on the same corner.
     The forward transform runs its real last-axis pass over the corner's
-    rows only (`_corner_rfft`) and pads each leading axis for its complex
-    pass; the inverse runs the complex passes over the leading axes, keeps
-    the corner's rows and runs the last-axis pass only over those.  No real
-    array of the whole grid is formed, and the result is the full grid's,
-    restricted to the corner, bit for bit.  A convolution is translation invariant, so
-    values from any box of the grid may be given as its low corner: the
-    result is the convolution read back on that box.  The passes are
-    scipy.fft's, each after the first transforming its input in place.
+    rows only, each padded to the grid's last axis, and the complex pass of
+    the leading axis over the padded columns; the inverse runs the complex
+    pass, keeps the corner's rows and runs the last-axis pass only over
+    those.  No real array of the whole grid is formed, and the result is the
+    full grid's, restricted to the corner, bit for bit.  A convolution is
+    translation invariant, so values from any box of the grid may be given
+    as its low corner: the result is the convolution read back on that box.
+    The passes are numpy.fft's (`_CornerPasses`).
     """
     corner = values.shape[-symbol.ndim :]
     grid = corner if grid is None else tuple(grid)
-    if symbol.shape[:-1] != grid[:-1] or symbol.shape[-1] not in (grid[-1], grid[-1] // 2 + 1):
+    if (
+        symbol.ndim > 2
+        or symbol.shape[:-1] != grid[:-1]
+        or symbol.shape[-1] not in (grid[-1], grid[-1] // 2 + 1)
+    ):
         raise ValueError(f"multiplier of shape {symbol.shape} does not fit grid {grid}")
-    axes = tuple(range(-symbol.ndim, 0))
-    spec = _corner_rfft(values, grid)
-    for axis in axes[:-1]:
-        spec = sfft.fft(spec, grid[axis], axis=axis, overwrite_x=True)
-    spec *= symbol[..., : spec.shape[-1]]
-    for axis, c in zip(axes[:-1], corner):
-        rows = (Ellipsis, slice(c)) + (slice(None),) * (-axis - 1)
-        spec = sfft.ifft(spec, axis=axis, overwrite_x=True)[rows]
-    return sfft.irfft(spec, grid[-1], axis=-1, overwrite_x=True)[..., : corner[-1]]
+    return _CornerPasses(values.shape, grid)(symbol, values)
 
 
-def _corner_rfft(values, grid):
-    """The real last-axis pass of the real FFT over the last len(grid) axes
-    of values, the low corner of a periodic grid of that shape, zero
-    elsewhere: it runs over the corner's rows only, each padded to the grid's
-    last axis; the leading axes are left for complex passes."""
-    corner = values.shape[-len(grid) :]
+def _fast_length(n):
+    """The smallest 2^a 3^b 5^c >= n, a length the real FFT takes at full
+    speed (`scipy.fft.next_fast_len(n, real=True)`)."""
+    best = 1 << (n - 1).bit_length()  # the power of two
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest odd * 2^a >= n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _check_corner(corner, grid):
     if any(c > p for c, p in zip(corner, grid)):
         raise ValueError(f"values of shape {corner} exceed grid {grid}")
-    return sfft.rfft(values, grid[-1], axis=-1)
+
+
+class _CornerPasses:
+    """The FFT pair of `apply_multiplier` for one stack shape on one grid,
+    with the arrays its passes write kept for every call with that shape.
+
+    values of shape (*stack, *corner) hold the low corner of a periodic grid
+    of one or two axes, zero elsewhere; rows already padded to the grid's
+    last axis may be given as the corner.  The real last-axis pass writes
+    the corner's rows, padded to the grid's last axis, into `half`.  In 2D
+    the leading axis' complex passes run in place on `lead`, the half
+    spectrum transposed to (*stack, columns, rows) and zero-padded along
+    rows, so each pass runs along a contiguous last axis.  The inverse
+    last-axis pass writes the corner's rows into `out`, which in 2D is
+    `half`'s memory, free once `lead` holds its copy; a call returns its
+    corner, a view of `out` that the next call overwrites.
+    """
+
+    def __init__(self, shape, grid):
+        n = len(grid)
+        stack, corner = tuple(shape[:-n]), tuple(shape[-n:])
+        _check_corner(corner, grid)
+        self.grid, self.corner = tuple(grid), corner
+        rows = stack + corner[:-1]
+        self.half = np.empty(rows + (grid[-1] // 2 + 1,), dtype=complex)
+        if n == 2:
+            self.lead = np.empty(stack + self.half.shape[-1:] + grid[:1], dtype=complex)
+            self.out = self.half.view(float)[..., : grid[-1]]
+        else:
+            self.lead = None
+            self.out = np.empty(rows + grid[-1:])
+
+    def __call__(self, symbol, values):
+        P = self.grid[-1]
+        half = np.fft.rfft(values, P, out=self.half)
+        symbol = symbol[..., : half.shape[-1]]
+        if self.lead is None:
+            half *= symbol
+        else:
+            # numpy's pass is faster on a padded, contiguous copy than when
+            # it gathers and pads strided rows itself
+            r, lead = self.corner[0], self.lead
+            lead[..., :r] = np.swapaxes(half, -1, -2)
+            lead[..., r:] = 0.0
+            np.fft.fft(lead, out=lead)
+            lead *= symbol.T
+            np.fft.ifft(lead, out=lead)
+            half = np.swapaxes(lead[..., :r], -1, -2)
+        np.fft.irfft(half, P, out=self.out)
+        return self.out[..., : self.corner[-1]]
 
 
 # frequencies per block of a stacked `parseval_pairing`: the weighted copy
@@ -159,12 +215,16 @@ class WindowConvolution:
     a zero box of side P >= 2D + 1, that sum is the circular convolution with
     the window laid out at its offsets mod P: Omega's bounding box, of side
     at most D + 1, fits in the box, and P keeps the 2D + 1 offsets of each
-    axis apart.  P is the smallest such 2^a 3^b 5^c (`scipy.fft.next_fast_len`),
-    a length the FFT takes at full speed (180 against a power of two's 256
-    at 2D N = 512).  The vectors are scattered into the bounding box only,
-    the low corner of the periodic box, and one `apply_multiplier` call with
-    the box as its grid transforms only the corner's rows and reads the
-    corner back (85 of 180 rows at 2D N = 512).
+    axis apart.  P is the smallest such 2^a 3^b 5^c (`_fast_length`), a
+    length the FFT takes at full speed (180 against a power of two's 256
+    at 2D N = 512).  The vectors are scattered into the rows of the
+    bounding box, the low corner of the periodic box, each row padded to the
+    box's side (`points` indexes Omega there), and the FFT pair of
+    `apply_multiplier` with the box as its grid transforms only those rows
+    and reads them back (85 of 180 rows at 2D N = 512).  The padded rows and
+    the pair's arrays (`_CornerPasses`) are kept for the last column count
+    and reused by every product with it: Omega's points are rewritten, and
+    every other point stays zero.
     `center` is the weight at offset 0, the stencil's diagonal.  A window
     of offsets [-D, D]^n with D below Omega's extent makes a box that still
     holds the bounding box as long as 2D + 1 is at least its side; the
@@ -175,25 +235,28 @@ class WindowConvolution:
 
     def __init__(self, window, coords, D):
         n = window.ndim
-        P = sfft.next_fast_len(2 * D + 1, real=True)
+        P = _fast_length(2 * D + 1)
         span = np.arange(-D, D + 1) % P
         padded = np.zeros((P,) * n)
         padded[np.ix_(*[span] * n)] = window
         self.shape = padded.shape
-        self.spectrum = sfft.rfftn(padded)
+        self.spectrum = np.fft.rfftn(padded)
         self.corner = tuple(int(a.max()) + 1 for a in coords)  # Omega's bounding box
-        self.index = np.ravel_multi_index(coords, self.corner)
+        self.points = (slice(None),) + tuple(coords)  # Omega in a stack of rows
         self.center = float(window[(D,) * n])
+        self._rows = self._passes = None
 
     def __call__(self, Y):
         """S Y for an (m, k) array Y of interior columns: Y scattered into
         the bounding box, multiplied by `spectrum` over the periodic box and
         restricted to Omega."""
         k = Y.shape[1]
-        corner = np.zeros((k,) + self.corner)
-        corner.reshape(k, -1)[:, self.index] = Y.T
-        conv = apply_multiplier(self.spectrum, corner, self.shape)
-        return conv.reshape(k, -1)[:, self.index].T
+        if self._rows is None or len(self._rows) != k:
+            self._rows = self._passes = None  # the old arrays go first
+            self._rows = np.zeros((k,) + self.corner[:-1] + self.shape[-1:])
+            self._passes = _CornerPasses(self._rows.shape, self.shape)
+        self._rows[self.points] = Y.T
+        return self._passes(self.spectrum, self._rows)[self.points].T
 
 
 @dataclass
@@ -230,7 +293,8 @@ class FracOperator:
     their real-FFT half spectra, the multiplier |k|^(2s) on the half
     spectrum (`multiplier_spectrum`), the quadrature symbol, and the windowed
     interior convolution and box preconditioner that every interior system
-    is solved with (no m x m array).  It keeps no interior systems.  Its
+    is solved with (no m x m array; each system solves with its own shallow
+    copies, which keep their FFT arrays).  It keeps no interior systems.  Its
     one slot `convolution` holds the last weight convolution of stacked
     exterior data on their solve box, as (key, compact array), filled by
     `solver.InteriorSystem.apply`.  The solver also records what it did in
@@ -259,7 +323,7 @@ class FracOperator:
     def form_spectrum(self):
         """Real-FFT half spectrum of the moment weights: `apply_multiplier`
         with it is their circular convolution."""
-        return sfft.rfftn(self.form_weights)
+        return np.fft.rfftn(self.form_weights)
 
     @cached_property
     def multiplier_spectrum(self):
@@ -281,7 +345,7 @@ class FracOperator:
     def diagnostic_spectrum(self):
         """Real-FFT half spectrum of the diagnostic weights."""
         if self.geometry.n == 1:
-            return sfft.rfftn(self.diagnostic_weights)
+            return np.fft.rfftn(self.diagnostic_weights)
         return self.form_spectrum
 
     @cached_property
@@ -325,7 +389,7 @@ class FracOperator:
 
         Let corner = D + 1 be the side of Omega's bounding box and
         Dp = floor(corner / 2).  L_P = c h^n ((sum w + w_0) I - W_P) on the
-        periodic box of side P = next_fast_len(2 Dp + 1) >= corner, W_P the
+        periodic box of side P = _fast_length(2 Dp + 1) >= corner, W_P the
         circular convolution with the symmetrized window truncated to the
         offsets [-Dp, Dp]^n and sum w the full grid's weight sum, A'_0's
         diagonal over c h^n.  Restricted to Omega, L_P has A'_0's diagonal
@@ -452,19 +516,23 @@ def hs_gram(stack, geometry, s: float) -> np.ndarray:
     The fields lie on a box of the grid, given as its low corner and zero
     elsewhere: the pairing is translation invariant, so the box may lie
     anywhere.  The real last-axis pass of the real FFT runs over the
-    corner's rows, zero-padded to the grid's last axis: it is the box's own
-    transform, and in 1D the whole one.  The leading axes are then padded
-    and transformed one block of half-spectrum columns at a time, and each
-    block's stacked `parseval_pairing` is added, so no complex stack of the
-    grid's size is formed.  Consecutive blocks share their edge column: the
-    pairing counts a block's first and last column once, as the half
-    spectrum's own edges k = 0 and k = N/2 must count, so a shared column
-    counts twice, as every other column must.  With no leading axes there
-    is one block, the whole half spectrum."""
+    corner's rows into one (k, *corner[:-1], N/2 + 1) array, numpy padding
+    each row to the grid's last axis itself: it is the box's own transform,
+    and in 1D the whole one.  The leading axis is then padded and
+    transformed one block of half-spectrum columns at a time, each block
+    transposed so that its pass runs along a contiguous last axis and then
+    transposed back, and each block's stacked `parseval_pairing` is added,
+    so no complex stack of the grid's size is formed.  Consecutive blocks
+    share their edge column: the pairing counts a block's first and last
+    column once, as the half spectrum's own edges k = 0 and k = N/2 must
+    count, so a shared column counts twice, as every other column must.
+    With no leading axis there is one block, the whole half spectrum."""
     if len(stack) == 0:
         raise ValueError("empty basis")
     grid = geometry.shape
-    hats = _corner_rfft(np.asarray(stack, dtype=float), grid)
+    stack = np.asarray(stack, dtype=float)
+    _check_corner(stack.shape[1:], grid)
+    hats = np.fft.rfft(stack, grid[-1], axis=-1)
     weight = bessel_symbol(geometry, s)[..., : hats.shape[-1]]
     last = hats.shape[-1] - 1
     step = _GRAM_COLUMNS if geometry.n > 1 else last
@@ -473,7 +541,8 @@ def hs_gram(stack, geometry, s: float) -> np.ndarray:
     for start in range(0, last, step):
         columns = (Ellipsis, slice(start, min(start + step, last) + 1))
         block = hats[columns]
-        for axis in range(-geometry.n, -1):
-            block = sfft.fft(block, grid[axis], axis=axis)
+        if geometry.n > 1:
+            block = np.fft.fft(np.ascontiguousarray(np.swapaxes(block, -1, -2)), grid[0])
+            block = np.ascontiguousarray(np.swapaxes(block, -1, -2))
         G = G + parseval_pairing(weight[columns], block, block, geometry.cell_volume, points)
     return 0.5 * (G + G.T)

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 import fraccond.experiments as experiments
 from fraccond.conductivity import (
@@ -465,7 +464,7 @@ class TestInstability:
     def test_search_whitens_each_gram_once(self, geom, op_quad, monkeypatch):
         # the basis whitens its Gram once and every pair's norm reads it
         grams, bases = [], []
-        eigh = sla.eigh
+        eigh = np.linalg.eigh
         build = experiments.build_exterior_basis
 
         def counting_eigh(a, *args, **kwargs):
@@ -476,7 +475,7 @@ class TestInstability:
             bases.append(build(*args, **kwargs))
             return bases[-1]
 
-        monkeypatch.setattr(sla, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(experiments, "build_exterior_basis", recording_build)
         run_suite("instability", geom, op_quad, {"seed": 7, "count": 32})
         assert len(bases) == len(grams) == 1

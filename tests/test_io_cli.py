@@ -303,6 +303,50 @@ class TestCliExitCodes:
         assert "config ok" in proc.stdout
 
 
+# imports fraccond.cli and runs each config given, printing the scipy
+# modules loaded after the import and after each run as one JSON line
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+from fraccond import cli
+
+seen = {"import": scipy_modules()}
+for i, config in enumerate(sys.argv[2:]):
+    code = cli.main(["run", "--config", config, "--out", f"{sys.argv[1]}/run{i}"])
+    seen[config] = [code, scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+class TestColdStart:
+    def test_runs_load_no_scipy(self, tmp_path):
+        # a fresh interpreter: this session imports scipy for its oracles
+        exterior = tmp_path / "ext2.ini"
+        exterior.write_text("[geometry]\nn = 2\ngrid_points = 64\n[suite]\nname = exterior\n")
+        instability = tmp_path / "ins1.ini"
+        instability.write_text(
+            "[geometry]\nn = 1\ngrid_points = 256\n[suite]\nname = instability\n"
+        )
+        src = os.path.dirname(os.path.dirname(fraccond.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), str(exterior), str(instability)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {
+            "import": [],
+            str(exterior): [EXIT_OK, []],
+            str(instability): [EXIT_OK, []],
+        }
+
+
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("run")

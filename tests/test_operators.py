@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
@@ -247,6 +248,70 @@ class TestApplyMultiplier:
         u = smooth_random_field(geom_small, seed=1)
         with pytest.raises(ValueError):
             bilinear_form(u, u, None, op_quad)
+
+
+def scipy_corner_product(symbol, values, grid):
+    """The corner FFT pair of `apply_multiplier` in scipy.fft, pass for
+    pass: the real last-axis pass over the corner's rows, the complex
+    leading-axis passes along their own axes, the inverse keeping the
+    corner's rows."""
+    corner = values.shape[-symbol.ndim :]
+    axes = tuple(range(-symbol.ndim, 0))
+    spec = sfft.rfft(values, grid[-1], axis=-1)
+    for axis in axes[:-1]:
+        spec = sfft.fft(spec, grid[axis], axis=axis)
+    spec *= symbol[..., : spec.shape[-1]]
+    for axis, c in zip(axes[:-1], corner):
+        rows = (Ellipsis, slice(c)) + (slice(None),) * (-axis - 1)
+        spec = sfft.ifft(spec, axis=axis)[rows]
+    return sfft.irfft(spec, grid[-1], axis=-1)[..., : corner[-1]]
+
+
+class TestNumpyTransforms:
+    """numpy.fft's passes against scipy.fft's, which run the same pocketfft."""
+
+    def test_fast_length_is_scipys(self):
+        ns = range(1, 20001)
+        assert [operators._fast_length(n) for n in ns] == [sfft.next_fast_len(n, True) for n in ns]
+        # the product and preconditioner boxes of 2D N = 512 and 1D N = 16384
+        assert [operators._fast_length(2 * D + 1) for D in (84, 42, 2730, 1365)] == [
+            180,
+            90,
+            5625,
+            2880,
+        ]
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    @pytest.mark.parametrize("grid, corner", [((90,), (43,)), ((45, 45), (21, 21)), ((24, 20), (13, 7))])
+    def test_apply_multiplier_is_scipys_bitwise(self, k, grid, corner):
+        rng = np.random.default_rng(k)
+        values = rng.standard_normal((k,) + corner)
+        half = np.fft.rfftn(rng.standard_normal(grid))
+        for symbol in (half, rng.standard_normal(grid)):
+            out = apply_multiplier(symbol, values, grid)
+            assert np.array_equal(out, scipy_corner_product(symbol, values, grid))
+            assert np.array_equal(out[0], apply_multiplier(symbol, values[0], grid))
+
+    @pytest.mark.parametrize("n, grid_points", [(1, 1024), (2, 128)])
+    def test_window_convolution_is_scipys_bitwise(self, n, grid_points):
+        op = FracOperator(default_geometry(n=n, grid_points=grid_points))
+        rng = np.random.default_rng(n)
+        for conv in (op.interior_convolution, op.box_inverse_symbol):
+            omega = np.zeros(conv.corner, dtype=bool)
+            omega[conv.points[1:]] = True
+            # the kept arrays are rebuilt when the column count changes and
+            # reused while it holds
+            for k in (4, 4, 1, 16, 4):
+                Y = rng.standard_normal((np.count_nonzero(omega), k))
+                corner = np.zeros((k,) + conv.corner)
+                corner[:, omega] = Y.T
+                ref = scipy_corner_product(conv.spectrum, corner, conv.shape)
+                assert np.array_equal(conv(Y), ref[:, omega].T)
+
+    @pytest.mark.parametrize("n, s", [(1, 0.4), (2, 0.5), (1, 0.25), (2, 0.8)])
+    def test_normalization_constant_is_scipys_to_roundoff(self, n, s):
+        ref = 4.0**s * gamma_fn(n / 2.0 + s) / (np.pi ** (n / 2.0) * abs(gamma_fn(-s)))
+        assert normalization_constant(n, s) == pytest.approx(ref, rel=4 * np.finfo(float).eps)
 
 
 class TestBilinearForm:
