@@ -17,8 +17,9 @@ declare it.
 
 A run writes report.json (the deterministic payload, hashed) and
 provenance.json (version, seed, wall time and the solver's counts:
-systems built, PCG solves and block steps, convolution hits, worst
-Galerkin residual) plus the plot sidecars.  Exit codes: 0 ok, 2 config error, 3 solver failure, 4
+systems built and those certified by one product, PCG solves, block
+steps and block columns, convolution hits, worst Galerkin residual) plus
+the plot sidecars.  Exit codes: 0 ok, 2 config error, 3 solver failure, 4
 suite invariant failure.
 """
 

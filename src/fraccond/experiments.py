@@ -419,7 +419,12 @@ def instability_search(params: MandacheParams, basis, op: FracOperator, count=32
 
     one = Conductivity(geom, np.ones(geom.shape), gamma0=0.5)
     M0 = _liouville_dns(one, basis, op)[1]
-    mats = [_liouville_dns(member, basis, op)[1] for member in members]
+    mats = []
+    for i in range(len(members)):
+        mats.append(_liouville_dns(members[i], basis, op)[1])
+        # the gaps are taken and the fit reads only the matrices, so each
+        # member's values and cached square root go once its map is built
+        members[i] = None
 
     best = None
     for i in range(count):

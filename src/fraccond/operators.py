@@ -123,7 +123,8 @@ def _check_corner(corner, grid):
 
 class _CornerPasses:
     """The FFT pair of `apply_multiplier` for one stack shape on one grid,
-    with the arrays its passes write kept for every call with that shape.
+    with the arrays its passes write kept for every call with that shape or
+    a shorter stack.
 
     values of shape (*stack, *corner) hold the low corner of a periodic grid
     of one or two axes, zero elsewhere; rows already padded to the grid's
@@ -133,8 +134,13 @@ class _CornerPasses:
     spectrum transposed to (*stack, columns, rows) and zero-padded along
     rows, so each pass runs along a contiguous last axis.  The inverse
     last-axis pass writes the corner's rows into `out`, which in 2D is
-    `half`'s memory, free once `lead` holds its copy; a call returns its
-    corner, a view of `out` that the next call overwrites.
+    `half`'s memory, free once `lead` holds its copy; `base` is the
+    contiguous real array that holds `out` (in 2D the half spectrum's
+    interleaved parts, each row two entries longer than the grid's when the
+    grid's last axis is even).  A call returns its corner, a view of `out`
+    that the next call overwrites.  Values with fewer fields than the stack
+    it was built for are transformed in the leading fields of every array,
+    prefix views that need no array of their own.
     """
 
     def __init__(self, shape, grid):
@@ -142,33 +148,37 @@ class _CornerPasses:
         stack, corner = tuple(shape[:-n]), tuple(shape[-n:])
         _check_corner(corner, grid)
         self.grid, self.corner = tuple(grid), corner
+        self.stacked = bool(stack)
         rows = stack + corner[:-1]
         self.half = np.empty(rows + (grid[-1] // 2 + 1,), dtype=complex)
         if n == 2:
             self.lead = np.empty(stack + self.half.shape[-1:] + grid[:1], dtype=complex)
-            self.out = self.half.view(float)[..., : grid[-1]]
+            self.base = self.half.view(float)
+            self.out = self.base[..., : grid[-1]]
         else:
             self.lead = None
-            self.out = np.empty(rows + grid[-1:])
+            self.base = self.out = np.empty(rows + grid[-1:])
 
     def __call__(self, symbol, values):
         P = self.grid[-1]
-        half = np.fft.rfft(values, P, out=self.half)
+        fields = slice(len(values)) if self.stacked else slice(None)
+        half = np.fft.rfft(values, P, out=self.half[fields])
         symbol = symbol[..., : half.shape[-1]]
         if self.lead is None:
             half *= symbol
         else:
             # numpy's pass is faster on a padded, contiguous copy than when
             # it gathers and pads strided rows itself
-            r, lead = self.corner[0], self.lead
+            r, lead = self.corner[0], self.lead[fields]
             lead[..., :r] = np.swapaxes(half, -1, -2)
             lead[..., r:] = 0.0
             np.fft.fft(lead, out=lead)
             lead *= symbol.T
             np.fft.ifft(lead, out=lead)
             half = np.swapaxes(lead[..., :r], -1, -2)
-        np.fft.irfft(half, P, out=self.out)
-        return self.out[..., : self.corner[-1]]
+        out = self.out[fields]
+        np.fft.irfft(half, P, out=out)
+        return out[..., : self.corner[-1]]
 
 
 # frequencies per block of a stacked `parseval_pairing`: the weighted copy
@@ -222,9 +232,9 @@ class WindowConvolution:
     box's side (`points` indexes Omega there), and the FFT pair of
     `apply_multiplier` with the box as its grid transforms only those rows
     and reads them back (85 of 180 rows at 2D N = 512).  The padded rows and
-    the pair's arrays (`_CornerPasses`) are kept for the last column count
-    and reused by every product with it: Omega's points are rewritten, and
-    every other point stays zero.
+    the pair's arrays (`_CornerPasses`) are kept for the widest product so
+    far, and a product of fewer columns runs in their leading fields:
+    Omega's points are rewritten, and every other point stays zero.
     `center` is the weight at offset 0, the stencil's diagonal.  A window
     of offsets [-D, D]^n with D below Omega's extent makes a box that still
     holds the bounding box as long as 2D + 1 is at least its side; the
@@ -246,19 +256,29 @@ class WindowConvolution:
         self.corner = tuple(int(a.max()) + 1 for a in coords)  # Omega's bounding box
         self.points = (slice(None),) + tuple(coords)  # Omega in a stack of rows
         self.center = float(window[(D,) * n])
-        self._rows = self._passes = None
+        self._rows = self._passes = self._flat = None
 
-    def __call__(self, Y):
+    def __call__(self, Y, out=None):
         """S Y for an (m, k) array Y of interior columns: Y scattered into
         the bounding box, multiplied by `spectrum` over the periodic box and
-        restricted to Omega."""
+        restricted to Omega.  The result is written into out, an (m, k)
+        array whose transpose is C-contiguous (a column-major block or its
+        leading columns), or into a new such array when out is None."""
         k = Y.shape[1]
-        if self._rows is None or len(self._rows) != k:
+        if self._rows is None or len(self._rows) < k:
             self._rows = self._passes = None  # the old arrays go first
             self._rows = np.zeros((k,) + self.corner[:-1] + self.shape[-1:])
             self._passes = _CornerPasses(self._rows.shape, self.shape)
-        self._rows[self.points] = Y.T
-        return self._passes(self.spectrum, self._rows)[self.points].T
+            # Omega's points in one field of the passes' output
+            self._flat = np.ravel_multi_index(self.points[1:], self._passes.base.shape[1:])
+        rows = self._rows[:k]
+        rows[self.points] = Y.T
+        self._passes(self.spectrum, rows)
+        if out is None:
+            out = np.empty((k, self._flat.size)).T
+        fields = self._passes.base[:k].reshape(k, -1)
+        np.take(fields, self._flat, axis=1, out=out.T, mode="clip")
+        return out
 
 
 @dataclass
@@ -266,18 +286,23 @@ class SolverCounts:
     """What the solver did on one operator, for the run's provenance.
 
     systems counts the interior systems built, each with one
-    positive-definiteness certificate; pcg_solves counts the block PCG runs
-    (one per batched solve and one per certificate), and pcg_iterations and
-    pcg_max_iterations their total and largest numbers of block steps, each
-    step advancing every column of the run at once; convolution_hits counts
-    the applies that reused the operator's kept convolution; worst_residual
-    is the largest relative Galerkin residual of any solved column.
+    positive-definiteness certificate, and certificate_products those of
+    them certified by one product with the operator's kept certificate
+    vector; pcg_solves counts the block PCG runs (one per batched solve and
+    one per certificate that needed a run), pcg_iterations and
+    pcg_max_iterations their total and largest numbers of block steps, and
+    pcg_columns the sum over every step of its block's width, the columns
+    its windowed product transformed; convolution_hits counts the applies
+    that reused the operator's kept convolution; worst_residual is the
+    largest relative Galerkin residual of any solved column.
     """
 
     systems: int = 0
     pcg_solves: int = 0
     pcg_iterations: int = 0
     pcg_max_iterations: int = 0
+    pcg_columns: int = 0
+    certificate_products: int = 0
     convolution_hits: int = 0
     worst_residual: float = 0.0
 
@@ -299,14 +324,21 @@ class FracOperator:
     copies, which keep their FFT arrays).  It keeps no interior systems.  Its
     one slot `convolution` holds the last weight convolution of stacked
     exterior data on their solve box, as (key, compact array), filled by
-    `solver.InteriorSystem.apply`.  The solver also records what it did in
-    `counts`.  Nothing is cached outside an operator, so two operators
-    share no state.
+    `solver.InteriorSystem.apply`.  `certificate` holds the first vector
+    v > 0 that certified an interior system of the operator, (m, 1) and
+    read-only, and a later system is certified by one product with it
+    where that suffices.  `pcg_blocks` is the work array of the solver's
+    block PCG, kept for the widest block so far, so that a run allocates
+    only its solution, and so an operator serves one solve at a time.  The
+    solver also records what it did in `counts`.  Nothing is cached outside
+    an operator, so two operators share no state.
     """
 
     def __init__(self, geometry):
         self.geometry = geometry
         self.convolution = None  # (key, array) of the last exterior apply
+        self.certificate = None  # the first certified v > 0 of an interior system
+        self.pcg_blocks = None  # block PCG's (4, k, m) work array, widest k so far
         self.counts = SolverCounts()
 
     @cached_property

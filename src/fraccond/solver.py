@@ -59,15 +59,24 @@ space: each block step orthonormalizes the preconditioned residuals and
 advances every column at once, so the outlying eigenvalues of the
 preconditioned block are found once for the whole stack (12 block steps
 for 16 harmonic data at 2D N = 512, where each column alone takes 18).
-Because A' has off-diagonal entries <= 0 it is positive definite exactly
-when A' v > 0 for some v > 0 (a nonsingular M-matrix), so building a
-system runs one PCG solve of A' v = 1 as the certificate.  A system holds
-only vectors: at 2D N = 512 a dense block would be 262 MB.
+A step keeps only the numerically independent directions: with each
+column divided by its stopping target, the directions whose singular
+values fall below sqrt(eps) of the largest are dropped from the block,
+and come back at a later step if they still matter.  Harmonic data are
+nearly dependent (with unit columns their singular values fall to
+~1e-13), so blocks narrow and take fewer steps than with every direction
+kept.  Because A' has off-diagonal entries <= 0 it is positive definite
+exactly when A' v > 0 for some v > 0 (a nonsingular M-matrix).  The
+operator keeps the first such v, from a PCG solve of A' v = 1, and a later
+system of the operator is certified by the one product A' v > 0, with its
+own PCG solve only when that product fails.  A system holds only vectors:
+at 2D N = 512 a dense block would be 262 MB.
 
 Every column's Galerkin residual is checked against A_gamma itself,
 D_g A' D_g applied through the windowed convolution with the diagonal the
-system states, and the operator's `counts` record the PCG solves and block
-steps, the systems built, the convolution hits and the worst residual.
+system states, and the operator's `counts` record the PCG solves, block
+steps and block columns, the systems built and those certified by one
+product, the convolution hits and the worst residual.
 
 Nothing keeps a system: `interior_system` builds one for each call, and a
 caller that needs a coefficient's DN matrix twice keeps the matrix (as
@@ -137,9 +146,9 @@ def _digest(arrays):
     return digest.hexdigest()[:24]
 
 
-def _householder_basis(Z):
-    """The orthonormal factor Q of Z = QR by Householder QR, of
-    k = min(m, n) columns for an (m, n) array Z.
+def _householder_basis(Z, out):
+    """(Q, R): the orthonormal factor Q of Z = QR by Householder QR, of
+    k = min(m, n) columns for an (m, n) array Z, and the k x n triangle R.
 
     numpy's QR gives the reflectors H_i = I - tau_i v_i v_i^T (mode "raw",
     LAPACK's geqrf), and Q, the first k columns of H_1 ... H_k, is formed
@@ -149,10 +158,13 @@ def _householder_basis(Z):
     2006): at 2731 x 16 this takes about half the time of numpy's mode
     "reduced".  A column that is already reduced gets tau = 0, the identity
     reflector: its v is zeroed and its 1 / tau set to 1, so it adds nothing
-    to Q, which has orthonormal columns whatever the rank of Z.
+    to Q, which has orthonormal columns whatever the rank of Z.  Q is
+    written into out, an (m, k) column-major array, which may be Z's own
+    memory.
     """
     W, tau = np.linalg.qr(np.asfortranarray(Z), mode="raw")  # V^T in its first k rows, R^T below their diagonal
     k = tau.size
+    R = np.tril(W[:, :k]).T
     W = W[:k]
     W[:, :k] = np.triu(W[:, :k], 1) + np.eye(k)
     identity = tau == 0.0
@@ -160,9 +172,9 @@ def _householder_basis(Z):
     T = np.linalg.inv(np.triu(W @ W.T, 1) + np.diag(1.0 / np.where(identity, 1.0, tau)))
     # Q^T = E^T - (T V_1^T)^T V^T, formed row-major so that Q, like LAPACK's,
     # is column-major: the products scatter and scale its columns faster
-    QT = (-(T @ W[:, :k])).T @ W
+    QT = np.matmul((-(T @ W[:, :k])).T, W, out=out.T)
     QT[:, :k] += np.eye(k)
-    return QT.T
+    return QT.T, R
 
 
 # PCG stops when every column's residual is below this fraction of its
@@ -171,6 +183,9 @@ def _householder_basis(Z):
 # moved the step count; 1e-11 is too loose for the step-count tests
 _PCG_RTOL = 1e-12
 _PCG_MAXITER = 100
+# a block step keeps the directions of the scaled preconditioned residuals
+# whose singular values exceed this fraction of the largest
+_DEFLATION = float(np.sqrt(np.finfo(float).eps))
 
 
 class InteriorSystem:
@@ -187,9 +202,11 @@ class InteriorSystem:
     shift `_shift`, its own shallow copies of the operator's windowed
     convolution `_convolve` and box preconditioner `_preconditioner`, whose
     kept FFT arrays are freed with the system, and nothing m x m.  Building it
-    runs the M-matrix certificate of A', which refuses a system that is not
-    positive definite.  The system holds its operator (`op`), whose counts
-    it adds to; the operator holds no system.
+    runs the M-matrix certificate of A', one product with the operator's
+    kept certificate vector or a PCG solve, which refuses a system that is
+    not positive definite.  The system holds its operator (`op`), whose
+    counts, certificate vector and PCG work array it uses; the operator
+    holds no system.
     """
 
     def __init__(self, coefficient, op: FracOperator):
@@ -230,12 +247,20 @@ class InteriorSystem:
         self._shift = self._diag + self._scale * self._convolve.center
         # A' has off-diagonal entries <= 0, so it is positive definite
         # exactly when some v > 0 has A' v > 0 (a nonsingular M-matrix).
-        # v solves A' v = 1 up to a residual of 2-norm at most 1/2, so
-        # every entry of A' v is at least 1/2
+        # The operator's kept v is tried first; otherwise v solves A' v = 1
+        # up to a residual of 2-norm at most 1/2, so every entry of A' v is
+        # at least 1/2, and the first v so certified is kept
+        v = op.certificate
+        if v is not None and self._matvec(v, self._shift).min() > 0:
+            op.counts.certificate_products += 1
+            return
         m = self.idx.size
         v, converged = self._pcg(np.ones((m, 1)), 0.5 / np.sqrt(m))
         if not (converged and v.min() > 0 and self._matvec(v, self._shift).min() > 0):
             self._not_positive_definite()
+        if op.certificate is None:
+            v.setflags(write=False)
+            op.certificate = v
 
     def _not_positive_definite(self):
         if self.kind == "schrodinger":
@@ -249,18 +274,20 @@ class InteriorSystem:
             "this indicates an assembly bug, the form is coercive"
         )
 
-    def _precondition(self, V):
+    def _precondition(self, V, out=None):
         """R L_P^-1 E V: V's columns scattered into the preconditioner's box,
         multiplied by the inverse box symbol and restricted to Omega, one FFT
-        pair."""
-        return self._preconditioner(V)
+        pair, written into out when it is given."""
+        return self._preconditioner(V, out)
 
-    def _matvec(self, Y, shift):
+    def _matvec(self, Y, shift, out=None, work=None):
         """A' Y = shift Y - c h^n (S Y) through the operator's windowed
-        convolution, A''s diagonal being shift - c h^n w_0."""
-        AY = self._convolve(Y)
+        convolution, A''s diagonal being shift - c h^n w_0; written into out
+        and with shift Y formed in work when they are given (column-major
+        blocks of Y's shape)."""
+        AY = self._convolve(Y, out)
         AY *= -self._scale
-        AY += shift[:, None] * Y
+        AY += np.multiply(shift[:, None], Y, out=work)
         return AY
 
     def _pcg(self, B, rtol=_PCG_RTOL):
@@ -268,42 +295,79 @@ class InteriorSystem:
         preconditioned by the box inverse: every column searches one Krylov
         space (O'Leary, Linear Algebra Appl. 29, 1980), so the outlying
         eigenvalues of the preconditioned block are found once for all of
-        them.  Each step makes the preconditioned residuals A'-orthogonal to
-        the last block of directions P and orthonormalizes them by
-        Householder QR (Dubrulle, ETNA 12, 2001); P stays an orthonormal
-        block of full width when the residuals are rank deficient or nearly
-        so, and nothing is dropped.  The run stops when every column's
+        them.  Each step makes the preconditioned residuals Z A'-orthogonal
+        to the last block of directions P, divides each column by its
+        stopping target (rtol times its right-hand side's norm, 1 for a
+        zero one) and orthonormalizes them by Householder QR, Z = QR
+        (Dubrulle, ETNA 12, 2001).  The new P keeps only the numerically
+        independent directions, as breakdown-free block CG does (Ji and Li,
+        BIT Numer. Math. 57, 2017): when min |R_ii| <= sqrt(eps) max |R_ii|,
+        P = Q U_r with U_r the left singular vectors of R whose singular
+        values exceed sqrt(eps) of the largest, so a column near or below
+        its target, or one that repeats another, stops widening the block.
+        A dropped direction stays in the residuals and comes back at a
+        later step if it still matters.  The run stops when every column's
         residual is below rtol of its right-hand side.  A P^T A' P that
         Cholesky refuses, the block form of a curvature p^T A' p <= 0 (A' is
-        not positive definite), stops it unconverged."""
-        Y = np.zeros_like(B)
-        R = B.copy()
-        target = rtol**2 * np.einsum("ij,ij->j", B, B)  # squared column norms
-        P = Q = L_inv = None  # last step's directions, A' P, L^-1 for P^T A' P = L L^T
-        it = 0
+        not positive definite), stops it unconverged.
+
+        The residuals R, the preconditioned block Z, the directions P and
+        A' P are the leading k columns of the operator's `pcg_blocks`, so a
+        run allocates only its solution Y: every step writes its blocks and
+        updates into them (the updates through whichever block is free at
+        the time), and a block of r < k directions lives in its leading
+        columns."""
+        m, k = B.shape
+        op = self.op
+        if op.pcg_blocks is None or op.pcg_blocks.shape[1] < k:
+            op.pcg_blocks = None  # the old array goes first
+            op.pcg_blocks = np.empty((4, k, m))
+        R, Z, P, Q = (block[:k].T for block in op.pcg_blocks)
+        R[...] = B
+        Y = np.zeros((m, k), order="F")
+        norms = np.sqrt(np.einsum("ij,ij->j", B, B))
+        target = (rtol * norms) ** 2
+        scale = 1.0 / np.where(norms > 0, rtol * norms, 1.0)
+        r = 0  # the width of the last block of directions P, and Q = A' P
+        L_inv = None  # L^-1 for P^T A' P = L L^T
+        it = columns = 0
         converged = True
         while np.any(np.einsum("ij,ij->j", R, R) > target):
             if it == _PCG_MAXITER:
                 converged = False
                 break
             it += 1
-            Z = self._precondition(R)
-            if P is not None:
-                Z -= P @ (L_inv.T @ (L_inv @ (Q.T @ Z)))
-            P = _householder_basis(Z)
-            Q = self._matvec(P, self._shift)
+            self._precondition(R, Z)
+            if r:
+                # Q is free once the coefficients are formed
+                Z -= np.matmul(P[:, :r], L_inv.T @ (L_inv @ (Q[:, :r].T @ Z)), out=Q)
+            Z *= scale
+            Z, R_z = _householder_basis(Z, Z)
+            d = np.abs(np.diagonal(R_z))
+            if d.min() > _DEFLATION * d.max():
+                r = k
+                P, Z = Z, P
+            else:
+                U, sigma, _ = np.linalg.svd(R_z)
+                r = int(np.count_nonzero(sigma > _DEFLATION * sigma[0]))
+                np.matmul(Z, U[:, :r], out=P[:, :r])
+            # Z is free from here to the next step's preconditioning
+            Pr, Qr = P[:, :r], Q[:, :r]
+            self._matvec(Pr, self._shift, Qr, Z[:, :r])
+            columns += r
             try:
-                L_inv = np.linalg.inv(np.linalg.cholesky(P.T @ Q))
+                L_inv = np.linalg.inv(np.linalg.cholesky(Pr.T @ Qr))
             except np.linalg.LinAlgError:
                 converged = False
                 break
-            alpha = L_inv.T @ (L_inv @ (P.T @ R))
-            Y += P @ alpha
-            R -= Q @ alpha
-        counts = self.op.counts
+            alpha = L_inv.T @ (L_inv @ (Pr.T @ R))
+            Y += np.matmul(Pr, alpha, out=Z)
+            R -= np.matmul(Qr, alpha, out=Z)
+        counts = op.counts
         counts.pcg_solves += 1
         counts.pcg_iterations += it
         counts.pcg_max_iterations = max(counts.pcg_max_iterations, it)
+        counts.pcg_columns += columns
         return Y, converged
 
     def _block_product(self, X):

@@ -431,6 +431,8 @@ class TestProvenance:
             "pcg_solves",
             "pcg_iterations",
             "pcg_max_iterations",
+            "pcg_columns",
+            "certificate_products",
             "convolution_hits",
             "worst_residual",
         }
@@ -438,7 +440,11 @@ class TestProvenance:
         # is 1 on the basis' support, so each Liouville potential's map is
         # its conductivity's, and all 7 applies share one convolution
         assert (counts["systems"], counts["convolution_hits"]) == (7, 6)
-        assert counts["pcg_solves"] == 14  # a certificate and a solve per system
+        # a solve per system, and a certificate run for the first system and
+        # for the one that the first's kept vector does not certify
+        assert (counts["pcg_solves"], counts["certificate_products"]) == (9, 5)
+        # no block is wider than the basis
+        assert counts["pcg_iterations"] < counts["pcg_columns"] <= 8 * counts["pcg_iterations"]
         assert 0 < counts["worst_residual"] <= 1e-10
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "solver" not in report
@@ -467,5 +473,8 @@ class TestProvenance:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == EXIT_OK
         counts = json.loads((tmp_path / "out" / "provenance.json").read_text())["solver"]
-        assert counts["pcg_solves"] == 18  # a certificate and a solve per system
+        # a solve per system; the unit system's certificate run certifies
+        # every member by one product
+        assert (counts["systems"], counts["pcg_solves"]) == (9, 10)
+        assert counts["certificate_products"] == 8
         assert 0 < counts["worst_residual"] <= 1e-10

@@ -9,9 +9,11 @@ import pytest
 import fraccond.solver as solver
 from fraccond.conductivity import (
     Conductivity,
+    MandacheParams,
     Potential,
     bump_conductivity,
     liouville_potential,
+    mandache_family,
 )
 from fraccond.dnmap import build_exterior_basis
 from fraccond.geometry import GeometryConfig, default_geometry, mollifier_profile
@@ -217,7 +219,9 @@ class TestPackedSystem:
         gam = bump_conductivity(geom_small, height=0.5, width=0.8)
         assert interior_system(gam, op) is not interior_system(gam, op)
         assert op.counts.systems == 2
-        assert op.counts.pcg_solves == 2  # a certificate each
+        # the first system's certificate is a PCG run, and its vector
+        # certifies the second by one product
+        assert (op.counts.pcg_solves, op.counts.certificate_products) == (1, 1)
 
 
 class TestConvolutionStore:
@@ -505,6 +509,29 @@ class TestSharedFactor:
         with pytest.raises(SolverError, match="positive definite"):
             InteriorSystem(coefficient, op)
 
+    def test_kept_certificate_falls_back_to_a_run(self, geom):
+        # the unit system's certificate run keeps its v > 0, which certifies
+        # a wide bump by one product but not a tall narrow one (its Liouville
+        # potential is strongly negative inside Omega): that system is
+        # certified by a run of its own, and the kept v stays the first
+        op = FracOperator(geom)
+        interior_system(Conductivity(geom, np.ones(geom.shape), gamma0=0.5), op)
+        v = op.certificate
+        assert v.shape == (np.count_nonzero(geom.omega_mask()), 1)
+        assert v.min() > 0 and not v.flags.writeable
+        interior_system(bump_conductivity(geom, height=0.5, width=0.8), op)
+        assert (op.counts.pcg_solves, op.counts.certificate_products) == (1, 1)
+        system = interior_system(bump_conductivity(geom, height=9.0, width=0.2), op)
+        assert system._matvec(v, system._shift).min() < 0
+        assert (op.counts.pcg_solves, op.counts.certificate_products) == (2, 1)
+        assert op.certificate is v
+        assert system.solve(annulus_bump_datum(geom)).residual <= 1e-10
+        # where the product fails on a system that is not positive definite,
+        # the run refuses it
+        with pytest.raises(SolverError, match="positive definite"):
+            interior_system(Potential(geom, -50.0 * np.ones(geom.shape)), op)
+        assert (op.counts.systems, op.counts.pcg_solves, op.counts.certificate_products) == (4, 4, 1)
+
     @pytest.mark.parametrize("block", ["repeated", "zero", "near"])
     def test_rank_deficient_block_matches_factored_path(self, geom, datum, block):
         # the residual block loses rank; QR keeps the directions
@@ -539,6 +566,29 @@ class TestSharedFactor:
         assert converged
         assert np.max(np.abs(Y - Yc)) <= 1e-12 * np.max(np.abs(Yc))
         assert 0 < block_steps < column_steps
+
+    def test_dependent_harmonic_block_beats_its_slowest_column(self):
+        # the 16 harmonic right-hand sides of a Mandache member are
+        # numerically dependent (with unit columns their singular values
+        # fall to ~1e-13); a block that kept every direction took as many
+        # steps as its slowest column (11 at 1D N = 2048), and one that keeps
+        # only the independent directions takes fewer, on narrower blocks
+        g = default_geometry(n=1, grid_points=2048)
+        params = MandacheParams(ell=2.5, eps=0.1, beta=1e4, lattice_spacing=0.2, seed=5, s=g.s, n=1)
+        member = mandache_family(params, 5, g)[4]
+        op = FracOperator(g)
+        system = interior_system(member, op)
+        F = grid_stack(build_exterior_basis(g, 16, kind="harmonic"))
+        B = -system.apply(F).reshape(len(F), -1)[:, system.idx].T
+        before, columns = op.counts.pcg_iterations, op.counts.pcg_columns
+        Y, converged = system._pcg(B / system._gi[:, None])
+        block_steps = op.counts.pcg_iterations - before
+        _, column_steps = column_pcg(system, B / system._gi[:, None])
+        assert converged
+        assert 0 < block_steps < column_steps
+        assert op.counts.pcg_columns - columns < 16 * block_steps
+        X, _ = factored_path(member, FracOperator(g), F)
+        assert np.max(np.abs(Y.T / system._gi - X)) <= 1e-12 * np.max(np.abs(X))
 
     def test_half_size_box_takes_at_most_one_more_step(self):
         # the Strang circulant on the half-size box against a test-local
