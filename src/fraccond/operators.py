@@ -27,6 +27,7 @@ w and g = gamma^(1/2) it reduces to two circular convolutions:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -181,6 +182,10 @@ class _CornerPasses:
         return out[..., : self.corner[-1]]
 
 
+# modes of the solver's coarse space (`FracOperator.coarse_space`), one per
+# frequency of the box preconditioner's full DFT grid
+_COARSE_MODES = 16
+
 # frequencies per block of a stacked `parseval_pairing`: the weighted copy
 # of a block of 16 spectra is 1 MB
 _PAIRING_BLOCK = 4096
@@ -292,7 +297,9 @@ class SolverCounts:
     one per certificate that needed a run), pcg_iterations and
     pcg_max_iterations their total and largest numbers of block steps, and
     pcg_columns the sum over every step of its block's width, the columns
-    its windowed product transformed; convolution_hits counts the applies
+    its windowed product transformed, and coarse_columns the columns of
+    each operator's one product S V of its coarse space
+    (`FracOperator.coarse_space`); convolution_hits counts the applies
     that reused the operator's kept convolution; worst_residual is the
     largest relative Galerkin residual of any solved column.
     """
@@ -302,6 +309,7 @@ class SolverCounts:
     pcg_iterations: int = 0
     pcg_max_iterations: int = 0
     pcg_columns: int = 0
+    coarse_columns: int = 0
     certificate_products: int = 0
     convolution_hits: int = 0
     worst_residual: float = 0.0
@@ -319,19 +327,19 @@ class FracOperator:
     built on first use and kept for its lifetime: both weight families,
     their real-FFT half spectra, the multiplier |k|^(2s) on the half
     spectrum (`multiplier_spectrum`), the quadrature symbol, and the windowed
-    interior convolution and box preconditioner that every interior system
-    is solved with (no m x m array; each system solves with its own shallow
-    copies, which keep their FFT arrays).  It keeps no interior systems.  Its
-    one slot `convolution` holds the last weight convolution of stacked
-    exterior data on their solve box, as (key, compact array), filled by
-    `solver.InteriorSystem.apply`.  `certificate` holds the first vector
-    v > 0 that certified an interior system of the operator, (m, 1) and
-    read-only, and a later system is certified by one product with it
-    where that suffices.  `pcg_blocks` is the work array of the solver's
-    block PCG, kept for the widest block so far, so that a run allocates
-    only its solution, and so an operator serves one solve at a time.  The
-    solver also records what it did in `counts`.  Nothing is cached outside
-    an operator, so two operators share no state.
+    interior convolution, box preconditioner and coarse space that every
+    interior system is solved with (no m x m array; each system solves with
+    its own shallow copies of the first two, which keep their FFT arrays).
+    It keeps no interior systems.  Its one slot `convolution` holds the last
+    weight convolution of stacked exterior data on their solve box, as (key,
+    compact array), filled by `solver.InteriorSystem.apply`.  `certificate`
+    holds the first vector v > 0 that certified an interior system of the
+    operator, (m, 1) and read-only, and a later system is certified by one
+    product with it where that suffices.  `pcg_blocks` is the work array of
+    the solver's block PCG, kept for the widest block so far, so that a run
+    allocates no work blocks of its own, and so an operator serves one solve
+    at a time.  The solver also records what it did in `counts`.  Nothing is
+    cached outside an operator, so two operators share no state.
     """
 
     def __init__(self, geometry):
@@ -449,6 +457,52 @@ class FracOperator:
             raise ValueError("box symbol is not positive: the box operator is not definite")
         conv.spectrum = np.asfortranarray(1.0 / symbol)
         return conv
+
+    @cached_property
+    def coarse_space(self):
+        """(V, SV): the coarse space of the solver's block PCG, an (m, c)
+        array V with orthonormal columns, and SV the interior stencil times
+        it (`interior_convolution`), both column-major.
+
+        V spans the modes, at Omega's points, of the `_COARSE_MODES`
+        frequencies k of the box's full DFT grid where the box
+        preconditioner's symbol is smallest, one real mode
+        cas(theta_k) = cos(theta_k) + sin(theta_k) each, theta_k = 2 pi k.x / P
+        (Hartley's): the symbol is even, so cas(theta_k) and cas(theta_-k)
+        span the cos and sin modes of the pair k, -k.  A coefficient moves
+        A''s diagonal from A'_0's by more than those symbols, so these few
+        modes carry the spread of the preconditioned spectrum of every A' of
+        the operator.  They are orthonormalized by an SVD, and directions
+        whose singular values fall below the rank tolerance of numpy's
+        `matrix_rank` are dropped, every one past the m-th among them, so
+        c <= min(m, _COARSE_MODES).  SV is one product on a shallow copy of
+        `interior_convolution`, whose FFT arrays go with the copy, so the
+        operator's own instance keeps none.
+        """
+        pre = self.box_inverse_symbol
+        _, coords, _ = self.interior_offsets
+        P = pre.shape[0]
+        k = np.arange(P)
+        # the inverse symbol on the full grid: the real-FFT half spectrum
+        # holds each frequency whose last coordinate exceeds P / 2 as -k
+        last = np.minimum(k, P - k)
+        inverse = pre.spectrum.real
+        if len(coords) == 1:
+            full = inverse[last]
+        else:
+            full = inverse[np.where(k > P // 2, -k[:, None] % P, k[:, None]), last]
+        smallest = np.argsort(-full, axis=None, kind="stable")[:_COARSE_MODES]
+        frequencies = np.unravel_index(smallest, full.shape)
+        theta = sum(np.multiply.outer(x, f) for x, f in zip(coords, frequencies))
+        theta = theta * (2.0 * np.pi / P)
+        modes = np.cos(theta)
+        modes += np.sin(theta)
+        U, sigma, _ = np.linalg.svd(modes, full_matrices=False)
+        rank = int(np.count_nonzero(sigma > max(modes.shape) * np.finfo(float).eps * sigma[0]))
+        V = np.asfortranarray(U[:, :rank])
+        SV = copy.copy(self.interior_convolution)(V)
+        self.counts.coarse_columns += rank
+        return V, SV
 
     @cached_property
     def quadrature_symbol(self):

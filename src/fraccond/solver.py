@@ -65,18 +65,35 @@ values fall below sqrt(eps) of the largest are dropped from the block,
 and come back at a later step if they still matter.  Harmonic data are
 nearly dependent (with unit columns their singular values fall to
 ~1e-13), so blocks narrow and take fewer steps than with every direction
-kept.  Because A' has off-diagonal entries <= 0 it is positive definite
-exactly when A' v > 0 for some v > 0 (a nonsingular M-matrix).  The
-operator keeps the first such v, from a PCG solve of A' v = 1, and a later
-system of the operator is certified by the one product A' v > 0, with its
-own PCG solve only when that product fails.  A system holds only vectors:
-at 2D N = 512 a dense block would be 262 MB.
+kept.
+
+The PCG is two-level: the operator's coarse space V
+(`FracOperator.coarse_space`, the real Fourier modes of the 16 frequencies
+where the box preconditioner's symbol is smallest, orthonormal on Omega)
+is deflated (Nicolaides, SIAM J. Numer. Anal. 24, 1987; Saad, Yeung,
+Erhel and Guyomarc'h, SIAM J. Sci. Comput. 21, 2000).  A system factors
+the Galerkin block E = V^T A' V, with A'V = shift V - c h^n SV from the
+operator's one product SV, each run starts from the coarse solution
+V E^-1 V^T B, and every block of directions is kept A'-orthogonal to V.
+A coefficient's diagonal moves A' from A'_0 by more than the box
+symbol's smallest values, so a few low modes carry the spread of the
+preconditioned spectrum, and V takes them out: at 1D N = 2048, 16
+harmonic data on the first eight Mandache members of seed 5 take 4 to 7
+block steps, where they took 8 to 11 without V.
+Because A' has off-diagonal entries <= 0 it is positive definite
+exactly when A' v > 0 for some v > 0 (a nonsingular M-matrix).  Cholesky
+refusing E is the first sign that A' is not, and raises before any run.
+The operator keeps the first certified v, from a PCG solve of A' v = 1,
+and a later system of the operator is certified by the one product
+A' v > 0, with its own PCG solve only when that product fails.  A system
+holds only vectors: at 2D N = 512 a dense block would be 262 MB.
 
 Every column's Galerkin residual is checked against A_gamma itself,
 D_g A' D_g applied through the windowed convolution with the diagonal the
 system states, and the operator's `counts` record the PCG solves, block
-steps and block columns, the systems built and those certified by one
-product, the convolution hits and the worst residual.
+steps and block columns, the coarse space's columns, the systems built
+and those certified by one product, the convolution hits and the worst
+residual.
 
 Nothing keeps a system: `interior_system` builds one for each call, and a
 caller that needs a coefficient's DN matrix twice keeps the matrix (as
@@ -146,37 +163,6 @@ def _digest(arrays):
     return digest.hexdigest()[:24]
 
 
-def _householder_basis(Z, out):
-    """(Q, R): the orthonormal factor Q of Z = QR by Householder QR, of
-    k = min(m, n) columns for an (m, n) array Z, and the k x n triangle R.
-
-    numpy's QR gives the reflectors H_i = I - tau_i v_i v_i^T (mode "raw",
-    LAPACK's geqrf), and Q, the first k columns of H_1 ... H_k, is formed
-    from their compact WY form I - V T V^T (Schreiber and Van Loan, SIAM J.
-    Sci. Stat. Comput. 10, 1989), with T^-1 = diag(1 / tau) plus the strict
-    upper triangle of V^T V (Joffrain et al., ACM Trans. Math. Softw. 32,
-    2006): at 2731 x 16 this takes about half the time of numpy's mode
-    "reduced".  A column that is already reduced gets tau = 0, the identity
-    reflector: its v is zeroed and its 1 / tau set to 1, so it adds nothing
-    to Q, which has orthonormal columns whatever the rank of Z.  Q is
-    written into out, an (m, k) column-major array, which may be Z's own
-    memory.
-    """
-    W, tau = np.linalg.qr(np.asfortranarray(Z), mode="raw")  # V^T in its first k rows, R^T below their diagonal
-    k = tau.size
-    R = np.tril(W[:, :k]).T
-    W = W[:k]
-    W[:, :k] = np.triu(W[:, :k], 1) + np.eye(k)
-    identity = tau == 0.0
-    W[identity] = 0.0
-    T = np.linalg.inv(np.triu(W @ W.T, 1) + np.diag(1.0 / np.where(identity, 1.0, tau)))
-    # Q^T = E^T - (T V_1^T)^T V^T, formed row-major so that Q, like LAPACK's,
-    # is column-major: the products scatter and scale its columns faster
-    QT = np.matmul((-(T @ W[:, :k])).T, W, out=out.T)
-    QT[:, :k] += np.eye(k)
-    return QT.T, R
-
-
 # PCG stops when every column's residual is below this fraction of its
 # right-hand side; the Galerkin residual is then checked against tol apart.
 # At 1e-14 the stop sat on the roundoff floor, where last-bit changes in B
@@ -201,11 +187,13 @@ class InteriorSystem:
     A' is solved by block PCG: the system holds the PCG product's diagonal
     shift `_shift`, its own shallow copies of the operator's windowed
     convolution `_convolve` and box preconditioner `_preconditioner`, whose
-    kept FFT arrays are freed with the system, and nothing m x m.  Building it
-    runs the M-matrix certificate of A', one product with the operator's
-    kept certificate vector or a PCG solve, which refuses a system that is
-    not positive definite.  The system holds its operator (`op`), whose
-    counts, certificate vector and PCG work array it uses; the operator
+    kept FFT arrays are freed with the system, the inverse `_coarse_inverse`
+    of its coarse block E = V^T A' V and the (m, c) `_coarse` = A'V E^-1,
+    and nothing m x m.  Building it factors E and runs the M-matrix
+    certificate of A', one product with the operator's kept certificate
+    vector or a PCG solve; either refuses a system that is not positive
+    definite.  The system holds its operator (`op`), whose counts, coarse
+    space, certificate vector and PCG work array it uses; the operator
     holds no system.
     """
 
@@ -245,6 +233,18 @@ class InteriorSystem:
         # PCG applies A' Y = shift Y - c h^n (S Y), S the stencil with its
         # diagonal w_0
         self._shift = self._diag + self._scale * self._convolve.center
+        # E = V^T A'V, A'V = shift V - c h^n SV for the operator's coarse
+        # space V, is a Galerkin block of A': Cholesky refuses it when A' is
+        # not positive definite on V's span.  PCG reads E^-1 and A'V E^-1
+        V, SV = op.coarse_space
+        AV = np.multiply(self._shift[:, None], V, order="F")
+        AV -= self._scale * SV
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(V.T @ AV))
+        except np.linalg.LinAlgError:
+            self._not_positive_definite()
+        self._coarse_inverse = L_inv.T @ L_inv
+        self._coarse = np.matmul(AV, self._coarse_inverse, order="F")
         # A' has off-diagonal entries <= 0, so it is positive definite
         # exactly when some v > 0 has A' v > 0 (a nonsingular M-matrix).
         # The operator's kept v is tried first; otherwise v solves A' v = 1
@@ -291,31 +291,41 @@ class InteriorSystem:
         return AY
 
     def _pcg(self, B, rtol=_PCG_RTOL):
-        """(Y, converged): A' Y = B by block conjugate gradients from Y = 0,
-        preconditioned by the box inverse: every column searches one Krylov
-        space (O'Leary, Linear Algebra Appl. 29, 1980), so the outlying
-        eigenvalues of the preconditioned block are found once for all of
-        them.  Each step makes the preconditioned residuals Z A'-orthogonal
-        to the last block of directions P, divides each column by its
-        stopping target (rtol times its right-hand side's norm, 1 for a
-        zero one) and orthonormalizes them by Householder QR, Z = QR
-        (Dubrulle, ETNA 12, 2001).  The new P keeps only the numerically
-        independent directions, as breakdown-free block CG does (Ji and Li,
-        BIT Numer. Math. 57, 2017): when min |R_ii| <= sqrt(eps) max |R_ii|,
-        P = Q U_r with U_r the left singular vectors of R whose singular
-        values exceed sqrt(eps) of the largest, so a column near or below
-        its target, or one that repeats another, stops widening the block.
-        A dropped direction stays in the residuals and comes back at a
-        later step if it still matters.  The run stops when every column's
-        residual is below rtol of its right-hand side.  A P^T A' P that
-        Cholesky refuses, the block form of a curvature p^T A' p <= 0 (A' is
-        not positive definite), stops it unconverged.
+        """(Y, converged): A' Y = B by block conjugate gradients,
+        preconditioned by the box inverse and deflated by the operator's
+        coarse space V: every column searches one Krylov space (O'Leary,
+        Linear Algebra Appl. 29, 1980), so the outlying eigenvalues of the
+        preconditioned block are found once for all of them.  The run starts
+        from Y = V E^-1 V^T B, E = V^T A' V, so that V^T R = 0, and keeps
+        every block of directions A'-orthogonal to V, so that V^T R stays 0
+        (deflated CG; Saad, Yeung, Erhel and Guyomarc'h, SIAM J. Sci.
+        Comput. 21, 2000).  Each step makes the preconditioned residuals Z
+        A'-orthogonal to the last block of directions P and then to V,
+        divides each column by its stopping target (rtol times its
+        right-hand side's norm, 1 for a zero one) and takes the triangle R
+        of its Householder QR, Z = QR (Dubrulle, ETNA 12, 2001), with no Q
+        formed.  The new P keeps only the numerically independent
+        directions, as breakdown-free block CG does (Ji and Li, BIT Numer.
+        Math. 57, 2017): P = Z R^-1, which is Q, when
+        min |R_ii| > sqrt(eps) max |R_ii|, and otherwise P = Z W_r S_r^-1,
+        which is Q U_r, for R = U S W^T and the singular values S_r above
+        sqrt(eps) of the largest, so a column near or below its target, or
+        one that repeats another, stops widening the block.  A dropped
+        direction stays in the residuals and comes back at a later step if
+        it still matters.  R^-1 magnifies the roundoff left on V by Z's
+        projection, so P is made A'-orthogonal to V once more: without that,
+        a run of the instability suite stalled and failed the Galerkin
+        residual check.  The run stops when every column's residual is
+        below rtol of its right-hand side.  A P^T A' P that Cholesky
+        refuses, the block form of a curvature p^T A' p <= 0 (A' is not
+        positive definite), stops it unconverged.
 
         The residuals R, the preconditioned block Z, the directions P and
-        A' P are the leading k columns of the operator's `pcg_blocks`, so a
-        run allocates only its solution Y: every step writes its blocks and
-        updates into them (the updates through whichever block is free at
-        the time), and a block of r < k directions lives in its leading
+        A' P are the leading k columns of the operator's `pcg_blocks`, so
+        the only (m, k) arrays a run allocates are its solution Y and the
+        copy of Z that numpy's QR factors: every step writes its blocks,
+        projections and updates into them (through whichever block is free
+        at the time), and a block of r < k directions lives in its leading
         columns."""
         m, k = B.shape
         op = self.op
@@ -323,8 +333,11 @@ class InteriorSystem:
             op.pcg_blocks = None  # the old array goes first
             op.pcg_blocks = np.empty((4, k, m))
         R, Z, P, Q = (block[:k].T for block in op.pcg_blocks)
-        R[...] = B
-        Y = np.zeros((m, k), order="F")
+        # Y = V E^-1 V^T B, so that V^T R = 0 for R = B - A'V E^-1 V^T B
+        V = op.coarse_space[0]
+        coefficients = V.T @ B
+        Y = np.matmul(V, self._coarse_inverse @ coefficients, order="F")
+        np.subtract(B, np.matmul(self._coarse, coefficients, out=R), out=R)
         norms = np.sqrt(np.einsum("ij,ij->j", B, B))
         target = (rtol * norms) ** 2
         scale = 1.0 / np.where(norms > 0, rtol * norms, 1.0)
@@ -338,21 +351,23 @@ class InteriorSystem:
                 break
             it += 1
             self._precondition(R, Z)
+            # Q is free from here to the product A' P
             if r:
-                # Q is free once the coefficients are formed
                 Z -= np.matmul(P[:, :r], L_inv.T @ (L_inv @ (Q[:, :r].T @ Z)), out=Q)
+            Z -= self._coarse_correction(Z, Q)
             Z *= scale
-            Z, R_z = _householder_basis(Z, Z)
+            R_z = np.linalg.qr(Z, mode="r")
             d = np.abs(np.diagonal(R_z))
-            if d.min() > _DEFLATION * d.max():
+            if len(R_z) == k and d.min() > _DEFLATION * d.max():
                 r = k
-                P, Z = Z, P
+                np.matmul(Z, np.linalg.inv(R_z), out=P)
             else:
-                U, sigma, _ = np.linalg.svd(R_z)
+                _, sigma, Wt = np.linalg.svd(R_z, full_matrices=False)
                 r = int(np.count_nonzero(sigma > _DEFLATION * sigma[0]))
-                np.matmul(Z, U[:, :r], out=P[:, :r])
-            # Z is free from here to the next step's preconditioning
+                np.matmul(Z, Wt[:r].T / sigma[:r], out=P[:, :r])
             Pr, Qr = P[:, :r], Q[:, :r]
+            Pr -= self._coarse_correction(Pr, Qr)
+            # Z is free from here to the next step's preconditioning
             self._matvec(Pr, self._shift, Qr, Z[:, :r])
             columns += r
             try:
@@ -369,6 +384,12 @@ class InteriorSystem:
         counts.pcg_max_iterations = max(counts.pcg_max_iterations, it)
         counts.pcg_columns += columns
         return Y, converged
+
+    def _coarse_correction(self, X, out):
+        """V E^-1 (A'V)^T X, the A'-orthogonal projection of X's columns on
+        the coarse space V, written into out, a column-major block of X's
+        shape."""
+        return np.matmul(self.op.coarse_space[0], self._coarse.T @ X, out=out)
 
     def _block_product(self, X):
         """A_gamma X = D_g A' D_g X, A''s diagonal read from `_diag`.

@@ -24,6 +24,7 @@ from fraccond.cli import (
 from fraccond.experiments import SUITES
 from fraccond.geometry import Region, default_geometry
 from fraccond.dnmap import DnMatrix
+from fraccond.operators import FracOperator
 from fraccond.plots import emit_plots
 
 
@@ -432,6 +433,7 @@ class TestProvenance:
             "pcg_iterations",
             "pcg_max_iterations",
             "pcg_columns",
+            "coarse_columns",
             "certificate_products",
             "convolution_hits",
             "worst_residual",
@@ -445,6 +447,9 @@ class TestProvenance:
         assert (counts["pcg_solves"], counts["certificate_products"]) == (9, 5)
         # no block is wider than the basis
         assert counts["pcg_iterations"] < counts["pcg_columns"] <= 8 * counts["pcg_iterations"]
+        # the one operator's coarse space is built once, by one product
+        V, _ = FracOperator(build_geometry(parse_config(cfg))).coarse_space
+        assert counts["coarse_columns"] == V.shape[1]
         assert 0 < counts["worst_residual"] <= 1e-10
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "solver" not in report

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import fraccond.operators as operators
 import fraccond.solver as solver
 from fraccond.conductivity import (
     Conductivity,
@@ -466,7 +467,8 @@ class TestSharedFactor:
         op = FracOperator(geom)
         with pytest.raises(SolverError, match="positive definite"):
             interior_system(bad, op)
-        assert op.counts.pcg_iterations == 1  # p^T A' p <= 0 at the first step
+        # E = V^T A' V on the coarse space refuses it before any PCG run
+        assert (op.counts.pcg_solves, op.counts.pcg_iterations) == (0, 0)
 
     @pytest.mark.parametrize("margin", [0.05, -0.05])
     def test_certificate_at_the_coercivity_edge(self, geom, margin):
@@ -487,14 +489,18 @@ class TestSharedFactor:
 
     @pytest.mark.parametrize("case", ["negative-entry", "negative-product", "unconverged"])
     def test_every_certificate_condition_can_fire(self, geom, monkeypatch, case):
-        # each certificate is one the guard must refuse.  For q = -50: the
-        # exact solution of A' v = 1, which has negative entries as A' is
-        # not an M-matrix, and v = 1 > 0, where A' 1 has negative entries.
-        # For a bump conductivity, its exact v > 0 from a run that did not
-        # converge.
+        # each certificate is one the guard must refuse.  For a well of
+        # q = -30 on one point of Omega, which A' does not survive but its
+        # coarse block E = V^T A' V does: the exact solution of A' v = 1,
+        # which has negative entries as A' is not an M-matrix, and v = 1 > 0,
+        # where A' 1 has negative entries.  For a bump conductivity, its
+        # exact v > 0 from a run that did not converge.
         op = FracOperator(geom)
         ones = np.ones(np.count_nonzero(geom.omega_mask()))
-        bad = Potential(geom, -50.0 * np.ones(geom.shape))
+        well = np.zeros(geom.shape)
+        well.flat[np.flatnonzero(geom.omega_mask())[len(ones) // 2]] = -30.0
+        bad = Potential(geom, well)
+        assert np.linalg.eigvalsh(reference_block(bad, op))[0] < 0
         bump = bump_conductivity(geom, height=0.5, width=0.8)
         gi = bump.sqrt_values[geom.omega_mask()]
         exact_bad = np.linalg.solve(reference_block(bad, op), ones)
@@ -505,9 +511,16 @@ class TestSharedFactor:
             "negative-product": (bad, ones, True),
             "unconverged": (bump, exact_bump, False),
         }[case]
-        monkeypatch.setattr(InteriorSystem, "_pcg", lambda self, B, rtol: (v[:, None], converged))
+        runs = []
+
+        def certificate(system, B, rtol):
+            runs.append(rtol)
+            return v[:, None], converged
+
+        monkeypatch.setattr(InteriorSystem, "_pcg", certificate)
         with pytest.raises(SolverError, match="positive definite"):
             InteriorSystem(coefficient, op)
+        assert len(runs) == 1  # refused by the certificate, not by E
 
     def test_kept_certificate_falls_back_to_a_run(self, geom):
         # the unit system's certificate run keeps its v > 0, which certifies
@@ -526,11 +539,11 @@ class TestSharedFactor:
         assert (op.counts.pcg_solves, op.counts.certificate_products) == (2, 1)
         assert op.certificate is v
         assert system.solve(annulus_bump_datum(geom)).residual <= 1e-10
-        # where the product fails on a system that is not positive definite,
-        # the run refuses it
+        # a system that is not positive definite on the coarse space is
+        # refused by E = V^T A' V before the product or a run
         with pytest.raises(SolverError, match="positive definite"):
             interior_system(Potential(geom, -50.0 * np.ones(geom.shape)), op)
-        assert (op.counts.systems, op.counts.pcg_solves, op.counts.certificate_products) == (4, 4, 1)
+        assert (op.counts.systems, op.counts.pcg_solves, op.counts.certificate_products) == (4, 3, 1)
 
     @pytest.mark.parametrize("block", ["repeated", "zero", "near"])
     def test_rank_deficient_block_matches_factored_path(self, geom, datum, block):
@@ -572,7 +585,8 @@ class TestSharedFactor:
         # numerically dependent (with unit columns their singular values
         # fall to ~1e-13); a block that kept every direction took as many
         # steps as its slowest column (11 at 1D N = 2048), and one that keeps
-        # only the independent directions takes fewer, on narrower blocks
+        # only the independent directions takes fewer, on narrower blocks:
+        # 10 without the coarse space, 6 with it
         g = default_geometry(n=1, grid_points=2048)
         params = MandacheParams(ell=2.5, eps=0.1, beta=1e4, lattice_spacing=0.2, seed=5, s=g.s, n=1)
         member = mandache_family(params, 5, g)[4]
@@ -585,7 +599,7 @@ class TestSharedFactor:
         block_steps = op.counts.pcg_iterations - before
         _, column_steps = column_pcg(system, B / system._gi[:, None])
         assert converged
-        assert 0 < block_steps < column_steps
+        assert 0 < block_steps < column_steps and block_steps <= 7
         assert op.counts.pcg_columns - columns < 16 * block_steps
         X, _ = factored_path(member, FracOperator(g), F)
         assert np.max(np.abs(Y.T / system._gi - X)) <= 1e-12 * np.max(np.abs(X))
@@ -617,3 +631,51 @@ class TestSharedFactor:
         Y_unit, unit = steps(unit_inverse)
         assert 0 < half <= unit + 1
         assert np.max(np.abs(Y - Y_unit)) <= 1e-12 * np.max(np.abs(Y_unit))
+
+
+class TestCoarseSpace:
+    """The operator's coarse space V, the low modes of the box
+    preconditioner, which every system's PCG starts from and keeps its
+    directions A'-orthogonal to."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_orthonormal_and_one_product_on_a_copy(self, geom, geom2d, n):
+        op = FracOperator(geom if n == 1 else geom2d)
+        V, SV = op.coarse_space
+        m = np.count_nonzero(op.geometry.omega_mask())
+        assert V.shape == SV.shape and 0 < V.shape[1] <= min(m, operators._COARSE_MODES)
+        assert V.flags.f_contiguous and SV.flags.f_contiguous
+        assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-12
+        assert op.counts.coarse_columns == V.shape[1]
+        # V spans the modes cos + sin of every frequency of the box's full
+        # DFT grid whose inverse symbol lies strictly above the cut, the
+        # 16th largest (ties at the cut may go either way)
+        pre = op.box_inverse_symbol
+        axes = tuple(range(n))
+        inverse = np.fft.fftn(np.fft.irfftn(pre.spectrum, s=pre.shape, axes=axes)).real
+        cut = np.sort(inverse, axis=None)[-operators._COARSE_MODES]
+        inside = np.nonzero(inverse > cut * (1 + 1e-9))
+        _, coords, _ = op.interior_offsets
+        theta = sum(np.multiply.outer(x, k) for x, k in zip(coords, inside)) * (2 * np.pi)
+        modes = np.cos(theta / pre.shape[0]) + np.sin(theta / pre.shape[0])
+        assert 0 < modes.shape[1] < operators._COARSE_MODES
+        assert np.max(np.abs(modes - V @ (V.T @ modes))) <= 1e-10 * np.max(np.abs(modes))
+        # the product ran on a copy: the operator's convolution keeps no
+        # product arrays
+        conv = op.interior_convolution
+        assert conv._rows is None and conv._passes is None
+        assert np.array_equal(SV, copy.copy(conv)(V))
+
+    def test_omega_of_fewer_points_than_the_modes(self):
+        # at 1D N = 64 Omega has 11 points: V spans them all, and the solve
+        # is the coarse solve
+        g = default_geometry(n=1, grid_points=64)
+        op = FracOperator(g)
+        m = np.count_nonzero(g.omega_mask())
+        assert m < operators._COARSE_MODES and op.coarse_space[0].shape == (m, m)
+        gam = bump_conductivity(g, 0.5, 0.8)
+        datum = annulus_bump_datum(g)
+        sol = interior_system(gam, op).solve(datum)
+        X, _ = factored_path(gam, FracOperator(g), datum.values[None])
+        assert sol.residual <= 1e-10
+        assert np.max(np.abs(sol.u.values[g.omega_mask()] - X[0])) <= 1e-12 * np.max(np.abs(X))
