@@ -275,10 +275,11 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     interior block; a failure raises SolverError naming the column.  By
     Alessandrini's identity M = F (AF)^T - X^T B over the box, so no flux
     apply is made, and the apply's convolution, kept in the operator's one
-    slot, is shared by consecutive assemblies of coefficients with g F = F
-    on the box.  The system is built for this call and dropped after it.
-    M is passed to DnMatrix unsymmetrized, so its symmetry check sees the
-    raw solver asymmetry.  Any other coefficient raises TypeError.
+    slot, is shared by consecutive assemblies on the basis of coefficients
+    whose g agree on the support of its stack.  The system is built for
+    this call and dropped after it.  M is passed to DnMatrix unsymmetrized,
+    so its symmetry check sees the raw solver asymmetry.  Any other
+    coefficient raises TypeError.
     """
     system = interior_system(coefficient, op)
     if basis.geometry != system.geometry:

@@ -24,6 +24,7 @@ here claims to reproduce a theoretical constant.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -57,7 +58,6 @@ from .operators import (
     pair_matvec,
     parseval_pairing,
 )
-from .solver import _digest
 
 __all__ = [
     "liouville_identity_residual",
@@ -190,6 +190,11 @@ def exterior_recovery(M: DnMatrix, M0: DnMatrix, probes) -> list:
     return results
 
 
+def _digest(array):
+    """sha256 of an array's bytes, shortened."""
+    return hashlib.sha256(np.ascontiguousarray(array)).hexdigest()[:24]
+
+
 def _assembler(basis, op: FracOperator):
     """assemble_dn on one basis and operator, made once per conductivity: a
     conductivity of the same grid and values as one already given gets that
@@ -200,7 +205,7 @@ def _assembler(basis, op: FracOperator):
     def dn(gamma):
         if not isinstance(gamma, Conductivity):
             raise TypeError("coefficient must be a Conductivity")
-        key = (_digest([gamma.values]), gamma.geometry)
+        key = (_digest(gamma.values), gamma.geometry)
         if key not in assembled:
             assembled[key] = assemble_dn(gamma, basis, op)
         return assembled[key]

@@ -50,6 +50,7 @@ __all__ = [
     "fourier_symbol",
     "bessel_symbol",
     "apply_multiplier",
+    "convolve_fields",
     "parseval_pairing",
     "hs_inner",
     "hs_gram",
@@ -93,13 +94,49 @@ def apply_multiplier(symbol, values, grid=None):
     """
     corner = values.shape[-symbol.ndim :]
     grid = corner if grid is None else tuple(grid)
+    _check_symbol(symbol, grid)
+    return _CornerPasses(values.shape, grid)(symbol, values)
+
+
+def convolve_fields(spectrum, values, grid, factor=None):
+    """`apply_multiplier(spectrum, factor * u, grid)` for every field u of a
+    (k, *corner) stack, bit for bit, into one compact (k, *corner) array.
+
+    spectrum is a multiplier of the grid as `apply_multiplier` takes it, in
+    practice a weight array's half spectrum (`FracOperator.form_spectrum`),
+    values the low corner of the grid, and factor an array of the corner's
+    shape, or None for 1.  The fields go one at a time through one set of
+    pass arrays (`_CornerPasses`), so no stacked spectrum is formed.  In 2D
+    a zero row transforms to zero, so a field's product with factor and its
+    forward real pass run over the rows from its first nonzero one to its
+    last only, and the other rows enter the leading axis' pass as zeros (38
+    of the 251 rows of an exterior bump's box at 2D N = 512).
+    """
+    grid = tuple(grid)
+    _check_symbol(spectrum, grid)
+    corner = values.shape[-len(grid) :]
+    passes = _CornerPasses(corner, grid)
+    conv = np.empty(values.shape)
+    out = conv.reshape((-1,) + corner)
+    for i, u in enumerate(values.reshape(out.shape)):
+        rows = slice(None)
+        if len(grid) == 2:
+            (nonzero,) = np.nonzero(u.any(axis=1))
+            rows = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
+            u = u[rows]
+        out[i] = passes(spectrum, u if factor is None else factor[rows] * u, rows)
+    return conv
+
+
+def _check_symbol(symbol, grid):
+    """Refuse a multiplier of another grid: slicing it would silently apply
+    a different one."""
     if (
         symbol.ndim > 2
         or symbol.shape[:-1] != grid[:-1]
         or symbol.shape[-1] not in (grid[-1], grid[-1] // 2 + 1)
     ):
         raise ValueError(f"multiplier of shape {symbol.shape} does not fit grid {grid}")
-    return _CornerPasses(values.shape, grid)(symbol, values)
 
 
 def _fast_length(n):
@@ -160,19 +197,25 @@ class _CornerPasses:
             self.lead = None
             self.base = self.out = np.empty(rows + grid[-1:])
 
-    def __call__(self, symbol, values):
+    def __call__(self, symbol, values, rows=slice(None)):
+        """The product for values on the corner; in 2D, rows may be a slice
+        of the corner's rows outside which it is zero, and values then hold
+        those rows only."""
         P = self.grid[-1]
         fields = slice(len(values)) if self.stacked else slice(None)
-        half = np.fft.rfft(values, P, out=self.half[fields])
-        symbol = symbol[..., : half.shape[-1]]
+        symbol = symbol[..., : P // 2 + 1]
         if self.lead is None:
+            half = np.fft.rfft(values, P, out=self.half[fields])
             half *= symbol
         else:
             # numpy's pass is faster on a padded, contiguous copy than when
             # it gathers and pads strided rows itself
             r, lead = self.corner[0], self.lead[fields]
-            lead[..., :r] = np.swapaxes(half, -1, -2)
-            lead[..., r:] = 0.0
+            lo, hi, _ = rows.indices(r)
+            half = np.fft.rfft(values, P, out=self.half[fields][..., lo:hi, :])
+            lead[..., :lo] = 0.0
+            lead[..., lo:hi] = np.swapaxes(half, -1, -2)
+            lead[..., hi:] = 0.0
             np.fft.fft(lead, out=lead)
             lead *= symbol.T
             np.fft.ifft(lead, out=lead)
@@ -240,6 +283,10 @@ class WindowConvolution:
     the pair's arrays (`_CornerPasses`) are kept for the widest product so
     far, and a product of fewer columns runs in their leading fields:
     Omega's points are rewritten, and every other point stays zero.
+    The scatter and the gather index one field's flat points (`_scatter`
+    and `_gather`); where Omega's points fill one contiguous range of the
+    padded rows, as they always do in 1D, they are slice copies of that
+    range instead of index arrays.
     `center` is the weight at offset 0, the stencil's diagonal.  A window
     of offsets [-D, D]^n with D below Omega's extent makes a box that still
     holds the bounding box as long as 2D + 1 is at least its side; the
@@ -261,7 +308,8 @@ class WindowConvolution:
         self.corner = tuple(int(a.max()) + 1 for a in coords)  # Omega's bounding box
         self.points = (slice(None),) + tuple(coords)  # Omega in a stack of rows
         self.center = float(window[(D,) * n])
-        self._rows = self._passes = self._flat = None
+        self._scatter = _as_range(np.ravel_multi_index(coords, self.corner[:-1] + (P,)))
+        self._rows = self._passes = self._gather = None
 
     def __call__(self, Y, out=None):
         """S Y for an (m, k) array Y of interior columns: Y scattered into
@@ -275,15 +323,28 @@ class WindowConvolution:
             self._rows = np.zeros((k,) + self.corner[:-1] + self.shape[-1:])
             self._passes = _CornerPasses(self._rows.shape, self.shape)
             # Omega's points in one field of the passes' output
-            self._flat = np.ravel_multi_index(self.points[1:], self._passes.base.shape[1:])
+            self._gather = _as_range(
+                np.ravel_multi_index(self.points[1:], self._passes.base.shape[1:])
+            )
         rows = self._rows[:k]
-        rows[self.points] = Y.T
+        rows.reshape(k, -1)[:, self._scatter] = Y.T
         self._passes(self.spectrum, rows)
         if out is None:
-            out = np.empty((k, self._flat.size)).T
+            out = np.empty((k, len(Y))).T
         fields = self._passes.base[:k].reshape(k, -1)
-        np.take(fields, self._flat, axis=1, out=out.T, mode="clip")
+        if isinstance(self._gather, slice):
+            np.copyto(out.T, fields[:, self._gather])
+        else:
+            np.take(fields, self._gather, axis=1, out=out.T, mode="clip")
         return out
+
+
+def _as_range(flat):
+    """flat, increasing flat indices, as a slice when they are one contiguous
+    range, and as they are otherwise."""
+    if flat[-1] - flat[0] == len(flat) - 1:
+        return slice(int(flat[0]), int(flat[-1]) + 1)
+    return flat
 
 
 @dataclass
@@ -332,14 +393,17 @@ class FracOperator:
     its own shallow copies of the first two, which keep their FFT arrays).
     It keeps no interior systems.  Its one slot `convolution` holds the last
     weight convolution of stacked exterior data on their solve box, as (key,
-    compact array), filled by `solver.InteriorSystem.apply`.  `certificate`
-    holds the first vector v > 0 that certified an interior system of the
-    operator, (m, 1) and read-only, and a later system is certified by one
-    product with it where that suffices.  `pcg_blocks` is the work array of
-    the solver's block PCG, kept for the widest block so far, so that a run
-    allocates no work blocks of its own, and so an operator serves one solve
-    at a time.  The solver also records what it did in `counts`.  Nothing is
-    cached outside an operator, so two operators share no state.
+    compact array), filled by `solver.InteriorSystem.apply`: the key holds
+    the data stack by a weak reference, so the slot keeps no stack alive,
+    and g on the stack's support, and is None for data that are not
+    read-only.  `certificate` holds the first vector v > 0 that certified an
+    interior system of the operator, (m, 1) and read-only, and a later
+    system is certified by one product with it where that suffices.
+    `pcg_blocks` is the work array of the solver's block PCG, kept for the
+    widest block so far, so that a run allocates no work blocks of its own,
+    and so an operator serves one solve at a time.  The solver also records
+    what it did in `counts`.  Nothing is cached outside an operator, so two
+    operators share no state.
     """
 
     def __init__(self, geometry):

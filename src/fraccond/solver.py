@@ -34,13 +34,19 @@ periodic grid, through `operators.apply_multiplier` with the box as the
 grid's low corner (a convolution is translation invariant), so the real
 passes run over the box's rows only (251 of 512 rows at 2D N = 512).  It
 is taken field by field into one compact (k, *box) array, so no stacked
-spectrum of the grid is formed.  The operator keeps the last one in
-`FracOperator.convolution`, keyed by a sha256 of g F on the box, and the
-next apply reuses it when its digest matches; g F is formed one field at
-a time, for the digest and for the convolution, and never stacked.  Where
-g = 1 on the support of F, g F is bitwise F, so every potential and every
-conductivity equal to 1 there share one convolution per basis, and a
-suite's assemblies on one basis follow one another.
+spectrum of the grid is formed, and in 2D each field's forward real pass
+runs over its nonzero rows only (`operators.convolve_fields`).  The
+operator keeps the last one in `FracOperator.convolution`, keyed by the
+identity of the stack F, held by a weak reference, and by g on F's
+support (g = 1 for a potential); the next apply reuses it when both
+match, and then g F is the same stack bit for bit.  Only a stack that is
+read-only down its whole base chain is keyed (an `ExteriorBasis` keeps
+its stack so), since nothing else rules out its values having changed in
+place.  g F is formed once per field, for the convolution, and never
+stacked.  Every potential and every conductivity equal to 1 on the
+support of F share one convolution per basis, as do conductivities that
+differ only inside Omega, and a suite's assemblies on one basis follow
+one another.
 
 A' is never factored and nothing m x m is formed (m the number of
 unknowns).  Every system, the unit coefficient's too, is solved by block
@@ -104,14 +110,14 @@ full-grid factors, is alive during an assembly.
 from __future__ import annotations
 
 import copy
-import hashlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conductivity import Conductivity, Potential
 from .geometry import GridField, bounding_box
-from .operators import FracOperator, apply_multiplier
+from .operators import FracOperator, apply_multiplier, convolve_fields
 
 __all__ = [
     "SolverError",
@@ -154,13 +160,32 @@ class Solution:
     energy: float
 
 
-def _digest(arrays):
-    """sha256 of the bytes of arrays given one at a time by an iterable: the
-    digest of their stack, with no stack formed."""
-    digest = hashlib.sha256()
-    for array in arrays:
-        digest.update(np.ascontiguousarray(array))
-    return digest.hexdigest()[:24]
+class _StackKey:
+    """The key of a convolution of a data stack: the stack, held by a weak
+    reference, and g on the stack's support, the points where some field is
+    nonzero (1 for a potential).  Two keys are equal while their stack is
+    alive and the same object and their values of g are equal, and then g u
+    is the same stack bit for bit; a key of a freed stack equals none."""
+
+    def __init__(self, values, g):
+        self._data = weakref.ref(values)
+        self._g = g
+
+    def __eq__(self, other):
+        if not isinstance(other, _StackKey):
+            return NotImplemented
+        data = self._data()
+        return data is not None and data is other._data() and np.array_equal(self._g, other._g)
+
+
+def _read_only(array):
+    """Whether array and every array down its base chain are read-only, so
+    that nothing can write its values through numpy."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
 
 
 # PCG stops when every column's residual is below this fraction of its
@@ -414,19 +439,21 @@ class InteriorSystem:
         when None, and values hold u on it; every factor is read on it, and
         the result is A u on the box, exact when u vanishes off it.  The one
         FFT pair, the convolution w * (g u) over the periodic grid, takes the
-        box as the grid's low corner (`apply_multiplier` with the grid
-        given), field by field into one compact array.  The operator's
-        `convolution` slot keeps the last one under the shape of u and a
-        sha256 of the stacked g u, streamed one field at a time (the
-        convolution does not depend on where the box lies); an apply whose
-        key matches reuses it, and any other frees it before its own is
-        built.  g u is formed one field at a time for the key and again for
-        the convolution, so no stack of it is held.
+        box as the grid's low corner, field by field into one compact array
+        (`operators.convolve_fields`).  The operator's `convolution` slot
+        keeps the last one under a key of u's identity and g on u's support
+        (`_StackKey`; the convolution does not depend on where the box
+        lies).  An apply whose key matches reuses it, and any other frees it
+        before its own is built.  Only values read-only down their whole
+        base chain are keyed, so that they cannot have changed since: other
+        values never hit, and their convolution is kept under no key.  g u is
+        formed once per field, for the convolution, and no stack of it is
+        held.
         """
         box = (Ellipsis,) if box is None else (Ellipsis,) + tuple(box)
         op = self.op
-        key = (values.shape, _digest(self._products(values, box)))
-        if op.convolution is not None and op.convolution[0] == key:
+        key = self._key(values, box)
+        if key is not None and op.convolution is not None and op.convolution[0] == key:
             op.counts.convolution_hits += 1
         else:
             op.convolution = None  # the old array is freed before the new one is built
@@ -437,23 +464,22 @@ class InteriorSystem:
         out *= self._scale if self.g is None else self._scale * self.g[box]
         return out
 
-    def _products(self, values, box):
-        """g u for each field of a field or a stack on a box, one field at a
-        time (u itself for a potential)."""
+    def _key(self, values, box):
+        """The `_StackKey` of values on a box, or None when they are not
+        read-only down their base chain."""
+        if not _read_only(values):
+            return None
         grid = self.geometry.shape
-        g = None if self.g is None else self.g[box]
-        for u in values.reshape((-1,) + values.shape[-len(grid) :]):
-            yield u if g is None else g * u
+        support = np.any(values.reshape((-1,) + values.shape[-len(grid) :]), axis=0)
+        if self.g is None:
+            return _StackKey(values, np.ones(np.count_nonzero(support)))
+        return _StackKey(values, self.g[box][support])
 
     def _convolution(self, values, box):
         """w * (g u) over the periodic grid for a field or a stack on a box,
         transformed one field at a time into a preallocated result."""
-        grid = self.geometry.shape
-        conv = np.empty(values.shape)
-        out = conv.reshape((-1,) + values.shape[-len(grid) :])
-        for i, gu in enumerate(self._products(values, box)):
-            out[i] = apply_multiplier(self.op.form_spectrum, gu, grid)
-        return conv
+        g = None if self.g is None else self.g[box]
+        return convolve_fields(self.op.form_spectrum, values, self.geometry.shape, g)
 
     def solve_many(self, data, box, tol: float = 1e-10):
         """Solve for a (k, *box) stack F of exterior data on a box in one batch.

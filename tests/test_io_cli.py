@@ -454,6 +454,16 @@ class TestProvenance:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "solver" not in report
 
+    def test_instability_members_share_one_convolution(self, tmp_path):
+        # the unit system and the 32 Mandache members on one basis: every
+        # member is 1 on the basis' support, so a key that stopped matching
+        # would show here as fewer hits
+        cfg = write_config(tmp_path, suite="instability")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc in (EXIT_OK, EXIT_INVARIANT)
+        counts = json.loads((tmp_path / "out" / "provenance.json").read_text())["solver"]
+        assert (counts["systems"], counts["convolution_hits"]) == (33, 32)
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, suite="residuals", seed=1)
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "s1")])

@@ -1,5 +1,6 @@
 """Operator-level oracles: closed forms, adaptive quadrature, brute force."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -30,6 +31,7 @@ from fraccond.operators import (
     apply_multiplier,
     bessel_symbol,
     bilinear_form,
+    convolve_fields,
     fourier_symbol,
     frac_laplacian,
     hs_gram,
@@ -307,6 +309,52 @@ class TestNumpyTransforms:
                 corner[:, omega] = Y.T
                 ref = scipy_corner_product(conv.spectrum, corner, conv.shape)
                 assert np.array_equal(conv(Y), ref[:, omega].T)
+
+    @pytest.mark.parametrize("n, grid_points", [(1, 1024), (2, 128)])
+    def test_window_convolution_slices_are_the_index_arrays_bitwise(
+        self, n, grid_points, monkeypatch
+    ):
+        # in 1D Omega fills one range of the padded rows, so the product and
+        # the preconditioner scatter and gather by slices; in 2D they cannot
+        op = FracOperator(default_geometry(n=n, grid_points=grid_points))
+        rng = np.random.default_rng(n)
+        for conv in (op.interior_convolution, op.box_inverse_symbol):
+            m = len(conv.points[1])
+            sliced = copy.copy(conv)
+            Ys = [rng.standard_normal((m, k)) for k in (4, 1, 16)]
+            outs = [sliced(Y) for Y in Ys]
+            forms = (type(sliced._scatter), type(sliced._gather))
+            assert forms == ((slice, slice) if n == 1 else (np.ndarray, np.ndarray))
+            with monkeypatch.context() as patched:
+                patched.setattr(operators, "_as_range", lambda flat: flat)
+                indexed = copy.copy(conv)
+                indexed._scatter = np.ravel_multi_index(
+                    conv.points[1:], conv.corner[:-1] + conv.shape[-1:]
+                )
+                refs = [indexed(Y) for Y in Ys]
+            assert isinstance(indexed._gather, np.ndarray)
+            for out, ref in zip(outs, refs):
+                assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("grid, corner", [((45, 40), (21, 17)), ((24, 20), (13, 7))])
+    def test_nonzero_rows_are_the_full_rows_bitwise(self, grid, corner):
+        rng = np.random.default_rng(7)
+        spectrum = np.fft.rfftn(rng.standard_normal(grid))
+        factor = 1.0 + rng.random(corner)
+        fields = rng.standard_normal((5,) + corner)
+        fields[0, :3] = fields[0, -2:] = 0.0  # zero rows at the top and the bottom
+        fields[1, 1:] = 0.0  # one nonzero row, the first
+        fields[2, :-1] = 0.0  # one nonzero row, the last
+        fields[3] = 0.0  # all zero; fields[4] spans the whole box
+        conv = convolve_fields(spectrum, fields, grid, factor)
+        plain = convolve_fields(spectrum, fields, grid)
+        assert conv.shape == fields.shape and conv.flags.c_contiguous
+        for u, out, out_plain in zip(fields, conv, plain):
+            ref = apply_multiplier(spectrum, factor * u, grid)
+            assert out.tobytes() == ref.tobytes()
+            assert out_plain.tobytes() == apply_multiplier(spectrum, u, grid).tobytes()
+        # a single field is its own stack
+        assert convolve_fields(spectrum, fields[0], grid, factor).tobytes() == conv[0].tobytes()
 
     @pytest.mark.parametrize("n, s", [(1, 0.4), (2, 0.5), (1, 0.25), (2, 0.8)])
     def test_normalization_constant_is_scipys_to_roundoff(self, n, s):

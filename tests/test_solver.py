@@ -1,7 +1,7 @@
 """Galerkin solver: exactness relations, invariants, convergence."""
 
 import copy
-import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -272,8 +272,9 @@ class TestConvolutionStore:
 
 
 class TestStreamedAssembly:
-    """`apply` forms g u one field at a time, for the convolution key and for
-    the convolution; `solve_many` frees AF before its PCG run."""
+    """`apply` keys the operator's convolution by the data stack's identity
+    and g on the stack's support, and forms g u once per field, for the
+    convolution; `solve_many` frees AF before its PCG run."""
 
     @staticmethod
     def coefficient(op, equation):
@@ -281,18 +282,90 @@ class TestStreamedAssembly:
         gamma = bump_conductivity(op.geometry, height=0.5, width=2.8)
         return gamma if equation == "conductivity" else liouville_potential(gamma, op)
 
+    @staticmethod
+    def fresh(coefficient, F, box):
+        """The apply of a coefficient on an operator with an empty slot."""
+        return interior_system(coefficient, FracOperator(coefficient.geometry)).apply(F, box)
+
+    @staticmethod
+    def read_only_copy(stack):
+        F = stack.copy()
+        F.setflags(write=False)
+        return F
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_same_stack_and_g_on_its_support_hits(self, geom, geom2d, n):
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, 8, kind="bumps")
+        support = np.any(b.stack, axis=0)
+        unit = Potential(g, np.zeros(g.shape))  # a potential counts as g = 1
+        inside = bump_conductivity(g, height=0.5, width=0.8)  # g != 1 inside Omega only
+        wide = self.coefficient(op, "conductivity")
+        assert np.all(inside.sqrt_values[b.box][support] == 1.0)
+        assert np.any(inside.sqrt_values[g.omega_mask()] != 1.0)
+        assert np.any(wide.sqrt_values[b.box][support] != 1.0)
+        hits = []
+        for coefficient in (unit, inside, wide, wide):
+            AF = interior_system(coefficient, op).apply(b.stack, b.box)
+            hits.append(op.counts.convolution_hits)
+            assert np.array_equal(AF, self.fresh(coefficient, b.stack, b.box))
+        # inside hits unit's entry, a second system of wide hits the first's
+        assert hits == [0, 1, 1, 2]
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
-    def test_key_is_the_digest_of_the_stacked_products(self, geom, geom2d, n, equation):
+    def test_other_g_on_the_support_or_a_copy_misses(self, geom, geom2d, n, equation):
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
         b = build_exterior_basis(g, 8, kind="harmonic")
         coefficient = self.coefficient(op, equation)
-        interior_system(coefficient, op).apply(b.stack, b.box)
-        gu = b.stack if equation == "schrodinger" else coefficient.sqrt_values[b.box] * b.stack
-        assert not np.array_equal(gu, b.stack) or equation == "schrodinger"
-        digest = hashlib.sha256(np.ascontiguousarray(gu)).hexdigest()[:24]
-        assert op.convolution[0] == (b.stack.shape, digest)
+        unit = Conductivity(g, np.ones(g.shape), gamma0=0.5)
+        interior_system(unit, op).apply(b.stack, b.box)
+        system = interior_system(coefficient, op)
+        AF = system.apply(b.stack, b.box)
+        # equal values in another array are another stack
+        copied = self.read_only_copy(b.stack)
+        assert np.array_equal(system.apply(copied, b.box), AF)
+        hits = 0 if equation == "conductivity" else 1  # the potential is g = 1
+        assert op.counts.convolution_hits == hits
+        assert np.array_equal(AF, self.fresh(coefficient, b.stack, b.box))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_writable_data_never_hit(self, geom, geom2d, n):
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, 8, kind="bumps")
+        system = interior_system(self.coefficient(op, "conductivity"), op)
+        F = b.stack.copy()
+        AF = system.apply(F, b.box)
+        assert op.convolution[0] is None
+        F *= 2.0
+        assert np.array_equal(system.apply(F, b.box), 2.0 * AF)
+        # a read-only view of a writable base is as writable as the base
+        base = b.stack.copy()
+        view = base[:]
+        view.setflags(write=False)
+        assert np.array_equal(system.apply(view, b.box), AF)
+        base *= 2.0
+        assert np.array_equal(system.apply(view, b.box), 2.0 * AF)
+        assert op.counts.convolution_hits == 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_freed_stack_misses(self, geom, geom2d, n):
+        g = geom if n == 1 else geom2d
+        op = FracOperator(g)
+        b = build_exterior_basis(g, 8, kind="bumps")
+        system = interior_system(self.coefficient(op, "schrodinger"), op)
+        F = self.read_only_copy(b.stack)
+        AF = system.apply(F, b.box)
+        kept, stack = op.convolution[0], weakref.ref(F)
+        del F
+        assert stack() is None  # the slot keeps no stack alive
+        # an equal stack, perhaps at the freed one's address, is not a hit
+        F = self.read_only_copy(b.stack)
+        assert np.array_equal(system.apply(F, b.box), AF)
+        assert op.counts.convolution_hits == 0 and op.convolution[0] != kept
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
