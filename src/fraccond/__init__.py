@@ -45,7 +45,6 @@ from .experiments import (
     liouville_identity_residual,
     log_stability_fit,
     mtilde_equation_residual,
-    run_suite,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,7 +20,8 @@ provenance.json (version, seed, wall time and the solver's counts:
 systems built and those certified by one product, PCG solves, block
 steps and block columns, convolution hits, worst Galerkin residual) plus
 the plot sidecars.  Exit codes: 0 ok, 2 config error, 3 solver failure, 4
-suite invariant failure.
+suite invariant failure.  `plots` redraws a report's sidecars and exits 0,
+or 2 when the report is missing, is not JSON or names no registered suite.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import SUITES, run_suite
+from .experiments import SUITES
 from .geometry import default_geometry
 from .operators import FracOperator
 from .plots import emit_plots
@@ -68,7 +69,7 @@ _RUN_KEYS = {"name": str, "seed": int}
 def suite_keys(name):
     """The named suite's own [suite] keys with their defaults: the keyword
     parameters after (geometry, op)."""
-    params = list(inspect.signature(SUITES[name]).parameters.values())[2:]
+    params = list(inspect.signature(SUITES[name].run).parameters.values())[2:]
     return {p.name: p.default for p in params}
 
 
@@ -130,37 +131,6 @@ def build_geometry(config):
         raise ConfigError(str(exc)) from exc
 
 
-def _suite_invariants(name, payload):
-    """Named pass/fail flags gating the run exit status."""
-    checks = {}
-    if name == "residuals":
-        checks["residuals_small"] = all(
-            c["liouville_residual"] <= 1e-6 for c in payload["cases"]
-        )
-        if payload["refinement"]:
-            checks["residuals_refine"] = all(
-                r["ratio"] <= 0.7 for r in payload["refinement"]
-            )
-    elif name == "exterior":
-        checks["lipschitz_band"] = payload["scan"]["band"] <= 2.0
-        rec = payload["recovery"]
-        true_val = payload["recovery_true_value"]
-        checks["recovery_within_5pct"] = all(
-            abs(r["estimate"] - true_val) <= 0.05 * true_val for r in rec
-        )
-    elif name == "reduction":
-        checks["fitted_band_5x"] = payload["fitted_band"] <= 5.0
-    elif name == "logmodulus":
-        checks["sigma_positive"] = payload["sigma"] > 0
-        checks["fit_quality"] = payload["r_squared"] >= 0.8
-        checks["monotone_data"] = payload["monotone"]
-    elif name == "instability":
-        checks["eps_discrete"] = payload["eps_discrete"]
-        checks["decay_fit"] = payload["decay_rate"] > 0 and payload["decay_r_squared"] >= 0.9
-        checks["collapse_ratio"] = payload["dn_over_gamma"] <= 1e-3
-    return checks
-
-
 def canonical_payload_bytes(document):
     return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("ascii")
 
@@ -179,8 +149,8 @@ def execute(config, seed_override=None):
     if "seed" in suite_keys(name):
         suite_cfg["seed"] = seed
     op = FracOperator(geometry)
-    payload = run_suite(name, geometry, op, suite_cfg)
-    checks = _suite_invariants(name, payload)
+    payload = SUITES[name].run(geometry, op, **suite_cfg)
+    checks = SUITES[name].gates(payload)
     document = {
         "config": echoed,
         "suite": name,
@@ -207,7 +177,7 @@ def cmd_run(args):
         document, counts = execute(config, seed_override=args.seed)
     # a ConfigError is a ValueError; NotImplementedError is a valid config
     # that a suite does not cover (instability at n = 2)
-    except (ValueError, KeyError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
@@ -240,7 +210,14 @@ def cmd_run(args):
 
 
 def cmd_plots(args):
-    report = json.loads(Path(args.report).read_text())
+    try:
+        report = json.loads(Path(args.report).read_text())
+    except (OSError, ValueError) as exc:
+        print(f"config error: cannot read report {args.report}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not isinstance(report, dict) or report.get("suite") not in SUITES:
+        print(f"config error: {args.report} names no suite of {sorted(SUITES)}", file=sys.stderr)
+        return EXIT_CONFIG
     files = emit_plots(report, args.out)
     for f in files:
         print(f)

@@ -11,7 +11,6 @@ experiments that share a basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,12 +47,15 @@ class ExteriorBasis:
     orders: tuple  # (radial, angular) per function; bumps carry (index, 0)
     kind: str
     gram: np.ndarray
+    whitening: np.ndarray = None  # G^(-1/2) for the DN norms; whiten_gram(gram) if None
 
     def __post_init__(self):
         shape = tuple(len(range(N)[b]) for b, N in zip(self.box, self.geometry.shape))
         if self.stack.ndim != 1 + self.geometry.n or self.stack.shape[1:] != shape:
             raise ValueError(f"stack of shape {self.stack.shape} does not fit box {shape}")
         self.stack.setflags(write=False)
+        if self.whitening is None:
+            object.__setattr__(self, "whitening", whiten_gram(self.gram))
 
     def __len__(self):
         return len(self.stack)
@@ -61,12 +63,6 @@ class ExteriorBasis:
     def order_of(self, i):
         h, k = self.orders[i]
         return h + k
-
-    @cached_property
-    def whitening(self):
-        """G^(-1/2) of the Gram matrix (`whiten_gram`), computed once: every
-        DN norm over the basis reads it."""
-        return whiten_gram(self.gram)
 
 
 @dataclass(frozen=True)
@@ -151,8 +147,8 @@ def basis_from_fields(geometry, fields, orders, kind):
     basis keeps them cropped to the bounding box of Omega and their support,
     the box its solves read.  The norms are the square roots of the diagonal
     of the raw fields' Gram matrix, which then scales to the basis Gram
-    matrix.  A vanishing field or a Gram matrix with smallest eigenvalue
-    below 1e-10 raises ValueError."""
+    matrix; its one eigendecomposition checks it and whitens it.  A vanishing
+    field or a Gram smallest eigenvalue below 1e-10 raises ValueError."""
     box = geometry.region_box()
     F = np.asarray(fields, dtype=float)
     omega = geometry.omega_mask()[box]
@@ -170,11 +166,11 @@ def basis_from_fields(geometry, fields, orders, kind):
     if np.any(norms <= 0):
         raise ValueError("degenerate basis function (region too coarse)")
     gram = gram / np.outer(norms, norms)
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
-    if lam_min < 1e-10:
+    vals, vecs = np.linalg.eigh(gram)
+    if vals[0] < 1e-10:
         raise ValueError(
             f"requested {len(F)} functions exceed the region's resolution "
-            f"(Gram smallest eigenvalue {lam_min:.3e})"
+            f"(Gram smallest eigenvalue {vals[0]:.3e})"
         )
     return ExteriorBasis(
         geometry=geometry,
@@ -183,6 +179,7 @@ def basis_from_fields(geometry, fields, orders, kind):
         orders=orders,
         kind=kind,
         gram=gram,
+        whitening=_whiten(vals, vecs),
     )
 
 
@@ -290,7 +287,11 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
 
 def whiten_gram(gram):
     """G^(-1/2) of a Gram matrix by one symmetric eigendecomposition."""
-    vals, vecs = np.linalg.eigh(gram)
+    return _whiten(*np.linalg.eigh(gram))
+
+
+def _whiten(vals, vecs):
+    """G^(-1/2) from the eigenvalues and eigenvectors of G."""
     if vals[0] <= 1e-14 * vals[-1]:
         raise ValueError("singular Gram matrix: rank-deficient basis")
     return vecs @ np.diag(vals**-0.5) @ vecs.T

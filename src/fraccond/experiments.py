@@ -1,9 +1,10 @@
 """Stability and instability experiment suites.
 
-Each suite probes one estimate at desk scale.  It is a function of the
-geometry, the operator and its keyword parameters, whose defaults are the
-suite's settings, and returns a plain dict payload (JSON-ready) so the
-command-line harness can persist and plot it:
+Each suite probes one estimate at desk scale and is one record in SUITES,
+`Suite(run, gates, figures)`.  run is a function of the geometry, the
+operator and its keyword parameters, whose defaults are the suite's
+settings, returning a plain dict payload (JSON-ready) for the command-line
+harness to persist; gates and figures derive its flags and plot sidecars:
 
 * residuals    - Liouville identity and transformed-equation residuals with
                  a grid-refinement study.
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -66,7 +69,7 @@ __all__ = [
     "exterior_stability_scan",
     "log_stability_fit",
     "instability_search",
-    "run_suite",
+    "Suite",
     "SUITES",
 ]
 
@@ -482,6 +485,21 @@ def instability_search(params: MandacheParams, basis, op: FracOperator, count=32
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Suite:
+    """One experiment suite.  run(geometry, op, **keys) returns the payload,
+    its keyword parameters the suite's [suite] keys; gates(payload) the
+    named pass/fail flags that gate the run's exit status; figures(payload)
+    a (stem, header, rows, plot) per plot sidecar: <stem>.dat holds the
+    header lines and the rows, and <stem>.svg is `plots.svg_plot` called
+    with the keyword arguments plot, or is not drawn when plot is None;
+    figures warns when the payload holds no data to draw."""
+
+    run: Callable
+    gates: Callable
+    figures: Callable
+
+
 def _residual_battery(geometry):
     """Five bump conductivities of varying height/width, made one at a time,
     so that only the one in use keeps its cached g and m."""
@@ -512,6 +530,19 @@ def suite_residuals(geometry, op, seed=0):
                 {"case": k, "coarse": float(crs), "fine": float(fine), "ratio": float(fine / crs)}
             )
     return out
+
+
+def residuals_gates(payload):
+    gates = {"residuals_small": all(c["liouville_residual"] <= 1e-6 for c in payload["cases"])}
+    if payload["refinement"]:
+        gates["residuals_refine"] = all(r["ratio"] <= 0.7 for r in payload["refinement"])
+    return gates
+
+
+def residuals_figures(payload):
+    rows = [(c["case"], c["liouville_residual"]) for c in payload["cases"]]
+    header = ["Liouville identity residuals", "columns: case residual"]
+    return [("residuals", header, rows, None)]
 
 
 def _scan_pair(geometry, amplitude, center=2.5, halfwidth=0.5):
@@ -558,6 +589,47 @@ def suite_exterior(
     }
 
 
+def exterior_gates(payload):
+    true_val = payload["recovery_true_value"]
+    return {
+        "lipschitz_band": payload["scan"]["band"] <= 2.0,
+        "recovery_within_5pct": all(
+            abs(r["estimate"] - true_val) <= 0.05 * true_val for r in payload["recovery"]
+        ),
+    }
+
+
+def exterior_figures(payload):
+    rows = []
+    for r in payload["recovery"]:
+        rows.extend((w, v) for w, v in zip(r["widths"], r["ratios"]))
+    plot = None
+    if rows:
+        true_val = payload["recovery_true_value"]
+        widths = [r[0] for r in rows]
+        plot = dict(
+            series=[
+                {"x": widths, "y": [r[1] for r in rows], "kind": "points", "label": "ratio"},
+                {
+                    "x": [min(widths), max(widths)],
+                    "y": [true_val, true_val],
+                    "kind": "line",
+                    "label": f"true value {true_val:g}",
+                },
+            ],
+            xlabel="probe width",
+            ylabel="recovered conductivity",
+            title="exterior recovery vs true value",
+        )
+    scan_rows = [tuple(p) for p in payload["scan"]["data"]]
+    if not rows and not scan_rows:
+        warnings.warn("exterior report has no data")
+    return [
+        ("recovery", ["exterior recovery profile", "columns: probe_width ratio"], rows, plot),
+        ("exterior_scan", ["exterior stability scan", "columns: sup_gap dn_gap"], scan_rows, None),
+    ]
+
+
 def suite_reduction(geometry, op, theta0=0.9, amplitude=0.3, factor=1.3, basis_size=16):
     check_theta0(geometry, theta0)
     basis = build_exterior_basis(geometry, basis_size, "bumps")
@@ -581,6 +653,16 @@ def suite_reduction(geometry, op, theta0=0.9, amplitude=0.3, factor=1.3, basis_s
     }
 
 
+def reduction_gates(payload):
+    return {"fitted_band_5x": payload["fitted_band"] <= 5.0}
+
+
+def reduction_figures(payload):
+    rows = [(c["x"], c["lhs"]) for c in payload["checks"]]
+    header = ["reduction inequality data", "columns: gamma_dn_gap schrodinger_dn_gap"]
+    return [("reduction", header, rows, None)]
+
+
 def suite_logmodulus(
     geometry,
     op,
@@ -597,6 +679,44 @@ def suite_logmodulus(
         for k in range(1, pairs + 1)
     ]
     return log_stability_fit(family, q_index, basis, op, theta0=theta0)
+
+
+def logmodulus_gates(payload):
+    return {
+        "sigma_positive": payload["sigma"] > 0,
+        "fit_quality": payload["r_squared"] >= 0.8,
+        "monotone_data": payload["monotone"],
+    }
+
+
+def logmodulus_figures(payload):
+    rows = [tuple(p) for p in payload["data_points"]]
+    plot = None
+    if rows:
+        xs = [r[0] for r in rows]
+        fit_x = sorted(xs)
+        C, sigma = payload["C"], payload["sigma"]
+        fit_y = [C * abs(math.log(x)) ** (-sigma) for x in fit_x]
+        plot = dict(
+            series=[
+                {"x": xs, "y": [r[1] for r in rows], "kind": "points", "label": "pairs"},
+                {
+                    "x": fit_x,
+                    "y": fit_y,
+                    "kind": "line",
+                    "label": f"C|log x|^-sigma, sigma={sigma:.2f}",
+                },
+            ],
+            xlabel="DN difference norm",
+            ylabel="L^q coefficient gap",
+            title="log-modulus stability fit",
+            logx=True,
+            logy=True,
+        )
+    else:
+        warnings.warn("logmodulus report has no retained data points")
+    header = ["log-modulus fit data", "columns: dn_gap coefficient_gap"]
+    return [("logmodulus", header, rows, plot)]
 
 
 def suite_instability(
@@ -623,17 +743,46 @@ def suite_instability(
     return instability_search(params, basis, op, count=count)
 
 
+def instability_gates(payload):
+    return {
+        "eps_discrete": payload["eps_discrete"],
+        "decay_fit": payload["decay_rate"] > 0 and payload["decay_r_squared"] >= 0.9,
+        "collapse_ratio": payload["dn_over_gamma"] <= 1e-3,
+    }
+
+
+def instability_figures(payload):
+    orders = payload.get("decay_orders", [])
+    env = payload.get("decay_envelope", [])
+    rows = list(zip(orders, env))
+    plot = None
+    if rows:
+        A, c = payload["decay_amplitude"], payload["decay_rate"]
+        plot = dict(
+            series=[
+                {"x": orders, "y": env, "kind": "points", "label": "envelope"},
+                {
+                    "x": orders,
+                    "y": [A * math.exp(-c * o) for o in orders],
+                    "kind": "line",
+                    "label": f"A exp(-c k), c={c:.3f}",
+                },
+            ],
+            xlabel="max harmonic order",
+            ylabel="coefficient magnitude",
+            title="partial-data coefficient decay",
+            logy=True,
+        )
+    else:
+        warnings.warn("instability report has no decay data")
+    header = ["harmonic coefficient decay", "columns: max_order envelope"]
+    return [("decay", header, rows, plot)]
+
+
 SUITES = {
-    "residuals": suite_residuals,
-    "exterior": suite_exterior,
-    "reduction": suite_reduction,
-    "logmodulus": suite_logmodulus,
-    "instability": suite_instability,
+    "residuals": Suite(suite_residuals, residuals_gates, residuals_figures),
+    "exterior": Suite(suite_exterior, exterior_gates, exterior_figures),
+    "reduction": Suite(suite_reduction, reduction_gates, reduction_figures),
+    "logmodulus": Suite(suite_logmodulus, logmodulus_gates, logmodulus_figures),
+    "instability": Suite(suite_instability, instability_gates, instability_figures),
 }
-
-
-def run_suite(name, geometry, op, config=None):
-    """The named suite's payload, with config its keyword arguments."""
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](geometry, op, **(config or {}))

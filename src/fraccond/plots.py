@@ -1,17 +1,17 @@
 """Plot emission: numeric sidecar files plus minimal static SVG images.
 
 The two-column .dat sidecars are the canonical artifact; the SVG renderer
-is a small self-contained scatter/line writer (no plotting dependency) for
-the three standard figures: log-log stability scatter with the fitted
-modulus curve, the coefficient-decay semilog plot, and the exterior
-recovery profile against the true value.
+is a small self-contained scatter/line writer (no plotting dependency).
+What each suite draws is its own (`experiments.Suite.figures`): this
+module only renders it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from pathlib import Path
+
+from .experiments import SUITES
 
 __all__ = ["emit_plots", "write_sidecar", "svg_plot"]
 
@@ -120,143 +120,17 @@ def svg_plot(path, series, xlabel, ylabel, title, logx=False, logy=False):
 
 
 def emit_plots(report, out_dir):
-    """Write per-suite sidecar data and the standard vector figures.
+    """Write the sidecar data and vector figures of the report's suite
+    (`experiments.Suite.figures`).
 
     Returns the list of created files.  Empty data produces a headers-only
     sidecar, no image, and a warning.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    suite = report["config"]["suite"]["name"]
-    payload = report["payload"]
     created = []
-
-    if suite == "logmodulus":
-        rows = [tuple(p) for p in payload["data_points"]]
-        created.append(
-            write_sidecar(
-                out / "logmodulus.dat",
-                rows,
-                ["log-modulus fit data", "columns: dn_gap coefficient_gap"],
-            )
-        )
-        if rows:
-            xs = [r[0] for r in rows]
-            fit_x = sorted(xs)
-            C, sigma = payload["C"], payload["sigma"]
-            fit_y = [C * abs(math.log(x)) ** (-sigma) for x in fit_x]
-            created.append(
-                svg_plot(
-                    out / "logmodulus.svg",
-                    [
-                        {"x": xs, "y": [r[1] for r in rows], "kind": "points", "label": "pairs"},
-                        {
-                            "x": fit_x,
-                            "y": fit_y,
-                            "kind": "line",
-                            "label": f"C|log x|^-sigma, sigma={sigma:.2f}",
-                        },
-                    ],
-                    "DN difference norm",
-                    "L^q coefficient gap",
-                    "log-modulus stability fit",
-                    logx=True,
-                    logy=True,
-                )
-            )
-        else:
-            warnings.warn("logmodulus report has no retained data points")
-    elif suite == "instability":
-        orders = payload.get("decay_orders", [])
-        env = payload.get("decay_envelope", [])
-        rows = list(zip(orders, env))
-        created.append(
-            write_sidecar(
-                out / "decay.dat",
-                rows,
-                ["harmonic coefficient decay", "columns: max_order envelope"],
-            )
-        )
-        if rows:
-            A, c = payload["decay_amplitude"], payload["decay_rate"]
-            created.append(
-                svg_plot(
-                    out / "decay.svg",
-                    [
-                        {"x": orders, "y": env, "kind": "points", "label": "envelope"},
-                        {
-                            "x": orders,
-                            "y": [A * math.exp(-c * o) for o in orders],
-                            "kind": "line",
-                            "label": f"A exp(-c k), c={c:.3f}",
-                        },
-                    ],
-                    "max harmonic order",
-                    "coefficient magnitude",
-                    "partial-data coefficient decay",
-                    logy=True,
-                )
-            )
-        else:
-            warnings.warn("instability report has no decay data")
-    elif suite == "exterior":
-        rec = payload["recovery"]
-        rows = []
-        for r in rec:
-            rows.extend((w, v) for w, v in zip(r["widths"], r["ratios"]))
-        created.append(
-            write_sidecar(
-                out / "recovery.dat",
-                rows,
-                ["exterior recovery profile", "columns: probe_width ratio"],
-            )
-        )
-        if rows:
-            true_val = payload["recovery_true_value"]
-            widths = [r[0] for r in rows]
-            created.append(
-                svg_plot(
-                    out / "recovery.svg",
-                    [
-                        {"x": widths, "y": [r[1] for r in rows], "kind": "points", "label": "ratio"},
-                        {
-                            "x": [min(widths), max(widths)],
-                            "y": [true_val, true_val],
-                            "kind": "line",
-                            "label": f"true value {true_val:g}",
-                        },
-                    ],
-                    "probe width",
-                    "recovered conductivity",
-                    "exterior recovery vs true value",
-                )
-            )
-        scan_rows = [tuple(p) for p in payload["scan"]["data"]]
-        created.append(
-            write_sidecar(
-                out / "exterior_scan.dat",
-                scan_rows,
-                ["exterior stability scan", "columns: sup_gap dn_gap"],
-            )
-        )
-        if not rows and not scan_rows:
-            warnings.warn("exterior report has no data")
-    elif suite == "reduction":
-        rows = [(c["x"], c["lhs"]) for c in payload["checks"]]
-        created.append(
-            write_sidecar(
-                out / "reduction.dat",
-                rows,
-                ["reduction inequality data", "columns: gamma_dn_gap schrodinger_dn_gap"],
-            )
-        )
-    elif suite == "residuals":
-        rows = [(c["case"], c["liouville_residual"]) for c in payload["cases"]]
-        created.append(
-            write_sidecar(
-                out / "residuals.dat",
-                rows,
-                ["Liouville identity residuals", "columns: case residual"],
-            )
-        )
+    for stem, header, rows, plot in SUITES[report["suite"]].figures(report["payload"]):
+        created.append(write_sidecar(out / f"{stem}.dat", rows, header))
+        if plot is not None:
+            created.append(svg_plot(out / f"{stem}.svg", **plot))
     return [p for p in created if p is not None]

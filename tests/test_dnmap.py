@@ -117,7 +117,7 @@ class TestBoxBasis:
         g = geom if n == 1 else geom2d
         b = build_exterior_basis(g, 8, kind=kind)
         arrays = [v for v in vars(b).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 2  # the stack and the Gram
+        assert len(arrays) == 3  # the stack, the Gram and its whitening
         for a in arrays:
             assert a.shape[-g.n :] != g.shape
         assert b.stack.shape[0] == len(b) and not b.stack.flags.writeable

@@ -26,8 +26,8 @@ from fraccond.experiments import (
     liouville_identity_residual,
     log_stability_fit,
     mtilde_equation_residual,
+    SUITES,
     _reduction_record,
-    run_suite,
     suite_reduction,
 )
 from fraccond.geometry import bandlimited_field, default_geometry
@@ -203,7 +203,7 @@ class TestLiouvilleDns:
         monkeypatch.setattr(solver.InteriorSystem, "__init__", recording)
         for name, systems in (("reduction", 7), ("instability", 33)):
             kinds.clear()
-            run_suite(name, geom_small, FracOperator(geom_small))
+            SUITES[name].run(geom_small, FracOperator(geom_small))
             assert len(kinds) == systems
             assert set(kinds) == {Conductivity}
 
@@ -255,7 +255,7 @@ class TestExteriorSuite:
         assert out["data"] == []
 
     def test_suite_payload(self, geom, op_quad):
-        out = run_suite("exterior", geom, op_quad)
+        out = SUITES["exterior"].run(geom, op_quad)
         assert out["scan"]["band"] <= 2.0
         rec = out["recovery"][0]
         true_val = out["recovery_true_value"]
@@ -360,7 +360,7 @@ class TestReduction:
         assert all(c["lhs"] == c["x"] for c in out["checks"])
 
     def test_family_fitted_band(self, geom, op_quad):
-        out = run_suite("reduction", geom, op_quad, {"basis_size": 12})
+        out = SUITES["reduction"].run(geom, op_quad, basis_size=12)
         assert out["fitted_band"] <= 5.0
         # transformed and original DN differences coincide for
         # exterior-clean pairs, exactly as the equivalence demands
@@ -383,7 +383,7 @@ class TestLogModulus:
             log_stability_fit(family, 2.0, basis, op_quad)
 
     def test_ladder_fit(self, geom, op_quad):
-        out = run_suite("logmodulus", geom, op_quad, {"basis_size": 12})
+        out = SUITES["logmodulus"].run(geom, op_quad, basis_size=12)
         assert out["sigma"] > 0
         assert out["r_squared"] >= 0.8
         assert out["monotone"]
@@ -454,30 +454,34 @@ class TestInstability:
         assert rec["spearman_envelope"] <= -0.8
 
     def test_suite_collapse(self, geom, op_quad):
-        out = run_suite(
-            "instability", geom, op_quad, {"seed": 7, "count": 32}
-        )
+        out = SUITES["instability"].run(geom, op_quad, seed=7, count=32)
         assert out["eps_discrete"]
         assert out["dn_over_gamma"] <= 1e-3
         assert out["decay_rate"] > 0 and out["decay_r_squared"] >= 0.9
 
     def test_search_whitens_each_gram_once(self, geom, op_quad, monkeypatch):
-        # the basis whitens its Gram once and every pair's norm reads it
+        # one eigendecomposition of the basis' Gram both checks and whitens
+        # it, and every pair's norm reads that whitening
         grams, bases = [], []
-        eigh = np.linalg.eigh
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
         build = experiments.build_exterior_basis
 
         def counting_eigh(a, *args, **kwargs):
             grams.append(np.array(a))
             return eigh(a, *args, **kwargs)
 
+        def counting_eigvalsh(a, *args, **kwargs):
+            grams.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
         def recording_build(*args, **kwargs):
             bases.append(build(*args, **kwargs))
             return bases[-1]
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(experiments, "build_exterior_basis", recording_build)
-        run_suite("instability", geom, op_quad, {"seed": 7, "count": 32})
+        SUITES["instability"].run(geom, op_quad, seed=7, count=32)
         assert len(bases) == len(grams) == 1
         assert np.array_equal(grams[0], bases[0].gram)
 
@@ -520,7 +524,7 @@ class TestInstability:
 
 class TestResidualSuite:
     def test_payload_structure(self, geom, op_quad):
-        out = run_suite("residuals", geom, op_quad, {"seed": 0})
+        out = SUITES["residuals"].run(geom, op_quad, seed=0)
         assert len(out["cases"]) == 5
         for case in out["cases"]:
             assert case["liouville_residual"] <= 1e-6
@@ -555,3 +559,57 @@ def test_rank_correlation_of_random_ties_matches_scipy():
 def test_rank_correlation_of_constant_input_is_nan():
     assert math.isnan(_rank_correlation([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]))
 
+
+
+# per suite: a minimal payload that passes every gate, and per flag the
+# payload changes that make that flag, and only it, fail
+GATE_TABLE = {
+    "residuals": (
+        {"cases": [{"liouville_residual": 1e-7}], "refinement": [{"ratio": 0.6}]},
+        [
+            ("residuals_small", {"cases": [{"liouville_residual": 2e-6}]}),
+            ("residuals_refine", {"refinement": [{"ratio": 0.6}, {"ratio": 0.8}]}),
+        ],
+    ),
+    "exterior": (
+        {"scan": {"band": 1.5}, "recovery": [{"estimate": 1.47}], "recovery_true_value": 1.5},
+        [
+            ("lipschitz_band", {"scan": {"band": 2.5}}),
+            ("lipschitz_band", {"scan": {"band": math.nan}}),
+            ("recovery_within_5pct", {"recovery": [{"estimate": 1.5}, {"estimate": 1.6}]}),
+        ],
+    ),
+    "reduction": ({"fitted_band": 4.0}, [("fitted_band_5x", {"fitted_band": 6.0})]),
+    "logmodulus": (
+        {"sigma": 0.5, "r_squared": 0.85, "monotone": True},
+        [
+            ("sigma_positive", {"sigma": 0.0}),
+            ("fit_quality", {"r_squared": 0.75}),
+            ("monotone_data", {"monotone": False}),
+        ],
+    ),
+    "instability": (
+        {"eps_discrete": True, "decay_rate": 0.3, "decay_r_squared": 0.95, "dn_over_gamma": 1e-4},
+        [
+            ("eps_discrete", {"eps_discrete": False}),
+            ("decay_fit", {"decay_rate": -0.1}),
+            ("decay_fit", {"decay_r_squared": 0.85}),
+            ("collapse_ratio", {"dn_over_gamma": 2e-3}),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_gate_can_fire(name):
+    passing, failing = GATE_TABLE[name]
+    gates = SUITES[name].gates
+    flags = {flag for flag, _ in failing}
+    assert gates(passing) == dict.fromkeys(flags, True)
+    for flag, change in failing:
+        assert gates({**passing, **change}) == {f: f != flag for f in flags}
+
+
+def test_refinement_gate_absent_without_refinement():
+    passing, _ = GATE_TABLE["residuals"]
+    assert SUITES["residuals"].gates({**passing, "refinement": []}) == {"residuals_small": True}

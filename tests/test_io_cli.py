@@ -21,7 +21,7 @@ from fraccond.cli import (
     parse_config,
     suite_keys,
 )
-from fraccond.experiments import SUITES
+from fraccond.experiments import SUITES, Suite
 from fraccond.geometry import Region, default_geometry
 from fraccond.dnmap import DnMatrix
 from fraccond.operators import FracOperator
@@ -69,6 +69,13 @@ KEY_READERS = {
 
 def ini_text(value):
     return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def suite_config(tmp_path, name, extra=""):
+    """A config of the default 1D geometry on 64 points naming one suite."""
+    path = tmp_path / f"{name}.ini"
+    path.write_text(f"[geometry]\ngrid_points = 64\n[suite]\nname = {name}\n{extra}")
+    return path
 
 
 def write_config(tmp_path, suite="logmodulus", seed=7, N=1024, extra=""):
@@ -249,15 +256,40 @@ class TestCliExitCodes:
 
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch):
         # a DN matrix that lost symmetry is a solver failure, not a config error
-        def asymmetric_suite(name, geometry, op, config):
+        def asymmetric_suite(geometry, op):
             entries = np.array([[1.0, 1e-3], [0.0, 1.0]])
             return DnMatrix(entries=entries, basis=None)
 
-        monkeypatch.setattr("fraccond.cli.run_suite", asymmetric_suite)
+        monkeypatch.setitem(SUITES, "asymmetric", Suite(asymmetric_suite, None, None))
         out = tmp_path / "e"
-        rc = main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        rc = main(["run", "--config", str(suite_config(tmp_path, "asymmetric")), "--out", str(out)])
         assert rc == EXIT_SOLVER
         assert (out / "FAILED").read_text().startswith("solver failure")
+
+    def test_key_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # parse_config refuses unknown suite names, so a KeyError a suite
+        # raises is a defect and propagates
+        def broken_suite(geometry, op):
+            return {}["missing"]
+
+        monkeypatch.setitem(SUITES, "broken", Suite(broken_suite, None, None))
+        cfg = suite_config(tmp_path, "broken")
+        with pytest.raises(KeyError, match="missing"):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", json.dumps({"suite": "wizardry", "payload": {}})],
+        ids=["missing", "not-json", "unregistered-suite"],
+    )
+    def test_plots_refuses_what_it_cannot_plot(self, tmp_path, capsys, content):
+        report = tmp_path / "report.json"
+        if content is not None:
+            report.write_text(content)
+        rc = main(["plots", "--report", str(report), "--out", str(tmp_path / "p")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "p").exists()
 
     def test_bad_theta0_is_config_error(self, tmp_path):
         # s = 0.4, n = 1: the admissible window is (0.8, 1)
@@ -388,6 +420,7 @@ class TestReportsAndPlots:
     def test_empty_data_headers_only(self, tmp_path):
         doc = {
             "config": {"suite": {"name": "logmodulus"}},
+            "suite": "logmodulus",
             "payload": {"data_points": [], "flagged_points": [], "C": 1.0, "sigma": 1.0},
         }
         with pytest.warns(UserWarning, match="no retained data"):
@@ -412,6 +445,42 @@ class TestReportsAndPlots:
         # refit the sidecar contents; the slope must reproduce the report
         coef = np.polyfit(rows[:, 0], np.log(rows[:, 1]), 1)
         assert -coef[0] == pytest.approx(doc["payload"]["decay_rate"], rel=1e-9)
+
+
+def probe_run(geometry, op, width=2.0):
+    return {"width": width, "points": [(1.0, width), (2.0, 2.0 * width)]}
+
+
+def probe_gates(payload):
+    return {"width_small": payload["width"] <= 3.0}
+
+
+def probe_figures(payload):
+    rows = [tuple(p) for p in payload["points"]]
+    series = [{"x": [r[0] for r in rows], "y": [r[1] for r in rows], "kind": "line"}]
+    plot = dict(series=series, xlabel="x", ylabel="width", title="probe")
+    return [("probe", ["probe data", "columns: x width"], rows, plot)]
+
+
+class TestRegisteredSuite:
+    @pytest.mark.parametrize("width, code", [(2.0, EXIT_OK), (4.0, EXIT_INVARIANT)])
+    def test_record_runs_and_plots_end_to_end(self, tmp_path, monkeypatch, width, code):
+        # a suite is its record: run, gates and figures, with no other module
+        # naming it
+        monkeypatch.setitem(SUITES, "probe", Suite(probe_run, probe_gates, probe_figures))
+        cfg = suite_config(tmp_path, "probe", f"width = {width}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["suite"] == {"name": "probe", "width": width}
+        assert doc["checks"] == {"width_small": code == EXIT_OK}
+        assert np.array_equal(np.loadtxt(out / "probe.dat"), [[1.0, width], [2.0, 2.0 * width]])
+        assert (out / "probe.svg").read_text().startswith("<svg")
+        again = tmp_path / "again"
+        assert main(["plots", "--report", str(out / "report.json"), "--out", str(again)]) == EXIT_OK
+        assert sorted(p.name for p in again.iterdir()) == ["probe.dat", "probe.svg"]
+        for p in again.iterdir():
+            assert p.read_bytes() == (out / p.name).read_bytes()
 
 
 class TestProvenance:
