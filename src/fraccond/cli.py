@@ -18,8 +18,9 @@ declare it.
 A run writes report.json (the deterministic payload, hashed) and
 provenance.json (version, seed, wall time and the solver's counts:
 systems built and those certified by one product, PCG solves, block
-steps and block columns, convolution hits, worst Galerkin residual) plus
-the plot sidecars.  Exit codes: 0 ok, 2 config error, 3 solver failure, 4
+steps in total and in the longest solve, block columns, coarse-space
+columns, convolution hits, worst Galerkin residual) plus the plot
+sidecars.  Exit codes: 0 ok, 2 config error, 3 solver failure, 4
 suite invariant failure.  `plots` redraws a report's sidecars and exits 0,
 or 2 when the report is missing, is not JSON or names no registered suite.
 """

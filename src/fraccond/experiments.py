@@ -119,12 +119,12 @@ def liouville_identity_residual(gamma: Conductivity, u: GridField, phi: GridFiel
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + EPS_GUARD)
 
 
-def mtilde_equation_residual(g1: Conductivity, g2: Conductivity, op: FracOperator, n_tests: int = 10) -> float:
+def mtilde_equation_residual(g1: Conductivity, g2: Conductivity, op: FracOperator) -> float:
     """Weak-form defect of the equation for mtilde = (m1 - m2)/gamma1^(1/2).
 
     Tests div_s(Theta_gamma1 grad_s mtilde) = gamma1^(1/2) gamma2^(1/2)
-    (q2 - q1) against a fixed battery of band-limited fields; returns the
-    worst relative defect.
+    (q2 - q1) against a fixed battery of ten band-limited fields; returns
+    the worst relative defect.
     """
     if g1.geometry != g2.geometry:
         raise ValueError("geometry mismatch")
@@ -137,7 +137,7 @@ def mtilde_equation_residual(g1: Conductivity, g2: Conductivity, op: FracOperato
     rhs_density *= sqrt1 * sqrt2
     bm = pair_matvec(op.diagnostic_spectrum, op.cns, h_n, sqrt1, mtilde)
     worst = 0.0
-    for seed in range(n_tests):
+    for seed in range(10):
         phi = bandlimited_field(geom, seed=1000 + seed)
         lhs = float(np.sum(phi.values * bm))
         rhs = h_n * float(np.sum(rhs_density * phi.values))
@@ -291,12 +291,12 @@ def dn_floor_estimate(dn, geometry) -> float:
     return 100.0 * float(np.finfo(float).eps) * dn_operator_norm(dn(one))
 
 
-def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, delta=None) -> dict:
+def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81) -> dict:
     """Least-squares log-modulus fit over an admissible family of pairs.
 
     Fits log y = log C - sigma log|log x| over pairs passing the smallness
-    gate, where x is the DN-difference norm and y the L^q(Omega) distance of
-    the square roots.  Pairs failing the gate are reported but excluded;
+    gate x <= 3^(-1/delta), delta = 0.95 (1 - theta0)/2, where x is the
+    DN-difference norm and y the L^q(Omega) distance of the square roots.  Pairs failing the gate are reported but excluded;
     monotone says whether y grows with x over the retained pairs.
     """
     geom = basis.geometry
@@ -305,8 +305,7 @@ def log_stability_fit(family, q_index, basis, op: FracOperator, theta0=0.81, del
     if not (1.0 <= q_index <= q_max):
         raise ValueError(f"q index must lie in [1, {q_max}], got {q_index}")
     check_theta0(geom, theta0)
-    if delta is None:
-        delta = 0.95 * (1.0 - theta0) / 2.0
+    delta = 0.95 * (1.0 - theta0) / 2.0
     gate = 3.0 ** (-1.0 / delta)
     dn = _assembler(basis, op)
     floor = dn_floor_estimate(dn, geom)

@@ -19,7 +19,13 @@ Two weight families are built:
   cell integrates the kernel against a local polynomial interpolant of the
   field; in a near zone around the singularity the field is divided by y^2
   first (it vanishes to second order there) so the interpolation stays
-  smooth.  These drive the high-accuracy diagnostic forms.
+  smooth.  The far cells' integrals come from one Gauss-Legendre rule over
+  all cells at once, and the periodic images from a Gauss-Laguerre rule on
+  the steepest-descent contour of their Fourier multiplier.  These drive
+  the high-accuracy diagnostic forms.
+
+Every rule has a fixed node count, a module constant, so the module needs
+numpy alone.
 
 The builders keep nothing: `operators.FracOperator` builds each family once
 and owns it.
@@ -31,7 +37,7 @@ assumed.
 
 from __future__ import annotations
 
-from math import comb, gamma
+from math import gamma
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -53,14 +59,6 @@ def normalization_constant(n, s):
 # ---------------------------------------------------------------------------
 # elementary kernel moments in one dimension
 # ---------------------------------------------------------------------------
-
-
-def _power_integral(a, b, p, s):
-    """Integral of y^(p-1-2s) over (a, b), 0 < a < b, for integer p >= 0."""
-    expo = p - 2.0 * s
-    if abs(expo) < 1e-14:
-        return np.log(b / a)
-    return (b**expo - a**expo) / expo
 
 
 def _cell_mass_scaled(m, s):
@@ -89,16 +87,28 @@ def _tail_mass_scaled(a_start, s, N):
     return integral + half - (N / 12.0) * deriv
 
 
-# offsets per block of `_folded_cell_masses_1d`: a block's (rows, images)
-# arrays are 0.4 MB each with the default 48 images
+# `_folded_cell_masses_1d`: exact images per side, and offsets per block,
+# whose (rows, images) arrays are 0.4 MB each
+_IMAGES_1D = 48
 _IMAGE_ROWS = 1024
+# `_moment_weights_2d`: offsets |r_i| <= _NEAR_2D get exact cell masses by a
+# _GL_ORDER_2D-point Gauss-Legendre product rule; images |j_i| <= _IMAGES_2D
+_NEAR_2D = 4
+_IMAGES_2D = 6
+_GL_ORDER_2D = 24
+# `product_weights_for`: Gauss-Legendre nodes per far cell, and
+# Gauss-Laguerre nodes of the image multiplier's contour integral
+_FAR_CELL_NODES = 16
+_LAGUERRE_NODES = 60
+# `central_second_moment_for`: Gauss-Legendre nodes of the 2D polar rule
+_POLAR_NODES = 16
 
 
-def _folded_cell_masses_1d(N, s, h, images=48):
+def _folded_cell_masses_1d(N, s, h):
     """Periodized moment weights: W[r] = total kernel mass of cells = r (mod N).
 
     Each offset r sums the masses of its images r + jN and N - r + jN,
-    j = 0 ... images, then an Euler-Maclaurin tail for each side.  The
+    j = 0 ... _IMAGES_1D, then an Euler-Maclaurin tail for each side.  The
     images are evaluated for a block of `_IMAGE_ROWS` offsets at a time,
     so no (N, images) array is formed; every offset's sum is the same
     row reduction in the same order whatever the block, so the weights do
@@ -107,7 +117,7 @@ def _folded_cell_masses_1d(N, s, h, images=48):
     W[0] is zero: offsets congruent to 0 pair a grid point with its own
     periodic copies, so they never contribute to a pair difference.
     """
-    j = np.arange(images + 1)
+    j = np.arange(_IMAGES_1D + 1)
     W = np.zeros(N)
     for start in range(0, N, _IMAGE_ROWS):
         r = np.arange(start, min(start + _IMAGE_ROWS, N))
@@ -117,7 +127,7 @@ def _folded_cell_masses_1d(N, s, h, images=48):
             valid = idx >= 1
             contrib = np.where(valid, _cell_mass_scaled(np.maximum(idx, 1), s), 0.0)
             w += contrib.sum(axis=1)
-            w += _tail_mass_scaled(q + N * (images + 1), s, N)
+            w += _tail_mass_scaled(q + N * (_IMAGES_1D + 1), s, N)
     W[0] = 0.0
     return W * h ** (-2.0 * s)
 
@@ -134,11 +144,11 @@ def moment_weights_for(n, s, N, L):
     return _moment_weights_2d(s, N, L)
 
 
-def _moment_weights_2d(s, N, L, near=4, images=6, gl_order=24):
+def _moment_weights_2d(s, N, L):
     """Moment weights of the 2D grid, evaluated on the symmetry octant.
 
     W(r1, r2) = W(+-r1, +-r2) = W(r2, r1), so the principal term, the exact
-    near-cell masses (24-point Gauss-Legendre, |r_i| <= near), the 168
+    near-cell masses (24-point Gauss-Legendre, |r_i| <= 4), the 168
     midpoint image terms and the uniform tail are evaluated only on the
     offsets 0 <= r1 <= r2 <= N/2, as flat arrays, in that order and with
     the images added j1 outer and j2 inner.  The (N/2+1)^2 quarter is filled
@@ -156,24 +166,24 @@ def _moment_weights_2d(s, N, L, near=4, images=6, gl_order=24):
     W = h**2 * R2 ** (-(1.0 + s))
 
     # near cells: exact mass by Gauss-Legendre product rule
-    nodes, wts = np.polynomial.legendre.leggauss(gl_order)
+    nodes, wts = np.polynomial.legendre.leggauss(_GL_ORDER_2D)
     half = 0.5 * h
     WW = np.outer(wts, wts) * half * half
-    for k in np.flatnonzero((r2 > 0) & (r2 <= near)):
+    for k in np.flatnonzero((r2 > 0) & (r2 <= _NEAR_2D)):
         x = int(r1[k]) * h + half * nodes
         y = int(r2[k]) * h + half * nodes
         X, Y = np.meshgrid(x, y, indexing="ij")
         W[k] = np.sum(WW * (X**2 + Y**2) ** (-(1.0 + s)))
 
     # periodic images by midpoint, then a uniformly spread radial tail
-    shifts = range(-images, images + 1)
+    shifts = range(-_IMAGES_2D, _IMAGES_2D + 1)
     for j1 in shifts:
         d1 = (y1 + 2 * L * j1) ** 2
         for j2 in shifts:
             if j1 == 0 and j2 == 0:
                 continue
             W += h**2 * (d1 + (y2 + 2 * L * j2) ** 2) ** (-(1.0 + s))
-    R_out = (2 * images + 1) * L
+    R_out = (2 * _IMAGES_2D + 1) * L
     tail = 2.0 * np.pi * R_out ** (-2.0 * s) / (2.0 * s)
     W += tail / N**2
     W[0] = 0.0
@@ -187,17 +197,8 @@ def _moment_weights_2d(s, N, L, near=4, images=6, gl_order=24):
 
 def _lagrange_coeffs(nodes):
     """Row i: polynomial coefficients (ascending) of the Lagrange basis l_i."""
-    nodes = np.asarray(nodes, dtype=float)
-    k = len(nodes)
-    out = np.zeros((k, k))
-    for i in range(k):
-        poly = np.array([1.0])
-        for j in range(k):
-            if j == i:
-                continue
-            poly = P.polymul(poly, np.array([-nodes[j], 1.0]) / (nodes[i] - nodes[j]))
-        out[i, : len(poly)] = poly
-    return out
+    others = [np.delete(nodes, i) for i in range(len(nodes))]
+    return np.array([P.polyfromroots(o) / np.prod(x - o) for x, o in zip(nodes, others)])
 
 
 def product_weights_for(s, N, L):
@@ -225,60 +226,53 @@ def product_weights_for(s, N, L):
     for q, c in zip(qs.astype(int), cq):
         V[q % N] += c / (q * h) ** 2
 
-    # principal far cells: product integration with a centered stencil,
-    # exact for the interpolating polynomial of degree stencil-1.  The
-    # negative-side cell mirrors the positive one (node j <-> node -j), so
-    # only the positive side is integrated.  Cells at +L and -L are both
-    # kept, matching the double count in the folded moment weights.
+    # principal far cells p = near+1 ... N/2: product integration with a
+    # centered stencil, exact for the interpolating polynomial of degree
+    # stencil-1.  The weight of node p + j is h int_{-1/2}^{1/2} l_j(z)
+    # (ph + hz)^(-1-2s) dz, the moments of the cell combined by the Lagrange
+    # coefficients; the singularity lies at least 9 half-widths from every
+    # cell, so one Gauss-Legendre rule integrates all cells at once to
+    # roundoff, where a closed-form expansion of the moments about y = 0
+    # cancels like p^m.  The negative-side cell mirrors the positive one
+    # (node j <-> node -j), so only the positive side is integrated.  Cells
+    # at +L and -L are both kept, matching the double count in the folded
+    # moment weights.
     zs = np.arange(-half, half + 1, dtype=float)
-    lag = _lagrange_coeffs(zs)  # in z = (y - r h)/h
-    for p in range(near + 1, N // 2 + 1):
-        c = p * h
-        a, b = c - 0.5 * h, c + 0.5 * h
-        mu = np.zeros(lag.shape[1])
-        for m in range(lag.shape[1]):
-            # integral of ((y - c)/h)^m K(y) over the cell at +c
-            acc = 0.0
-            for i in range(m + 1):
-                acc += comb(m, i) * ((-c) ** (m - i)) * _power_integral(a, b, i, s)
-            mu[m] = acc / h**m
-        wts = lag @ mu
-        for j, w in zip(range(-half, half + 1), wts):
-            V[(p + j) % N] += w
-            V[(-p - j) % N] += w
+    x, wx = np.polynomial.legendre.leggauss(_FAR_CELL_NODES)
+    z = 0.5 * x
+    lag = P.polyval(z, _lagrange_coeffs(zs).T)  # row j: l_j at the nodes
+    p = np.arange(near + 1, N // 2 + 1)
+    kern = (0.5 * h * wx) * (h * (p[:, None] + z)) ** (-1.0 - 2.0 * s)
+    for j, w in zip(range(-half, half + 1), lag @ kern.T):
+        V[(p + j) % N] += w
+        V[(-p - j) % N] += w
 
     # periodic images |y| > Y = L + h/2: the principal cells tile (-Y, Y)
     # exactly, and on torus frequencies the image contribution has the
-    # closed multiplier T(k) = 2 int_Y^inf (1 - cos ky) K(y) dy.  Oscillatory
-    # quadrature evaluates it per frequency; the unique circulant weights
-    # realizing that multiplier are its inverse transform.
+    # closed multiplier T(k) = 2 int_Y^inf (1 - cos ky) K(y) dy; the unique
+    # circulant weights realizing that multiplier are its inverse transform.
     V += _image_weights_1d(s, N, L)
     return V
 
 
 def _image_weights_1d(s, N, L):
-    from scipy.integrate import quad  # deferred: it takes ~0.3 s to import
+    """Circulant weights of the image multiplier T(k) at k = pi j / L.
 
+    T(k) = 2 (Y^(-2s)/(2s) - C(k)) with C(k) = int_Y^inf y^(-1-2s) cos(ky) dy.
+    Rotating the path to y = Y + iu/k, where e^(iky) decays fastest, gives
+    C(k) = k^(2s) Re[i e^(iX) int_0^inf (X + iu)^(-1-2s) e^(-u) du], X = kY.
+    That integrand is smooth (X >= pi), so Gauss-Laguerre evaluates it for
+    every frequency in one matrix product.
+    """
     Y = L + L / N  # (N/2 + 1/2) h with h = 2L/N
+    k = np.pi * np.arange(1, N // 2 + 1) / L
+    X = k * Y
+    u, wu = np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
+    contour = (X[:, None] + 1j * u) ** (-1.0 - 2.0 * s) @ wu
+    osc = k ** (2.0 * s) * (1j * np.exp(1j * X) * contour).real
     T = np.zeros(N // 2 + 1)
-    tail_mass = Y ** (-2.0 * s) / (2.0 * s)
-    for j in range(1, N // 2 + 1):
-        k = np.pi * j / L
-        osc = quad(
-            lambda y: y ** (-1.0 - 2.0 * s),
-            Y,
-            np.inf,
-            weight="cos",
-            wvar=k,
-            epsabs=1e-13,
-            epsrel=1e-12,
-            limit=400,
-        )[0]
-        T[j] = 2.0 * (tail_mass - osc)
-    full = np.empty(N)
-    full[: N // 2 + 1] = T
-    full[N // 2 + 1:] = T[1 : N // 2][::-1]
-    w = -np.fft.ifft(full).real
+    T[1:] = 2.0 * (Y ** (-2.0 * s) / (2.0 * s) - osc)
+    w = -np.fft.irfft(T, N)
     w[0] = 0.0
     return w
 
@@ -302,18 +296,16 @@ def symbol_from_weights(weights, cns):
 
 
 def central_second_moment_for(n, s, h):
-    """Integral of |y|^2 K(y) over the singular cell."""
-    if n == 1:
-        return 2.0 * (0.5 * h) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    from scipy.integrate import dblquad  # deferred: it takes ~0.3 s to import
+    """Integral of |y|^2 K(y) = |y|^(-2s) over the singular cell (-a, a)^n, a = h/2.
 
-    c = dblquad(
-        lambda y, x: (x * x + y * y) ** (-s),
-        0.0,
-        0.5 * h,
-        0.0,
-        0.5 * h,
-        epsabs=1e-13,
-        epsrel=1e-12,
-    )[0]
-    return 4.0 * c
+    In 2D, polar coordinates over the square's eight octants give
+    8 a^(2-2s)/(2-2s) int_0^(pi/4) sec^(2-2s)(t) dt; that integrand is smooth
+    on [0, pi/4], so Gauss-Legendre is exact to roundoff.
+    """
+    a = 0.5 * h
+    if n == 1:
+        return 2.0 * a ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    x, wx = np.polynomial.legendre.leggauss(_POLAR_NODES)
+    t = np.pi / 8.0 * (x + 1.0)
+    sec_integral = np.pi / 8.0 * np.sum(wx * np.cos(t) ** (2.0 * s - 2.0))
+    return 8.0 * a ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) * sec_integral

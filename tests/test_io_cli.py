@@ -1,9 +1,11 @@
 """Config ingestion, CLI exit codes, reports and plots."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,8 +338,9 @@ class TestCliExitCodes:
         assert "config ok" in proc.stdout
 
 
-# imports fraccond.cli and runs each config given, printing the scipy
-# modules loaded after the import and after each run as one JSON line
+# imports fraccond.cli, runs each config given and then builds a 2D
+# operator's quadrature symbol, printing the scipy modules loaded after the
+# import, after each run and after the symbol as one JSON line
 _SCIPY_PROBE = """
 import json, sys
 
@@ -345,11 +348,15 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 from fraccond import cli
+from fraccond.geometry import default_geometry
+from fraccond.operators import FracOperator
 
 seen = {"import": scipy_modules()}
 for i, config in enumerate(sys.argv[2:]):
     code = cli.main(["run", "--config", config, "--out", f"{sys.argv[1]}/run{i}"])
     seen[config] = [code, scipy_modules()]
+FracOperator(default_geometry(n=2, grid_points=64)).quadrature_symbol
+seen["quadrature_symbol"] = scipy_modules()
 print(json.dumps(seen))
 """
 
@@ -357,16 +364,18 @@ print(json.dumps(seen))
 class TestColdStart:
     def test_runs_load_no_scipy(self, tmp_path):
         # a fresh interpreter: this session imports scipy for its oracles
-        exterior = tmp_path / "ext2.ini"
-        exterior.write_text("[geometry]\nn = 2\ngrid_points = 64\n[suite]\nname = exterior\n")
-        instability = tmp_path / "ins1.ini"
-        instability.write_text(
-            "[geometry]\nn = 1\ngrid_points = 256\n[suite]\nname = instability\n"
-        )
+        configs = {
+            "ext2": "[geometry]\nn = 2\ngrid_points = 64\n[suite]\nname = exterior\n",
+            "ins1": "[geometry]\nn = 1\ngrid_points = 256\n[suite]\nname = instability\n",
+            "res1": "[geometry]\nn = 1\ngrid_points = 256\n[suite]\nname = residuals\n",
+        }
+        paths = [tmp_path / f"{stem}.ini" for stem in configs]
+        for cfg, text in zip(paths, configs.values()):
+            cfg.write_text(text)
         src = os.path.dirname(os.path.dirname(fraccond.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), str(exterior), str(instability)],
+            [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), *map(str, paths)],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
@@ -375,9 +384,28 @@ class TestColdStart:
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen == {
             "import": [],
-            str(exterior): [EXIT_OK, []],
-            str(instability): [EXIT_OK, []],
+            **{str(p): [EXIT_OK, []] for p in paths},
+            "quadrature_symbol": [],
         }
+
+    def test_sources_import_no_scipy(self):
+        # a deferred import inside a function is caught too
+        src = Path(fraccond.__file__).parent
+        found = []
+        for module in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(module.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [
+                    f"{module.name}:{node.lineno}"
+                    for name in names
+                    if name == "scipy" or name.startswith("scipy.")
+                ]
+        assert found == []
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.fft as sfft
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 from scipy.special import gamma as gamma_fn
 
+import fraccond.kernels as kernels
 import fraccond.operators as operators
 from fraccond.conductivity import bump_conductivity
 from fraccond.dnmap import assemble_dn, build_exterior_basis
@@ -22,9 +23,12 @@ from fraccond.geometry import (
 from fraccond.kernels import (
     _cell_mass_scaled,
     _folded_cell_masses_1d,
+    _image_weights_1d,
     _tail_mass_scaled,
+    central_second_moment_for,
     moment_weights_for,
     normalization_constant,
+    product_weights_for,
 )
 from fraccond.operators import (
     FracOperator,
@@ -614,6 +618,98 @@ class TestWeights:
         k = geom2d.freq_magnitude()
         sel = (k > 0) & (k < 5)
         assert np.max(np.abs(sym_q[sel] - sym_s[sel]) / sym_s[sel]) <= 3e-2
+
+
+def quad_image_weights(s, N, L):
+    """The 1D image weights from adaptive cosine-weighted quadrature of
+    C(k) = int_Y^inf y^(-1-2s) cos(ky) dy, one frequency at a time."""
+    Y = L + L / N
+    T = np.zeros(N // 2 + 1)
+    for j in range(1, N // 2 + 1):
+        osc = quad(
+            lambda y: y ** (-1.0 - 2.0 * s),
+            Y,
+            np.inf,
+            weight="cos",
+            wvar=np.pi * j / L,
+            epsabs=1e-13,
+            epsrel=1e-12,
+            limit=400,
+        )[0]
+        T[j] = 2.0 * (Y ** (-2.0 * s) / (2.0 * s) - osc)
+    w = -np.fft.irfft(T, N)
+    w[0] = 0.0
+    return w
+
+
+def quad_far_cell_weights(s, N, L):
+    """The 1D product weights of the far cells p = 5 ... N/2 and their
+    mirrors: each cell's moments h int_{-1/2}^{1/2} z^m (ph + hz)^(-1-2s) dz,
+    m = 0 ... 4, by adaptive quadrature, and the weights on the nodes
+    p - 2 ... p + 2 that integrate those five monomials exactly."""
+    h = 2.0 * L / N
+    zs = np.arange(-2, 3)
+    moment_matrix = np.vander(zs, increasing=True).T
+    V = np.zeros(N)
+    for p in range(5, N // 2 + 1):
+        scale = (p * h) ** (-1.0 - 2.0 * s)
+        mu = [
+            h * quad(
+                lambda z: z**m * (h * (p + z)) ** (-1.0 - 2.0 * s),
+                -0.5,
+                0.5,
+                epsabs=1e-14 * scale,
+                epsrel=1e-12,
+            )[0]
+            for m in range(5)
+        ]
+        w = np.linalg.solve(moment_matrix, mu)
+        V[(p + zs) % N] += w
+        V[(-p - zs) % N] += w
+    return V
+
+
+class TestFixedNodeRules:
+    """The fixed-node rules of `kernels` against scipy's adaptive quadrature."""
+
+    @pytest.mark.parametrize("N", [256, 1024, 4096])
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.49])
+    def test_contour_image_weights_match_adaptive_quadrature(self, s, N):
+        w = _image_weights_1d(s, N, 6.0)
+        ref = quad_image_weights(s, N, 6.0)
+        assert np.max(np.abs(w - ref)) <= 2e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", [256, 1024, 4096])
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4, 0.49])
+    def test_contour_image_weights_converged_in_nodes(self, s, N, monkeypatch):
+        w = _image_weights_1d(s, N, 6.0)
+        monkeypatch.setattr(kernels, "_LAGUERRE_NODES", 2 * kernels._LAGUERRE_NODES)
+        ref = _image_weights_1d(s, N, 6.0)
+        assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
+    def test_far_cell_product_weights_match_adaptive_moments(self, s):
+        # offsets 5 ... N-5 get no near-zone weight, so there the product
+        # weights less the image weights are the far cells' alone
+        N = 4096
+        far = product_weights_for(s, N, 6.0) - _image_weights_1d(s, N, 6.0)
+        ref = quad_far_cell_weights(s, N, 6.0)
+        r = slice(5, N - 4)
+        assert np.max(np.abs(far[r] - ref[r])) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_polar_central_moment_matches_dblquad(self, s):
+        h = 12.0 / 128
+        quarter = dblquad(
+            lambda y, x: (x * x + y * y) ** (-s),
+            0.0,
+            0.5 * h,
+            0.0,
+            0.5 * h,
+            epsabs=1e-13,
+            epsrel=1e-12,
+        )[0]
+        assert central_second_moment_for(2, s, h) == pytest.approx(4.0 * quarter, rel=1e-13)
 
 
 class TestInteriorStencil:
