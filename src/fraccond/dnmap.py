@@ -65,6 +65,12 @@ class ExteriorBasis:
         return h + k
 
 
+def _asymmetry(M):
+    """max |M - M^T| / max |M| of a square matrix, 0 for a zero one."""
+    scale = np.max(np.abs(M))
+    return float(np.max(np.abs(M - M.T)) / scale) if scale > 0 else 0.0
+
+
 @dataclass(frozen=True)
 class DnMatrix:
     """Exterior-basis matrix of a DN operator plus its pairing metadata."""
@@ -74,8 +80,7 @@ class DnMatrix:
 
     def __post_init__(self):
         M = np.asarray(self.entries, dtype=float)
-        scale = np.max(np.abs(M))
-        if scale > 0 and np.max(np.abs(M - M.T)) > 1e-10 * scale:
+        if _asymmetry(M) > 1e-10:
             raise SolverError("DN matrix lost symmetry beyond roundoff")
         M = 0.5 * (M + M.T)
         M.setflags(write=False)
@@ -273,15 +278,19 @@ def assemble_dn(coefficient, basis: ExteriorBasis, op: FracOperator, tol=1e-10):
     Alessandrini's identity M = F (AF)^T - X^T B over the box, so no flux
     apply is made, and the apply's convolution, kept in the operator's one
     slot, is shared by consecutive assemblies on the basis of coefficients
-    whose g agree on the support of its stack.  The system is built for
-    this call and dropped after it.  M is passed to DnMatrix unsymmetrized,
-    so its symmetry check sees the raw solver asymmetry.  Any other
-    coefficient raises TypeError.
+    whose g agree on the support of its stack; the slot keeps it on the
+    stack's support and Omega only, the points the identity reads.  The
+    system is built for this call and dropped after it.  M's raw asymmetry
+    max |M - M^T| / max |M| goes into the operator's
+    `counts.worst_asymmetry`, and M is passed to DnMatrix unsymmetrized, so
+    its symmetry check sees the raw solver asymmetry.  Any other coefficient
+    raises TypeError.
     """
     system = interior_system(coefficient, op)
     if basis.geometry != system.geometry:
         raise ValueError("geometry mismatch")
     _, M, _ = system.solve_many(basis.stack, basis.box, tol)
+    op.counts.worst_asymmetry = max(op.counts.worst_asymmetry, _asymmetry(M))
     return DnMatrix(entries=M, basis=basis)
 
 

@@ -229,6 +229,11 @@ class _CornerPasses:
 # frequency of the box preconditioner's full DFT grid
 _COARSE_MODES = 16
 
+# bytes of the periodic box's complex spectrum per block of columns of a
+# windowed product (`WindowConvolution`): 8 of 16 columns at 2D N = 512,
+# where the whole product's pass arrays are 8.1 MB
+_PRODUCT_BYTES = 2**21
+
 # frequencies per block of a stacked `parseval_pairing`: the weighted copy
 # of a block of 16 spectra is 1 MB
 _PAIRING_BLOCK = 4096
@@ -279,10 +284,14 @@ class WindowConvolution:
     bounding box, the low corner of the periodic box, each row padded to the
     box's side (`points` indexes Omega there), and the FFT pair of
     `apply_multiplier` with the box as its grid transforms only those rows
-    and reads them back (85 of 180 rows at 2D N = 512).  The padded rows and
-    the pair's arrays (`_CornerPasses`) are kept for the widest product so
-    far, and a product of fewer columns runs in their leading fields:
-    Omega's points are rewritten, and every other point stays zero.
+    and reads them back (85 of 180 rows at 2D N = 512).  A product runs over
+    blocks of columns whose complex spectrum of the periodic box stays
+    within `_PRODUCT_BYTES` (8 of 16 columns at 2D N = 512; one block in 1D
+    and at 2D N = 256); each column's transforms are its own, so the result
+    is the one-block product bit for bit.  The padded rows and the pair's
+    arrays (`_CornerPasses`) are kept for the widest block so far, and a
+    block of fewer columns runs in their leading fields: Omega's points are
+    rewritten, and every other point stays zero.
     The scatter and the gather index one field's flat points (`_scatter`
     and `_gather`); where Omega's points fill one contiguous range of the
     padded rows, as they always do in 1D, they are slice copies of that
@@ -308,34 +317,42 @@ class WindowConvolution:
         self.corner = tuple(int(a.max()) + 1 for a in coords)  # Omega's bounding box
         self.points = (slice(None),) + tuple(coords)  # Omega in a stack of rows
         self.center = float(window[(D,) * n])
+        # the complex spectrum of one column on the periodic box, which the
+        # passes hold (in 2D the leading axis' array)
+        self._column_bytes = self.spectrum.nbytes
         self._scatter = _as_range(np.ravel_multi_index(coords, self.corner[:-1] + (P,)))
         self._rows = self._passes = self._gather = None
 
     def __call__(self, Y, out=None):
         """S Y for an (m, k) array Y of interior columns: Y scattered into
         the bounding box, multiplied by `spectrum` over the periodic box and
-        restricted to Omega.  The result is written into out, an (m, k)
-        array whose transpose is C-contiguous (a column-major block or its
-        leading columns), or into a new such array when out is None."""
+        restricted to Omega, one block of columns at a time.  The result is
+        written into out, an (m, k) array whose transpose is C-contiguous (a
+        column-major block or its leading columns), or into a new such array
+        when out is None."""
         k = Y.shape[1]
-        if self._rows is None or len(self._rows) < k:
+        width = max(1, min(k, _PRODUCT_BYTES // self._column_bytes))
+        if self._rows is None or len(self._rows) < width:
             self._rows = self._passes = None  # the old arrays go first
-            self._rows = np.zeros((k,) + self.corner[:-1] + self.shape[-1:])
+            self._rows = np.zeros((width,) + self.corner[:-1] + self.shape[-1:])
             self._passes = _CornerPasses(self._rows.shape, self.shape)
             # Omega's points in one field of the passes' output
             self._gather = _as_range(
                 np.ravel_multi_index(self.points[1:], self._passes.base.shape[1:])
             )
-        rows = self._rows[:k]
-        rows.reshape(k, -1)[:, self._scatter] = Y.T
-        self._passes(self.spectrum, rows)
         if out is None:
             out = np.empty((k, len(Y))).T
-        fields = self._passes.base[:k].reshape(k, -1)
-        if isinstance(self._gather, slice):
-            np.copyto(out.T, fields[:, self._gather])
-        else:
-            np.take(fields, self._gather, axis=1, out=out.T, mode="clip")
+        for start in range(0, k, width):
+            block = slice(start, min(start + width, k))
+            b = block.stop - start
+            rows = self._rows[:b]
+            rows.reshape(b, -1)[:, self._scatter] = Y[:, block].T
+            self._passes(self.spectrum, rows)
+            fields = self._passes.base[:b].reshape(b, -1)
+            if isinstance(self._gather, slice):
+                np.copyto(out.T[block], fields[:, self._gather])
+            else:
+                np.take(fields, self._gather, axis=1, out=out.T[block], mode="clip")
         return out
 
 
@@ -362,7 +379,9 @@ class SolverCounts:
     each operator's one product S V of its coarse space
     (`FracOperator.coarse_space`); convolution_hits counts the applies
     that reused the operator's kept convolution; worst_residual is the
-    largest relative Galerkin residual of any solved column.
+    largest relative Galerkin residual of any solved column, and
+    worst_asymmetry the largest max |M - M^T| / max |M| of a DN matrix M
+    before `dnmap.DnMatrix` symmetrizes it.
     """
 
     systems: int = 0
@@ -374,6 +393,7 @@ class SolverCounts:
     certificate_products: int = 0
     convolution_hits: int = 0
     worst_residual: float = 0.0
+    worst_asymmetry: float = 0.0
 
 
 class FracOperator:
@@ -390,13 +410,16 @@ class FracOperator:
     spectrum (`multiplier_spectrum`), the quadrature symbol, and the windowed
     interior convolution, box preconditioner and coarse space that every
     interior system is solved with (no m x m array; each system solves with
-    its own shallow copies of the first two, which keep their FFT arrays).
-    It keeps no interior systems.  Its one slot `convolution` holds the last
-    weight convolution of stacked exterior data on their solve box, as (key,
-    compact array), filled by `solver.InteriorSystem.apply`: the key holds
-    the data stack by a weak reference, so the slot keeps no stack alive,
-    and g on the stack's support, and is None for data that are not
-    read-only.  `certificate` holds the first vector v > 0 that certified an
+    its own shallow copies of the first two, which keep the FFT arrays of
+    one block of columns).  It keeps no interior systems.  Its one slot
+    `convolution` holds the weight convolution of the last read-only data
+    stack that `solver.InteriorSystem.solve_many` solved, as (key, values),
+    the values a compact (k, |S|) array at S, the points of the solve box
+    where some datum is nonzero and those of Omega, where the Alessandrini
+    identity reads it: the key holds the stack by a weak reference, so the
+    slot keeps no stack alive, and g on the stack's support.  It is None
+    after a solve of data that are not read-only, which no key could match.
+    `certificate` holds the first vector v > 0 that certified an
     interior system of the operator, (m, 1) and read-only, and a later
     system is certified by one product with it where that suffices.
     `pcg_blocks` is the work array of the solver's block PCG, kept for the
@@ -408,7 +431,7 @@ class FracOperator:
 
     def __init__(self, geometry):
         self.geometry = geometry
-        self.convolution = None  # (key, array) of the last exterior apply
+        self.convolution = None  # (key, values at S) of the last exterior solve
         self.certificate = None  # the first certified v > 0 of an interior system
         self.pcg_blocks = None  # block PCG's (4, k, m) work array, widest k so far
         self.counts = SolverCounts()

@@ -26,27 +26,30 @@ apply gives AF on the box; its interior rows are the right-hand sides
 B = -(AF)_Omega, one batched solve gives the interior values
 X = D_g^-1 A'^-1 D_g^-1 B, and the energy pairings of the solutions are
 M = F (AF)^T - X^T B over the box, with no second apply for the fluxes.
-F (AF)^T and B are taken right after the apply and AF is freed, so
-during the solve the only stacks of the box's size are the data and the
-operator's kept convolution.  The one FFT pair of an apply is the
+The identity reads AF only at S, the box points where some datum is
+nonzero and those of Omega.  The one FFT pair of an apply is the
 convolution of the weights with g F (with F for a potential) over the
 periodic grid, through `operators.apply_multiplier` with the box as the
 grid's low corner (a convolution is translation invariant), so the real
 passes run over the box's rows only (251 of 512 rows at 2D N = 512).  It
 is taken field by field into one compact (k, *box) array, so no stacked
 spectrum of the grid is formed, and in 2D each field's forward real pass
-runs over its nonzero rows only (`operators.convolve_fields`).  The
-operator keeps the last one in `FracOperator.convolution`, keyed by the
-identity of the stack F, held by a weak reference, and by g on F's
-support (g = 1 for a potential); the next apply reuses it when both
-match, and then g F is the same stack bit for bit.  Only a stack that is
-read-only down its whole base chain is keyed (an `ExteriorBasis` keeps
-its stack so), since nothing else rules out its values having changed in
-place.  g F is formed once per field, for the convolution, and never
-stacked.  Every potential and every conductivity equal to 1 on the
-support of F share one convolution per basis, as do conductivities that
-differ only inside Omega, and a suite's assemblies on one basis follow
-one another.
+runs over its nonzero rows only (`operators.convolve_fields`); AF is then
+formed in that array.  `solve_many` keeps the convolution at S only in
+the operator's one slot, `FracOperator.convolution` (23,577 of the box's
+63,001 points for 16 bumps at 2D N = 512), keyed by the identity of the
+stack F, held by a weak reference, and by g on F's support (g = 1 for a
+potential); the next solve reuses it when both match, and then g F is the
+same stack bit for bit, so AF rebuilt at S from it is bit for bit a
+fresh one's there.  Only a stack that is read-only down its whole base
+chain is keyed (an `ExteriorBasis` keeps its stack so), since nothing
+else rules out its values having changed in place.  g F is formed once
+per field, for the convolution, and never stacked.  F (AF)^T and B are
+taken right after the apply and AF is freed, so during the solve the
+only stack of the box is the data, beside the slot's values at S.  Every
+potential and every conductivity equal to 1 on the support of F share one
+convolution per basis, as do conductivities that differ only inside
+Omega, and a suite's assemblies on one basis follow one another.
 
 A' is never factored and nothing m x m is formed (m the number of
 unknowns).  Every system, the unit coefficient's too, is solved by block
@@ -205,14 +208,16 @@ class InteriorSystem:
     coefficient is a Conductivity (conductivity equation) or a Potential
     (Schrodinger equation) on the operator's grid.  Matrix-vector products
     with the full-grid operator are `apply_multiplier` convolutions with the
-    operator's cached weight spectrum, the last one kept in its
-    `convolution` slot.  The interior block is A_gamma = D_g A' D_g (g = 1
-    for a potential, never formed); `_gi` is g on Omega and `_diag` the
-    diagonal of A'.  Of the grid the system owns only apply's factor `_e`.
-    A' is solved by block PCG: the system holds the PCG product's diagonal
-    shift `_shift`, its own shallow copies of the operator's windowed
-    convolution `_convolve` and box preconditioner `_preconditioner`, whose
-    kept FFT arrays are freed with the system, the inverse `_coarse_inverse`
+    operator's cached weight spectrum; `solve_many` keeps its convolution
+    on the data's support and Omega in the operator's `convolution` slot.
+    The interior block is A_gamma = D_g A' D_g (g = 1 for a potential,
+    never formed); `_gi` is g on Omega and `_diag` the diagonal of A'.  Of
+    the grid the system owns only apply's factor `_e`.  A' is solved by
+    block PCG: the system holds the PCG product's diagonal shift `_shift`,
+    its own shallow copies of the operator's windowed convolution
+    `_convolve` and box preconditioner `_preconditioner`, whose FFT arrays,
+    one block of columns' (`operators._PRODUCT_BYTES`), are freed with the
+    system, the inverse `_coarse_inverse`
     of its coarse block E = V^T A' V and the (m, c) `_coarse` = A'V E^-1,
     and nothing m x m.  Building it factors E and runs the M-matrix
     certificate of A', one product with the operator's kept certificate
@@ -440,46 +445,65 @@ class InteriorSystem:
         the result is A u on the box, exact when u vanishes off it.  The one
         FFT pair, the convolution w * (g u) over the periodic grid, takes the
         box as the grid's low corner, field by field into one compact array
-        (`operators.convolve_fields`).  The operator's `convolution` slot
-        keeps the last one under a key of u's identity and g on u's support
-        (`_StackKey`; the convolution does not depend on where the box
-        lies).  An apply whose key matches reuses it, and any other frees it
-        before its own is built.  Only values read-only down their whole
-        base chain are keyed, so that they cannot have changed since: other
-        values never hit, and their convolution is kept under no key.  g u is
-        formed once per field, for the convolution, and no stack of it is
-        held.
+        (`operators.convolve_fields`).  It is the plain product: the
+        operator's `convolution` slot is `solve_many`'s, and `apply` neither
+        reads nor fills it.
         """
         box = (Ellipsis,) if box is None else (Ellipsis,) + tuple(box)
-        op = self.op
-        key = self._key(values, box)
-        if key is not None and op.convolution is not None and op.convolution[0] == key:
-            op.counts.convolution_hits += 1
-        else:
-            op.convolution = None  # the old array is freed before the new one is built
-            op.convolution = (key, self._convolution(values, box))
-        conv = op.convolution[1]
         out = values * self._e[box]
-        out -= conv
+        out -= self._convolution(values, box)
         out *= self._scale if self.g is None else self._scale * self.g[box]
         return out
-
-    def _key(self, values, box):
-        """The `_StackKey` of values on a box, or None when they are not
-        read-only down their base chain."""
-        if not _read_only(values):
-            return None
-        grid = self.geometry.shape
-        support = np.any(values.reshape((-1,) + values.shape[-len(grid) :]), axis=0)
-        if self.g is None:
-            return _StackKey(values, np.ones(np.count_nonzero(support)))
-        return _StackKey(values, self.g[box][support])
 
     def _convolution(self, values, box):
         """w * (g u) over the periodic grid for a field or a stack on a box,
         transformed one field at a time into a preallocated result."""
         g = None if self.g is None else self.g[box]
         return convolve_fields(self.op.form_spectrum, values, self.geometry.shape, g)
+
+    def _stacked_apply(self, F, box, inside):
+        """AF, flat (k, box points), for a (k, *box) stack F on a box whose
+        Omega points are inside, through the operator's `convolution` slot.
+
+        The slot keeps w * (g F) at S only, the box points where some field
+        is nonzero and those of Omega, under the `_StackKey` of F (g = 1 for
+        a potential); only a stack read-only down its whole base chain is
+        keyed, and nothing is kept for another.  A hit rebuilds AF =
+        s (e F - w * (g F)) at S from the kept values, bit for bit a miss's,
+        and zero elsewhere: F vanishes there and Omega lies in S, so F (AF)^T
+        and (AF)_Omega are a miss's.  A miss frees the slot before its
+        convolution is built, keeps its values at S, and forms AF in the
+        convolution's own array, one field at a time.
+        """
+        k = len(F)
+        flat = F.reshape(k, -1)
+        support = np.any(F, axis=0)
+        S = np.flatnonzero(support.reshape(-1) | inside.reshape(-1))
+        e = self._e[box].reshape(-1)
+        scale = self._scale if self.g is None else self._scale * self.g[box].reshape(-1)
+        op = self.op
+        key = None
+        if _read_only(F):
+            g = np.ones(np.count_nonzero(support)) if self.g is None else self.g[box][support]
+            key = _StackKey(F, g)
+        if key is not None and op.convolution is not None and op.convolution[0] == key:
+            op.counts.convolution_hits += 1
+            e, scale = e[S], scale if self.g is None else scale[S]
+            AF = np.zeros_like(flat)
+            for row, u, conv in zip(AF, flat, op.convolution[1]):
+                row_S = u[S] * e
+                row_S -= conv
+                row_S *= scale
+                row[S] = row_S
+            return AF
+        op.convolution = None  # the old array is freed before the new one is built
+        AF = self._convolution(F, box).reshape(k, -1)
+        if key is not None:
+            op.convolution = (key, AF[:, S])
+        for conv, u in zip(AF, flat):
+            np.subtract(u * e, conv, out=conv)
+            conv *= scale
+        return AF
 
     def solve_many(self, data, box, tol: float = 1e-10):
         """Solve for a (k, *box) stack F of exterior data on a box in one batch.
@@ -495,17 +519,20 @@ class InteriorSystem:
         energy pairings M_ij = B(u_i, f_j) = B(u_i, u_j) and the residual of
         each column.  M = F (AF)^T - X^T B by Alessandrini's identity, the
         product over the box; it needs no flux apply and is returned
-        unsymmetrized.  F (AF)^T and B are formed right after the apply and
-        AF is freed before PCG runs.  A box that does not hold Omega raises
-        ValueError.
+        unsymmetrized.  The apply owns the operator's `convolution` slot,
+        which keeps the convolution at the points the identity reads
+        (`_stacked_apply`); F (AF)^T and B are formed right after it and AF
+        is freed before PCG runs, so during the run the data are the only
+        stack of the box, beside the slot's values at S.  A box that does
+        not hold Omega raises ValueError.
         """
         F = np.asarray(data, dtype=float)
         k = F.shape[0]
-        box = tuple(box)
+        box = (Ellipsis,) + tuple(box)
         inside = self.mask[box]
         if np.count_nonzero(inside) != self.idx.size:
             raise ValueError("the solve box must hold Omega")
-        AF = self.apply(F, box).reshape(k, -1)
+        AF = self._stacked_apply(F, box, inside)
         B = -AF[:, np.flatnonzero(inside)].T  # Omega in the box's order
         FAF = F.reshape(k, -1) @ AF.T
         del AF  # freed before the solve, which needs only B

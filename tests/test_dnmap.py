@@ -370,10 +370,10 @@ class TestCongruenceAssembly:
     @pytest.mark.parametrize("case", ["unit-on-omega", "potential"])
     def test_bitwise_where_g_is_one(self, geom, geom2d, n, case):
         # where g = 1 on Omega, D_g is the identity and A' is A_gamma bit for
-        # bit.  The assembly's apply hits the convolution that an apply on
-        # the same box left in the operator's slot, w * (g F) bit for bit, so
-        # AF is the same from a cold slot and a warm one; M is the dpotrf
-        # oracle's within the PCG tolerance
+        # bit.  The first assembly keeps w * (g F) on the support of F and
+        # Omega, bit for bit a fresh transform's there; the second hits it,
+        # and its M is the first's bit for bit; M is the dpotrf oracle's
+        # within the PCG tolerance
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
         b = build_exterior_basis(g, 8, kind="harmonic")
@@ -387,15 +387,21 @@ class TestCongruenceAssembly:
         system = interior_system(coefficient, op)
         assert np.all(system._gi == 1.0)
         assert np.array_equal(system._diag, np.diag(reference_block(coefficient, op)))
-        AF = system.apply(b.stack, b.box)  # a cold slot: the convolution is computed
+        M = assemble_dn(coefficient, b, op).entries  # a cold slot: the convolution is computed
         _, entry = op.convolution
-        fresh = apply_multiplier(op.form_spectrum, gF, g.shape)
-        assert np.array_equal(entry, fresh)
-        M = assemble_dn(coefficient, b, op).entries
+        fresh = apply_multiplier(op.form_spectrum, gF, g.shape).reshape(len(b), -1)
+        assert np.array_equal(entry, fresh[:, slot_points(b)])
+        assert np.array_equal(assemble_dn(coefficient, b, op).entries, M)
         assert op.convolution[1] is entry and op.counts.convolution_hits == 1
-        assert np.array_equal(system.apply(b.stack, b.box), AF)
         ref = outer_product_path(coefficient, b, FracOperator(g))
         assert np.max(np.abs(M - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def slot_points(basis):
+    """The flat points of a basis' box that the operator's convolution slot
+    keeps: those where some field is nonzero, and those of Omega."""
+    omega = basis.geometry.omega_mask()[basis.box]
+    return np.flatnonzero(np.any(basis.stack, axis=0) | omega)
 
 
 class TestSharedFactorAssembly:
@@ -503,16 +509,17 @@ class TestAlessandriniAssembly:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_convolution_entry_is_compact(self, geom, geom2d, n):
-        # the stored entry owns exactly the box's floats, not a view into
-        # a transform's larger output
+        # the stored entry owns exactly k |S| floats, S the support of the
+        # basis and Omega, not a view into the box's convolution
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
         b = build_exterior_basis(g, 8, kind="bumps")
         assemble_dn(bump_conductivity(g, 0.5, 0.8), b, op)
         _, entry = op.convolution
         owner = entry if entry.base is None else entry.base
-        assert entry.shape == b.stack.shape
-        assert entry.nbytes == owner.nbytes == b.stack.nbytes
+        S = slot_points(b)
+        assert entry.shape == (len(b), S.size) and S.size < b.stack[0].size
+        assert entry.nbytes == owner.nbytes == len(b) * S.size * entry.itemsize
 
     def test_unit_on_support_shares_one_convolution(self, geom):
         op = FracOperator(geom)

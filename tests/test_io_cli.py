@@ -534,6 +534,7 @@ class TestProvenance:
             "certificate_products",
             "convolution_hits",
             "worst_residual",
+            "worst_asymmetry",
         }
         # 7 DN matrices on one basis, one system per conductivity: every g
         # is 1 on the basis' support, so each Liouville potential's map is
@@ -548,6 +549,8 @@ class TestProvenance:
         V, _ = FracOperator(build_geometry(parse_config(cfg))).coarse_space
         assert counts["coarse_columns"] == V.shape[1]
         assert 0 < counts["worst_residual"] <= 1e-10
+        # the raw DN asymmetry, before DnMatrix symmetrizes
+        assert 0 <= counts["worst_asymmetry"] <= 1e-10
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "solver" not in report
 
@@ -590,3 +593,5 @@ class TestProvenance:
         assert (counts["systems"], counts["pcg_solves"]) == (9, 10)
         assert counts["certificate_products"] == 8
         assert 0 < counts["worst_residual"] <= 1e-10
+        # the raw DN asymmetry, before DnMatrix symmetrizes
+        assert 0 <= counts["worst_asymmetry"] <= 1e-10

@@ -315,6 +315,30 @@ class TestNumpyTransforms:
                 assert np.array_equal(conv(Y), ref[:, omega].T)
 
     @pytest.mark.parametrize("n, grid_points", [(1, 1024), (2, 128)])
+    def test_column_blocks_are_the_one_block_product_bitwise(self, n, grid_points, monkeypatch):
+        # each column's transforms are its own, so a product in blocks of
+        # one column is the one-block product bit for bit, as is the coarse
+        # space's SV
+        geometry = default_geometry(n=n, grid_points=grid_points)
+        op = FracOperator(geometry)
+        rng = np.random.default_rng(n)
+        convs = (op.interior_convolution, op.box_inverse_symbol)
+        Ys = [rng.standard_normal((len(op.interior_offsets[1][0]), k)) for k in (16, 3)]
+        for conv in convs:
+            assert operators._PRODUCT_BYTES // conv._column_bytes >= 16  # one block
+        whole = [copy.copy(conv)(Y) for conv in convs for Y in Ys]
+        _, SV = op.coarse_space
+        with monkeypatch.context() as patched:
+            patched.setattr(operators, "_PRODUCT_BYTES", 1)
+            blocked = [copy.copy(conv) for conv in convs]
+            columns = [conv(Y) for conv in blocked for Y in Ys]
+            assert all(len(conv._rows) == 1 for conv in blocked)
+            _, SV_blocked = FracOperator(geometry).coarse_space
+        for out, ref in zip(columns, whole):
+            assert out.tobytes() == ref.tobytes()
+        assert SV_blocked.tobytes() == SV.tobytes()
+
+    @pytest.mark.parametrize("n, grid_points", [(1, 1024), (2, 128)])
     def test_window_convolution_slices_are_the_index_arrays_bitwise(
         self, n, grid_points, monkeypatch
     ):

@@ -1,6 +1,7 @@
 """Galerkin solver: exactness relations, invariants, convergence."""
 
 import copy
+import sys
 import weakref
 
 import numpy as np
@@ -16,7 +17,7 @@ from fraccond.conductivity import (
     liouville_potential,
     mandache_family,
 )
-from fraccond.dnmap import build_exterior_basis
+from fraccond.dnmap import assemble_dn, build_exterior_basis
 from fraccond.geometry import GeometryConfig, default_geometry, mollifier_profile
 from fraccond.operators import FracOperator, bilinear_form
 from fraccond.solver import ExteriorDatum, InteriorSystem, SolverError, interior_system
@@ -225,32 +226,47 @@ class TestPackedSystem:
         assert (op.counts.pcg_solves, op.counts.certificate_products) == (1, 1)
 
 
+def whole_grid(geom):
+    """The box of the whole grid, as `solve_many` takes it."""
+    return (slice(None),) * geom.n
+
+
+def assert_same_solve(got, want, factor=1.0):
+    """X and M of two `solve_many` calls agree bit for bit, the first's data
+    being the second's times factor (a power of two, exact in every step):
+    X scales by it and M by its square."""
+    assert np.array_equal(got[0], factor * want[0])
+    assert np.array_equal(got[1], factor**2 * want[1])
+
+
 class TestConvolutionStore:
-    """Each operator keeps the convolution of its last applied stack in a
-    single slot."""
+    """Each operator keeps the convolution of the last stack that
+    `solve_many` solved in a single slot."""
 
     @staticmethod
     def data(geom, *centers):
         return [annulus_bump_datum(geom, center=x).values[None] for x in centers]
 
-    def test_only_the_last_apply_is_kept(self, geom_small):
+    def test_only_the_last_solve_is_kept(self, geom_small):
         op = FracOperator(geom_small)
         system = interior_system(Potential(geom_small, np.zeros(geom_small.shape)), op)
+        box = whole_grid(geom_small)
         a, b = self.data(geom_small, 2.2, 2.5)
-        Aa = system.apply(a)
+        solved_a = system.solve_many(a, box)
         key_a, conv_a = op.convolution
-        assert np.array_equal(system.apply(a), Aa)  # a hit
+        assert_same_solve(system.solve_many(a, box), solved_a)  # a hit
         assert op.convolution[1] is conv_a and op.counts.convolution_hits == 1
-        system.apply(b)  # a miss replaces a
+        system.solve_many(b, box)  # a miss replaces a
         assert op.convolution[0] != key_a
-        assert np.array_equal(system.apply(a), Aa)  # a again, rebuilt
+        assert_same_solve(system.solve_many(a, box), solved_a)  # a again, rebuilt
         assert op.convolution[1] is not conv_a and op.counts.convolution_hits == 1
 
     def test_slot_is_freed_before_a_miss_is_built(self, geom_small, monkeypatch):
         op = FracOperator(geom_small)
         system = interior_system(Potential(geom_small, np.zeros(geom_small.shape)), op)
+        box = whole_grid(geom_small)
         a, b = self.data(geom_small, 2.2, 2.5)
-        system.apply(a)
+        system.solve_many(a, box)
         held = []
         plain = solver.InteriorSystem._convolution
 
@@ -259,22 +275,37 @@ class TestConvolutionStore:
             return plain(self, *args)
 
         monkeypatch.setattr(solver.InteriorSystem, "_convolution", watching)
-        system.apply(b)
+        system.solve_many(b, box)
         assert held == [None]
 
     def test_conductivity_and_potential_share_a_unit_entry(self, geom_small):
         op = FracOperator(geom_small)
         one = Conductivity(geom_small, np.ones(geom_small.shape), gamma0=0.5)
         zero = Potential(geom_small, np.zeros(geom_small.shape))
+        box = whole_grid(geom_small)
         (F,) = self.data(geom_small, 2.5)
-        assert np.array_equal(interior_system(one, op).apply(F), interior_system(zero, op).apply(F))
+        unit = interior_system(one, op).solve_many(F, box)
+        assert_same_solve(interior_system(zero, op).solve_many(F, box), unit)
         assert op.counts.convolution_hits == 1
+
+    def test_apply_is_the_plain_product(self, geom_small):
+        # apply neither reads nor fills the slot
+        op = FracOperator(geom_small)
+        system = interior_system(Potential(geom_small, np.zeros(geom_small.shape)), op)
+        a, b = self.data(geom_small, 2.2, 2.5)
+        system.solve_many(a, whole_grid(geom_small))
+        kept = op.convolution
+        Aa = system.apply(a)
+        assert np.array_equal(system.apply(a), Aa)
+        system.apply(b)
+        assert op.convolution is kept and op.counts.convolution_hits == 0
 
 
 class TestStreamedAssembly:
-    """`apply` keys the operator's convolution by the data stack's identity
-    and g on the stack's support, and forms g u once per field, for the
-    convolution; `solve_many` frees AF before its PCG run."""
+    """`solve_many` keys the operator's convolution by the data stack's
+    identity and g on the stack's support, keeps it on the support and
+    Omega only, and forms g u once per field, for the convolution; it frees
+    AF before its PCG run."""
 
     @staticmethod
     def coefficient(op, equation):
@@ -284,8 +315,8 @@ class TestStreamedAssembly:
 
     @staticmethod
     def fresh(coefficient, F, box):
-        """The apply of a coefficient on an operator with an empty slot."""
-        return interior_system(coefficient, FracOperator(coefficient.geometry)).apply(F, box)
+        """The solve of a coefficient on an operator with an empty slot."""
+        return interior_system(coefficient, FracOperator(coefficient.geometry)).solve_many(F, box)
 
     @staticmethod
     def read_only_copy(stack):
@@ -307,9 +338,9 @@ class TestStreamedAssembly:
         assert np.any(wide.sqrt_values[b.box][support] != 1.0)
         hits = []
         for coefficient in (unit, inside, wide, wide):
-            AF = interior_system(coefficient, op).apply(b.stack, b.box)
+            solved = interior_system(coefficient, op).solve_many(b.stack, b.box)
             hits.append(op.counts.convolution_hits)
-            assert np.array_equal(AF, self.fresh(coefficient, b.stack, b.box))
+            assert_same_solve(solved, self.fresh(coefficient, b.stack, b.box))
         # inside hits unit's entry, a second system of wide hits the first's
         assert hits == [0, 1, 1, 2]
 
@@ -321,15 +352,15 @@ class TestStreamedAssembly:
         b = build_exterior_basis(g, 8, kind="harmonic")
         coefficient = self.coefficient(op, equation)
         unit = Conductivity(g, np.ones(g.shape), gamma0=0.5)
-        interior_system(unit, op).apply(b.stack, b.box)
+        interior_system(unit, op).solve_many(b.stack, b.box)
         system = interior_system(coefficient, op)
-        AF = system.apply(b.stack, b.box)
+        solved = system.solve_many(b.stack, b.box)
         # equal values in another array are another stack
         copied = self.read_only_copy(b.stack)
-        assert np.array_equal(system.apply(copied, b.box), AF)
+        assert_same_solve(system.solve_many(copied, b.box), solved)
         hits = 0 if equation == "conductivity" else 1  # the potential is g = 1
         assert op.counts.convolution_hits == hits
-        assert np.array_equal(AF, self.fresh(coefficient, b.stack, b.box))
+        assert_same_solve(solved, self.fresh(coefficient, b.stack, b.box))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_writable_data_never_hit(self, geom, geom2d, n):
@@ -338,17 +369,17 @@ class TestStreamedAssembly:
         b = build_exterior_basis(g, 8, kind="bumps")
         system = interior_system(self.coefficient(op, "conductivity"), op)
         F = b.stack.copy()
-        AF = system.apply(F, b.box)
-        assert op.convolution[0] is None
+        solved = system.solve_many(F, b.box)
+        assert op.convolution is None  # nothing is kept that no solve could hit
         F *= 2.0
-        assert np.array_equal(system.apply(F, b.box), 2.0 * AF)
+        assert_same_solve(system.solve_many(F, b.box), solved, 2.0)
         # a read-only view of a writable base is as writable as the base
         base = b.stack.copy()
         view = base[:]
         view.setflags(write=False)
-        assert np.array_equal(system.apply(view, b.box), AF)
+        assert_same_solve(system.solve_many(view, b.box), solved)
         base *= 2.0
-        assert np.array_equal(system.apply(view, b.box), 2.0 * AF)
+        assert_same_solve(system.solve_many(view, b.box), solved, 2.0)
         assert op.counts.convolution_hits == 0
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -358,27 +389,66 @@ class TestStreamedAssembly:
         b = build_exterior_basis(g, 8, kind="bumps")
         system = interior_system(self.coefficient(op, "schrodinger"), op)
         F = self.read_only_copy(b.stack)
-        AF = system.apply(F, b.box)
+        solved = system.solve_many(F, b.box)
         kept, stack = op.convolution[0], weakref.ref(F)
         del F
         assert stack() is None  # the slot keeps no stack alive
         # an equal stack, perhaps at the freed one's address, is not a hit
         F = self.read_only_copy(b.stack)
-        assert np.array_equal(system.apply(F, b.box), AF)
+        assert_same_solve(system.solve_many(F, b.box), solved)
         assert op.counts.convolution_hits == 0 and op.convolution[0] != kept
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("equation", ["conductivity", "schrodinger"])
     def test_dn_matrix_is_the_alessandrini_product(self, geom, geom2d, n, equation):
+        # from a cold slot and from a hit, which rebuilds AF on the support
+        # and Omega only, M is F (AF)^T - X^T B with AF the plain product
         g = geom if n == 1 else geom2d
         op = FracOperator(g)
         b = build_exterior_basis(g, 8, kind="harmonic")
         system = interior_system(self.coefficient(op, equation), op)
-        X, M, _ = system.solve_many(b.stack, b.box)
         k = len(b)
         AF = system.apply(b.stack, b.box).reshape(k, -1)
         B = -AF[:, np.flatnonzero(system.mask[b.box])].T
-        assert np.array_equal(M, b.stack.reshape(k, -1) @ AF.T - X @ B)
+        for hits in (0, 1):
+            X, M, _ = system.solve_many(b.stack, b.box)
+            assert op.counts.convolution_hits == hits
+            assert np.array_equal(M, b.stack.reshape(k, -1) @ AF.T - X @ B)
+
+    def test_no_stack_of_the_box_but_the_data_during_the_solve(self, monkeypatch):
+        # while PCG runs, the slot holds the convolution on the data's
+        # support and Omega only, and AF is freed: of the arrays that the
+        # assembly's frames and the operator reach, none but the basis' own
+        # stack has a stack's k x box elements
+        g = default_geometry(n=2, grid_points=128)
+        op = FracOperator(g)
+        b = build_exterior_basis(g, 16, kind="bumps")
+        test = sys._getframe().f_code
+        seen = []
+        plain = solver.InteriorSystem._pcg
+
+        def watching(self, *args):
+            seen.append(held_arrays(b.stack.size, test))
+            return plain(self, *args)
+
+        monkeypatch.setattr(solver.InteriorSystem, "_pcg", watching)
+        for _ in range(2):  # a miss and a hit
+            assemble_dn(bump_conductivity(g, 0.5, 0.8), b, op)
+        assert op.counts.convolution_hits == 1 and len(seen) >= 2
+        assert all(len(held) == 1 and held[0] is b.stack for held in seen)
+
+
+def held_arrays(size, stop):
+    """The arrays of size elements reachable (`reachable`) from the locals of
+    every frame on the call stack, up to the frame that runs the code object
+    stop."""
+    frame, roots = sys._getframe(1), []
+    while frame is not None:
+        roots.append(frame.f_locals)
+        if frame.f_code is stop:
+            break
+        frame = frame.f_back
+    return [x for x in reachable(roots) if isinstance(x, np.ndarray) and x.size == size]
 
 
 class TestBoxApply:
